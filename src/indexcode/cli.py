@@ -88,9 +88,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
-    fields = tuple(int(q) for q in args.q.split(","))
     summary = []
-    for q in fields:
+    for q in args.q:
         result = oracle.min_length(p, q, l_max=args.max_len, n_cap=args.n_cap)
         shown = result.min_length if result.min_length is not None else f">{args.max_len}"
         summary.append(f"{shown} (q={q})")
@@ -111,6 +110,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     _write(args.output, problem.problem_to_json(p))
     return EXIT_OK
+
+
+def _field_sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(q) for q in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exhaustive minimum code length over small fields")
     sp.add_argument("problem")
-    sp.add_argument("--q", default="2,3", help="comma-separated prime field sizes")
+    sp.add_argument("--q", type=_field_sizes, default="2,3", help="comma-separated prime field sizes")
     sp.add_argument("--max-len", type=int, default=oracle.DEFAULT_L_CAP)
     sp.add_argument("--n-cap", type=int, default=oracle.DEFAULT_N_CAP)
     sp.add_argument("-o", "--output", default=None, help="write the smallest witness found")

@@ -19,8 +19,8 @@ from .problem import Problem, interfering_set, restrict_problem
 from .structure import (
     Kind,
     alignment_sets,
+    restricted_alignment_sets,
     structure_report,
-    type2_alignment_sets,
 )
 
 
@@ -45,6 +45,8 @@ class ScalarLinearCode:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise CodecError(f"code length must be >= 1, got {self.length}")
+        if self.prime >= 2**64:
+            raise CodecError(f"modulus {self.prime} does not fit in 64 bits")
         if not linalg.is_prime(self.prime):
             raise CodecError(f"modulus {self.prime} is not prime")
         for i, v in enumerate(self.vectors, start=1):
@@ -62,9 +64,6 @@ class VerificationResult:
     ok: bool
     violations: tuple[tuple[int, int], ...]  # (receiver j, message k)
     zero_vector_messages: tuple[int, ...]
-    # For length-3 codes: whether every type-2 message union spans <= 2
-    # dimensions, a necessary property of any valid length-3 code.
-    type2_spans_ok: bool | None
     attempts_used: int = 0
 
 
@@ -79,18 +78,10 @@ def verify(p: Problem, code: ScalarLinearCode, attempts_used: int = 0) -> Verifi
             interferers = [code.vector(i) for i in interfering_set(p, j, k)]
             if not any(code.vector(k)) or linalg.in_span(code.vector(k), interferers, code.prime):
                 violations.append((j, k))
-    type2_ok: bool | None = None
-    if code.length == 3:
-        type2_ok = all(
-            linalg.rank([code.vector(i) for i in t2.messages], code.prime) <= 2
-            for t2 in type2_alignment_sets(p)
-        )
-    ok = not violations and not zeros
     return VerificationResult(
-        ok=ok,
+        ok=not violations and not zeros,
         violations=tuple(violations),
         zero_vector_messages=zeros,
-        type2_spans_ok=type2_ok,
         attempts_used=attempts_used,
     )
 
@@ -163,12 +154,10 @@ def construct_rate_third(
                     vectors[m - 1] = shared
             else:  # TYPE2_CLEAN
                 plane = linalg.random_subspace_basis(3, 2, prime, rng)
-                restricted, mapping = restrict_problem(p, info.members)
-                back = {new: old for old, new in mapping.items()}
-                for comp in alignment_sets(restricted):
+                for comp in restricted_alignment_sets(p, info.members):
                     v = linalg.random_vector_in_span(plane, prime, rng)
                     for m in comp:
-                        vectors[back[m] - 1] = v
+                        vectors[m - 1] = v
         code = ScalarLinearCode(length=3, prime=prime, vectors=tuple(vectors))
         result = verify(p, code, attempts_used=attempt)
         if result.ok:
@@ -280,10 +269,11 @@ def code_from_json(text: str) -> ScalarLinearCode:
     except json.JSONDecodeError as exc:
         raise CodecError(f"malformed code file: {exc}") from exc
     try:
-        return ScalarLinearCode(
-            length=int(data["length"]),
-            prime=int(data["prime"]),
-            vectors=tuple(tuple(int(x) for x in row) for row in data["vectors"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        length, prime = data["length"], data["prime"]
+        vectors = tuple(tuple(row) for row in data["vectors"])
+    except (KeyError, TypeError) as exc:
         raise CodecError(f"bad code file contents: {exc}") from exc
+    bad = [x for x in (length, prime, *(x for v in vectors for x in v)) if type(x) is not int]
+    if bad:
+        raise CodecError(f"code length, prime and vector entries must be integers, got {bad[0]!r}")
+    return ScalarLinearCode(length=length, prime=prime, vectors=vectors)

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .problem import ConflictPair, Problem, conflicts
+from .problem import ConflictPair, Problem
 from .structure import (
     Kind,
     StructureReport,
+    restricted_internal_conflicts,
     structure_report,
 )
 
@@ -67,22 +68,17 @@ class FeasibilityReport:
 
 
 def check_rate_one(p: Problem) -> RateOneVerdict:
-    pairs = conflicts(p)
+    pairs = p.conflict_pairs
     witness = min(pairs) if pairs else None
     return RateOneVerdict(feasible=not pairs, conflict_witness=witness)
 
 
-def check_rate_half(p: Problem, report: StructureReport | None = None) -> RateHalfVerdict:
-    report = report or structure_report(p)
-    pairs = conflicts(p)
-    for info in report.alignment_sets:
-        internal = sorted(
-            pair for pair in pairs if pair[0] in info.members and pair[1] in info.members
-        )
-        if internal:
-            return RateHalfVerdict(
-                feasible=False, internal_conflict=internal[0], alignment_set=info.members
-            )
+def check_rate_half(p: Problem) -> RateHalfVerdict:
+    # an internal conflict lies inside an alignment set: restrict to every message
+    internal = restricted_internal_conflicts(p, p.messages)
+    if internal:
+        pair, members = internal[0]
+        return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=members)
     return RateHalfVerdict(feasible=True, internal_conflict=None, alignment_set=None)
 
 
@@ -127,7 +123,7 @@ def analyze(p: Problem) -> FeasibilityReport:
     report = structure_report(p)
     return FeasibilityReport(
         rate_one=check_rate_one(p),
-        rate_half=check_rate_half(p, report),
+        rate_half=check_rate_half(p),
         rate_third=check_rate_third(p, report),
         structure=report,
     )

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
-from .codec import ScalarLinearCode, verify
-from .problem import Problem, interfering_set, problem_to_json
+from .codec import ScalarLinearCode
+from .problem import Problem, problem_to_json
 from .structure import structure_report
 
 DEFAULT_N_CAP = 10
@@ -74,17 +74,9 @@ def exists_code(
 
     # Constraint (k, interferers) fires once the last of its messages is
     # assigned; larger interfering sets are checked first for pruning.
-    constraints: set[tuple[int, frozenset[int]]] = set()
-    for j, r in enumerate(p.receivers, start=1):
-        for k in r.demands:
-            interf = interfering_set(p, j, k)
-            if interf:
-                constraints.add((k, interf))
     by_last: dict[int, list[tuple[int, frozenset[int]]]] = {m: [] for m in range(1, p.n + 1)}
-    for k, interf in constraints:
+    for k, interf in sorted(p.hyperedges, key=lambda c: -len(c[1])):
         by_last[max(interf | {k})].append((k, interf))
-    for m in by_last:
-        by_last[m].sort(key=lambda c: -len(c[1]))
 
     points = projective_points(q, length)
     span_cache: dict[tuple[frozenset[linalg.Vector], linalg.Vector], bool] = {}
@@ -133,10 +125,11 @@ def min_length(
     n_cap: int = DEFAULT_N_CAP,
 ) -> OracleResult:
     """Smallest code length up to ``l_max`` over GF(q), or none."""
+    _check_caps(p, q, l_max, n_cap, DEFAULT_L_CAP)
     exists_by_length: dict[int, bool] = {}
     nodes_total = 0
     for length in range(1, l_max + 1):
-        found, witness, nodes = exists_code(p, q, length, n_cap=n_cap, l_cap=l_max)
+        found, witness, nodes = exists_code(p, q, length, n_cap=n_cap)
         nodes_total += nodes
         exists_by_length[length] = found
         if found:
@@ -206,7 +199,3 @@ def conjecture_probe(
         achieves_one_third=achieved,
         candidate_path=path,
     )
-
-
-def witness_is_valid(p: Problem, witness: ScalarLinearCode) -> bool:
-    return verify(p, witness).ok

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 ConflictPair = tuple[int, int]  # always stored with a < b
+Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
 
 
 class ProblemError(ValueError):
@@ -55,6 +57,22 @@ class Problem:
     def messages(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1))
 
+    @cached_property
+    def hyperedges(self) -> frozenset[Hyperedge]:
+        """The conflict hypergraph, distinct nonempty (k, Interf_k(j)); every
+        structural quantity depends only on it, so it is derived once."""
+        return frozenset(
+            (k, interf)
+            for j, r in enumerate(self.receivers, start=1)
+            for k in r.demands
+            if (interf := interfering_set(self, j, k))
+        )
+
+    @cached_property
+    def conflict_pairs(self) -> frozenset[ConflictPair]:
+        """Unordered conflict pairs: a demanded message versus each interferer."""
+        return frozenset((min(i, k), max(i, k)) for k, interf in self.hyperedges for i in interf)
+
 
 def undemanded_messages(p: Problem) -> frozenset[int]:
     demanded: set[int] = set()
@@ -85,12 +103,17 @@ def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:
 
 def conflicts(p: Problem) -> frozenset[ConflictPair]:
     """Unordered conflict pairs: a demanded message versus each interferer."""
-    pairs: set[ConflictPair] = set()
-    for j, r in enumerate(p.receivers, start=1):
-        for k in r.demands:
-            for i in interfering_set(p, j, k):
-                pairs.add((min(i, k), max(i, k)))
-    return frozenset(pairs)
+    return p.conflict_pairs
+
+
+def restriction_members(p: Problem, members: frozenset[int] | set[int]) -> frozenset[int]:
+    """``members`` as a frozenset, rejected when empty or out of range."""
+    members = frozenset(members)
+    if not members:
+        raise ProblemError("cannot restrict to an empty message set")
+    if not members <= p.messages:
+        raise ProblemError(f"restriction ids out of range: {sorted(members - p.messages)}")
+    return members
 
 
 def restrict_problem(p: Problem, members: frozenset[int] | set[int]) -> tuple[Problem, dict[int, int]]:
@@ -100,11 +123,7 @@ def restrict_problem(p: Problem, members: frozenset[int] | set[int]) -> tuple[Pr
     demand and side-information sets are intersected with ``members`` and
     message ids are renumbered 1..|members| in ascending old-id order.
     """
-    members = frozenset(members)
-    if not members:
-        raise ProblemError("cannot restrict to an empty message set")
-    if not members <= p.messages:
-        raise ProblemError(f"restriction ids out of range: {sorted(members - p.messages)}")
+    members = restriction_members(p, members)
     mapping = {old: new for new, old in enumerate(sorted(members), start=1)}
     kept = [
         Receiver(
@@ -151,7 +170,7 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     if not isinstance(data, dict) or "n" not in data or "receivers" not in data:
         raise ProblemError("problem file must be an object with 'n' and 'receivers'")
     n = data["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ProblemError(f"'n' must be an integer, got {n!r}")
     receivers = []
     if not isinstance(data["receivers"], list):
@@ -160,11 +179,14 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
         if not isinstance(entry, dict):
             raise ProblemError(f"receiver {idx}: must be an object")
         try:
-            demands = frozenset(int(x) for x in entry["demands"])
-            side = frozenset(int(x) for x in entry.get("side_info", []))
-        except (KeyError, TypeError, ValueError) as exc:
+            demands = list(entry["demands"])
+            side = list(entry.get("side_info", []))
+        except (KeyError, TypeError) as exc:
             raise ProblemError(f"receiver {idx}: bad demand/side-info lists") from exc
-        receivers.append(Receiver(demands=demands, side_info=side))
+        bad = [m for m in demands + side if type(m) is not int]
+        if bad:
+            raise ProblemError(f"receiver {idx}: message ids must be integers, got {bad[0]!r}")
+        receivers.append(Receiver(demands=frozenset(demands), side_info=frozenset(side)))
     if not receivers:
         raise ProblemError("problem file lists no receivers")
     p = Problem(n=n, receivers=tuple(receivers))

@@ -8,31 +8,31 @@ classification of alignment sets used by the rate-1/3 construction.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .problem import ConflictPair, Problem, conflicts, interfering_set, restrict_problem
+from .problem import ConflictPair, Hyperedge, Problem, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
-Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
 
 
 class _UnionFind:
-    """Minimal union-find with path compression, for component extraction."""
+    """Minimal union-find with path compression over arbitrary hashable keys."""
 
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
+    def __init__(self) -> None:
+        self.parent: dict[Hashable, Hashable] = {}
 
-    def find(self, x: int) -> int:
-        root = x
+    def find(self, x: Hashable) -> Hashable:
+        root = self.parent.setdefault(x, x)
         while self.parent[root] != root:
             root = self.parent[root]
         while self.parent[x] != root:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: Hashable, b: Hashable) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
@@ -95,49 +95,43 @@ class StructureReport:
     dirty_witnesses: tuple[tuple[frozenset[int], ConflictPair, frozenset[int]], ...]
 
 
-def _interfering_sets(p: Problem) -> list[tuple[int, int, frozenset[int]]]:
-    """All nonempty (receiver j, demanded k, Interf_k(j)) triples."""
-    out = []
-    for j, r in enumerate(p.receivers, start=1):
-        for k in sorted(r.demands):
-            interf = interfering_set(p, j, k)
-            if interf:
-                out.append((j, k, interf))
-    return out
-
-
 def alignment_graph(p: Problem) -> AlignmentGraph:
     """Two messages are joined iff they co-interfere at some receiver."""
-    edges: set[Edge] = set()
-    for _, _, interf in _interfering_sets(p):
-        for a, b in combinations(sorted(interf), 2):
-            edges.add((a, b))
+    edges = {e for _, interf in p.hyperedges for e in combinations(sorted(interf), 2)}
     return AlignmentGraph(n=p.n, edges=frozenset(edges))
 
 
-def alignment_sets(p: Problem, g: AlignmentGraph | None = None) -> list[frozenset[int]]:
+def alignment_sets(p: Problem) -> list[frozenset[int]]:
     """Connected components of the alignment graph; a partition of [1..n]."""
-    g = g or alignment_graph(p)
-    uf = _UnionFind(p.n + 1)
-    for a, b in g.edges:
-        uf.union(a, b)
-    comps: dict[int, set[int]] = {}
-    for v in range(1, p.n + 1):
+    return restricted_alignment_sets(p, p.messages)
+
+
+def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) -> list[frozenset[int]]:
+    """Alignment sets of the problem restricted to ``members``, in original ids.
+
+    Restriction keeps each hyperedge (k, I) with k in ``members`` as
+    (k, I & members), and each restricted interfering set is a clique of
+    the restricted alignment graph, so no restricted problem is built.
+    """
+    members = restriction_members(p, members)
+    uf = _UnionFind()
+    for k, interf in p.hyperedges:
+        if k in members and (clique := interf & members):
+            first = min(clique)
+            for v in clique:
+                uf.union(first, v)
+    comps: dict[Hashable, set[int]] = {}
+    for v in members:
         comps.setdefault(uf.find(v), set()).add(v)
     return sorted((frozenset(c) for c in comps.values()), key=min)
 
 
 def conflict_hypergraph(p: Problem) -> ConflictHypergraph:
-    hyperedges = frozenset((k, interf) for _, k, interf in _interfering_sets(p))
-    return ConflictHypergraph(n=p.n, hyperedges=hyperedges)
-
-
-def hypergraphs_equal(h1: ConflictHypergraph, h2: ConflictHypergraph) -> bool:
-    return h1.n == h2.n and h1.hyperedges == h2.hyperedges
+    return ConflictHypergraph(n=p.n, hyperedges=p.hyperedges)
 
 
 def legacy_conflict_graph(p: Problem) -> LegacyConflictGraph:
-    return LegacyConflictGraph(n=p.n, edges=conflicts(p))
+    return LegacyConflictGraph(n=p.n, edges=p.conflict_pairs)
 
 
 def _edges_within(g: AlignmentGraph, members: frozenset[int]) -> list[Edge]:
@@ -198,13 +192,10 @@ def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     demanding the k-th message whose interfering set contains all earlier
     picks.
     """
-    interf_by_msg: dict[int, list[frozenset[int]]] = {}
-    for _, k, interf in _interfering_sets(p):
-        interf_by_msg.setdefault(k, []).append(interf)
-    for j, r in enumerate(p.receivers, start=1):
-        for k in r.demands:
-            interf_by_msg.setdefault(k, [])
-
+    # Only a demanded message can take a position, even the first one.
+    interf_by_msg: dict[int, list[frozenset[int]]] = {k: [] for r in p.receivers for k in r.demands}
+    for k, interf in p.hyperedges:
+        interf_by_msg[k].append(interf)
     demanded = sorted(interf_by_msg)
 
     def extend(prefix: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -212,29 +203,20 @@ def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
             return prefix
         need = set(prefix)
         for m in demanded:
-            if m in need:
-                continue
-            sets = interf_by_msg[m]
-            ok = (not need and m in interf_by_msg) or any(need <= s for s in sets)
-            if not need:
-                ok = True  # empty prefix is contained in every interfering set
-            if ok:
+            if m not in need and (not need or any(need <= s for s in interf_by_msg[m])):
                 found = extend(prefix + (m,))
                 if found:
                     return found
         return None
 
-    result = extend(())
-    return result if result else None
+    return extend(())
 
 
 def triangular_interfering_sets(p: Problem) -> list[TriangularInterferingSet]:
     """3-subsets of some interfering set carrying at least one conflict pair."""
-    pairs = conflicts(p)
+    pairs = p.conflict_pairs
     seen: set[frozenset[int]] = set()
-    for _, _, interf in _interfering_sets(p):
-        if len(interf) < 3:
-            continue
+    for _, interf in p.hyperedges:
         for trio in combinations(sorted(interf), 3):
             members = frozenset(trio)
             if members in seen:
@@ -248,20 +230,20 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
     """Maximal chains of triangular interfering sets meeting at conflict pairs.
 
     Two triangles are adjacent iff their intersection is exactly two
-    messages and that pair is in conflict.
+    messages and that pair is in conflict.  Distinct triangles sharing a
+    pair meet in exactly that pair, so joining every triangle to each
+    conflict pair it contains groups them in time linear in their number.
     """
     triangles = [t.members for t in triangular_interfering_sets(p)]
-    pairs = conflicts(p)
-    uf = _UnionFind(len(triangles))
-    for i, j in combinations(range(len(triangles)), 2):
-        inter = triangles[i] & triangles[j]
-        if len(inter) == 2:
-            a, b = sorted(inter)
-            if (a, b) in pairs:
-                uf.union(i, j)
-    comps: dict[int, list[frozenset[int]]] = {}
-    for i, t in enumerate(triangles):
-        comps.setdefault(uf.find(i), []).append(t)
+    pairs = p.conflict_pairs
+    uf = _UnionFind()
+    for t in triangles:
+        for pair in combinations(sorted(t), 2):
+            if pair in pairs:
+                uf.union(t, pair)
+    comps: dict[Hashable, list[frozenset[int]]] = {}
+    for t in triangles:
+        comps.setdefault(uf.find(t), []).append(t)
     out = []
     for group in comps.values():
         messages = frozenset().union(*group)
@@ -274,20 +256,15 @@ def restricted_internal_conflicts(
 ) -> list[tuple[ConflictPair, frozenset[int]]]:
     """Conflicts of the restricted problem inside one restricted alignment set.
 
-    Returned in the original problem's numbering, each with its witnessing
-    restricted alignment set.
+    Each comes with its witnessing restricted alignment set, ordered by
+    set and then by pair.  Restriction keeps every conflict between two
+    members, so these are the problem's own conflict pairs inside each
+    restricted set.
     """
-    restricted, mapping = restrict_problem(p, members)
-    back = {new: old for old, new in mapping.items()}
-    out = []
-    for comp in alignment_sets(restricted):
-        comp_pairs = [
-            pair for pair in conflicts(restricted) if pair[0] in comp and pair[1] in comp
-        ]
-        for a, b in sorted(comp_pairs):
-            orig = (min(back[a], back[b]), max(back[a], back[b]))
-            out.append((orig, frozenset(back[v] for v in comp)))
-    return out
+    comp_of = {v: comp for comp in restricted_alignment_sets(p, members) for v in comp}
+    out = [((a, b), comp_of[a]) for a, b in p.conflict_pairs
+           if a in comp_of and comp_of[a] is comp_of.get(b)]
+    return sorted(out, key=lambda w: (min(w[1]), w[0]))
 
 
 def classify_alignment_set(
@@ -298,15 +275,13 @@ def classify_alignment_set(
     """Classification driving the rate-1/3 construction; total by the chain below."""
     if type2_sets is None:
         type2_sets = type2_alignment_sets(p)
-    triples = [interf for _, _, interf in _interfering_sets(p) if len(interf & members) >= 3]
-    if not triples:
+    if not any(len(interf & members) >= 3 for _, interf in p.hyperedges):
         return Kind.KIND1
-    pairs = conflicts(p)
-    if len(members) == 3 and any(members <= interf for _, _, interf in _interfering_sets(p)):
-        if not any(
-            (a, b) in pairs for a, b in combinations(sorted(members), 2)
-        ):
-            return Kind.KIND2
+    # some receiver sees three members, so a three-member set is co-interfering
+    if len(members) == 3 and not any(
+        pair in p.conflict_pairs for pair in combinations(sorted(members), 2)
+    ):
+        return Kind.KIND2
     for t2 in type2_sets:
         if t2.messages == members:
             if restricted_internal_conflicts(p, members):
@@ -317,7 +292,7 @@ def classify_alignment_set(
 
 def structure_report(p: Problem) -> StructureReport:
     g = alignment_graph(p)
-    sets = alignment_sets(p, g)
+    sets = alignment_sets(p)
     type2 = type2_alignment_sets(p)
     infos = tuple(
         AlignmentSetInfo(
@@ -347,7 +322,8 @@ def to_dot(p: Problem) -> str:
         lines.append(f"  m{v} [label=\"W{v}\"];")
     for a, b in sorted(alignment_graph(p).edges):
         lines.append(f"  m{a} -- m{b};")
-    for idx, (k, interf) in enumerate(sorted(conflict_hypergraph(p).hyperedges)):
+    hyperedges = sorted(p.hyperedges, key=lambda e: (e[0], sorted(e[1])))
+    for idx, (k, interf) in enumerate(hyperedges):
         hub = f"h{idx}"
         lines.append(f"  {hub} [shape=point, label=\"\"];")
         lines.append(f"  m{k} -- {hub} [style=dashed];")

@@ -131,6 +131,19 @@ def test_oracle_command_ex_inf(fixture_file, capsys):
     assert "field-relative" in out
 
 
+def test_oracle_max_len_above_cap_exit_code(fixture_file, capsys):
+    rc, out, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2", "--max-len", "7")
+    assert rc == 3
+    assert "cap" in err
+    assert "nodes explored" not in err
+
+
+def test_oracle_bad_field_list_is_usage_error(fixture_file, capsys):
+    rc, _, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,x")
+    assert rc == 2
+    assert "--q" in err
+
+
 def test_oracle_witness_output(fixture_file, tmp_path, capsys):
     out_path = str(tmp_path / "w.code")
     rc, out, _ = run(
@@ -141,6 +154,15 @@ def test_oracle_witness_output(fixture_file, tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", fixture_file("ex_feas"), out_path)
     assert rc == 0
     assert out.startswith("OK")
+
+
+def test_verify_large_prime_code(fixture_file, tmp_path, capsys):
+    code_path = tmp_path / "mersenne.code"
+    vectors = [[1, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
+    code_path.write_text(json.dumps({"length": 3, "prime": 2**61 - 1, "vectors": vectors}))
+    rc, out, _ = run(capsys, "verify", fixture_file("ex_feas"), str(code_path))
+    assert rc == 0
+    assert out.strip() == "OK (6/6 receivers)"
 
 
 def test_gen_roundtrip(tmp_path, capsys):
@@ -155,10 +177,14 @@ def test_gen_roundtrip(tmp_path, capsys):
 
 def test_bad_input_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"n": 2, "receivers": [{"demands": [1], "side_info": [1]}]}')
-    rc, _, err = run(capsys, "analyze", str(path))
-    assert rc == 3
-    assert "error" in err
+    for text in (
+        '{"n": 2, "receivers": [{"demands": [1], "side_info": [1]}]}',
+        '{"n": 2, "receivers": [{"demands": [1.7, 2], "side_info": []}]}',
+    ):
+        path.write_text(text)
+        rc, _, err = run(capsys, "analyze", str(path))
+        assert rc == 3
+        assert "error" in err
 
 
 def test_missing_file_exit_code(capsys):

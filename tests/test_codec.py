@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from corpusgen import build_from_specs
 from indexcode import linalg
 from indexcode.codec import (
     AttemptsExhausted,
+    CodecError,
     PreconditionError,
     ScalarLinearCode,
     code_from_json,
@@ -20,6 +22,7 @@ from indexcode.codec import (
 from indexcode.fixtures import load_fixture
 from indexcode.oracle import exists_code
 from indexcode.problem import parse_problem, random_problem
+from indexcode.structure import type2_alignment_sets
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 EXPLICIT_PRIME = 1009
@@ -43,9 +46,10 @@ def roundtrip(p, code, payload):
 
 def test_explicit_assignment_resolves_ex_feas():
     p = load_fixture("ex_feas")
-    result = verify(p, explicit_assignment())
-    assert result.ok
-    assert result.type2_spans_ok
+    code = explicit_assignment()
+    assert verify(p, code).ok
+    for t2 in type2_alignment_sets(p):
+        assert linalg.rank([code.vector(i) for i in t2.messages], code.prime) <= 2
 
 
 def test_all_equal_vectors_fail_on_any_conflict():
@@ -217,3 +221,16 @@ def test_code_json_roundtrip():
     p = load_fixture("p5")
     code, _ = construct_rate_third(p, rng=random.Random(9))
     assert code_from_json(code_to_json(code)) == code
+    # values that only coerce to integers are rejected, not converted
+    for data in (
+        {"length": 1.0, "prime": 5, "vectors": [[1]]},
+        {"length": 1, "prime": "5", "vectors": [[1]]},
+        {"length": 1, "prime": 5, "vectors": [[True]]},
+        {"length": 1, "prime": 5, "vectors": [[1.5]]},
+        {"length": 1, "prime": 5, "vectors": ["1"]},
+    ):
+        with pytest.raises(CodecError, match="integer"):
+            code_from_json(json.dumps(data))
+    # arithmetic assumes word-size moduli
+    with pytest.raises(CodecError, match="64 bits"):
+        code_from_json(json.dumps({"length": 1, "prime": 2**89 - 1, "vectors": [[1]]}))

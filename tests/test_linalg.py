@@ -135,7 +135,12 @@ def test_extend_to_basis():
 
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(1009) and is_prime(2**31 - 1)
+    assert is_prime(2**61 - 1)
     assert not is_prime(1) and not is_prime(4) and not is_prime(2047)
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    by_trial_division = [m for m in range(3000) if m > 1 and all(m % d for d in range(2, m))]
+    assert [m for m in range(3000) if is_prime(m)] == by_trial_division
 
 
 # --- dimension-chain equivalence ----------------------------------------------

@@ -9,7 +9,6 @@ from indexcode.oracle import (
     exists_code,
     min_length,
     projective_points,
-    witness_is_valid,
 )
 from indexcode.problem import parse_problem, random_problem
 
@@ -33,7 +32,7 @@ def test_ex_inf_length4_witness():
     p = load_fixture("ex_inf")
     found, witness, _ = exists_code(p, 2, 4)
     assert found
-    assert witness_is_valid(p, witness)
+    assert verify(p, witness).ok
     # the hand-checkable assignment is itself valid
     e = lambda i: tuple(int(j == i) for j in range(4))
     by_hand = ScalarLinearCode(4, 2, (e(0), e(1), e(2), e(1), e(3), e(2)))
@@ -61,7 +60,7 @@ def test_every_witness_verifies():
         p = random_unicast_problem(seed, max_n=5)
         result = min_length(p, 2, l_max=4)
         if result.witness is not None:
-            assert witness_is_valid(p, result.witness)
+            assert verify(p, result.witness).ok
 
 
 def test_exists_monotone_in_length():
@@ -81,6 +80,9 @@ def test_caps_enforced():
     big = random_problem(11, 0.5, seed=1)
     with pytest.raises(OracleCapError):
         exists_code(big, 2, 2)
+    # the length cap binds on min_length too, before any search
+    with pytest.raises(OracleCapError):
+        min_length(p, 2, l_max=5)
 
 
 def test_conjecture_probe_feasible_instance(tmp_path):

@@ -54,6 +54,15 @@ def test_parse_rejects_out_of_range():
 def test_parse_rejects_malformed_json():
     with pytest.raises(ProblemError, match="malformed"):
         parse_problem("{not json")
+    # ids that only coerce to integers are rejected, not converted
+    for text in (
+        '{"n": true, "receivers": [{"demands": [1], "side_info": []}]}',
+        '{"n": 2, "receivers": [{"demands": [1.7, 2], "side_info": []}]}',
+        '{"n": 2, "receivers": [{"demands": [true, "2"], "side_info": []}]}',
+        '{"n": 2, "receivers": [{"demands": [1, 2], "side_info": "2"}]}',
+    ):
+        with pytest.raises(ProblemError, match="integer"):
+            parse_problem(text)
 
 
 def test_undemanded_rejected_by_default_allowed_by_flag():
