@@ -87,35 +87,25 @@ _CONSTRUCTIBLE = {Kind.KIND1, Kind.KIND2, Kind.TYPE2_CLEAN}
 
 def check_rate_third(p: Problem, report: StructureReport | None = None) -> RateThirdVerdict:
     report = report or structure_report(p)
-    all_clean = not report.dirty_witnesses
-    if report.dirty_witnesses:
-        return RateThirdVerdict(
-            status=RateThirdStatus.INFEASIBLE_DIRTY_TYPE2,
-            dirty_witness=report.dirty_witnesses[0],
-            quadruple=report.acyclic_quadruple,
-            conjecture_predicts_feasible=all_clean,
-        )
+    dirty = report.dirty_witnesses[0] if report.dirty_witnesses else None
+    quadruple = report.acyclic_quadruple
+    if dirty is not None:
+        status = RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
     # Kept as an independent check: the dirty-type-2 condition should
     # always subsume this one, and the test suite asserts that dominance.
-    if report.acyclic_quadruple is not None:
-        return RateThirdVerdict(
-            status=RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE,
-            dirty_witness=None,
-            quadruple=report.acyclic_quadruple,
-            conjecture_predicts_feasible=all_clean,
-        )
-    if all(info.kind in _CONSTRUCTIBLE for info in report.alignment_sets):
-        return RateThirdVerdict(
-            status=RateThirdStatus.FEASIBLE_MAIN,
-            dirty_witness=None,
-            quadruple=None,
-            conjecture_predicts_feasible=all_clean,
-        )
+    elif quadruple is not None:
+        status = RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE
+    elif all(info.kind in _CONSTRUCTIBLE for info in report.alignment_sets):
+        status = RateThirdStatus.FEASIBLE_MAIN
+    else:
+        status = RateThirdStatus.UNDETERMINED
+    # the conjecture (clean type-2 sets suffice) never overrides a
+    # necessary condition that fired
     return RateThirdVerdict(
-        status=RateThirdStatus.UNDETERMINED,
-        dirty_witness=None,
-        quadruple=None,
-        conjecture_predicts_feasible=all_clean,
+        status=status,
+        dirty_witness=dirty,
+        quadruple=quadruple,
+        conjecture_predicts_feasible=dirty is None and quadruple is None,
     )
 
 

@@ -1,21 +1,56 @@
 """Exhaustive ground truth: minimum scalar linear code length by search.
 
-Backtracking over projective representatives (first nonzero coordinate
-normalized to 1), message by message; every span condition is checked as
-soon as its last participating message is assigned.  The first assigned
-message is pinned to a canonical representative, which is sound because
-the resolved-conflicts criterion is invariant under any invertible change
-of basis.
+A code assigns each message a nonzero vector of GF(q)^L.  It resolves
+every conflict when, for each hyperedge (k, I) of the conflict
+hypergraph, the vector of k lies outside the span of the vectors of I.
+The search is backtracking over projective representatives (first
+nonzero coordinate normalized to 1), one message at a time; every span
+condition is checked as soon as its last participating message is
+assigned.
+
+**Vectors and spans as integers.**  A vector is indexed by the base-q
+integer whose j-th digit is its j-th coordinate, so span(e1, ..., er) is
+exactly the indices below q^r.  A span is an int bitmask over these
+indices.  It is built one generator at a time (span(S + g) is the union of
+the cosets span(S) + c*g) and memoized by the bitmask of its generators,
+so an in-span test is a bit test.  The per-(q, L) tables are cached.
+
+**Basis pinning is sound.**  Whether a conflict is resolved is invariant
+under scaling any single vector by a nonzero constant and under applying
+one invertible linear map A to every vector, since A maps a span onto the
+span of the images and keeps a vector outside it.  Take any code and
+list its vectors in search order.  Call a vector *fresh* when it lies
+outside the span of the vectors before it, and let f1, ..., fr be the
+fresh vectors in order.  They are independent, so some invertible A maps
+fi to ei.  After A, the span of the vectors before a position is
+span(e1, ..., er') with r' the number of fresh vectors before it.  A
+fresh vector is then e_{r'+1}, and every other vector is a point of
+span(e1, ..., er'), which scaling turns into its projective
+representative.  Hence, if any code exists, one exists where each vector
+is either a projective point of the current span or the next unit vector
+e_{r+1}, where r is the current rank; the search tries only those.  For
+the first message this leaves e1 alone.  ``nodes explored`` counts the
+candidates tried after this symmetry breaking.
+
+**Message order.**  Messages are searched most constrained first: by
+the number of hyperedges (k, I) with the message in {k} | I, descending,
+then by id.  Each constraint is checked at the search position of its
+last message, so the dense part of the hypergraph is fixed early and a
+violated constraint prunes a small subtree.  The witness is mapped back
+to the original message ids.
 
 Results are always field-relative: "no length-3 code over GF(2) and
-GF(3)" does not by itself rule the rate out over larger fields.
+GF(3)" does not by itself rule the rate out over larger fields.  The
+vector space is capped at q^L <= max(DEFAULT_FIELDS)^DEFAULT_L_CAP
+vectors, which bounds both the tables and the candidates per message.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 
 from . import linalg
 from .codec import ScalarLinearCode
@@ -25,6 +60,7 @@ from .structure import structure_report
 DEFAULT_N_CAP = 10
 DEFAULT_L_CAP = 4
 DEFAULT_FIELDS = (2, 3, 5)
+VECTOR_CAP = max(DEFAULT_FIELDS) ** DEFAULT_L_CAP
 
 
 class OracleCapError(ValueError):
@@ -40,20 +76,40 @@ class OracleResult:
     nodes_explored: int
 
 
+@lru_cache(maxsize=None)
+def _vectors(q: int, length: int) -> tuple[linalg.Vector, ...]:
+    """GF(q)^length in index order: digit j of i in base q is coordinate j."""
+    return tuple(tuple(i // q**j % q for j in range(length)) for i in range(q**length))
+
+
+@lru_cache(maxsize=None)
+def _candidates(q: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Per rank r < length: the projective points of span(e1..er), then
+    e_{r+1} (index q^r); at rank ``length``: every projective point."""
+    points = tuple(i for i, v in enumerate(_vectors(q, length)) if any(v) and next(filter(None, v)) == 1)
+    return tuple(points[: (q**r - 1) // (q - 1) + 1] for r in range(length)) + (points,)
+
+
+@lru_cache(maxsize=None)
+def _translation(q: int, length: int, g: int) -> tuple[int, ...]:
+    """Index of vector x + vector g, for every index x."""
+    vectors = _vectors(q, length)
+    return tuple(sum((a + b) % q * q**j for j, (a, b) in enumerate(zip(v, vectors[g]))) for v in vectors)
+
+
 def projective_points(q: int, length: int) -> list[linalg.Vector]:
     """One representative per projective equivalence class of GF(q)^length."""
-    points = []
-    for leading in range(length):
-        for tail in product(range(q), repeat=length - leading - 1):
-            points.append((0,) * leading + (1,) + tail)
-    return points
+    vectors = _vectors(q, length)
+    return [vectors[i] for i in _candidates(q, length)[-1]]
 
 
 def _check_caps(p: Problem, q: int, length: int, n_cap: int, l_cap: int) -> None:
     if p.n > n_cap:
         raise OracleCapError(f"n={p.n} exceeds the oracle cap {n_cap}")
-    if length > l_cap:
-        raise OracleCapError(f"L={length} exceeds the oracle cap {l_cap}")
+    if not 0 <= length <= l_cap:
+        raise OracleCapError(f"L={length} is outside the oracle cap 0..{l_cap}")
+    if q**length > VECTOR_CAP:
+        raise OracleCapError(f"q^L = {q}^{length} exceeds the oracle cap of {VECTOR_CAP} vectors")
     if not linalg.is_prime(q):
         raise OracleCapError(f"field size {q} is not prime")
 
@@ -71,50 +127,61 @@ def exists_code(
     per-vector scaling and a global change of basis.
     """
     _check_caps(p, q, length, n_cap, l_cap)
+    degree = Counter(m for k, interf in p.hyperedges for m in interf | {k})
+    order = sorted(p.messages, key=lambda m: (-degree[m], m))
+    position = {m: t for t, m in enumerate(order)}
+    # (k, I) is checked at the position of its last message; larger I first
+    checks: list[list[tuple[int, list[int]]]] = [[] for _ in order]
+    for k, interf in sorted(p.hyperedges, key=lambda c: (-len(c[1]), c[0], sorted(c[1]))):
+        at = [position[i] for i in interf]
+        checks[max(at + [position[k]])].append((position[k], at))
 
-    # Constraint (k, interferers) fires once the last of its messages is
-    # assigned; larger interfering sets are checked first for pruning.
-    by_last: dict[int, list[tuple[int, frozenset[int]]]] = {m: [] for m in range(1, p.n + 1)}
-    for k, interf in sorted(p.hyperedges, key=lambda c: -len(c[1])):
-        by_last[max(interf | {k})].append((k, interf))
+    candidates = _candidates(q, length)
+    assigned = [0] * p.n  # vector index at each search position
+    bits = [0] * p.n  # 1 << assigned[t]
+    spans = {0: 1}  # generator bitmask -> span bitmask
+    elements = {1: [0]}  # span bitmask -> its vector indices
 
-    points = projective_points(q, length)
-    span_cache: dict[tuple[frozenset[linalg.Vector], linalg.Vector], bool] = {}
+    def span(gens: int) -> int:
+        mask = spans.get(gens)
+        if mask is None:
+            # span(S + g) is the union of the cosets span(S) + c*g
+            g = gens.bit_length() - 1
+            mask = span(gens ^ (1 << g))
+            if not mask >> g & 1:
+                row, coset = _translation(q, length, g), elements[mask]
+                grown = list(coset)
+                for _ in range(q - 1):
+                    coset = [row[x] for x in coset]
+                    grown += coset
+                mask = sum(1 << x for x in grown)
+                elements.setdefault(mask, grown)
+            spans[gens] = mask
+        return mask
 
-    def cached_in_span(v: linalg.Vector, vs: frozenset[linalg.Vector]) -> bool:
-        key = (vs, v)
-        hit = span_cache.get(key)
-        if hit is None:
-            hit = linalg.in_span(v, list(vs), q)
-            span_cache[key] = hit
-        return hit
-
-    assignment: list[linalg.Vector | None] = [None] * (p.n + 1)
     nodes = 0
 
-    def search(m: int) -> bool:
+    def search(t: int, rank: int) -> bool:
         nonlocal nodes
-        # symmetry breaking: the first message takes one canonical point
-        candidates = points[:1] if m == 1 else points
-        for v in candidates:
+        unit = q**rank if rank < length else None  # index of e_{rank+1}
+        for v in candidates[rank]:
             nodes += 1
-            assignment[m] = v
-            ok = True
-            for k, interf in by_last[m]:
-                vk = assignment[k]
-                blockers = frozenset(assignment[i] for i in interf)  # type: ignore[misc]
-                if cached_in_span(vk, blockers):  # type: ignore[arg-type]
-                    ok = False
+            assigned[t], bits[t] = v, 1 << v
+            for k, interf in checks[t]:
+                gens = 0
+                for i in interf:
+                    gens |= bits[i]
+                if span(gens) >> assigned[k] & 1:
                     break
-            if ok:
-                if m == p.n or search(m + 1):
+            else:
+                if t + 1 == p.n or search(t + 1, rank + (v == unit)):
                     return True
-        assignment[m] = None
         return False
 
-    if search(1):
-        vectors = tuple(assignment[1:])  # type: ignore[arg-type]
-        return True, ScalarLinearCode(length=length, prime=q, vectors=vectors), nodes
+    if search(0, 0):
+        vectors = _vectors(q, length)
+        witness = tuple(vectors[assigned[position[m]]] for m in range(1, p.n + 1))
+        return True, ScalarLinearCode(length=length, prime=q, vectors=witness), nodes
     return False, None, nodes
 
 

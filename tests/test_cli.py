@@ -138,6 +138,18 @@ def test_oracle_max_len_above_cap_exit_code(fixture_file, capsys):
     assert "nodes explored" not in err
 
 
+def test_oracle_field_above_vector_cap_exit_code(fixture_file, capsys):
+    # q^L is capped at 5^4 = 625 vectors, checked before any search
+    for argv in (["--q", "1009", "--max-len", "1"], ["--q", "1009"], ["--q", "7"]):
+        rc, _, err = run(capsys, "oracle", fixture_file("ex_feas"), *argv)
+        assert rc == 3
+        assert "625 vectors" in err
+        assert "nodes explored" not in err
+    rc, out, _ = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "7", "--max-len", "3")
+    assert rc == 0
+    assert "min length: 3 (q=7)" in out
+
+
 def test_oracle_bad_field_list_is_usage_error(fixture_file, capsys):
     rc, _, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,x")
     assert rc == 2

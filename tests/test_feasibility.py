@@ -1,3 +1,5 @@
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from indexcode.feasibility import (
 )
 from indexcode.fixtures import load_fixture
 from indexcode.problem import parse_problem, random_problem
+from indexcode.structure import structure_report
 
 
 def test_rate_one_full_side_info():
@@ -67,6 +70,21 @@ def test_rate_third_fixtures():
 
     ex1b = analyze(load_fixture("ex1b"))
     assert ex1b.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
+
+
+
+def test_quadruple_verdict_does_not_predict_feasible():
+    # no benchmark input reaches this branch (the dirty-type-2 condition
+    # subsumes it), so feed one in: a quadruple and no dirty witness
+    p = load_fixture("ex_feas")
+    report = dataclasses.replace(
+        structure_report(p), acyclic_quadruple=(1, 2, 3, 4), dirty_witnesses=()
+    )
+    verdict = check_rate_third(p, report)
+    assert verdict.status is RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE
+    assert verdict.quadruple == (1, 2, 3, 4)
+    assert verdict.feasible is False
+    assert not verdict.conjecture_predicts_feasible
 
 
 def test_analyze_composition_ex_inf():

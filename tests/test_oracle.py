@@ -1,4 +1,8 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusgen import random_unicast_problem
 from indexcode.codec import ScalarLinearCode, verify
@@ -10,7 +14,7 @@ from indexcode.oracle import (
     min_length,
     projective_points,
 )
-from indexcode.problem import parse_problem, random_problem
+from indexcode.problem import Problem, Receiver, parse_problem, random_problem
 
 
 def test_projective_points_counts():
@@ -76,6 +80,8 @@ def test_caps_enforced():
     with pytest.raises(OracleCapError):
         exists_code(p, 2, 5)
     with pytest.raises(OracleCapError):
+        exists_code(p, 2, -1)
+    with pytest.raises(OracleCapError):
         exists_code(p, 4, 2)
     big = random_problem(11, 0.5, seed=1)
     with pytest.raises(OracleCapError):
@@ -83,6 +89,65 @@ def test_caps_enforced():
     # the length cap binds on min_length too, before any search
     with pytest.raises(OracleCapError):
         min_length(p, 2, l_max=5)
+    # so does the cap on the q^L vectors, before any table is built
+    for q in (1009, 2**61 - 1):
+        with pytest.raises(OracleCapError, match="vectors"):
+            exists_code(p, q, 1)
+        with pytest.raises(OracleCapError, match="vectors"):
+            min_length(p, q, l_max=1)
+    with pytest.raises(OracleCapError, match="vectors"):
+        min_length(p, 7)
+    assert min_length(p, 7, l_max=3).min_length is not None
+
+
+def _brute_force_exists(p, q, length):
+    """Reference: try every assignment of nonzero vectors, no symmetry breaking."""
+    nonzero = [v for v in product(range(q), repeat=length) if any(v)]
+    return any(
+        verify(p, ScalarLinearCode(length, q, vectors)).ok
+        for vectors in product(nonzero, repeat=p.n)
+    )
+
+
+def test_search_agrees_with_brute_force_on_tiny_instances():
+    # q = 2, L <= 3, n <= 4: at most 7^4 assignments per instance
+    tiny = [
+        random_problem(3 + s % 2, (0.1, 0.25, 0.4, 0.9)[s % 4], single_unicast=s % 3 > 0, seed=s)
+        for s in range(24)
+    ]
+    for p in tiny:
+        for length in (1, 2, 3):
+            found, witness, _ = exists_code(p, 2, length)
+            assert found == _brute_force_exists(p, 2, length)
+            assert witness is None or verify(p, witness).ok
+
+
+@st.composite
+def relabeled_twins(draw):
+    """A corpus problem and a twin with messages relabeled and receivers
+    permuted and duplicated, which has the same hypergraph up to labels."""
+    seed = draw(st.integers(0, 599))
+    if draw(st.booleans()):
+        p = random_unicast_problem(seed)
+    else:
+        p = random_problem(draw(st.integers(1, 6)), 0.4, single_unicast=False, seed=seed)
+    label = dict(zip(range(1, p.n + 1), draw(st.permutations(range(1, p.n + 1)))))
+    receivers = draw(st.permutations(p.receivers))
+    receivers += draw(st.lists(st.sampled_from(p.receivers), max_size=3))
+    relabel = lambda ms: frozenset(label[m] for m in ms)
+    twin = Problem(p.n, tuple(Receiver(relabel(r.demands), relabel(r.side_info)) for r in receivers))
+    return p, twin
+
+
+@given(relabeled_twins())
+@settings(max_examples=60, deadline=None)
+def test_min_lengths_invariant_under_relabeling(twins):
+    p, twin = twins
+    for q in (2, 3):
+        results = [min_length(x, q, l_max=3) for x in (p, twin)]
+        assert results[0].min_length == results[1].min_length
+        for x, result in zip((p, twin), results):
+            assert result.witness is None or verify(x, result.witness).ok
 
 
 def test_conjecture_probe_feasible_instance(tmp_path):
