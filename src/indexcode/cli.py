@@ -88,6 +88,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
+    for q in args.q:  # refuse every field before searching any
+        oracle.check_caps(p, q, args.max_len, args.n_cap, oracle.DEFAULT_L_CAP)
     summary = []
     for q in args.q:
         result = oracle.min_length(p, q, l_max=args.max_len, n_cap=args.n_cap)

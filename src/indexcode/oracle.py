@@ -103,7 +103,8 @@ def projective_points(q: int, length: int) -> list[linalg.Vector]:
     return [vectors[i] for i in _candidates(q, length)[-1]]
 
 
-def _check_caps(p: Problem, q: int, length: int, n_cap: int, l_cap: int) -> None:
+def check_caps(p: Problem, q: int, length: int, n_cap: int, l_cap: int) -> None:
+    """Raise ``OracleCapError`` unless a length-``length`` search over GF(q) fits the caps."""
     if p.n > n_cap:
         raise OracleCapError(f"n={p.n} exceeds the oracle cap {n_cap}")
     if not 0 <= length <= l_cap:
@@ -126,7 +127,7 @@ def exists_code(
     Returns (exists, witness or None, nodes explored).  Exhaustive up to
     per-vector scaling and a global change of basis.
     """
-    _check_caps(p, q, length, n_cap, l_cap)
+    check_caps(p, q, length, n_cap, l_cap)
     degree = Counter(m for k, interf in p.hyperedges for m in interf | {k})
     order = sorted(p.messages, key=lambda m: (-degree[m], m))
     position = {m: t for t, m in enumerate(order)}
@@ -192,7 +193,7 @@ def min_length(
     n_cap: int = DEFAULT_N_CAP,
 ) -> OracleResult:
     """Smallest code length up to ``l_max`` over GF(q), or none."""
-    _check_caps(p, q, l_max, n_cap, DEFAULT_L_CAP)
+    check_caps(p, q, l_max, n_cap, DEFAULT_L_CAP)
     exists_by_length: dict[int, bool] = {}
     nodes_total = 0
     for length in range(1, l_max + 1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,33 @@ Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
 
 class ProblemError(ValueError):
     """Raised for structurally invalid problems or malformed problem files."""
+
+
+def _to_mask(ms: Iterable[int]) -> int:
+    """Message ids as an int bitmask, bit m for message m."""
+    mask = 0
+    for m in ms:
+        mask |= 1 << m
+    return mask
+
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """Message ids of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True)
+class HypergraphBits:
+    """Integer view of the conflict hypergraph, bit m for message m."""
+
+    edges: tuple[tuple[int, int], ...]  # (k, mask of Interf), ascending
+    sets: tuple[int, ...]  # the distinct interfering sets, largest first
+    sets_with: tuple[int, ...]  # [m], m = 1..n: mask of the indexes into ``sets`` that contain m
+    near: tuple[int, ...]  # [m]: union of the sets that contain m, its alignment-graph neighbours
+    conf: tuple[int, ...]  # [m]: mask of m's conflict partners
 
 
 @dataclass(frozen=True)
@@ -72,6 +100,20 @@ class Problem:
     def conflict_pairs(self) -> frozenset[ConflictPair]:
         """Unordered conflict pairs: a demanded message versus each interferer."""
         return frozenset((min(i, k), max(i, k)) for k, interf in self.hyperedges for i in interf)
+
+    @cached_property
+    def bits(self) -> HypergraphBits:
+        """``hyperedges`` and ``conflict_pairs`` as int bitmasks, derived once."""
+        edges = tuple(sorted((k, _to_mask(interf)) for k, interf in self.hyperedges))
+        sets = tuple(sorted({s for _, s in edges}, key=lambda s: (-s.bit_count(), s)))
+        sets_with, near, conf = [0] * (self.n + 1), [0] * (self.n + 1), [0] * (self.n + 1)
+        for idx, s in enumerate(sets):
+            for m in _iter_bits(s):
+                sets_with[m] |= 1 << idx
+                near[m] |= s
+        for a, b in self.conflict_pairs:
+            conf[a], conf[b] = conf[a] | 1 << b, conf[b] | 1 << a
+        return HypergraphBits(edges, sets, tuple(sets_with), tuple(near), tuple(conf))
 
 
 def undemanded_messages(p: Problem) -> frozenset[int]:

@@ -1,60 +1,28 @@
 """Combinatorial structure the feasibility analysis consumes.
 
-Alignment graph/sets, the legacy undirected conflict graph, the conflict
-hypergraph, forks and cycles, acyclic quadruples, triangular interfering
-sets, type-2 alignment sets, restricted internal conflicts, and the
-classification of alignment sets used by the rate-1/3 construction.
+Alignment graph/sets, forks and cycles, acyclic quadruples, triangular
+interfering sets, type-2 alignment sets, restricted internal conflicts,
+and the classification of alignment sets used by the rate-1/3
+construction.  The conflict hypergraph itself and its conflict pairs are
+``Problem.hyperedges`` and ``Problem.conflict_pairs``; the searches here
+run on their integer view ``Problem.bits`` and return frozensets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
-from .problem import ConflictPair, Hyperedge, Problem, restriction_members
+from .problem import ConflictPair, Problem, _iter_bits, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
 
 
-class _UnionFind:
-    """Minimal union-find with path compression over arbitrary hashable keys."""
-
-    def __init__(self) -> None:
-        self.parent: dict[Hashable, Hashable] = {}
-
-    def find(self, x: Hashable) -> Hashable:
-        root = self.parent.setdefault(x, x)
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: Hashable, b: Hashable) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True)
 class AlignmentGraph:
-    n: int
-    edges: frozenset[Edge]
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-
-@dataclass(frozen=True)
-class ConflictHypergraph:
-    n: int
-    hyperedges: frozenset[Hyperedge]
-
-
-@dataclass(frozen=True)
-class LegacyConflictGraph:
     n: int
     edges: frozenset[Edge]
 
@@ -97,7 +65,8 @@ class StructureReport:
 
 def alignment_graph(p: Problem) -> AlignmentGraph:
     """Two messages are joined iff they co-interfere at some receiver."""
-    edges = {e for _, interf in p.hyperedges for e in combinations(sorted(interf), 2)}
+    near = p.bits.near
+    edges = [(a, b) for a in range(1, p.n + 1) for b in _iter_bits((near[a] >> (a + 1)) << (a + 1))]
     return AlignmentGraph(n=p.n, edges=frozenset(edges))
 
 
@@ -113,25 +82,14 @@ def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) ->
     (k, I & members), and each restricted interfering set is a clique of
     the restricted alignment graph, so no restricted problem is built.
     """
-    members = restriction_members(p, members)
-    uf = _UnionFind()
-    for k, interf in p.hyperedges:
-        if k in members and (clique := interf & members):
-            first = min(clique)
-            for v in clique:
-                uf.union(first, v)
-    comps: dict[Hashable, set[int]] = {}
-    for v in members:
-        comps.setdefault(uf.find(v), set()).add(v)
-    return sorted((frozenset(c) for c in comps.values()), key=min)
-
-
-def conflict_hypergraph(p: Problem) -> ConflictHypergraph:
-    return ConflictHypergraph(n=p.n, hyperedges=p.hyperedges)
-
-
-def legacy_conflict_graph(p: Problem) -> LegacyConflictGraph:
-    return LegacyConflictGraph(n=p.n, edges=p.conflict_pairs)
+    keep = _to_mask(restriction_members(p, members))
+    comps: list[int] = []  # disjoint component masks
+    for k, interf in p.bits.edges:
+        if keep >> k & 1 and (clique := interf & keep):
+            touched = [c for c in comps if c & clique]
+            comps = [c for c in comps if not c & clique] + [reduce(or_, touched, clique)]
+    comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
+    return [frozenset(_iter_bits(c)) for c in sorted(comps, key=lambda c: c & -c)]
 
 
 def _edges_within(g: AlignmentGraph, members: frozenset[int]) -> list[Edge]:
@@ -149,81 +107,66 @@ def has_cycle(g: AlignmentGraph, members: frozenset[int]) -> bool:
     return len(_edges_within(g, members)) >= len(members)
 
 
-def cycle_witness(g: AlignmentGraph, members: frozenset[int]) -> list[int] | None:
-    """Some cycle inside the component, via DFS; None if the component is a tree."""
-    adj: dict[int, list[int]] = {v: [] for v in members}
-    for a, b in _edges_within(g, members):
-        adj[a].append(b)
-        adj[b].append(a)
-    parent: dict[int, int | None] = {}
-    for start in sorted(members):
-        if start in parent:
-            continue
-        parent[start] = None
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in sorted(adj[v]):
-                if w == parent[v]:
-                    continue
-                if w in parent:
-                    # back edge v-w closes a cycle; walk both ancestries
-                    path_v, node = [v], v
-                    while parent[node] is not None:
-                        node = parent[node]
-                        path_v.append(node)
-                    path_w, node = [w], w
-                    while parent[node] is not None:
-                        node = parent[node]
-                        path_w.append(node)
-                    common = next(x for x in path_v if x in set(path_w))
-                    cycle = path_v[: path_v.index(common) + 1]
-                    cycle += list(reversed(path_w[: path_w.index(common)]))
-                    return cycle
-                parent[w] = v
-                stack.append(w)
-    return None
-
-
 def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     """Four messages orderable so each interferes with every earlier one.
 
-    Exhaustive DFS over ordered tuples: position k needs some receiver
-    demanding the k-th message whose interfering set contains all earlier
-    picks.
+    Exhaustive DFS over ordered tuples, smallest ids first, so the witness
+    is the lexicographically first: position k needs a hyperedge of the
+    k-th message whose I contains all earlier picks, and each level passes
+    those hyperedges down; their messages are the next candidates.
     """
-    # Only a demanded message can take a position, even the first one.
-    interf_by_msg: dict[int, list[frozenset[int]]] = {k: [] for r in p.receivers for k in r.demands}
-    for k, interf in p.hyperedges:
-        interf_by_msg[k].append(interf)
-    demanded = sorted(interf_by_msg)
 
-    def extend(prefix: tuple[int, ...]) -> tuple[int, ...] | None:
+    def extend(prefix: tuple[int, ...], edges: list[tuple[int, int]], candidates: int) -> tuple[int, ...] | None:
         if len(prefix) == 4:
             return prefix
-        need = set(prefix)
-        for m in demanded:
-            if m not in need and (not need or any(need <= s for s in interf_by_msg[m])):
-                found = extend(prefix + (m,))
-                if found:
-                    return found
+        for m in _iter_bits(candidates):
+            below = [(k, interf) for k, interf in edges if interf >> m & 1]
+            found = extend(prefix + (m,), below, reduce(or_, (1 << k for k, _ in below), 0))
+            if found:
+                return found
         return None
 
-    return extend(())
+    # Only a demanded message can take a position, even the first one.
+    return extend((), list(p.bits.edges), _to_mask(k for r in p.receivers for k in r.demands))
 
 
 def triangular_interfering_sets(p: Problem) -> list[TriangularInterferingSet]:
-    """3-subsets of some interfering set carrying at least one conflict pair."""
-    pairs = p.conflict_pairs
-    seen: set[frozenset[int]] = set()
-    for _, interf in p.hyperedges:
-        for trio in combinations(sorted(interf), 3):
-            members = frozenset(trio)
-            if members in seen:
-                continue
-            if any((min(a, b), max(a, b)) in pairs for a, b in combinations(trio, 2)):
-                seen.add(members)
-    return [TriangularInterferingSet(m) for m in sorted(seen, key=sorted)]
+    """3-subsets of some interfering set carrying at least one conflict pair.
+
+    Each triangle a < b < c is listed once, from its two smallest members
+    (the bitset form of the listing argument of Chiba & Nishizeki,
+    "Arboricity and subgraph listing algorithms", 1985): c ranges over
+    the members above b of the union of the sets containing both a and
+    b, and must conflict with a or b unless (a, b) is a conflict itself.
+    Ascending a, b and c emit the triangles in sorted order, in time
+    O(n^2 * distinct sets / 8 + triangles).
+    """
+    sets_with, near, conf = p.bits.sets_with, p.bits.near, p.bits.conf
+    # unions of every subset of each run of 8 sets, one lookup per run; sets
+    # of at most two members (sorted last) hold no c above b and are left out
+    big = [s for s in p.bits.sets if s.bit_count() > 2]
+    tables = []
+    for lo in range(0, len(big), 8):
+        table = [0]
+        for s in big[lo:lo + 8]:
+            table += [u | s for u in table]
+        tables.append(table)
+
+    def union(picked: int) -> int:
+        u, picked = 0, picked & ((1 << len(big)) - 1)
+        for table in tables:
+            u |= table[picked & 255]
+            picked >>= 8
+        return u
+
+    out = []
+    for a in range(1, p.n + 1):
+        for b in _iter_bits((near[a] >> (a + 1)) << (a + 1)):
+            above = (union(sets_with[a] & sets_with[b]) >> (b + 1)) << (b + 1)
+            if not conf[a] >> b & 1:
+                above &= conf[a] | conf[b]
+            out += [TriangularInterferingSet(frozenset((a, b, c))) for c in _iter_bits(above)]
+    return out
 
 
 def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
@@ -231,23 +174,34 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
 
     Two triangles are adjacent iff their intersection is exactly two
     messages and that pair is in conflict.  Distinct triangles sharing a
-    pair meet in exactly that pair, so joining every triangle to each
-    conflict pair it contains groups them in time linear in their number.
+    pair meet in exactly that pair, so a union-find over the conflict
+    pairs (key a * (n + 1) + b) that joins the pairs inside each triangle
+    chains them, and each triangle joins the group of any of its pairs.
     """
     triangles = [t.members for t in triangular_interfering_sets(p)]
-    pairs = p.conflict_pairs
-    uf = _UnionFind()
+    conf, width = p.bits.conf, p.n + 1
+    parent: dict[int, int] = {}  # absent keys are roots; memory stays linear in the triangles
+
+    def root(x: int) -> int:
+        while (up := parent.get(x, x)) != x:
+            parent[x] = x = parent.get(up, up)
+        return x
+
+    keys = []
     for t in triangles:
-        for pair in combinations(sorted(t), 2):
-            if pair in pairs:
-                uf.union(t, pair)
-    comps: dict[Hashable, list[frozenset[int]]] = {}
-    for t in triangles:
-        comps.setdefault(uf.find(t), []).append(t)
-    out = []
-    for group in comps.values():
-        messages = frozenset().union(*group)
-        out.append(Type2AlignmentSet(triangles=frozenset(group), messages=messages))
+        a, b, c = sorted(t)
+        ca, cb = conf[a], conf[b]
+        # join (a, c) and (b, c), when conflicts, to the first conflict pair
+        first = root(a * width + b if ca >> b & 1 else a * width + c if ca >> c & 1 else b * width + c)
+        if ca >> c & 1:
+            parent[root(a * width + c)] = first
+        if cb >> c & 1:
+            parent[root(b * width + c)] = first
+        keys.append(first)
+    comps: dict[int, list[frozenset[int]]] = {}
+    for t, key in zip(triangles, keys):
+        comps.setdefault(root(key), []).append(t)
+    out = [Type2AlignmentSet(frozenset(g), frozenset().union(*g)) for g in comps.values()]
     return sorted(out, key=lambda s: sorted(s.messages))
 
 

@@ -29,9 +29,7 @@ from indexcode.problem import Problem, random_problem, restrict_problem
 from indexcode.structure import (
     Kind,
     alignment_graph,
-    conflict_hypergraph,
     find_acyclic_quadruple,
-    legacy_conflict_graph,
     structure_report,
 )
 
@@ -49,23 +47,19 @@ def _passed(num: int, budget: float, started: float, detail: str) -> None:
     print(f"PASS criterion-{num}: {detail} ({elapsed:.1f}s)", file=sys.stderr, flush=True)
 
 
-def _hyperedges(p: Problem) -> set:
-    return {(k, frozenset(s)) for k, s in conflict_hypergraph(p).hyperedges}
-
-
 def test_criterion_01_hypergraph_separates_motivating_pair():
     started = time.monotonic()
     ex1a, ex1b = load_fixture("ex1a"), load_fixture("ex1b")
-    assert legacy_conflict_graph(ex1a) == legacy_conflict_graph(ex1b)
+    assert ex1a.conflict_pairs == ex1b.conflict_pairs
     assert alignment_graph(ex1a) == alignment_graph(ex1b)
-    assert conflict_hypergraph(ex1a) != conflict_hypergraph(ex1b)
-    assert _hyperedges(ex1a) == {
+    assert ex1a.hyperedges != ex1b.hyperedges
+    assert ex1a.hyperedges == {
         (1, frozenset({3})),
         (2, frozenset({1})),
         (3, frozenset({2})),
         (4, frozenset({1, 2, 3})),
     }
-    assert _hyperedges(ex1b) == {
+    assert ex1b.hyperedges == {
         (2, frozenset({1})),
         (3, frozenset({1, 2})),
         (4, frozenset({1, 2, 3})),
@@ -234,7 +228,7 @@ def test_criterion_08_codes_transfer_across_shared_hypergraphs():
     started = time.monotonic()
     for seed in range(50):
         p1, p2 = shared_hypergraph_pair(seed)
-        assert conflict_hypergraph(p1) == conflict_hypergraph(p2)
+        assert p1.hyperedges == p2.hyperedges
         for src, dst in ((p1, p2), (p2, p1)):
             code = _some_verified_code(src)
             assert verify(src, code).ok

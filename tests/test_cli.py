@@ -150,6 +150,14 @@ def test_oracle_field_above_vector_cap_exit_code(fixture_file, capsys):
     assert "min length: 3 (q=7)" in out
 
 
+def test_oracle_checks_every_field_before_searching(fixture_file, capsys):
+    rc, out, err = run(capsys, "oracle", fixture_file("ex_inf"), "--q", "2,1009")
+    assert rc == 3
+    assert out == ""
+    assert "q=2:" not in err
+    assert "625 vectors" in err
+
+
 def test_oracle_bad_field_list_is_usage_error(fixture_file, capsys):
     rc, _, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,x")
     assert rc == 2

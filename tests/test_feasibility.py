@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,8 @@ from indexcode.feasibility import (
 )
 from indexcode.fixtures import load_fixture
 from indexcode.problem import parse_problem, random_problem
-from indexcode.structure import structure_report
+from indexcode.structure import structure_report, triangular_interfering_sets
+from test_oracle import relabeled_twins
 
 
 def test_rate_one_full_side_info():
@@ -132,3 +134,24 @@ def test_render_undetermined_mentions_conjecture():
     text = render_report(analyze(load_fixture("ex_feas")))
     assert "undetermined" in text
     assert "conjecture predicts feasible" in text
+
+
+def _label_free_summary(p):
+    rep = analyze(p)
+    return (
+        rep.rate_one.feasible,
+        rep.rate_half.feasible,
+        rep.rate_third.status,
+        len(triangular_interfering_sets(p)),
+        Counter(len(t.messages) for t in rep.structure.type2_sets),
+        Counter(info.kind for info in rep.structure.alignment_sets),
+    )
+
+
+@given(relabeled_twins(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_analyze_invariant_under_relabeling(twins):
+    # bit positions follow message ids, so an index slip shows up as a
+    # verdict or a count that changes with the labels
+    p, twin = twins
+    assert _label_free_summary(p) == _label_free_summary(twin)

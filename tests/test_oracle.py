@@ -123,14 +123,14 @@ def test_search_agrees_with_brute_force_on_tiny_instances():
 
 
 @st.composite
-def relabeled_twins(draw):
+def relabeled_twins(draw, max_n=6):
     """A corpus problem and a twin with messages relabeled and receivers
     permuted and duplicated, which has the same hypergraph up to labels."""
     seed = draw(st.integers(0, 599))
     if draw(st.booleans()):
-        p = random_unicast_problem(seed)
+        p = random_unicast_problem(seed, max_n)
     else:
-        p = random_problem(draw(st.integers(1, 6)), 0.4, single_unicast=False, seed=seed)
+        p = random_problem(draw(st.integers(1, max_n)), 0.4, single_unicast=False, seed=seed)
     label = dict(zip(range(1, p.n + 1), draw(st.permutations(range(1, p.n + 1)))))
     receivers = draw(st.permutations(p.receivers))
     receivers += draw(st.lists(st.sampled_from(p.receivers), max_size=3))

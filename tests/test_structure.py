@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 from hypothesis import given, settings
@@ -5,28 +6,22 @@ from hypothesis import strategies as st
 
 from corpusgen import random_unicast_problem
 from indexcode.fixtures import load_fixture
-from indexcode.problem import conflicts, interfering_set, parse_problem, random_problem
+from indexcode.problem import Problem, interfering_set, parse_problem, random_problem
 from indexcode.structure import (
     Kind,
     alignment_graph,
     alignment_sets,
     classify_alignment_set,
-    conflict_hypergraph,
-    cycle_witness,
     find_acyclic_quadruple,
     has_cycle,
     has_fork,
-    legacy_conflict_graph,
+    restricted_alignment_sets,
     restricted_internal_conflicts,
     structure_report,
     to_dot,
     triangular_interfering_sets,
     type2_alignment_sets,
 )
-
-
-def hyperedges(p):
-    return {(k, frozenset(s)) for k, s in conflict_hypergraph(p).hyperedges}
 
 
 def test_alignment_graph_ex_feas():
@@ -55,19 +50,19 @@ def test_alignment_sets_ex_inf():
 
 def test_hypergraphs_of_motivating_pair():
     ex1a, ex1b = load_fixture("ex1a"), load_fixture("ex1b")
-    assert hyperedges(ex1a) == {
+    assert ex1a.hyperedges == {
         (1, frozenset({3})),
         (2, frozenset({1})),
         (3, frozenset({2})),
         (4, frozenset({1, 2, 3})),
     }
-    assert hyperedges(ex1b) == {
+    assert ex1b.hyperedges == {
         (2, frozenset({1})),
         (3, frozenset({1, 2})),
         (4, frozenset({1, 2, 3})),
     }
-    assert conflict_hypergraph(ex1a) != conflict_hypergraph(ex1b)
-    assert legacy_conflict_graph(ex1a) == legacy_conflict_graph(ex1b)
+    assert ex1a.hyperedges != ex1b.hyperedges
+    assert ex1a.conflict_pairs == ex1b.conflict_pairs
     assert alignment_graph(ex1a) == alignment_graph(ex1b)
 
 
@@ -83,12 +78,13 @@ def test_hypergraph_ignores_duplicate_receivers():
         )
         + "}"
     )
-    assert conflict_hypergraph(p) == conflict_hypergraph(doubled)
+    assert p.hyperedges == doubled.hyperedges
+    assert p.conflict_pairs == doubled.conflict_pairs
 
 
 def test_legacy_conflict_graph_ex_feas():
     p = load_fixture("ex_feas")
-    assert legacy_conflict_graph(p).edges == frozenset(
+    assert p.conflict_pairs == frozenset(
         {(1, 4), (1, 6), (1, 2), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (5, 6)}
     )
 
@@ -97,15 +93,11 @@ def test_fork_and_cycle_ex_feas():
     p = load_fixture("ex_feas")
     g = alignment_graph(p)
     members = frozenset(range(1, 7))
-    assert g.degree(4) == 4
+    assert sum(4 in e for e in g.edges) == 4
     assert has_fork(g, members)
     assert has_cycle(g, members)
-    witness = cycle_witness(g, members)
-    assert witness is not None and len(witness) >= 3
-    # witness really is a cycle in g
-    edges = set(g.edges)
-    for a, b in zip(witness, witness[1:] + witness[:1]):
-        assert (min(a, b), max(a, b)) in edges
+    # the cycle 3-4-5 lies in g
+    assert {(3, 4), (4, 5), (3, 5)} <= g.edges
 
 
 def test_fork_cycle_trivial_components():
@@ -122,7 +114,77 @@ def test_fork_cycle_trivial_components():
     assert not has_cycle(g, frozenset({2, 3}))
     assert not has_fork(g, frozenset({4}))
     assert not has_cycle(g, frozenset({4}))
-    assert cycle_witness(g, frozenset({2, 3})) is None
+    # one edge on two vertices: a tree
+    assert [e for e in g.edges if set(e) <= {2, 3}] == [(2, 3)]
+
+
+def reference_problem(seed, max_n=16):
+    """Seeded unicast or groupcast problem; every third one drops
+    receivers, which leaves messages that nobody demands."""
+    rng = random.Random(f"reference:{seed}")
+    n = rng.randint(1, max_n)
+    density = rng.choice([0.1, 0.3, 0.5, 0.7])
+    p = random_problem(n, density, single_unicast=seed % 2 == 0, seed=seed)
+    if seed % 3 == 0:
+        p = Problem(n, tuple(r for r in p.receivers if rng.random() < 0.6) or p.receivers[:1])
+    return p
+
+
+def naive_triangles(p):
+    """Every 3-subset of every interfering set that holds a conflict pair."""
+    seen = set()
+    for _, interf in p.hyperedges:
+        for trio in combinations(sorted(interf), 3):
+            if any(pair in p.conflict_pairs for pair in combinations(trio, 2)):
+                seen.add(frozenset(trio))
+    return sorted(seen, key=sorted)
+
+
+def _find(parent, x):
+    while parent.setdefault(x, x) != x:
+        x = parent[x]
+    return x
+
+
+def naive_type2_sets(p):
+    """(triangles, messages) per group, each triangle joined to every
+    conflict pair it contains."""
+    triangles = naive_triangles(p)
+    parent = {}
+    for t in triangles:
+        for pair in combinations(sorted(t), 2):
+            if pair in p.conflict_pairs:
+                parent[_find(parent, pair)] = _find(parent, t)
+    groups = {}
+    for t in triangles:
+        groups.setdefault(_find(parent, t), []).append(t)
+    out = [(frozenset(g), frozenset().union(*g)) for g in groups.values()]
+    return sorted(out, key=lambda s: sorted(s[1]))
+
+
+def naive_restricted_alignment_sets(p, members):
+    """Components of the restricted alignment graph, built from the receivers."""
+    parent = {}
+    for j, r in enumerate(p.receivers, 1):
+        for k in r.demands & members:
+            clique = sorted(interfering_set(p, j, k) & members)
+            for a, b in zip(clique, clique[1:]):
+                parent[_find(parent, a)] = _find(parent, b)
+    comps = {}
+    for m in members:
+        comps.setdefault(_find(parent, m), set()).add(m)
+    return sorted((frozenset(c) for c in comps.values()), key=min)
+
+
+def test_structure_matches_references_on_corpus():
+    for seed in range(150):
+        p = reference_problem(seed)
+        assert [t.members for t in triangular_interfering_sets(p)] == naive_triangles(p)
+        assert [(t.triangles, t.messages) for t in type2_alignment_sets(p)] == naive_type2_sets(p)
+        rng = random.Random(seed)
+        subsets = [frozenset(rng.sample(sorted(p.messages), rng.randint(1, p.n))) for _ in range(3)]
+        for members in [p.messages] + subsets:
+            assert restricted_alignment_sets(p, members) == naive_restricted_alignment_sets(p, members)
 
 
 def naive_acyclic_quadruple(p):
@@ -148,28 +210,13 @@ def test_acyclic_quadruple_fixtures():
     assert find_acyclic_quadruple(conflict_free) is None
 
 
-@given(st.integers(0, 400))
+@given(st.integers(0, 400), st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_acyclic_quadruple_matches_naive_search(seed):
-    p = random_unicast_problem(seed)
-    fast = find_acyclic_quadruple(p)
-    slow = naive_acyclic_quadruple(p)
-    assert (fast is None) == (slow is None)
-    if fast is not None:
-        # validate the returned witness directly
-        assert naive_acyclic_quadruple_is_valid(p, fast)
-
-
-def naive_acyclic_quadruple_is_valid(p, quad):
-    for idx in range(4):
-        k = quad[idx]
-        ok = any(
-            k in r.demands and set(quad[:idx]) <= interfering_set(p, j, k)
-            for j, r in enumerate(p.receivers, 1)
-        )
-        if not ok:
-            return False
-    return True
+def test_acyclic_quadruple_matches_naive_search(seed, unicast):
+    # the report carries the exact tuple, so the lexicographically first
+    # witness must come back, not just some witness
+    p = random_unicast_problem(seed) if unicast else reference_problem(seed, max_n=8)
+    assert find_acyclic_quadruple(p) == naive_acyclic_quadruple(p)
 
 
 def test_triangles_fixtures():
