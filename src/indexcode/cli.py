@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 command ran (any verdict), 2 usage error, 3 invalid input,
-4 construction precondition unmet, 5 random attempts exhausted.
+Exit codes: 0 command ran (any verdict), 2 usage error, 3 invalid input
+or an oracle cap exceeded (including an exhausted node budget, whose
+answer is unknown), 4 construction precondition unmet, 5 random attempts
+exhausted.
 """
 
 from __future__ import annotations
@@ -90,9 +92,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
     for q in args.q:  # refuse every field before searching any
         oracle.check_caps(p, q, args.max_len, args.n_cap, oracle.DEFAULT_L_CAP)
+    results = [  # every search ends before any output, so a budget error prints none
+        oracle.min_length(p, q, l_max=args.max_len, n_cap=args.n_cap, max_nodes=oracle.DEFAULT_NODE_CAP)
+        for q in args.q
+    ]
     summary = []
-    for q in args.q:
-        result = oracle.min_length(p, q, l_max=args.max_len, n_cap=args.n_cap)
+    for q, result in zip(args.q, results):
         shown = result.min_length if result.min_length is not None else f">{args.max_len}"
         summary.append(f"{shown} (q={q})")
         if result.witness is not None and args.output:

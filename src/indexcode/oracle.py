@@ -4,9 +4,9 @@ A code assigns each message a nonzero vector of GF(q)^L.  It resolves
 every conflict when, for each hyperedge (k, I) of the conflict
 hypergraph, the vector of k lies outside the span of the vectors of I.
 The search is backtracking over projective representatives (first
-nonzero coordinate normalized to 1), one message at a time; every span
-condition is checked as soon as its last participating message is
-assigned.
+nonzero coordinate normalized to 1), one message at a time, and it
+refutes a span condition as soon as the messages assigned so far decide
+it (forward checking, below).
 
 **Vectors and spans as integers.**  A vector is indexed by the base-q
 integer whose j-th digit is its j-th coordinate, so span(e1, ..., er) is
@@ -29,15 +29,49 @@ span(e1, ..., er'), which scaling turns into its projective
 representative.  Hence, if any code exists, one exists where each vector
 is either a projective point of the current span or the next unit vector
 e_{r+1}, where r is the current rank; the search tries only those.  For
-the first message this leaves e1 alone.  ``nodes explored`` counts the
-candidates tried after this symmetry breaking.
+the first message this leaves e1 alone.
 
-**Message order.**  Messages are searched most constrained first: by
-the number of hyperedges (k, I) with the message in {k} | I, descending,
-then by id.  Each constraint is checked at the search position of its
-last message, so the dense part of the hypergraph is fixed early and a
-violated constraint prunes a small subtree.  The witness is mapped back
-to the original message ids.
+**Forward checking is sound** (Haralick & Elliott, Artificial
+Intelligence 14, 1980).  Within a subtree the assigned vectors stay
+fixed, and the assigned part P of an interfering set I only grows, so
+span(P) only grows.  Two checks therefore refute a hyperedge (k, I)
+before all of {k} | I is assigned:
+
+- k is assigned and v_k already lies in span(P): no completion resolves
+  it;
+- k is not assigned and span(P) is all of GF(q)^L: no v_k can work.
+
+Both run whenever P grows or k is assigned, so once the last message of
+{k} | I is assigned the first check is the span condition itself, and a
+complete assignment that passes is a code.  Pinning the basis stays sound
+alongside: it narrows which codes are searched, whatever the constraints,
+while forward checking drops only partial assignments that no completion
+turns into a code, so the pinned code that exists is never pruned.
+
+The search applies both checks to the vector v tried at position t as one
+mask of allowed vector indices, built once per search node from the
+vectors before t (P is the part of I before t): v must avoid span(P) when
+t holds k; when t is in I and k is assigned, v must avoid
+span(P + v_k) - span(P), which is where v_k enters span(P + v) given that
+v_k lies outside span(P); when t is in I and k comes later, v must lie in
+span(P) if span(P) is a hyperplane, since any v outside it spans
+everything.  Each candidate then costs one bit test.
+
+**Search plan.**  Messages are searched most constrained first: by the
+number of hyperedges (k, I) with the message in {k} | I, descending,
+then by id, so the dense part of the hypergraph is fixed early and a
+refuted constraint prunes a small subtree.  The order, the positions and
+the checks at each position depend only on the hypergraph, not on q or
+L, so ``_plan`` derives them once per hypergraph and keeps the most
+recent ones; a sweep over lengths and fields reuses one plan.  The
+witness is mapped back to the original message ids.
+
+**Node budget.**  ``nodes explored`` counts every candidate vector tried
+at a search position, including those a forward check rules out.  A
+search that would try more than ``max_nodes`` (``DEFAULT_NODE_CAP`` by
+default; ``min_length`` counts its whole sweep over lengths) raises
+``OracleBudgetError``: an exhausted budget leaves the answer unknown and
+is never reported as "no code".
 
 Results are always field-relative: "no length-3 code over GF(2) and
 GF(3)" does not by itself rule the rate out over larger fields.  The
@@ -54,10 +88,11 @@ from functools import lru_cache
 
 from . import linalg
 from .codec import ScalarLinearCode
-from .problem import Problem, problem_to_json
+from .problem import Hyperedge, Problem, problem_to_json
 from .structure import structure_report
 
 DEFAULT_N_CAP = 10
+DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_L_CAP = 4
 DEFAULT_FIELDS = (2, 3, 5)
 VECTOR_CAP = max(DEFAULT_FIELDS) ** DEFAULT_L_CAP
@@ -65,6 +100,10 @@ VECTOR_CAP = max(DEFAULT_FIELDS) ** DEFAULT_L_CAP
 
 class OracleCapError(ValueError):
     """The instance exceeds the configured exhaustive-search caps."""
+
+
+class OracleBudgetError(OracleCapError):
+    """A search explored more nodes than its budget allowed; its answer is unknown."""
 
 
 @dataclass(frozen=True)
@@ -115,29 +154,73 @@ def check_caps(p: Problem, q: int, length: int, n_cap: int, l_cap: int) -> None:
         raise OracleCapError(f"field size {q} is not prime")
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """The forward checks of one hypergraph at each search position t.
+
+    Each P is a tuple of positions before t, the part of some interfering
+    set I already assigned when t is tried; v is the vector tried at t.
+    """
+
+    position: tuple[int, ...]  # search position of message m, at index m - 1
+    # P of each I interfering with the message at t: v avoids span(P)
+    avoid: tuple[tuple[tuple[int, ...], ...], ...]
+    # (P, s) of each I containing t and interfering with the message at
+    # s < t: v avoids span(P + v_s) - span(P)
+    pairs: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+    # P of each I containing t and interfering with a message after t,
+    # longest first: v lies in span(P) when span(P) is a hyperplane
+    inside: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+@lru_cache(maxsize=64)
+def _plan(n: int, hyperedges: frozenset[Hyperedge]) -> _Plan:
+    """The most-constrained-first order and its checks; independent of q and L."""
+    degree = Counter(m for k, interf in hyperedges for m in interf | {k})
+    order = sorted(range(1, n + 1), key=lambda m: (-degree[m], m))
+    position = {m: t for t, m in enumerate(order)}
+    avoid: list[set] = [set() for _ in order]
+    pairs: list[set] = [set() for _ in order]
+    inside: list[set] = [set() for _ in order]
+    for k, interf in hyperedges:
+        s = position[k]
+        at = sorted(position[i] for i in interf)
+        before = tuple(a for a in at if a < s)
+        if before:
+            avoid[s].add(before)
+        for j, t in enumerate(at):
+            if t > s:
+                pairs[t].add((tuple(at[:j]), s))
+            else:
+                inside[t].add(tuple(at[:j]))
+    return _Plan(
+        position=tuple(position[m] for m in range(1, n + 1)),
+        avoid=tuple(map(tuple, avoid)),
+        pairs=tuple(map(tuple, pairs)),
+        inside=tuple(tuple(sorted(c, key=len, reverse=True)) for c in inside),
+    )
+
+
 def exists_code(
     p: Problem,
     q: int,
     length: int,
     n_cap: int = DEFAULT_N_CAP,
     l_cap: int = DEFAULT_L_CAP,
+    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[bool, ScalarLinearCode | None, int]:
     """Is there a length-``length`` scalar linear code over GF(q)?
 
     Returns (exists, witness or None, nodes explored).  Exhaustive up to
-    per-vector scaling and a global change of basis.
+    per-vector scaling and a global change of basis.  Raises
+    ``OracleBudgetError`` once more than ``max_nodes`` nodes are explored.
     """
     check_caps(p, q, length, n_cap, l_cap)
-    degree = Counter(m for k, interf in p.hyperedges for m in interf | {k})
-    order = sorted(p.messages, key=lambda m: (-degree[m], m))
-    position = {m: t for t, m in enumerate(order)}
-    # (k, I) is checked at the position of its last message; larger I first
-    checks: list[list[tuple[int, list[int]]]] = [[] for _ in order]
-    for k, interf in sorted(p.hyperedges, key=lambda c: (-len(c[1]), c[0], sorted(c[1]))):
-        at = [position[i] for i in interf]
-        checks[max(at + [position[k]])].append((position[k], at))
-
+    plan = _plan(p.n, p.hyperedges)
+    avoid, pairs, inside = plan.avoid, plan.pairs, plan.inside
     candidates = _candidates(q, length)
+    full = (1 << q**length) - 1  # every vector index
+    hyperplane = q**length // q  # size of a rank L - 1 span
     assigned = [0] * p.n  # vector index at each search position
     bits = [0] * p.n  # 1 << assigned[t]
     spans = {0: 1}  # generator bitmask -> span bitmask
@@ -164,24 +247,44 @@ def exists_code(
 
     def search(t: int, rank: int) -> bool:
         nonlocal nodes
+        allowed = full
+        for prefix in avoid[t]:
+            gens = 0
+            for i in prefix:
+                gens |= bits[i]
+            allowed &= ~span(gens)
+        for prefix, s in pairs[t]:
+            gens = 0
+            for i in prefix:
+                gens |= bits[i]
+            allowed &= span(gens) | ~span(gens | bits[s])
+        if rank + 1 >= length:  # only then can a prefix span a hyperplane
+            for prefix in inside[t]:
+                if len(prefix) + 1 < length:
+                    break
+                gens = 0
+                for i in prefix:
+                    gens |= bits[i]
+                mask = span(gens)
+                if mask.bit_count() == hyperplane:
+                    allowed &= mask
         unit = q**rank if rank < length else None  # index of e_{rank+1}
         for v in candidates[rank]:
             nodes += 1
-            assigned[t], bits[t] = v, 1 << v
-            for k, interf in checks[t]:
-                gens = 0
-                for i in interf:
-                    gens |= bits[i]
-                if span(gens) >> assigned[k] & 1:
-                    break
-            else:
+            if nodes > max_nodes:
+                raise OracleBudgetError(
+                    f"the search for a length-{length} code over GF({q}) "
+                    f"exceeded its budget of {max_nodes} nodes"
+                )
+            if allowed >> v & 1:
+                assigned[t], bits[t] = v, 1 << v
                 if t + 1 == p.n or search(t + 1, rank + (v == unit)):
                     return True
         return False
 
     if search(0, 0):
         vectors = _vectors(q, length)
-        witness = tuple(vectors[assigned[position[m]]] for m in range(1, p.n + 1))
+        witness = tuple(vectors[assigned[t]] for t in plan.position)
         return True, ScalarLinearCode(length=length, prime=q, vectors=witness), nodes
     return False, None, nodes
 
@@ -191,13 +294,23 @@ def min_length(
     q: int,
     l_max: int = DEFAULT_L_CAP,
     n_cap: int = DEFAULT_N_CAP,
+    max_nodes: int = DEFAULT_NODE_CAP,
 ) -> OracleResult:
-    """Smallest code length up to ``l_max`` over GF(q), or none."""
+    """Smallest code length up to ``l_max`` over GF(q), or none.
+
+    ``max_nodes`` bounds the nodes of the whole sweep over the lengths.
+    """
     check_caps(p, q, l_max, n_cap, DEFAULT_L_CAP)
     exists_by_length: dict[int, bool] = {}
     nodes_total = 0
     for length in range(1, l_max + 1):
-        found, witness, nodes = exists_code(p, q, length, n_cap=n_cap)
+        try:
+            found, witness, nodes = exists_code(p, q, length, n_cap=n_cap, max_nodes=max_nodes - nodes_total)
+        except OracleBudgetError:
+            raise OracleBudgetError(
+                f"the search for the minimum code length over GF({q}) exceeded "
+                f"its budget of {max_nodes} nodes at L={length}"
+            ) from None
         nodes_total += nodes
         exists_by_length[length] = found
         if found:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from indexcode import oracle
 from indexcode.cli import main
 from indexcode.fixtures import fixture_text
 from indexcode.problem import parse_problem
@@ -156,6 +157,14 @@ def test_oracle_checks_every_field_before_searching(fixture_file, capsys):
     assert out == ""
     assert "q=2:" not in err
     assert "625 vectors" in err
+
+
+def test_oracle_node_budget_exit_code(fixture_file, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_CAP", 50)
+    rc, out, err = run(capsys, "oracle", fixture_file("ex_inf"), "--q", "2,3")
+    assert rc == 3
+    assert out == ""
+    assert "budget of 50 nodes" in err
 
 
 def test_oracle_bad_field_list_is_usage_error(fixture_file, capsys):

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -6,9 +7,13 @@ from hypothesis import strategies as st
 
 from corpusgen import random_unicast_problem
 from indexcode.codec import ScalarLinearCode, verify
+from indexcode.feasibility import analyze
 from indexcode.fixtures import load_fixture
 from indexcode.oracle import (
+    OracleBudgetError,
     OracleCapError,
+    _candidates,
+    _translation,
     conjecture_probe,
     exists_code,
     min_length,
@@ -120,6 +125,114 @@ def test_search_agrees_with_brute_force_on_tiny_instances():
             found, witness, _ = exists_code(p, 2, length)
             assert found == _brute_force_exists(p, 2, length)
             assert witness is None or verify(p, witness).ok
+
+
+def _last_message_search(p, q, length):
+    """Reference: the same search with each hyperedge checked only once all
+    of its messages are assigned, at the position of the last one."""
+    degree = Counter(m for k, interf in p.hyperedges for m in interf | {k})
+    order = sorted(p.messages, key=lambda m: (-degree[m], m))
+    position = {m: t for t, m in enumerate(order)}
+    checks = [[] for _ in order]
+    for k, interf in p.hyperedges:
+        at = [position[i] for i in interf]
+        checks[max(at + [position[k]])].append((position[k], at))
+    candidates = _candidates(q, length)
+    assigned = [0] * p.n
+    bits = [0] * p.n
+    spans = {0: 1}
+    elements = {1: [0]}
+
+    def span(gens):
+        mask = spans.get(gens)
+        if mask is None:
+            g = gens.bit_length() - 1
+            mask = span(gens ^ (1 << g))
+            if not mask >> g & 1:
+                row, coset = _translation(q, length, g), elements[mask]
+                grown = list(coset)
+                for _ in range(q - 1):
+                    coset = [row[x] for x in coset]
+                    grown += coset
+                mask = sum(1 << x for x in grown)
+                elements.setdefault(mask, grown)
+            spans[gens] = mask
+        return mask
+
+    def search(t, rank):
+        unit = q**rank if rank < length else None
+        for v in candidates[rank]:
+            assigned[t], bits[t] = v, 1 << v
+            for k, interf in checks[t]:
+                gens = 0
+                for i in interf:
+                    gens |= bits[i]
+                if span(gens) >> assigned[k] & 1:
+                    break
+            else:
+                if t + 1 == p.n or search(t + 1, rank + (v == unit)):
+                    return True
+        return False
+
+    return search(0, 0)
+
+
+def test_forward_checking_agrees_with_last_message_search():
+    # 126 problems, n = 3-9, unicast and groupcast, each over GF(2) and
+    # GF(3) at L = 1, 2, 3
+    verdicts = Counter()
+    for s in range(126):
+        n = 3 + s % 7
+        density = (0.3, 0.5, 0.7, 0.85)[s // 7 % 4]
+        p = random_problem(n, density, single_unicast=s % 2 == 0, seed=s)
+        for q in (2, 3):
+            for length in (1, 2, 3):
+                found, witness, _ = exists_code(p, q, length)
+                assert found == _last_message_search(p, q, length), (s, q, length)
+                assert witness is None or verify(p, witness).ok
+                verdicts[found] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100
+
+
+def test_node_budget_binds():
+    p = load_fixture("ex_inf")
+    spent = min_length(p, 2).nodes_explored
+    # the budget covers the whole sweep over lengths 1-4, not each length
+    assert exists_code(p, 2, 4, max_nodes=spent - 1)[0]
+    assert min_length(p, 2, max_nodes=spent).min_length == 4
+    with pytest.raises(OracleBudgetError, match=f"GF\\(2\\).*budget of {spent - 1} nodes"):
+        min_length(p, 2, max_nodes=spent - 1)
+    with pytest.raises(OracleBudgetError, match="length-3 code over GF\\(3\\)"):
+        exists_code(p, 3, 3, max_nodes=5)
+
+
+def _contradictions(report, lengths):
+    """Analyzer verdicts refuted by the minimum lengths over GF(2), GF(3)."""
+    found = []
+    if report.rate_one.feasible != (lengths[0] == 1):
+        found.append("rate 1")
+    if not report.rate_half.feasible and any(m is not None and m <= 2 for m in lengths):
+        found.append("rate 1/2")
+    if report.rate_third.feasible is False and any(m is not None for m in lengths):
+        found.append("rate 1/3")
+    return found
+
+
+def test_analyzer_never_contradicted_by_oracle_up_to_n10():
+    verdicts = Counter()
+    for s in range(400):
+        n = 7 + s % 4
+        density = (0.3, 0.5, 0.7, 0.85, 0.95)[s // 4 % 5]
+        p = random_problem(n, density, single_unicast=s % 2 == 0, seed=s)
+        report = analyze(p)
+        results = [min_length(p, q, l_max=3) for q in (2, 3)]
+        lengths = [r.min_length for r in results]
+        assert not _contradictions(report, lengths), (s, lengths)
+        for r in results:
+            assert r.witness is None or verify(p, r.witness).ok
+        verdicts[report.rate_half.feasible, report.rate_third.feasible] += 1
+    # every rung of the ladder is exercised
+    assert {(True, True), (False, True), (False, None), (False, False)} <= set(verdicts)
 
 
 @st.composite

@@ -79,6 +79,24 @@ def test_roundtrip_serialization():
         assert parse_problem(problem_to_json(p)) == p
 
 
+@st.composite
+def arbitrary_problems(draw, max_n=8):
+    """Problems with multi-demand receivers and undemanded messages."""
+    n = draw(st.integers(1, max_n))
+    ids = st.integers(1, n)
+    receivers = []
+    for _ in range(draw(st.integers(1, 6))):
+        demands = draw(st.frozensets(ids, min_size=1))
+        receivers.append(Receiver(demands, draw(st.frozensets(ids)) - demands))
+    return Problem(n, tuple(receivers))
+
+
+@given(arbitrary_problems())
+@settings(max_examples=200, deadline=None)
+def test_roundtrip_serialization_property(p):
+    assert parse_problem(problem_to_json(p), allow_undemanded=True) == p
+
+
 def test_parser_accepts_any_order():
     text = '{"n": 3, "receivers": [{"demands": [1], "side_info": [3, 2]}, {"demands": [3, 2], "side_info": []}]}'
     p = parse_problem(text)
