@@ -1,9 +1,17 @@
 """Scalar linear index codes: construction, verification, encode/decode.
 
 A code assigns one length-L vector over GF(p) to each message.  A code
-is valid exactly when no demanded message's vector falls inside the span
-of the vectors interfering at its receiver; that single criterion is what
-``verify`` checks and what guarantees unique decoding.
+is valid exactly when no message has the zero vector and no demanded
+message's vector falls inside the span of the vectors interfering at its
+receiver (the linear decodability criterion of Bar-Yossef, Birk, Jayram
+and Kol, "Index coding with side information", FOCS 2006).  That
+criterion depends only on the hyperedge (k, Interf_k(j)), so ``verify``
+and ``decode_all`` read ``Problem.demand_edges`` and settle each distinct
+(k, I) once, over the distinct vectors of I, then map the answer back to
+every receiver that has that hyperedge.  ``decode_all`` needs one
+decoding functional per distinct (k, I); one exists exactly when v_k is
+outside span(I), so it raises on an unverified code instead of running
+``verify`` first.
 """
 
 from __future__ import annotations
@@ -11,11 +19,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import mul
 
 from . import linalg
 from .feasibility import RateThirdStatus, check_rate_half, check_rate_third
 from .linalg import Vector
-from .problem import Problem, interfering_set, restrict_problem
+from .problem import Hyperedge, Problem, restrict_problem
 from .structure import (
     Kind,
     alignment_sets,
@@ -67,17 +76,35 @@ class VerificationResult:
     attempts_used: int = 0
 
 
-def verify(p: Problem, code: ScalarLinearCode, attempts_used: int = 0) -> VerificationResult:
-    """Check the resolved-conflicts criterion for every receiver and demand."""
+def _check_vector_count(p: Problem, code: ScalarLinearCode) -> None:
     if len(code.vectors) != p.n:
         raise CodecError(f"code has {len(code.vectors)} vectors for {p.n} messages")
-    zeros = tuple(i for i in range(1, p.n + 1) if not any(code.vector(i)))
+
+
+def _resolved(target: Vector, interferers: set[Vector], prime: int) -> bool:
+    """True iff ``target`` lies outside the span of ``interferers``."""
+    reduced, pivots = linalg.rref(list(interferers), prime)
+    return any(linalg.reduce_against(target, reduced, pivots, prime))
+
+
+def verify(p: Problem, code: ScalarLinearCode, attempts_used: int = 0) -> VerificationResult:
+    """Check the resolved-conflicts criterion for every receiver and demand.
+
+    One span test per distinct hyperedge (k, I), over the distinct vectors
+    of I; its answer is reported for every receiver j with that hyperedge,
+    as ``(j, k)`` violations in receiver order with k ascending.
+    """
+    _check_vector_count(p, code)
+    vectors, prime = code.vectors, code.prime
+    zeros = tuple(i for i, v in enumerate(vectors, start=1) if not any(v))
+    resolved: dict[Hyperedge, bool] = {}
     violations = []
-    for j, r in enumerate(p.receivers, start=1):
-        for k in sorted(r.demands):
-            interferers = [code.vector(i) for i in interfering_set(p, j, k)]
-            if not any(code.vector(k)) or linalg.in_span(code.vector(k), interferers, code.prime):
-                violations.append((j, k))
+    for j, k, interf in p.demand_edges:
+        ok = resolved.get((k, interf))
+        if ok is None:
+            ok = resolved[k, interf] = _resolved(vectors[k - 1], {vectors[i - 1] for i in interf}, prime)
+        if not ok:
+            violations.append((j, k))
     return VerificationResult(
         ok=not violations and not zeros,
         violations=tuple(violations),
@@ -179,6 +206,32 @@ def encode(code: ScalarLinearCode, payload: list[int] | tuple[int, ...]) -> Vect
     return tuple(out)
 
 
+_UNVERIFIED = "decode_all called with a code that fails verification"
+
+
+def _decoding_functionals(p: Problem, code: ScalarLinearCode) -> dict[Hyperedge, Vector]:
+    """One u per distinct hyperedge (k, I) with u . v_k = 1 and u . v_i = 0
+    on I; raises ``CodecError`` exactly when ``verify`` would fail."""
+    _check_vector_count(p, code)
+    vectors, length, prime = code.vectors, code.length, code.prime
+    if not all(any(v) for v in vectors):
+        raise CodecError(_UNVERIFIED)
+    functionals: dict[Hyperedge, Vector] = {}
+    for _, k, interf in p.demand_edges:
+        if (k, interf) in functionals:
+            continue
+        target = vectors[k - 1]
+        for u in linalg.nullspace(list({vectors[i - 1] for i in interf}), length, prime):
+            dot = sum(map(mul, u, target)) % prime
+            if dot:  # some nullspace vector misses v_k iff v_k is outside span(I)
+                scale = pow(dot, -1, prime)
+                functionals[k, interf] = tuple(x * scale % prime for x in u)
+                break
+        else:
+            raise CodecError(_UNVERIFIED)
+    return functionals
+
+
 def decode_all(
     p: Problem,
     code: ScalarLinearCode,
@@ -190,39 +243,28 @@ def decode_all(
     ``side_symbols[j - 1]`` maps each message in S(j) to its symbol.  The
     receiver subtracts the known side-information contribution, then
     recovers each demanded symbol through a functional that annihilates
-    the interfering span.  Refuses to run on codes that do not verify,
-    since uniqueness would be lost.
+    the interfering span, computed once per distinct hyperedge (k, I).
+    Raises ``CodecError`` on every code that ``verify`` refuses (a zero
+    vector, or a demand with no such functional), since uniqueness would
+    be lost, and on a codeword whose length is not the code length.
     """
-    if not verify(p, code).ok:
-        raise CodecError("decode_all called with a code that fails verification")
+    functionals = _decoding_functionals(p, code)
+    if len(codeword) != code.length:
+        raise CodecError(f"codeword has length {len(codeword)} for a length-{code.length} code")
     if len(side_symbols) != p.t:
         raise CodecError(f"need side symbols for {p.t} receivers, got {len(side_symbols)}")
-    prime = code.prime
-    out: list[dict[int, int]] = []
-    for j, r in enumerate(p.receivers, start=1):
-        known = side_symbols[j - 1]
-        if set(known) != set(r.side_info):
+    vectors, prime = code.vectors, code.prime
+    residuals = []
+    for j, (r, known) in enumerate(zip(p.receivers, side_symbols), start=1):
+        if set(known) != r.side_info:
             raise CodecError(f"receiver {j}: side symbols must cover exactly S(j)")
-        residual = list(codeword)
-        for i, w in known.items():
-            v = code.vector(i)
-            for idx in range(code.length):
-                residual[idx] = (residual[idx] - v[idx] * w) % prime
-        decoded: dict[int, int] = {}
-        for k in sorted(r.demands):
-            blockers = [code.vector(i) for i in interfering_set(p, j, k)]
-            target = code.vector(k)
-            u = None
-            for candidate in linalg.nullspace(blockers, code.length, prime):
-                dot = sum(a * b for a, b in zip(candidate, target)) % prime
-                if dot:
-                    scale = pow(dot, -1, prime)
-                    u = tuple((x * scale) % prime for x in candidate)
-                    break
-            if u is None:  # cannot happen on a verified code
-                raise CodecError(f"receiver {j}: message {k} is not recoverable")
-            decoded[k] = sum(a * b for a, b in zip(u, residual)) % prime
-        out.append(decoded)
+        # each coordinate of codeword - sum of w_i * v_i over S(j) is one sum
+        rows = [codeword] + [vectors[i - 1] for i in known]
+        coeffs = [1] + [-w for w in known.values()]
+        residuals.append([sum(map(mul, column, coeffs)) % prime for column in zip(*rows)])
+    out: list[dict[int, int]] = [{} for _ in p.receivers]
+    for j, k, interf in p.demand_edges:
+        out[j - 1][k] = sum(map(mul, functionals[k, interf], residuals[j - 1])) % prime
     return out
 
 

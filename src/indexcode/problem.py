@@ -16,6 +16,7 @@ from functools import cached_property
 
 ConflictPair = tuple[int, int]  # always stored with a < b
 Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
+DemandEdge = tuple[int, int, frozenset[int]]  # (receiver j, demanded message k, Interf_k(j))
 
 
 class ProblemError(ValueError):
@@ -86,15 +87,21 @@ class Problem:
         return frozenset(range(1, self.n + 1))
 
     @cached_property
+    def demand_edges(self) -> tuple[DemandEdge, ...]:
+        """(j, k, Interf_k(j)) for every receiver j and demand k, in receiver
+        order with k ascending; the interfering sets are built once here."""
+        full = self.messages
+        return tuple(
+            (j, k, full.difference(r.side_info, (k,)))
+            for j, r in enumerate(self.receivers, start=1)
+            for k in sorted(r.demands)
+        )
+
+    @cached_property
     def hyperedges(self) -> frozenset[Hyperedge]:
         """The conflict hypergraph, distinct nonempty (k, Interf_k(j)); every
         structural quantity depends only on it, so it is derived once."""
-        return frozenset(
-            (k, interf)
-            for j, r in enumerate(self.receivers, start=1)
-            for k in r.demands
-            if (interf := interfering_set(self, j, k))
-        )
+        return frozenset((k, interf) for _, k, interf in self.demand_edges if interf)
 
     @cached_property
     def conflict_pairs(self) -> frozenset[ConflictPair]:
@@ -134,6 +141,7 @@ def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:
 
     Empty when receiver ``j`` does not demand ``k``; otherwise every
     message other than ``k`` that is not in ``j``'s side information.
+    ``Problem.demand_edges`` holds every such set, built once per problem.
     """
     if not 1 <= j <= p.t:
         raise ProblemError(f"receiver index {j} out of range [1..{p.t}]")

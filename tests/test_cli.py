@@ -125,6 +125,36 @@ def test_verify_reports_violations(fixture_file, tmp_path, capsys):
     assert "FAILED" in out
 
 
+def test_verify_stdout_is_pinned(fixture_file, tmp_path, capsys):
+    for name, t in (("p5", 5), ("ex1a", 4)):
+        code_path = str(tmp_path / f"{name}.code")
+        problem_path = fixture_file(name)
+        rc, _, _ = run(capsys, "construct", problem_path, "--rate", "1/3", "--seed", "7", "-o", code_path)
+        assert rc == 0
+        rc, out, _ = run(capsys, "verify", problem_path, code_path)
+        assert (rc, out) == (0, f"OK ({t}/{t} receivers)\n")
+    # receiver 3 duplicates receiver 1; receiver 4 demands two messages
+    problem_path = tmp_path / "dup.json"
+    receivers = [
+        {"demands": [1], "side_info": [3]},
+        {"demands": [2], "side_info": [1, 4]},
+        {"demands": [1], "side_info": [3]},
+        {"demands": [3, 4], "side_info": []},
+    ]
+    problem_path.write_text(json.dumps({"n": 4, "receivers": receivers}))
+    code_path = tmp_path / "dup.code"
+    code_path.write_text(json.dumps({"length": 2, "prime": 5, "vectors": [[1, 0], [1, 0], [0, 0], [0, 1]]}))
+    rc, out, _ = run(capsys, "verify", str(problem_path), str(code_path))
+    assert rc == 0
+    assert out == (
+        "VIOLATION: message 3 is assigned the zero vector\n"
+        "VIOLATION: receiver 1, message 1: vector lies in the interfering span\n"
+        "VIOLATION: receiver 3, message 1: vector lies in the interfering span\n"
+        "VIOLATION: receiver 4, message 3: vector lies in the interfering span\n"
+        "FAILED (1/4 receivers)\n"
+    )
+
+
 def test_oracle_command_ex_inf(fixture_file, capsys):
     rc, out, _ = run(capsys, "oracle", fixture_file("ex_inf"), "--q", "2,3", "--max-len", "4")
     assert rc == 0

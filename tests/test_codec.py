@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from corpusgen import build_from_specs
+from corpusgen import (
+    build_from_specs,
+    random_constructible_problem,
+    random_unicast_problem,
+    shared_hypergraph_pair,
+)
 from indexcode import linalg
 from indexcode.codec import (
     AttemptsExhausted,
@@ -21,7 +26,7 @@ from indexcode.codec import (
 )
 from indexcode.fixtures import load_fixture
 from indexcode.oracle import exists_code
-from indexcode.problem import parse_problem, random_problem
+from indexcode.problem import Problem, Receiver, interfering_set, parse_problem, random_problem
 from indexcode.structure import type2_alignment_sets
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -190,8 +195,155 @@ def test_single_message_identity_channel():
 def test_decode_refuses_unverified_code():
     p = load_fixture("ex_feas")
     bad = ScalarLinearCode(length=3, prime=5, vectors=tuple([E1] * 6))
-    with pytest.raises(Exception):
+    with pytest.raises(CodecError, match="fails verification"):
         decode_all(p, bad, (0, 0, 0), [{i: 0 for i in r.side_info} for r in p.receivers])
+
+
+def test_decode_refuses_zero_vector_on_undemanded_message():
+    # every demand is resolved; the only defect is message 3, demanded by
+    # no receiver, carrying the zero vector
+    p = parse_problem(
+        '{"n": 3, "receivers": ['
+        '{"demands": [1], "side_info": [3]},'
+        '{"demands": [2], "side_info": [1]}]}',
+        allow_undemanded=True,
+    )
+    code = ScalarLinearCode(length=2, prime=5, vectors=((1, 0), (0, 1), (0, 0)))
+    result = verify(p, code)
+    assert not result.violations and result.zero_vector_messages == (3,)
+    with pytest.raises(CodecError, match="fails verification"):
+        decode_all(p, code, (0, 0), [{3: 0}, {1: 0}])
+
+
+def test_decode_checks_codeword_length():
+    p = load_fixture("ex_feas")
+    code = explicit_assignment()
+    side = [{i: 0 for i in r.side_info} for r in p.receivers]
+    for codeword in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(CodecError, match="codeword has length"):
+            decode_all(p, code, codeword, side)
+
+
+# Test-only references: the per-receiver loops that verify and decode_all
+# ran before they read Problem.demand_edges.
+
+
+def reference_verify(p, code):
+    zeros = tuple(i for i in range(1, p.n + 1) if not any(code.vector(i)))
+    violations = []
+    for j, r in enumerate(p.receivers, start=1):
+        for k in sorted(r.demands):
+            interferers = [code.vector(i) for i in interfering_set(p, j, k)]
+            if not any(code.vector(k)) or linalg.in_span(code.vector(k), interferers, code.prime):
+                violations.append((j, k))
+    return not violations and not zeros, tuple(violations), zeros
+
+
+def reference_decode_all(p, code, codeword, side_symbols):
+    assert reference_verify(p, code)[0]
+    prime = code.prime
+    out = []
+    for j, r in enumerate(p.receivers, start=1):
+        residual = list(codeword)
+        for i, w in side_symbols[j - 1].items():
+            v = code.vector(i)
+            for idx in range(code.length):
+                residual[idx] = (residual[idx] - v[idx] * w) % prime
+        decoded = {}
+        for k in sorted(r.demands):
+            blockers = [code.vector(i) for i in interfering_set(p, j, k)]
+            target = code.vector(k)
+            for candidate in linalg.nullspace(blockers, code.length, prime):
+                dot = sum(a * b for a, b in zip(candidate, target)) % prime
+                if dot:
+                    scale = pow(dot, -1, prime)
+                    u = tuple((x * scale) % prime for x in candidate)
+                    break
+            decoded[k] = sum(a * b for a, b in zip(u, residual)) % prime
+        out.append(decoded)
+    return out
+
+
+def random_groupcast_problem(rng):
+    """Multi-demand receivers, some duplicated, some messages undemanded."""
+    n = rng.randint(1, 8)
+    receivers = []
+    for _ in range(rng.randint(1, 8)):
+        demands = frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+        density = rng.choice((0.2, 0.5, 0.8))
+        side = frozenset(m for m in range(1, n + 1) if m not in demands and rng.random() < density)
+        receivers.append(Receiver(demands=demands, side_info=side))
+    receivers += [rng.choice(receivers) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(receivers)
+    return Problem(n=n, receivers=tuple(receivers))
+
+
+def random_code(rng, n, length, prime):
+    """Vectors from a small pool, so distinct hyperedges share vectors and
+    violations are common; one code in five has a zero vector."""
+    pool = [linalg.random_nonzero_vector(length, prime, rng) for _ in range(rng.randint(1, n + 1))]
+    vectors = [rng.choice(pool) for _ in range(n)]
+    if rng.random() < 0.2:
+        vectors[rng.randrange(n)] = (0,) * length
+    return ScalarLinearCode(length, prime, tuple(vectors))
+
+
+def random_roundtrip_inputs(rng, p, code):
+    payload = [rng.randrange(code.prime) for _ in range(p.n)]
+    side = [{i: payload[i - 1] for i in r.side_info} for r in p.receivers]
+    return encode(code, payload), side
+
+
+def test_verify_matches_reference_on_random_codes():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(1200):
+        p = random_groupcast_problem(rng)
+        code = random_code(rng, p.n, rng.randint(1, 3), rng.choice((2, 3, 5)))
+        result = verify(p, code)
+        ok, violations, zeros = reference_verify(p, code)
+        assert (result.ok, result.violations, result.zero_vector_messages) == (ok, violations, zeros)
+        copies = {(p.receivers[j - 1], k) for j, k in violations}
+        seen.add((ok, bool(zeros), len(copies) < len(violations)))
+        codeword, side = random_roundtrip_inputs(rng, p, code)
+        if ok:
+            assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
+        else:
+            with pytest.raises(CodecError, match="fails verification"):
+                decode_all(p, code, codeword, side)
+    # verifying codes, zero vectors, and violations at a duplicated receiver
+    # reported once per copy all occurred
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= seen
+
+
+def verifying_codes():
+    for seed in range(30):
+        p = random_constructible_problem(seed)
+        for prime in (2, 3):
+            try:
+                code, _ = construct_rate_third(p, prime=prime, rng=random.Random(seed))
+            except AttemptsExhausted:
+                continue
+            yield p, code
+    for seed in range(30):
+        p, twin = shared_hypergraph_pair(seed, max_n=6)
+        for problem in (random_unicast_problem(seed), twin):
+            for q in (2, 3):
+                found, witness, _ = exists_code(problem, q, min(problem.n, 3))
+                if found:
+                    yield problem, witness
+
+
+def test_decode_all_matches_reference_on_verifying_codes():
+    rng = random.Random(9)
+    count = 0
+    for p, code in verifying_codes():
+        assert verify(p, code).ok
+        for _ in range(3):
+            codeword, side = random_roundtrip_inputs(rng, p, code)
+            assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
+        count += 1
+    assert count >= 100
 
 
 def test_roundtrip_on_unverified_code_would_be_ambiguous():

@@ -97,6 +97,18 @@ def test_roundtrip_serialization_property(p):
     assert parse_problem(problem_to_json(p), allow_undemanded=True) == p
 
 
+@given(arbitrary_problems())
+@settings(max_examples=200, deadline=None)
+def test_demand_edges_list_every_interfering_set_in_order(p):
+    expected = tuple(
+        (j, k, interfering_set(p, j, k))
+        for j, r in enumerate(p.receivers, start=1)
+        for k in sorted(r.demands)
+    )
+    assert p.demand_edges == expected
+    assert p.hyperedges == frozenset((k, interf) for _, k, interf in expected if interf)
+
+
 def test_parser_accepts_any_order():
     text = '{"n": 3, "receivers": [{"demands": [1], "side_info": [3, 2]}, {"demands": [3, 2], "side_info": []}]}'
     p = parse_problem(text)
