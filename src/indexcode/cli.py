@@ -91,7 +91,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
     for q in args.q:  # refuse every field before searching any
-        oracle.check_caps(p, q, args.max_len, args.n_cap, oracle.DEFAULT_L_CAP)
+        oracle.check_caps(p, q, args.max_len, args.n_cap)
     results = [  # every search ends before any output, so a budget error prints none
         oracle.min_length(p, q, l_max=args.max_len, n_cap=args.n_cap, max_nodes=oracle.DEFAULT_NODE_CAP)
         for q in args.q

@@ -162,7 +162,7 @@ def construct_rate_third(
     and one vector inside it per restricted alignment set.
     """
     report = structure_report(p)
-    verdict = check_rate_third(p, report)
+    verdict = check_rate_third(report)
     if verdict.status is not RateThirdStatus.FEASIBLE_MAIN:
         raise PreconditionError(
             f"rate 1/3 construction precondition unmet: analyzer verdict is "

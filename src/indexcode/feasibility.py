@@ -85,8 +85,7 @@ def check_rate_half(p: Problem) -> RateHalfVerdict:
 _CONSTRUCTIBLE = {Kind.KIND1, Kind.KIND2, Kind.TYPE2_CLEAN}
 
 
-def check_rate_third(p: Problem, report: StructureReport | None = None) -> RateThirdVerdict:
-    report = report or structure_report(p)
+def check_rate_third(report: StructureReport) -> RateThirdVerdict:
     dirty = report.dirty_witnesses[0] if report.dirty_witnesses else None
     quadruple = report.acyclic_quadruple
     if dirty is not None:
@@ -114,7 +113,7 @@ def analyze(p: Problem) -> FeasibilityReport:
     return FeasibilityReport(
         rate_one=check_rate_one(p),
         rate_half=check_rate_half(p),
-        rate_third=check_rate_third(p, report),
+        rate_third=check_rate_third(report),
         structure=report,
     )
 

@@ -166,7 +166,12 @@ class SubspaceBasis:
     """A set of linearly independent vectors spanning a subspace."""
 
     basis: tuple[Vector, ...]
-    dim: int
+
+
+#: Draws each random helper below makes before it gives up; at any
+#: reasonable modulus a single retry is already unlikely, and the cap
+#: turns a tiny field into an error instead of a spin.
+_MAX_DRAWS = 64
 
 
 def random_vector(length: int, p: int, rng: random.Random) -> Vector:
@@ -179,42 +184,33 @@ def random_vector(length: int, p: int, rng: random.Random) -> Vector:
     return tuple(rng.randrange(p) for _ in range(length))
 
 
-def random_nonzero_vector(length: int, p: int, rng: random.Random, max_attempts: int = 64) -> Vector:
-    for _ in range(max_attempts):
+def random_nonzero_vector(length: int, p: int, rng: random.Random) -> Vector:
+    for _ in range(_MAX_DRAWS):
         v = random_vector(length, p, rng)
         if any(v):
             return v
-    raise LinalgError(f"no nonzero vector after {max_attempts} draws (p={p})")
+    raise LinalgError(f"no nonzero vector after {_MAX_DRAWS} draws (p={p})")
 
 
-def random_subspace_basis(
-    length: int, dim: int, p: int, rng: random.Random, max_attempts: int = 64
-) -> SubspaceBasis:
-    """Draw ``dim`` random vectors, retrying until they are independent.
-
-    At any reasonable modulus a single retry is already unlikely; the cap
-    exists so a caller passing a tiny field gets an error instead of a
-    spin.
-    """
+def random_subspace_basis(length: int, dim: int, p: int, rng: random.Random) -> SubspaceBasis:
+    """Draw ``dim`` random vectors, retrying until they are independent."""
     if not 1 <= dim <= length:
         raise LinalgError(f"need 1 <= dim <= length, got dim={dim}, length={length}")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_DRAWS):
         candidate = [random_vector(length, p, rng) for _ in range(dim)]
         if rank(candidate, p) == dim:
-            return SubspaceBasis(tuple(candidate), dim)
-    raise LinalgError(f"no rank-{dim} basis after {max_attempts} draws (p={p})")
+            return SubspaceBasis(tuple(candidate))
+    raise LinalgError(f"no rank-{dim} basis after {_MAX_DRAWS} draws (p={p})")
 
 
-def random_vector_in_span(
-    basis: SubspaceBasis, p: int, rng: random.Random, nonzero: bool = True, max_attempts: int = 64
-) -> Vector:
-    """Random combination of the basis vectors; optionally retried until nonzero."""
+def random_vector_in_span(basis: SubspaceBasis, p: int, rng: random.Random) -> Vector:
+    """Random nonzero combination of the basis vectors."""
     length = len(basis.basis[0])
-    for _ in range(max_attempts):
+    for _ in range(_MAX_DRAWS):
         coeffs = [rng.randrange(p) for _ in basis.basis]
         v = tuple(
             sum(c * b[i] for c, b in zip(coeffs, basis.basis)) % p for i in range(length)
         )
-        if not nonzero or any(v):
+        if any(v):
             return v
-    raise LinalgError(f"no nonzero span vector after {max_attempts} draws (p={p})")
+    raise LinalgError(f"no nonzero span vector after {_MAX_DRAWS} draws (p={p})")

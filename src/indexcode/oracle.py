@@ -142,12 +142,12 @@ def projective_points(q: int, length: int) -> list[linalg.Vector]:
     return [vectors[i] for i in _candidates(q, length)[-1]]
 
 
-def check_caps(p: Problem, q: int, length: int, n_cap: int, l_cap: int) -> None:
+def check_caps(p: Problem, q: int, length: int, n_cap: int) -> None:
     """Raise ``OracleCapError`` unless a length-``length`` search over GF(q) fits the caps."""
     if p.n > n_cap:
         raise OracleCapError(f"n={p.n} exceeds the oracle cap {n_cap}")
-    if not 0 <= length <= l_cap:
-        raise OracleCapError(f"L={length} is outside the oracle cap 0..{l_cap}")
+    if not 0 <= length <= DEFAULT_L_CAP:
+        raise OracleCapError(f"L={length} is outside the oracle cap 0..{DEFAULT_L_CAP}")
     if q**length > VECTOR_CAP:
         raise OracleCapError(f"q^L = {q}^{length} exceeds the oracle cap of {VECTOR_CAP} vectors")
     if not linalg.is_prime(q):
@@ -206,7 +206,6 @@ def exists_code(
     q: int,
     length: int,
     n_cap: int = DEFAULT_N_CAP,
-    l_cap: int = DEFAULT_L_CAP,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[bool, ScalarLinearCode | None, int]:
     """Is there a length-``length`` scalar linear code over GF(q)?
@@ -215,7 +214,7 @@ def exists_code(
     per-vector scaling and a global change of basis.  Raises
     ``OracleBudgetError`` once more than ``max_nodes`` nodes are explored.
     """
-    check_caps(p, q, length, n_cap, l_cap)
+    check_caps(p, q, length, n_cap)
     plan = _plan(p.n, p.hyperedges)
     avoid, pairs, inside = plan.avoid, plan.pairs, plan.inside
     candidates = _candidates(q, length)
@@ -300,7 +299,7 @@ def min_length(
 
     ``max_nodes`` bounds the nodes of the whole sweep over the lengths.
     """
-    check_caps(p, q, l_max, n_cap, DEFAULT_L_CAP)
+    check_caps(p, q, l_max, n_cap)
     exists_by_length: dict[int, bool] = {}
     nodes_total = 0
     for length in range(1, l_max + 1):

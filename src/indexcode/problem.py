@@ -74,15 +74,15 @@ class Problem:
                     f"receiver {j}: demands overlap side info: "
                     f"{sorted(r.demands & r.side_info)}"
                 )
-            for m in r.demands | r.side_info:
-                if not 1 <= m <= self.n:
-                    raise ProblemError(f"receiver {j}: message id {m} out of range [1..{self.n}]")
+            if not (r.demands <= self.messages and r.side_info <= self.messages):
+                m = min((r.demands | r.side_info) - self.messages, key=repr)
+                raise ProblemError(f"receiver {j}: message id {m} out of range [1..{self.n}]")
 
     @property
     def t(self) -> int:
         return len(self.receivers)
 
-    @property
+    @cached_property
     def messages(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1))
 
@@ -123,6 +123,9 @@ class Problem:
         return HypergraphBits(edges, sets, tuple(sets_with), tuple(near), tuple(conf))
 
 
+_SHOWN_IDS = 10  # ids an error lists before it gives only the count
+
+
 def undemanded_messages(p: Problem) -> frozenset[int]:
     demanded: set[int] = set()
     for r in p.receivers:
@@ -133,7 +136,9 @@ def undemanded_messages(p: Problem) -> frozenset[int]:
 def check_groupcast_complete(p: Problem) -> None:
     missing = undemanded_messages(p)
     if missing:
-        raise ProblemError(f"messages demanded by no receiver: {sorted(missing)}")
+        ids = sorted(missing)
+        more = f" and {len(ids) - _SHOWN_IDS} more, {len(ids)} in all" if len(ids) > _SHOWN_IDS else ""
+        raise ProblemError(f"messages demanded by no receiver: {ids[:_SHOWN_IDS]}{more}")
 
 
 def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:

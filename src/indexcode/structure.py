@@ -4,8 +4,13 @@ Alignment graph/sets, forks and cycles, acyclic quadruples, triangular
 interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
 construction.  The conflict hypergraph itself and its conflict pairs are
-``Problem.hyperedges`` and ``Problem.conflict_pairs``; the searches here
-run on their integer view ``Problem.bits`` and return frozensets.
+``Problem.hyperedges`` and ``Problem.conflict_pairs``; everything here
+reads their integer view ``Problem.bits`` and returns plain values: the
+alignment graph is a frozenset of edges and a triangle a frozenset of
+three messages.  Fork, cycle and kind are bit counts over ``bits.near``,
+``bits.sets`` and ``bits.conf``, and ``structure_report`` computes the
+restricted internal conflicts of each type-2 set once, for both the
+dirty witnesses and the classification.
 """
 
 from __future__ import annotations
@@ -13,23 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import combinations
 from operator import or_
 
 from .problem import ConflictPair, Problem, _iter_bits, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
-
-
-@dataclass(frozen=True)
-class AlignmentGraph:
-    n: int
-    edges: frozenset[Edge]
-
-
-@dataclass(frozen=True)
-class TriangularInterferingSet:
-    members: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -63,11 +56,12 @@ class StructureReport:
     dirty_witnesses: tuple[tuple[frozenset[int], ConflictPair, frozenset[int]], ...]
 
 
-def alignment_graph(p: Problem) -> AlignmentGraph:
+def alignment_graph(p: Problem) -> frozenset[Edge]:
     """Two messages are joined iff they co-interfere at some receiver."""
     near = p.bits.near
-    edges = [(a, b) for a in range(1, p.n + 1) for b in _iter_bits((near[a] >> (a + 1)) << (a + 1))]
-    return AlignmentGraph(n=p.n, edges=frozenset(edges))
+    return frozenset(
+        (a, b) for a in range(1, p.n + 1) for b in _iter_bits((near[a] >> (a + 1)) << (a + 1))
+    )
 
 
 def alignment_sets(p: Problem) -> list[frozenset[int]]:
@@ -92,19 +86,20 @@ def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) ->
     return [frozenset(_iter_bits(c)) for c in sorted(comps, key=lambda c: c & -c)]
 
 
-def _edges_within(g: AlignmentGraph, members: frozenset[int]) -> list[Edge]:
-    return [e for e in g.edges if e[0] in members and e[1] in members]
+def _degrees(p: Problem, members: frozenset[int]) -> list[int]:
+    """Alignment-graph degree of each member among ``members``."""
+    near, mask = p.bits.near, _to_mask(members)
+    return [(near[v] & mask & ~(1 << v)).bit_count() for v in members]
 
 
-def has_fork(g: AlignmentGraph, members: frozenset[int]) -> bool:
+def has_fork(p: Problem, members: frozenset[int]) -> bool:
     """A fork is a vertex of degree three or more."""
-    within = _edges_within(g, members)
-    return any(sum(1 for e in within if v in e) >= 3 for v in members)
+    return max(_degrees(p, members), default=0) >= 3
 
 
-def has_cycle(g: AlignmentGraph, members: frozenset[int]) -> bool:
+def has_cycle(p: Problem, members: frozenset[int]) -> bool:
     # For a connected component, a cycle exists iff #edges >= #vertices.
-    return len(_edges_within(g, members)) >= len(members)
+    return sum(_degrees(p, members)) >= 2 * len(members)
 
 
 def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
@@ -130,7 +125,7 @@ def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     return extend((), list(p.bits.edges), _to_mask(k for r in p.receivers for k in r.demands))
 
 
-def triangular_interfering_sets(p: Problem) -> list[TriangularInterferingSet]:
+def triangular_interfering_sets(p: Problem) -> list[frozenset[int]]:
     """3-subsets of some interfering set carrying at least one conflict pair.
 
     Each triangle a < b < c is listed once, from its two smallest members
@@ -165,7 +160,7 @@ def triangular_interfering_sets(p: Problem) -> list[TriangularInterferingSet]:
             above = (union(sets_with[a] & sets_with[b]) >> (b + 1)) << (b + 1)
             if not conf[a] >> b & 1:
                 above &= conf[a] | conf[b]
-            out += [TriangularInterferingSet(frozenset((a, b, c))) for c in _iter_bits(above)]
+            out += [frozenset((a, b, c)) for c in _iter_bits(above)]
     return out
 
 
@@ -178,7 +173,7 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
     pairs (key a * (n + 1) + b) that joins the pairs inside each triangle
     chains them, and each triangle joins the group of any of its pairs.
     """
-    triangles = [t.members for t in triangular_interfering_sets(p)]
+    triangles = triangular_interfering_sets(p)
     conf, width = p.bits.conf, p.n + 1
     parent: dict[int, int] = {}  # absent keys are roots; memory stays linear in the triangles
 
@@ -222,45 +217,41 @@ def restricted_internal_conflicts(
 
 
 def classify_alignment_set(
-    p: Problem,
-    members: frozenset[int],
-    type2_sets: list[Type2AlignmentSet] | None = None,
+    p: Problem, members: frozenset[int], type2_dirty: dict[frozenset[int], bool]
 ) -> Kind:
-    """Classification driving the rate-1/3 construction; total by the chain below."""
-    if type2_sets is None:
-        type2_sets = type2_alignment_sets(p)
-    if not any(len(interf & members) >= 3 for _, interf in p.hyperedges):
+    """Classification driving the rate-1/3 construction; total by the chain below.
+
+    ``type2_dirty`` maps each type-2 message union to whether it has
+    restricted internal conflicts, as ``structure_report`` builds it.
+    """
+    mask = _to_mask(members)
+    if not any((s & mask).bit_count() >= 3 for s in p.bits.sets):
         return Kind.KIND1
     # some receiver sees three members, so a three-member set is co-interfering
-    if len(members) == 3 and not any(
-        pair in p.conflict_pairs for pair in combinations(sorted(members), 2)
-    ):
+    if len(members) == 3 and not any(p.bits.conf[v] & mask for v in members):
         return Kind.KIND2
-    for t2 in type2_sets:
-        if t2.messages == members:
-            if restricted_internal_conflicts(p, members):
-                return Kind.TYPE2_DIRTY
-            return Kind.TYPE2_CLEAN
+    if members in type2_dirty:
+        return Kind.TYPE2_DIRTY if type2_dirty[members] else Kind.TYPE2_CLEAN
     return Kind.OTHER
 
 
 def structure_report(p: Problem) -> StructureReport:
-    g = alignment_graph(p)
-    sets = alignment_sets(p)
     type2 = type2_alignment_sets(p)
+    type2_dirty: dict[frozenset[int], bool] = {}
+    dirty = []
+    for t2 in type2:
+        found = restricted_internal_conflicts(p, t2.messages)
+        type2_dirty.setdefault(t2.messages, bool(found))
+        dirty += [(t2.messages, pair, comp) for pair, comp in found]
     infos = tuple(
         AlignmentSetInfo(
             members=s,
-            has_fork=has_fork(g, s),
-            has_cycle=has_cycle(g, s),
-            kind=classify_alignment_set(p, s, type2),
+            has_fork=has_fork(p, s),
+            has_cycle=has_cycle(p, s),
+            kind=classify_alignment_set(p, s, type2_dirty),
         )
-        for s in sets
+        for s in alignment_sets(p)
     )
-    dirty = []
-    for t2 in type2:
-        for pair, comp in restricted_internal_conflicts(p, t2.messages):
-            dirty.append((t2.messages, pair, comp))
     return StructureReport(
         alignment_sets=infos,
         type2_sets=tuple(type2),
@@ -274,7 +265,7 @@ def to_dot(p: Problem) -> str:
     lines = ["graph index_coding {"]
     for v in range(1, p.n + 1):
         lines.append(f"  m{v} [label=\"W{v}\"];")
-    for a, b in sorted(alignment_graph(p).edges):
+    for a, b in sorted(alignment_graph(p)):
         lines.append(f"  m{a} -- m{b};")
     hyperedges = sorted(p.hyperedges, key=lambda e: (e[0], sorted(e[1])))
     for idx, (k, interf) in enumerate(hyperedges):

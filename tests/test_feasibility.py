@@ -82,7 +82,7 @@ def test_quadruple_verdict_does_not_predict_feasible():
     report = dataclasses.replace(
         structure_report(p), acyclic_quadruple=(1, 2, 3, 4), dirty_witnesses=()
     )
-    verdict = check_rate_third(p, report)
+    verdict = check_rate_third(report)
     assert verdict.status is RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE
     assert verdict.quadruple == (1, 2, 3, 4)
     assert verdict.feasible is False

@@ -51,6 +51,16 @@ def test_parse_rejects_out_of_range():
         parse_problem(text)
 
 
+def test_problem_rejects_a_fractional_message_id():
+    # 1.5 lies between 1 and n, so only a test against the id set rejects
+    # it; accepted, it ends analyze in a TypeError from the bitmask view
+    receivers = (Receiver(frozenset({1.5}), frozenset()), Receiver(frozenset({1, 2, 3}), frozenset()))
+    with pytest.raises(ProblemError, match=r"receiver 1: message id 1\.5 out of range"):
+        Problem(3, receivers)
+    with pytest.raises(ProblemError, match="receiver 2: message id 0 out of range"):
+        Problem(3, (receivers[1], Receiver(frozenset({1}), frozenset({0, 2}))))
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(ProblemError, match="malformed"):
         parse_problem("{not json")
@@ -71,6 +81,15 @@ def test_undemanded_rejected_by_default_allowed_by_flag():
         parse_problem(text)
     p = parse_problem(text, allow_undemanded=True)
     assert undemanded_messages(p) == frozenset({2})
+
+
+def test_undemanded_error_lists_ten_ids_and_the_count():
+    text = '{"n": 100000, "receivers": [{"demands": [1], "side_info": []}]}'
+    with pytest.raises(ProblemError, match="demanded by no receiver") as exc:
+        parse_problem(text)
+    message = str(exc.value)
+    assert "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99989 more, 99999 in all" in message
+    assert len(message) < 120
 
 
 def test_roundtrip_serialization():

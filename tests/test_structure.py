@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import random_unicast_problem
-from indexcode.fixtures import load_fixture
+from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import Problem, interfering_set, parse_problem, random_problem
 from indexcode.structure import (
+    AlignmentSetInfo,
     Kind,
     alignment_graph,
     alignment_sets,
@@ -27,7 +28,7 @@ from indexcode.structure import (
 def test_alignment_graph_ex_feas():
     p = load_fixture("ex_feas")
     g = alignment_graph(p)
-    assert g.edges == frozenset({(4, 6), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)})
+    assert g == frozenset({(4, 6), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)})
     assert alignment_sets(p) == [frozenset(range(1, 7))]
 
 
@@ -39,7 +40,7 @@ def test_alignment_graph_no_edges_when_interference_small():
         '{"demands": [3], "side_info": [1]}]}'
     )
     g = alignment_graph(p)
-    assert not g.edges
+    assert not g
     assert alignment_sets(p) == [frozenset({1}), frozenset({2}), frozenset({3})]
 
 
@@ -93,11 +94,11 @@ def test_fork_and_cycle_ex_feas():
     p = load_fixture("ex_feas")
     g = alignment_graph(p)
     members = frozenset(range(1, 7))
-    assert sum(4 in e for e in g.edges) == 4
-    assert has_fork(g, members)
-    assert has_cycle(g, members)
+    assert sum(4 in e for e in g) == 4
+    assert has_fork(p, members)
+    assert has_cycle(p, members)
     # the cycle 3-4-5 lies in g
-    assert {(3, 4), (4, 5), (3, 5)} <= g.edges
+    assert {(3, 4), (4, 5), (3, 5)} <= g
 
 
 def test_fork_cycle_trivial_components():
@@ -110,12 +111,12 @@ def test_fork_cycle_trivial_components():
     )
     # Interf_1(1) = {2, 3}: a single path-like component {2, 3}
     g = alignment_graph(p)
-    assert not has_fork(g, frozenset({2, 3}))
-    assert not has_cycle(g, frozenset({2, 3}))
-    assert not has_fork(g, frozenset({4}))
-    assert not has_cycle(g, frozenset({4}))
+    assert not has_fork(p, frozenset({2, 3}))
+    assert not has_cycle(p, frozenset({2, 3}))
+    assert not has_fork(p, frozenset({4}))
+    assert not has_cycle(p, frozenset({4}))
     # one edge on two vertices: a tree
-    assert [e for e in g.edges if set(e) <= {2, 3}] == [(2, 3)]
+    assert [e for e in g if set(e) <= {2, 3}] == [(2, 3)]
 
 
 def reference_problem(seed, max_n=16):
@@ -176,15 +177,59 @@ def naive_restricted_alignment_sets(p, members):
     return sorted((frozenset(c) for c in comps.values()), key=min)
 
 
+def naive_restricted_internal_conflicts(p, members):
+    """Conflict pairs inside each restricted alignment set, set by set."""
+    return [
+        (pair, comp)
+        for comp in naive_restricted_alignment_sets(p, members)
+        for pair in sorted(p.conflict_pairs)
+        if set(pair) <= comp
+    ]
+
+
+def edge_scan_fork_cycle(p, members):
+    """Fork and cycle from the alignment-graph edges inside ``members``."""
+    within = [e for e in alignment_graph(p) if e[0] in members and e[1] in members]
+    return any(sum(v in e for e in within) >= 3 for v in members), len(within) >= len(members)
+
+
+def per_set_kind(p, members, type2_sets):
+    """Classification by a hyperedge scan, the conflict pairs of every
+    member pair, and the restricted conflicts of a matching type-2 set."""
+    if not any(len(interf & members) >= 3 for _, interf in p.hyperedges):
+        return Kind.KIND1
+    if len(members) == 3 and not any(pair in p.conflict_pairs for pair in combinations(sorted(members), 2)):
+        return Kind.KIND2
+    for t2 in type2_sets:
+        if t2.messages == members:
+            return Kind.TYPE2_DIRTY if naive_restricted_internal_conflicts(p, members) else Kind.TYPE2_CLEAN
+    return Kind.OTHER
+
+
 def test_structure_matches_references_on_corpus():
-    for seed in range(150):
-        p = reference_problem(seed)
-        assert [t.members for t in triangular_interfering_sets(p)] == naive_triangles(p)
+    seen_kinds = set()
+    # the fixtures bring the only clean type-2 set
+    problems = [reference_problem(seed) for seed in range(150)] + [load_fixture(f) for f in FIXTURE_NAMES]
+    for seed, p in enumerate(problems):
+        assert triangular_interfering_sets(p) == naive_triangles(p)
         assert [(t.triangles, t.messages) for t in type2_alignment_sets(p)] == naive_type2_sets(p)
         rng = random.Random(seed)
         subsets = [frozenset(rng.sample(sorted(p.messages), rng.randint(1, p.n))) for _ in range(3)]
         for members in [p.messages] + subsets:
             assert restricted_alignment_sets(p, members) == naive_restricted_alignment_sets(p, members)
+            assert restricted_internal_conflicts(p, members) == naive_restricted_internal_conflicts(p, members)
+        report = structure_report(p)
+        type2 = type2_alignment_sets(p)
+        assert report.alignment_sets == tuple(
+            AlignmentSetInfo(s, *edge_scan_fork_cycle(p, s), per_set_kind(p, s, type2)) for s in alignment_sets(p)
+        )
+        assert report.dirty_witnesses == tuple(
+            (t2.messages, pair, comp)
+            for t2 in type2
+            for pair, comp in naive_restricted_internal_conflicts(p, t2.messages)
+        )
+        seen_kinds |= {info.kind for info in report.alignment_sets}
+    assert seen_kinds == set(Kind)
 
 
 def naive_acyclic_quadruple(p):
@@ -220,11 +265,11 @@ def test_acyclic_quadruple_matches_naive_search(seed, unicast):
 
 
 def test_triangles_fixtures():
-    assert {t.members for t in triangular_interfering_sets(load_fixture("ex_inf"))} == {
+    assert set(triangular_interfering_sets(load_fixture("ex_inf"))) == {
         frozenset({1, 3, 4}),
         frozenset({1, 2, 4}),
     }
-    assert {t.members for t in triangular_interfering_sets(load_fixture("ex_feas"))} == {
+    assert set(triangular_interfering_sets(load_fixture("ex_feas"))) == {
         frozenset({3, 4, 5})
     }
     small = parse_problem(
@@ -254,14 +299,16 @@ def test_restricted_internal_conflicts_fixtures():
     assert restricted_internal_conflicts(ex_feas, {3}) == []
 
 
+def kinds(p):
+    return {info.members: info.kind for info in structure_report(p).alignment_sets}
+
+
 def test_classification_fixtures():
-    ex_inf = load_fixture("ex_inf")
-    assert classify_alignment_set(ex_inf, frozenset({1, 2, 3, 4})) is Kind.TYPE2_DIRTY
-    assert classify_alignment_set(ex_inf, frozenset({5})) is Kind.KIND1
-    p5 = load_fixture("p5")
-    assert classify_alignment_set(p5, frozenset({1, 2, 3})) is Kind.TYPE2_CLEAN
-    ex_feas = load_fixture("ex_feas")
-    assert classify_alignment_set(ex_feas, frozenset(range(1, 7))) is Kind.OTHER
+    ex_inf = kinds(load_fixture("ex_inf"))
+    assert ex_inf[frozenset({1, 2, 3, 4})] is Kind.TYPE2_DIRTY
+    assert ex_inf[frozenset({5})] is Kind.KIND1
+    assert kinds(load_fixture("p5"))[frozenset({1, 2, 3})] is Kind.TYPE2_CLEAN
+    assert kinds(load_fixture("ex_feas"))[frozenset(range(1, 7))] is Kind.OTHER
 
 
 def test_classification_kind2():
@@ -272,8 +319,16 @@ def test_classification_kind2():
         '{"demands": [3], "side_info": [1, 2, 4]},'
         '{"demands": [4], "side_info": []}]}'
     )
-    assert classify_alignment_set(p, frozenset({1, 2, 3})) is Kind.KIND2
-    assert classify_alignment_set(p, frozenset({4})) is Kind.KIND1
+    assert kinds(p) == {frozenset({1, 2, 3}): Kind.KIND2, frozenset({4}): Kind.KIND1}
+
+
+def test_classification_reads_the_type2_dirty_map():
+    # the map, not a recomputation, decides clean against dirty
+    ex_inf = load_fixture("ex_inf")
+    members = frozenset({1, 2, 3, 4})
+    assert classify_alignment_set(ex_inf, members, {members: True}) is Kind.TYPE2_DIRTY
+    assert classify_alignment_set(ex_inf, members, {members: False}) is Kind.TYPE2_CLEAN
+    assert classify_alignment_set(ex_inf, members, {}) is Kind.OTHER
 
 
 @given(st.integers(0, 500))
@@ -291,7 +346,7 @@ def test_structural_invariants_on_corpus(seed):
         for k in r.demands:
             interf = sorted(interfering_set(p, j, k))
             for a, b in combinations(interf, 2):
-                assert (a, b) in g.edges
+                assert (a, b) in g
 
     # every type-2 union sits inside exactly one alignment set, and every
     # triangle sits inside one alignment set too
@@ -301,15 +356,14 @@ def test_structural_invariants_on_corpus(seed):
             assert sum(1 for s in sets if tri <= s) == 1
 
     # classification is total and consistent with the report
-    report = structure_report(p)
-    kinds = {info.members: info.kind for info in report.alignment_sets}
+    found = kinds(p)
     for s in sets:
-        assert kinds[s] in set(Kind)
+        assert found[s] in set(Kind)
 
     # an acyclic quadruple's first three messages form a triangular set
     quad = find_acyclic_quadruple(p)
     if quad is not None:
-        triangles = {t.members for t in triangular_interfering_sets(p)}
+        triangles = set(triangular_interfering_sets(p))
         assert frozenset(quad[:3]) in triangles
 
 
