@@ -160,7 +160,7 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
             "type2_sets": [
                 {
                     "messages": sorted(t.messages),
-                    "triangles": sorted(sorted(tri) for tri in t.triangles),
+                    "triangles": [list(tri) for tri in t.triangles],
                 }
                 for t in rep.structure.type2_sets
             ],

@@ -77,6 +77,11 @@ class Problem:
             if not (r.demands <= self.messages and r.side_info <= self.messages):
                 m = min((r.demands | r.side_info) - self.messages, key=repr)
                 raise ProblemError(f"receiver {j}: message id {m} out of range [1..{self.n}]")
+            # 2.0 == 2 passes the range test; a sum of the ids stays an int
+            # unless one is a float, Fraction or Decimal (True passes as 1)
+            if type(sum(r.demands) + sum(r.side_info)) is not int:
+                m = next(m for m in r.demands | r.side_info if not isinstance(m, int))
+                raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
 
     @property
     def t(self) -> int:

@@ -6,8 +6,8 @@ and the classification of alignment sets used by the rate-1/3
 construction.  The conflict hypergraph itself and its conflict pairs are
 ``Problem.hyperedges`` and ``Problem.conflict_pairs``; everything here
 reads their integer view ``Problem.bits`` and returns plain values: the
-alignment graph is a frozenset of edges and a triangle a frozenset of
-three messages.  Fork, cycle and kind are bit counts over ``bits.near``,
+alignment graph is a frozenset of edges and a triangle an ascending int
+triple.  Fork, cycle and kind are bit counts over ``bits.near``,
 ``bits.sets`` and ``bits.conf``, and ``structure_report`` computes the
 restricted internal conflicts of each type-2 set once, for both the
 dirty witnesses and the classification.
@@ -23,11 +23,12 @@ from operator import or_
 from .problem import ConflictPair, Problem, _iter_bits, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
+Triangle = tuple[int, int, int]  # ascending
 
 
 @dataclass(frozen=True)
 class Type2AlignmentSet:
-    triangles: frozenset[frozenset[int]]
+    triangles: tuple[Triangle, ...]  # ascending, as listed
     messages: frozenset[int]
 
 
@@ -76,6 +77,11 @@ def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) ->
     (k, I & members), and each restricted interfering set is a clique of
     the restricted alignment graph, so no restricted problem is built.
     """
+    return [frozenset(_iter_bits(c)) for c in _restricted_components(p, members)]
+
+
+def _restricted_components(p: Problem, members: frozenset[int] | set[int]) -> list[int]:
+    """``restricted_alignment_sets`` as masks, ordered by smallest member."""
     keep = _to_mask(restriction_members(p, members))
     comps: list[int] = []  # disjoint component masks
     for k, interf in p.bits.edges:
@@ -83,7 +89,7 @@ def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) ->
             touched = [c for c in comps if c & clique]
             comps = [c for c in comps if not c & clique] + [reduce(or_, touched, clique)]
     comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
-    return [frozenset(_iter_bits(c)) for c in sorted(comps, key=lambda c: c & -c)]
+    return sorted(comps, key=lambda c: c & -c)
 
 
 def _degrees(p: Problem, members: frozenset[int]) -> list[int]:
@@ -125,7 +131,7 @@ def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     return extend((), list(p.bits.edges), _to_mask(k for r in p.receivers for k in r.demands))
 
 
-def triangular_interfering_sets(p: Problem) -> list[frozenset[int]]:
+def triangular_interfering_sets(p: Problem) -> list[Triangle]:
     """3-subsets of some interfering set carrying at least one conflict pair.
 
     Each triangle a < b < c is listed once, from its two smallest members
@@ -133,7 +139,7 @@ def triangular_interfering_sets(p: Problem) -> list[frozenset[int]]:
     "Arboricity and subgraph listing algorithms", 1985): c ranges over
     the members above b of the union of the sets containing both a and
     b, and must conflict with a or b unless (a, b) is a conflict itself.
-    Ascending a, b and c emit the triangles in sorted order, in time
+    Ascending a, b and c emit the triples (a, b, c) in sorted order, in time
     O(n^2 * distinct sets / 8 + triangles).
     """
     sets_with, near, conf = p.bits.sets_with, p.bits.near, p.bits.conf
@@ -154,13 +160,17 @@ def triangular_interfering_sets(p: Problem) -> list[frozenset[int]]:
             picked >>= 8
         return u
 
-    out = []
+    out: list[Triangle] = []
+    append = out.append
     for a in range(1, p.n + 1):
         for b in _iter_bits((near[a] >> (a + 1)) << (a + 1)):
             above = (union(sets_with[a] & sets_with[b]) >> (b + 1)) << (b + 1)
             if not conf[a] >> b & 1:
                 above &= conf[a] | conf[b]
-            out += [frozenset((a, b, c)) for c in _iter_bits(above)]
+            while above:  # _iter_bits inlined: this loop runs once per triangle
+                low = above & -above
+                append((a, b, low.bit_length() - 1))
+                above ^= low
     return out
 
 
@@ -172,6 +182,7 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
     pair meet in exactly that pair, so a union-find over the conflict
     pairs (key a * (n + 1) + b) that joins the pairs inside each triangle
     chains them, and each triangle joins the group of any of its pairs.
+    A group keeps its triangles in listing order, so they stay sorted.
     """
     triangles = triangular_interfering_sets(p)
     conf, width = p.bits.conf, p.n + 1
@@ -183,8 +194,7 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
         return x
 
     keys = []
-    for t in triangles:
-        a, b, c = sorted(t)
+    for a, b, c in triangles:
         ca, cb = conf[a], conf[b]
         # join (a, c) and (b, c), when conflicts, to the first conflict pair
         first = root(a * width + b if ca >> b & 1 else a * width + c if ca >> c & 1 else b * width + c)
@@ -193,10 +203,10 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
         if cb >> c & 1:
             parent[root(b * width + c)] = first
         keys.append(first)
-    comps: dict[int, list[frozenset[int]]] = {}
+    comps: dict[int, list[Triangle]] = {}
     for t, key in zip(triangles, keys):
         comps.setdefault(root(key), []).append(t)
-    out = [Type2AlignmentSet(frozenset(g), frozenset().union(*g)) for g in comps.values()]
+    out = [Type2AlignmentSet(tuple(g), frozenset().union(*g)) for g in comps.values()]
     return sorted(out, key=lambda s: sorted(s.messages))
 
 
@@ -208,12 +218,15 @@ def restricted_internal_conflicts(
     Each comes with its witnessing restricted alignment set, ordered by
     set and then by pair.  Restriction keeps every conflict between two
     members, so these are the problem's own conflict pairs inside each
-    restricted set.
+    restricted set: the partners b > a of each member a in ``bits.conf``.
     """
-    comp_of = {v: comp for comp in restricted_alignment_sets(p, members) for v in comp}
-    out = [((a, b), comp_of[a]) for a, b in p.conflict_pairs
-           if a in comp_of and comp_of[a] is comp_of.get(b)]
-    return sorted(out, key=lambda w: (min(w[1]), w[0]))
+    conf, out = p.bits.conf, []
+    for c in _restricted_components(p, members):
+        pairs = [(a, b) for a in _iter_bits(c) for b in _iter_bits(((conf[a] & c) >> (a + 1)) << (a + 1))]
+        if pairs:
+            comp = frozenset(_iter_bits(c))
+            out += [(pair, comp) for pair in pairs]
+    return out
 
 
 def classify_alignment_set(

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,16 @@ def test_problem_rejects_a_fractional_message_id():
         Problem(3, receivers)
     with pytest.raises(ProblemError, match="receiver 2: message id 0 out of range"):
         Problem(3, (receivers[1], Receiver(frozenset({1}), frozenset({0, 2}))))
+
+
+def test_problem_rejects_whole_valued_non_integer_ids():
+    # 2.0 == 2, so the range test passes it; accepted, it ends analyze in
+    # a TypeError from the bitmask view
+    other = Receiver(frozenset({1, 3}), frozenset())
+    with pytest.raises(ProblemError, match=r"receiver 1: message id 2\.0 is not an integer"):
+        Problem(3, (Receiver(frozenset({2.0}), frozenset()), other))
+    with pytest.raises(ProblemError, match=r"receiver 2: message id Fraction\(3, 1\) is not an integer"):
+        Problem(3, (other, Receiver(frozenset({2}), frozenset({Fraction(3)}))))
 
 
 def test_parse_rejects_malformed_json():
