@@ -5,32 +5,33 @@ is valid exactly when no message has the zero vector and no demanded
 message's vector falls inside the span of the vectors interfering at its
 receiver (the linear decodability criterion of Bar-Yossef, Birk, Jayram
 and Kol, "Index coding with side information", FOCS 2006).  That
-criterion depends only on the hyperedge (k, Interf_k(j)), so ``verify``
-and ``decode_all`` read ``Problem.demand_edges`` and settle each distinct
-(k, I) once, over the distinct vectors of I, then map the answer back to
-every receiver that has that hyperedge.  ``decode_all`` needs one
-decoding functional per distinct (k, I); one exists exactly when v_k is
-outside span(I), so it raises on an unverified code instead of running
-``verify`` first.
+criterion depends only on v_k and the set of distinct vectors on
+Interf_k(j), and constructed codes share one vector across a whole
+alignment set, so a code has few distinct vectors.  ``verify`` and
+``decode_all`` read ``Problem.demand_edges``, key each (j, k) by the
+index of v_k and the indexes of the distinct vectors of Interf_k(j), and
+do the span work once per distinct vector set: one elimination gives
+``verify`` the residue test and ``decode_all`` the nullspace, and each
+distinct (v_k, set) then costs one reduction or one dot product.
+``decode_all`` needs one decoding functional per distinct (v_k, set);
+one exists exactly when v_k is outside the span, so it raises on an
+unverified code instead of running ``verify`` first.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from operator import mul
 
 from . import linalg
 from .feasibility import RateThirdStatus, check_rate_half, check_rate_third
 from .linalg import Vector
-from .problem import Hyperedge, Problem, restrict_problem
-from .structure import (
-    Kind,
-    alignment_sets,
-    restricted_alignment_sets,
-    structure_report,
-)
+from .problem import Problem, restrict_problem
+from .structure import Kind, alignment_sets, structure_report
 
 
 class CodecError(ValueError):
@@ -45,6 +46,12 @@ class AttemptsExhausted(CodecError):
     """Random redraws kept failing verification; the field is too small."""
 
 
+@lru_cache(maxsize=64)
+def _prime_modulus(p: int) -> bool:
+    """``linalg.is_prime``, run once per modulus: nearly every code shares one."""
+    return linalg.is_prime(p)
+
+
 @dataclass(frozen=True)
 class ScalarLinearCode:
     length: int
@@ -52,16 +59,20 @@ class ScalarLinearCode:
     vectors: tuple[Vector, ...]  # vectors[i - 1] belongs to message i
 
     def __post_init__(self) -> None:
+        # True and 1.0 equal valid values; one exact type test rejects them
+        if not {int}.issuperset(map(type, chain((self.length, self.prime), *self.vectors))):
+            bad = next(x for x in chain((self.length, self.prime), *self.vectors) if type(x) is not int)
+            raise CodecError(f"code length, prime and vector entries must be integers, got {bad!r}")
         if self.length < 1:
             raise CodecError(f"code length must be >= 1, got {self.length}")
         if self.prime >= 2**64:
             raise CodecError(f"modulus {self.prime} does not fit in 64 bits")
-        if not linalg.is_prime(self.prime):
+        if not _prime_modulus(self.prime):
             raise CodecError(f"modulus {self.prime} is not prime")
         for i, v in enumerate(self.vectors, start=1):
             if len(v) != self.length:
                 raise CodecError(f"vector for message {i} has length {len(v)} != {self.length}")
-            if any(not 0 <= x < self.prime for x in v):
+            if min(v) < 0 or max(v) >= self.prime:
                 raise CodecError(f"vector for message {i} has entries outside [0, {self.prime})")
 
     def vector(self, message: int) -> Vector:
@@ -81,28 +92,45 @@ def _check_vector_count(p: Problem, code: ScalarLinearCode) -> None:
         raise CodecError(f"code has {len(code.vectors)} vectors for {p.n} messages")
 
 
-def _resolved(target: Vector, interferers: set[Vector], prime: int) -> bool:
-    """True iff ``target`` lies outside the span of ``interferers``."""
-    reduced, pivots = linalg.rref(list(interferers), prime)
-    return any(linalg.reduce_against(target, reduced, pivots, prime))
+SpanKey = tuple[int, frozenset[int]]  # (index of v_k, indexes of the vectors of Interf_k(j))
+
+
+def _span_keys(p: Problem, code: ScalarLinearCode) -> tuple[list[Vector], list[tuple[int, int, SpanKey]]]:
+    """The distinct vectors of ``code`` and (j, k, key) for every demand edge.
+
+    Both the span test and the decoding functional of (j, k) depend only
+    on its key, so each distinct key, and each distinct vector set in it,
+    needs its span work once.
+    """
+    _check_vector_count(p, code)
+    index: dict[Vector, int] = {}
+    ids = (-1, *[index.setdefault(v, len(index)) for v in code.vectors])  # ids[m] for message m
+    get = ids.__getitem__
+    return list(index), [(j, k, (ids[k], frozenset(map(get, interf)))) for j, k, interf in p.demand_edges]
 
 
 def verify(p: Problem, code: ScalarLinearCode, attempts_used: int = 0) -> VerificationResult:
     """Check the resolved-conflicts criterion for every receiver and demand.
 
-    One span test per distinct hyperedge (k, I), over the distinct vectors
-    of I; its answer is reported for every receiver j with that hyperedge,
-    as ``(j, k)`` violations in receiver order with k ascending.
+    One elimination per distinct vector set of an interfering set, and one
+    reduction of v_k against it per distinct key; the answer is reported
+    for every (j, k) with that key, as ``(j, k)`` violations in receiver
+    order with k ascending.
     """
-    _check_vector_count(p, code)
-    vectors, prime = code.vectors, code.prime
-    zeros = tuple(i for i, v in enumerate(vectors, start=1) if not any(v))
-    resolved: dict[Hyperedge, bool] = {}
+    distinct, edges = _span_keys(p, code)
+    prime = code.prime
+    zeros = tuple(i for i, v in enumerate(code.vectors, start=1) if not any(v))
+    bases: dict[frozenset[int], tuple[list[list[int]], list[int]]] = {}
+    resolved: dict[SpanKey, bool] = {}
     violations = []
-    for j, k, interf in p.demand_edges:
-        ok = resolved.get((k, interf))
+    for j, k, key in edges:
+        ok = resolved.get(key)
         if ok is None:
-            ok = resolved[k, interf] = _resolved(vectors[k - 1], {vectors[i - 1] for i in interf}, prime)
+            target, vset = key
+            basis = bases.get(vset)
+            if basis is None:
+                basis = bases[vset] = linalg.rref([distinct[i] for i in vset], prime)
+            ok = resolved[key] = any(linalg.reduce_against(distinct[target], *basis, prime))
         if not ok:
             violations.append((j, k))
     return VerificationResult(
@@ -181,7 +209,7 @@ def construct_rate_third(
                     vectors[m - 1] = shared
             else:  # TYPE2_CLEAN
                 plane = linalg.random_subspace_basis(3, 2, prime, rng)
-                for comp in restricted_alignment_sets(p, info.members):
+                for comp in report.restricted_sets[info.members]:
                     v = linalg.random_vector_in_span(plane, prime, rng)
                     for m in comp:
                         vectors[m - 1] = v
@@ -209,27 +237,34 @@ def encode(code: ScalarLinearCode, payload: list[int] | tuple[int, ...]) -> Vect
 _UNVERIFIED = "decode_all called with a code that fails verification"
 
 
-def _decoding_functionals(p: Problem, code: ScalarLinearCode) -> dict[Hyperedge, Vector]:
-    """One u per distinct hyperedge (k, I) with u . v_k = 1 and u . v_i = 0
-    on I; raises ``CodecError`` exactly when ``verify`` would fail."""
-    _check_vector_count(p, code)
-    vectors, length, prime = code.vectors, code.length, code.prime
-    if not all(any(v) for v in vectors):
+def _decoding_functionals(p: Problem, code: ScalarLinearCode) -> list[tuple[int, int, Vector]]:
+    """(j, k, u) for every demand edge, u . v_k = 1 and u . v_i = 0 on
+    Interf_k(j): one nullspace per distinct vector set, one u per distinct
+    key.  Raises ``CodecError`` exactly when ``verify`` would fail."""
+    distinct, edges = _span_keys(p, code)
+    length, prime = code.length, code.prime
+    if not all(map(any, code.vectors)):
         raise CodecError(_UNVERIFIED)
-    functionals: dict[Hyperedge, Vector] = {}
-    for _, k, interf in p.demand_edges:
-        if (k, interf) in functionals:
-            continue
-        target = vectors[k - 1]
-        for u in linalg.nullspace(list({vectors[i - 1] for i in interf}), length, prime):
-            dot = sum(map(mul, u, target)) % prime
-            if dot:  # some nullspace vector misses v_k iff v_k is outside span(I)
-                scale = pow(dot, -1, prime)
-                functionals[k, interf] = tuple(x * scale % prime for x in u)
-                break
-        else:
-            raise CodecError(_UNVERIFIED)
-    return functionals
+    nullspaces: dict[frozenset[int], list[Vector]] = {}
+    functionals: dict[SpanKey, Vector] = {}
+    out = []
+    for j, k, key in edges:
+        u = functionals.get(key)
+        if u is None:
+            target, vset = key
+            null = nullspaces.get(vset)
+            if null is None:
+                null = nullspaces[vset] = linalg.nullspace([distinct[i] for i in vset], length, prime)
+            for candidate in null:
+                dot = sum(map(mul, candidate, distinct[target])) % prime
+                if dot:  # some nullspace vector misses v_k iff v_k is outside the span
+                    scale = pow(dot, -1, prime)
+                    u = functionals[key] = tuple(x * scale % prime for x in candidate)
+                    break
+            else:
+                raise CodecError(_UNVERIFIED)
+        out.append((j, k, u))
+    return out
 
 
 def decode_all(
@@ -243,28 +278,36 @@ def decode_all(
     ``side_symbols[j - 1]`` maps each message in S(j) to its symbol.  The
     receiver subtracts the known side-information contribution, then
     recovers each demanded symbol through a functional that annihilates
-    the interfering span, computed once per distinct hyperedge (k, I).
-    Raises ``CodecError`` on every code that ``verify`` refuses (a zero
-    vector, or a demand with no such functional), since uniqueness would
-    be lost, and on a codeword whose length is not the code length.
+    the interfering span, computed once per distinct key of v_k and the
+    vector set of Interf_k(j).  Raises ``CodecError`` on every code that
+    ``verify`` refuses (a zero vector, or a demand with no such
+    functional), since uniqueness would be lost, and on a codeword whose
+    length is not the code length.
     """
     functionals = _decoding_functionals(p, code)
     if len(codeword) != code.length:
         raise CodecError(f"codeword has length {len(codeword)} for a length-{code.length} code")
     if len(side_symbols) != p.t:
         raise CodecError(f"need side symbols for {p.t} receivers, got {len(side_symbols)}")
-    vectors, prime = code.vectors, code.prime
+    prime = code.prime
+    # Each vector packed into one int, a lane of ``width`` bits per
+    # coordinate.  A lane of the side-information sum adds at most n - 1
+    # products of two values in [0, p), so it stays below n * p**2 and no
+    # carry crosses into the next lane.
+    width = 2 * prime.bit_length() + p.n.bit_length()
+    shifts = range(0, width * code.length, width)
+    lane = (1 << width) - 1
+    packed = [0, *(sum(x << s for x, s in zip(v, shifts)) for v in code.vectors)]  # packed[m] for message m
     residuals = []
     for j, (r, known) in enumerate(zip(p.receivers, side_symbols), start=1):
-        if set(known) != r.side_info:
+        if known.keys() != r.side_info:
             raise CodecError(f"receiver {j}: side symbols must cover exactly S(j)")
-        # each coordinate of codeword - sum of w_i * v_i over S(j) is one sum
-        rows = [codeword] + [vectors[i - 1] for i in known]
-        coeffs = [1] + [-w for w in known.values()]
-        residuals.append([sum(map(mul, column, coeffs)) % prime for column in zip(*rows)])
+        # sum of w_i * v_i over S(j), each w_i reduced mod p, in one C-level sum
+        total = sum(map(mul, map(packed.__getitem__, known), map(prime.__rmod__, known.values())))
+        residuals.append([(c - (total >> s & lane)) % prime for c, s in zip(codeword, shifts)])
     out: list[dict[int, int]] = [{} for _ in p.receivers]
-    for j, k, interf in p.demand_edges:
-        out[j - 1][k] = sum(map(mul, functionals[k, interf], residuals[j - 1])) % prime
+    for j, k, u in functionals:
+        out[j - 1][k] = sum(map(mul, u, residuals[j - 1])) % prime
     return out
 
 
@@ -297,12 +340,12 @@ def project_type2_assignment(
 
 
 def code_to_json(code: ScalarLinearCode) -> str:
-    data = {
-        "length": code.length,
-        "prime": code.prime,
-        "vectors": [list(v) for v in code.vectors],
-    }
-    return json.dumps(data, indent=2) + "\n"
+    """The bytes of ``json.dumps`` with ``indent=2`` on ``{"length": L,
+    "prime": p, "vectors": [[...], ...]}``, formatted directly, since
+    ``indent`` selects the pure-Python encoder."""
+    rows = ",\n".join("    [\n      " + ",\n      ".join(map(str, v)) + "\n    ]" for v in code.vectors)
+    vectors = "[\n" + rows + "\n  ]" if rows else "[]"
+    return '{\n  "length": %d,\n  "prime": %d,\n  "vectors": %s\n}\n' % (code.length, code.prime, vectors)
 
 
 def code_from_json(text: str) -> ScalarLinearCode:
@@ -315,7 +358,4 @@ def code_from_json(text: str) -> ScalarLinearCode:
         vectors = tuple(tuple(row) for row in data["vectors"])
     except (KeyError, TypeError) as exc:
         raise CodecError(f"bad code file contents: {exc}") from exc
-    bad = [x for x in (length, prime, *(x for v in vectors for x in v)) if type(x) is not int]
-    if bad:
-        raise CodecError(f"code length, prime and vector entries must be integers, got {bad[0]!r}")
     return ScalarLinearCode(length=length, prime=prime, vectors=vectors)

@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .problem import ConflictPair, Problem
-from .structure import (
-    Kind,
-    StructureReport,
-    restricted_internal_conflicts,
-    structure_report,
-)
+from .problem import ConflictPair, Problem, _iter_bits
+from .structure import Kind, StructureReport, _internal_pairs, structure_report
 
 
 @dataclass(frozen=True)
@@ -74,11 +69,9 @@ def check_rate_one(p: Problem) -> RateOneVerdict:
 
 
 def check_rate_half(p: Problem) -> RateHalfVerdict:
-    # an internal conflict lies inside an alignment set: restrict to every message
-    internal = restricted_internal_conflicts(p, p.messages)
-    if internal:
-        pair, members = internal[0]
-        return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=members)
+    # an internal conflict lies inside an alignment set; the first one is the witness
+    for pair, comp in _internal_pairs(p, p.alignment_components):
+        return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=frozenset(_iter_bits(comp)))
     return RateHalfVerdict(feasible=True, internal_conflict=None, alignment_set=None)
 
 

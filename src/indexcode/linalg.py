@@ -9,7 +9,6 @@ enough.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 Vector = tuple[int, ...]
 
@@ -161,13 +160,6 @@ def extend_to_basis(vectors: list[Vector], length: int, p: int) -> list[Vector]:
     return basis
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """A set of linearly independent vectors spanning a subspace."""
-
-    basis: tuple[Vector, ...]
-
-
 #: Draws each random helper below makes before it gives up; at any
 #: reasonable modulus a single retry is already unlikely, and the cap
 #: turns a tiny field into an error instead of a spin.
@@ -192,25 +184,23 @@ def random_nonzero_vector(length: int, p: int, rng: random.Random) -> Vector:
     raise LinalgError(f"no nonzero vector after {_MAX_DRAWS} draws (p={p})")
 
 
-def random_subspace_basis(length: int, dim: int, p: int, rng: random.Random) -> SubspaceBasis:
+def random_subspace_basis(length: int, dim: int, p: int, rng: random.Random) -> tuple[Vector, ...]:
     """Draw ``dim`` random vectors, retrying until they are independent."""
     if not 1 <= dim <= length:
         raise LinalgError(f"need 1 <= dim <= length, got dim={dim}, length={length}")
     for _ in range(_MAX_DRAWS):
         candidate = [random_vector(length, p, rng) for _ in range(dim)]
         if rank(candidate, p) == dim:
-            return SubspaceBasis(tuple(candidate))
+            return tuple(candidate)
     raise LinalgError(f"no rank-{dim} basis after {_MAX_DRAWS} draws (p={p})")
 
 
-def random_vector_in_span(basis: SubspaceBasis, p: int, rng: random.Random) -> Vector:
+def random_vector_in_span(basis: tuple[Vector, ...], p: int, rng: random.Random) -> Vector:
     """Random nonzero combination of the basis vectors."""
-    length = len(basis.basis[0])
+    length = len(basis[0])
     for _ in range(_MAX_DRAWS):
-        coeffs = [rng.randrange(p) for _ in basis.basis]
-        v = tuple(
-            sum(c * b[i] for c, b in zip(coeffs, basis.basis)) % p for i in range(length)
-        )
+        coeffs = [rng.randrange(p) for _ in basis]
+        v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(length))
         if any(v):
             return v
     raise LinalgError(f"no nonzero span vector after {_MAX_DRAWS} draws (p={p})")

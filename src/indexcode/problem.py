@@ -12,7 +12,9 @@ import json
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
+from operator import or_
 
 ConflictPair = tuple[int, int]  # always stored with a < b
 Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
@@ -39,6 +41,18 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _components(edges: Iterable[tuple[int, int]], keep: int) -> tuple[int, ...]:
+    """Alignment components over the messages of ``keep``, as masks ordered
+    by smallest member: each hyperedge (k, I) with k kept merges I & keep."""
+    comps: list[int] = []  # disjoint component masks
+    for k, interf in edges:
+        if keep >> k & 1 and (clique := interf & keep):
+            touched = [c for c in comps if c & clique]
+            comps = [c for c in comps if not c & clique] + [reduce(or_, touched, clique)]
+    comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
+    return tuple(sorted(comps, key=lambda c: c & -c))
+
+
 @dataclass(frozen=True)
 class HypergraphBits:
     """Integer view of the conflict hypergraph, bit m for message m."""
@@ -62,6 +76,8 @@ class Problem:
     receivers: tuple[Receiver, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ProblemError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ProblemError(f"need at least one message, got n={self.n}")
         if not self.receivers:
@@ -76,12 +92,16 @@ class Problem:
                 )
             if not (r.demands <= self.messages and r.side_info <= self.messages):
                 m = min((r.demands | r.side_info) - self.messages, key=repr)
-                raise ProblemError(f"receiver {j}: message id {m} out of range [1..{self.n}]")
-            # 2.0 == 2 passes the range test; a sum of the ids stays an int
-            # unless one is a float, Fraction or Decimal (True passes as 1)
-            if type(sum(r.demands) + sum(r.side_info)) is not int:
-                m = next(m for m in r.demands | r.side_info if not isinstance(m, int))
-                raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
+                also = "" if type(m) is int else " and not an integer"
+                raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]{also}")
+        # 2.0 and True equal ids in range; one exact type test over every id
+        # rejects them and every other non-int, without a Python loop per id
+        ids = chain.from_iterable(s for r in self.receivers for s in (r.demands, r.side_info))
+        if not {int}.issuperset(map(type, ids)):
+            j, r = next((j, r) for j, r in enumerate(self.receivers, start=1)
+                        if not {int}.issuperset(map(type, r.demands | r.side_info)))
+            m = min((m for m in r.demands | r.side_info if type(m) is not int), key=repr)
+            raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
 
     @property
     def t(self) -> int:
@@ -126,6 +146,11 @@ class Problem:
         for a, b in self.conflict_pairs:
             conf[a], conf[b] = conf[a] | 1 << b, conf[b] | 1 << a
         return HypergraphBits(edges, sets, tuple(sets_with), tuple(near), tuple(conf))
+
+    @cached_property
+    def alignment_components(self) -> tuple[int, ...]:
+        """Alignment sets as masks, ordered by smallest member, merged once."""
+        return _components(self.bits.edges, (1 << (self.n + 1)) - 2)
 
 
 _SHOWN_IDS = 10  # ids an error lists before it gives only the count
@@ -239,14 +264,10 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
         if not isinstance(entry, dict):
             raise ProblemError(f"receiver {idx}: must be an object")
         try:
-            demands = list(entry["demands"])
-            side = list(entry.get("side_info", []))
+            # Problem checks the id types, exactly and once for all receivers
+            receivers.append(Receiver(frozenset(entry["demands"]), frozenset(entry.get("side_info", []))))
         except (KeyError, TypeError) as exc:
-            raise ProblemError(f"receiver {idx}: bad demand/side-info lists") from exc
-        bad = [m for m in demands + side if type(m) is not int]
-        if bad:
-            raise ProblemError(f"receiver {idx}: message ids must be integers, got {bad[0]!r}")
-        receivers.append(Receiver(demands=frozenset(demands), side_info=frozenset(side)))
+            raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
     if not receivers:
         raise ProblemError("problem file lists no receivers")
     p = Problem(n=n, receivers=tuple(receivers))
@@ -255,13 +276,19 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     return p
 
 
+_RECEIVER_JSON = '    {\n      "demands": %s,\n      "side_info": %s\n    }'
+
+
+def _ids_json(ids: frozenset[int]) -> str:
+    return "[\n        " + ",\n        ".join(map(str, sorted(ids))) + "\n      ]" if ids else "[]"
+
+
 def problem_to_json(p: Problem) -> str:
-    """Canonical serialization: ascending ids, stable key order."""
-    data = {
-        "n": p.n,
-        "receivers": [
-            {"demands": sorted(r.demands), "side_info": sorted(r.side_info)}
-            for r in p.receivers
-        ],
-    }
-    return json.dumps(data, indent=2, sort_keys=False) + "\n"
+    """Canonical serialization: ascending ids, stable key order.
+
+    The bytes are those of ``json.dumps`` with ``indent=2`` on
+    ``{"n": n, "receivers": [{"demands": [...], "side_info": [...]}, ...]}``,
+    formatted directly, since ``indent`` selects the pure-Python encoder.
+    """
+    receivers = ",\n".join(_RECEIVER_JSON % (_ids_json(r.demands), _ids_json(r.side_info)) for r in p.receivers)
+    return '{\n  "n": %d,\n  "receivers": [\n%s\n  ]\n}\n' % (p.n, receivers)

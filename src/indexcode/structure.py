@@ -8,19 +8,21 @@ construction.  The conflict hypergraph itself and its conflict pairs are
 reads their integer view ``Problem.bits`` and returns plain values: the
 alignment graph is a frozenset of edges and a triangle an ascending int
 triple.  Fork, cycle and kind are bit counts over ``bits.near``,
-``bits.sets`` and ``bits.conf``, and ``structure_report`` computes the
-restricted internal conflicts of each type-2 set once, for both the
-dirty witnesses and the classification.
+``bits.sets`` and ``bits.conf``.  The full alignment sets are merged once
+per problem, as ``Problem.alignment_components``, and ``structure_report``
+merges the restricted alignment sets of each type-2 set once, for the
+dirty witnesses, the classification and the rate-1/3 construction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import or_
 
-from .problem import ConflictPair, Problem, _iter_bits, _to_mask, restriction_members
+from .problem import ConflictPair, Problem, _components, _iter_bits, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
 Triangle = tuple[int, int, int]  # ascending
@@ -55,6 +57,8 @@ class StructureReport:
     acyclic_quadruple: tuple[int, int, int, int] | None
     # (type-2 message union, conflict pair, restricted alignment set), original ids
     dirty_witnesses: tuple[tuple[frozenset[int], ConflictPair, frozenset[int]], ...]
+    # type-2 message union -> its restricted alignment sets, ordered by smallest member
+    restricted_sets: dict[frozenset[int], tuple[frozenset[int], ...]]
 
 
 def alignment_graph(p: Problem) -> frozenset[Edge]:
@@ -67,7 +71,7 @@ def alignment_graph(p: Problem) -> frozenset[Edge]:
 
 def alignment_sets(p: Problem) -> list[frozenset[int]]:
     """Connected components of the alignment graph; a partition of [1..n]."""
-    return restricted_alignment_sets(p, p.messages)
+    return [frozenset(_iter_bits(c)) for c in p.alignment_components]
 
 
 def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) -> list[frozenset[int]]:
@@ -80,16 +84,9 @@ def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) ->
     return [frozenset(_iter_bits(c)) for c in _restricted_components(p, members)]
 
 
-def _restricted_components(p: Problem, members: frozenset[int] | set[int]) -> list[int]:
+def _restricted_components(p: Problem, members: frozenset[int] | set[int]) -> tuple[int, ...]:
     """``restricted_alignment_sets`` as masks, ordered by smallest member."""
-    keep = _to_mask(restriction_members(p, members))
-    comps: list[int] = []  # disjoint component masks
-    for k, interf in p.bits.edges:
-        if keep >> k & 1 and (clique := interf & keep):
-            touched = [c for c in comps if c & clique]
-            comps = [c for c in comps if not c & clique] + [reduce(or_, touched, clique)]
-    comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
-    return sorted(comps, key=lambda c: c & -c)
+    return _components(p.bits.edges, _to_mask(restriction_members(p, members)))
 
 
 def _degrees(p: Problem, members: frozenset[int]) -> list[int]:
@@ -220,13 +217,17 @@ def restricted_internal_conflicts(
     members, so these are the problem's own conflict pairs inside each
     restricted set: the partners b > a of each member a in ``bits.conf``.
     """
-    conf, out = p.bits.conf, []
-    for c in _restricted_components(p, members):
-        pairs = [(a, b) for a in _iter_bits(c) for b in _iter_bits(((conf[a] & c) >> (a + 1)) << (a + 1))]
-        if pairs:
-            comp = frozenset(_iter_bits(c))
-            out += [(pair, comp) for pair in pairs]
-    return out
+    return [(pair, frozenset(_iter_bits(c))) for pair, c in _internal_pairs(p, _restricted_components(p, members))]
+
+
+def _internal_pairs(p: Problem, comps: Iterable[int]) -> Iterator[tuple[ConflictPair, int]]:
+    """Conflict pairs (a, b) inside each component mask, lazily, ordered by
+    component and then by pair, each with its component."""
+    conf = p.bits.conf
+    for c in comps:
+        for a in _iter_bits(c):
+            for b in _iter_bits(((conf[a] & c) >> (a + 1)) << (a + 1)):
+                yield (a, b), c
 
 
 def classify_alignment_set(
@@ -251,11 +252,15 @@ def classify_alignment_set(
 def structure_report(p: Problem) -> StructureReport:
     type2 = type2_alignment_sets(p)
     type2_dirty: dict[frozenset[int], bool] = {}
+    restricted: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     dirty = []
     for t2 in type2:
-        found = restricted_internal_conflicts(p, t2.messages)
+        comps = _restricted_components(p, t2.messages)
+        sets = dict(zip(comps, map(frozenset, map(_iter_bits, comps))))
+        found = [(t2.messages, pair, sets[c]) for pair, c in _internal_pairs(p, comps)]
         type2_dirty.setdefault(t2.messages, bool(found))
-        dirty += [(t2.messages, pair, comp) for pair, comp in found]
+        restricted.setdefault(t2.messages, tuple(sets.values()))
+        dirty += found
     infos = tuple(
         AlignmentSetInfo(
             members=s,
@@ -270,6 +275,7 @@ def structure_report(p: Problem) -> StructureReport:
         type2_sets=tuple(type2),
         acyclic_quadruple=find_acyclic_quadruple(p),
         dirty_witnesses=tuple(dirty),
+        restricted_sets=restricted,
     )
 
 

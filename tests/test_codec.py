@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusgen import (
     build_from_specs,
@@ -367,6 +369,106 @@ def test_projection_of_type2_plane():
     restricted, mapping, l2 = project_type2_assignment(p, code, frozenset({1, 2, 3}))
     assert l2.length == 2
     assert verify(restricted, l2).ok
+
+
+PRIMES = (2, 3, 5, linalg.DEFAULT_PRIME)
+
+
+@st.composite
+def codes_on_problems(draw):
+    """A small groupcast problem and a code over GF(p) whose vectors come
+    from a pool, so messages share vectors; one code in five has a zero
+    vector.  Codeword entries and side symbols are any integers congruent
+    to the true ones: negative, in [0, p) or at least p."""
+    n = draw(st.integers(1, 7))
+    ids = st.integers(1, n)
+    few_interferers = draw(st.booleans())  # then most codes verify
+    receivers = []
+    for _ in range(draw(st.integers(1, 6))):
+        demands = draw(st.frozensets(ids, min_size=1, max_size=3))
+        if few_interferers:
+            side = frozenset(range(1, n + 1)) - draw(st.frozensets(ids, max_size=2))
+        else:
+            side = draw(st.frozensets(ids))
+        receivers.append(Receiver(demands, side - demands))
+    p = Problem(n, tuple(receivers))
+    prime, length = draw(st.sampled_from(PRIMES)), draw(st.integers(1, 3))
+    # values near p make the products of the side-information sum near p**2
+    entry = st.one_of(st.integers(0, prime - 1), st.integers(max(0, prime - 3), prime - 1))
+    pool = draw(st.lists(st.tuples(*[entry] * length).filter(any), min_size=1, max_size=n + 1))
+    vectors = [draw(st.sampled_from(pool)) for _ in range(n)]
+    if draw(st.integers(0, 4)) == 0:
+        vectors[draw(st.integers(0, n - 1))] = (0,) * length
+    code = ScalarLinearCode(length, prime, tuple(vectors))
+    payload = draw(st.lists(entry, min_size=n, max_size=n))
+    wrap = st.sampled_from((-3, -1, 0, 1, 3))
+    codeword = tuple(x + prime * draw(wrap) for x in encode(code, payload))
+    side = [{i: payload[i - 1] + prime * draw(wrap) for i in sorted(r.side_info)} for r in p.receivers]
+    return p, code, payload, codeword, side
+
+
+def in_span_reference(p, code):
+    """Violations and zero-vector messages, one ``linalg.in_span`` per (j, k)."""
+    zeros = tuple(i for i, v in enumerate(code.vectors, start=1) if not any(v))
+    violations = tuple(
+        (j, k)
+        for j, r in enumerate(p.receivers, start=1)
+        for k in sorted(r.demands)
+        if linalg.in_span(code.vector(k), [code.vector(i) for i in p.messages - r.side_info - {k}], code.prime)
+    )
+    return violations, zeros
+
+
+@given(codes_on_problems())
+@settings(max_examples=250, deadline=None)
+def test_codec_matches_in_span_reference(case):
+    p, code, payload, codeword, side = case
+    violations, zeros = in_span_reference(p, code)
+    result = verify(p, code)
+    assert (result.ok, result.violations, result.zero_vector_messages) == (
+        not violations and not zeros, violations, zeros
+    )
+    if result.ok:
+        # a verified code decodes every demanded symbol uniquely
+        assert decode_all(p, code, codeword, side) == [{k: payload[k - 1] for k in r.demands} for r in p.receivers]
+    else:
+        with pytest.raises(CodecError, match="fails verification"):
+            decode_all(p, code, codeword, side)
+
+
+def test_decode_all_side_sums_at_their_largest():
+    # every entry and symbol at p - 1, side symbols given as 3p - 1: each
+    # receiver's side-information sum reaches (n - 1) * (p - 1)**2 in every
+    # coordinate, which a lane of 2 * bitlen(p) bits cannot hold
+    prime, n = linalg.DEFAULT_PRIME, 64
+    p = Problem(n, tuple(Receiver(frozenset({j}), frozenset(range(1, n + 1)) - {j}) for j in range(1, n + 1)))
+    code = ScalarLinearCode(3, prime, ((prime - 1,) * 3,) * n)
+    side = [{i: 3 * prime - 1 for i in r.side_info} for r in p.receivers]
+    decoded = decode_all(p, code, encode(code, [prime - 1] * n), side)
+    assert decoded == [{j: prime - 1} for j in range(1, n + 1)]
+
+
+@given(
+    st.sampled_from(PRIMES).flatmap(
+        lambda prime: st.integers(1, 4).flatmap(
+            lambda length: st.lists(st.tuples(*[st.integers(0, prime - 1)] * length), max_size=6).map(
+                lambda vectors: ScalarLinearCode(length, prime, tuple(vectors))
+            )
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_code_to_json_writes_the_bytes_of_json_dumps(code):
+    data = {"length": code.length, "prime": code.prime, "vectors": [list(v) for v in code.vectors]}
+    assert code_to_json(code) == json.dumps(data, indent=2) + "\n"
+
+
+def test_code_rejects_non_integer_entries():
+    # True and 1.0 equal valid entries; accepted, code_to_json wrote them
+    # as something code_from_json rejects
+    for length, prime, vectors in ((1, 5, ((True,),)), (1, 5, ((1.0,),)), (True, 5, ((1,),)), (1, 5.0, ((1,),))):
+        with pytest.raises(CodecError, match="integer"):
+            ScalarLinearCode(length, prime, vectors)
 
 
 def test_code_json_roundtrip():

@@ -72,6 +72,17 @@ def test_problem_rejects_whole_valued_non_integer_ids():
         Problem(3, (other, Receiver(frozenset({2}), frozenset({Fraction(3)}))))
 
 
+def test_problem_rejects_true_as_message_id():
+    # True == 1 passes the range test; accepted, problem_to_json wrote
+    # "true", which parse_problem rejects
+    with pytest.raises(ProblemError, match="receiver 1: message id True is not an integer"):
+        Problem(2, (Receiver(frozenset({True}), frozenset()), Receiver(frozenset({2}), frozenset())))
+    with pytest.raises(ProblemError, match="receiver 2: message id True is not an integer"):
+        Problem(2, (Receiver(frozenset({2}), frozenset()), Receiver(frozenset({2}), frozenset({True}))))
+    with pytest.raises(ProblemError, match="n must be an integer"):
+        Problem(True, (Receiver(frozenset({1}), frozenset()),))
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(ProblemError, match="malformed"):
         parse_problem("{not json")
@@ -125,6 +136,16 @@ def arbitrary_problems(draw, max_n=8):
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_serialization_property(p):
     assert parse_problem(problem_to_json(p), allow_undemanded=True) == p
+
+
+@given(arbitrary_problems(max_n=40))
+@settings(max_examples=200, deadline=None)
+def test_problem_to_json_writes_the_bytes_of_json_dumps(p):
+    data = {
+        "n": p.n,
+        "receivers": [{"demands": sorted(r.demands), "side_info": sorted(r.side_info)} for r in p.receivers],
+    }
+    assert problem_to_json(p) == json.dumps(data, indent=2) + "\n"
 
 
 @given(arbitrary_problems())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import random_unicast_problem
+from indexcode.feasibility import check_rate_half
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import Problem, interfering_set, parse_problem, random_problem
 from indexcode.structure import (
@@ -242,6 +243,22 @@ def test_structure_matches_references_on_corpus():
         )
         seen_kinds |= {info.kind for info in report.alignment_sets}
     assert seen_kinds == set(Kind)
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=150, deadline=None)
+def test_components_merged_once_match_references(seed):
+    # the full alignment sets, the rate-1/2 witness and the restricted sets
+    # the rate-1/3 construction reads are merged once each
+    p = reference_problem(seed)
+    assert alignment_sets(p) == naive_restricted_alignment_sets(p, p.messages)
+    internal = naive_restricted_internal_conflicts(p, p.messages)
+    verdict = check_rate_half(p)
+    assert (verdict.internal_conflict, verdict.alignment_set) == (internal[0] if internal else (None, None))
+    assert verdict.feasible == (not internal)
+    assert structure_report(p).restricted_sets == {
+        t2.messages: tuple(naive_restricted_alignment_sets(p, t2.messages)) for t2 in type2_alignment_sets(p)
+    }
 
 
 def naive_acyclic_quadruple(p):
