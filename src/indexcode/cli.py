@@ -49,7 +49,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
-    if not linalg.is_prime(args.prime):
+    if not codec.is_prime_modulus(args.prime):
         raise problem.ProblemError(f"--prime {args.prime} is not prime")
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2**32)
     rng = random.Random(seed)
@@ -91,9 +91,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
     for q in args.q:  # refuse every field before searching any
-        oracle.check_caps(p, q, args.max_len, args.n_cap)
+        oracle.check_caps(q, args.max_len)
     results = [  # every search ends before any output, so a budget error prints none
-        oracle.min_length(p, q, l_max=args.max_len, n_cap=args.n_cap, max_nodes=oracle.DEFAULT_NODE_CAP)
+        oracle.min_length(p, q, l_max=args.max_len, max_nodes=oracle.DEFAULT_NODE_CAP)
         for q in args.q
     ]
     summary = []
@@ -163,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("problem")
     sp.add_argument("--q", type=_field_sizes, default="2,3", help="comma-separated prime field sizes")
     sp.add_argument("--max-len", type=int, default=oracle.DEFAULT_L_CAP)
-    sp.add_argument("--n-cap", type=int, default=oracle.DEFAULT_N_CAP)
     sp.add_argument("-o", "--output", default=None, help="write the smallest witness found")
     common(sp)
     sp.set_defaults(func=cmd_oracle)

@@ -47,8 +47,9 @@ class AttemptsExhausted(CodecError):
 
 
 @lru_cache(maxsize=64)
-def _prime_modulus(p: int) -> bool:
-    """``linalg.is_prime``, run once per modulus: nearly every code shares one."""
+def is_prime_modulus(p: int) -> bool:
+    """``linalg.is_prime``, run once per modulus: nearly every code shares one,
+    and so does the ``construct`` command's check of ``--prime``."""
     return linalg.is_prime(p)
 
 
@@ -67,7 +68,7 @@ class ScalarLinearCode:
             raise CodecError(f"code length must be >= 1, got {self.length}")
         if self.prime >= 2**64:
             raise CodecError(f"modulus {self.prime} does not fit in 64 bits")
-        if not _prime_modulus(self.prime):
+        if not is_prime_modulus(self.prime):
             raise CodecError(f"modulus {self.prime} is not prime")
         for i, v in enumerate(self.vectors, start=1):
             if len(v) != self.length:

@@ -71,7 +71,8 @@ at a search position, including those a forward check rules out.  A
 search that would try more than ``max_nodes`` (``DEFAULT_NODE_CAP`` by
 default; ``min_length`` counts its whole sweep over lengths) raises
 ``OracleBudgetError``: an exhausted budget leaves the answer unknown and
-is never reported as "no code".
+is never reported as "no code".  The budget is the only bound on the
+size of the problem; the caps below depend on q and L alone.
 
 Results are always field-relative: "no length-3 code over GF(2) and
 GF(3)" does not by itself rule the rate out over larger fields.  The
@@ -91,7 +92,6 @@ from .codec import ScalarLinearCode
 from .problem import Hyperedge, Problem, problem_to_json
 from .structure import structure_report
 
-DEFAULT_N_CAP = 10
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_L_CAP = 4
 DEFAULT_FIELDS = (2, 3, 5)
@@ -109,7 +109,6 @@ class OracleBudgetError(OracleCapError):
 @dataclass(frozen=True)
 class OracleResult:
     prime: int
-    exists_by_length: dict[int, bool]
     min_length: int | None
     witness: ScalarLinearCode | None
     nodes_explored: int
@@ -136,16 +135,8 @@ def _translation(q: int, length: int, g: int) -> tuple[int, ...]:
     return tuple(sum((a + b) % q * q**j for j, (a, b) in enumerate(zip(v, vectors[g]))) for v in vectors)
 
 
-def projective_points(q: int, length: int) -> list[linalg.Vector]:
-    """One representative per projective equivalence class of GF(q)^length."""
-    vectors = _vectors(q, length)
-    return [vectors[i] for i in _candidates(q, length)[-1]]
-
-
-def check_caps(p: Problem, q: int, length: int, n_cap: int) -> None:
+def check_caps(q: int, length: int) -> None:
     """Raise ``OracleCapError`` unless a length-``length`` search over GF(q) fits the caps."""
-    if p.n > n_cap:
-        raise OracleCapError(f"n={p.n} exceeds the oracle cap {n_cap}")
     if not 0 <= length <= DEFAULT_L_CAP:
         raise OracleCapError(f"L={length} is outside the oracle cap 0..{DEFAULT_L_CAP}")
     if q**length > VECTOR_CAP:
@@ -205,7 +196,6 @@ def exists_code(
     p: Problem,
     q: int,
     length: int,
-    n_cap: int = DEFAULT_N_CAP,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> tuple[bool, ScalarLinearCode | None, int]:
     """Is there a length-``length`` scalar linear code over GF(q)?
@@ -214,7 +204,7 @@ def exists_code(
     per-vector scaling and a global change of basis.  Raises
     ``OracleBudgetError`` once more than ``max_nodes`` nodes are explored.
     """
-    check_caps(p, q, length, n_cap)
+    check_caps(q, length)
     plan = _plan(p.n, p.hyperedges)
     avoid, pairs, inside = plan.avoid, plan.pairs, plan.inside
     candidates = _candidates(q, length)
@@ -292,37 +282,32 @@ def min_length(
     p: Problem,
     q: int,
     l_max: int = DEFAULT_L_CAP,
-    n_cap: int = DEFAULT_N_CAP,
     max_nodes: int = DEFAULT_NODE_CAP,
 ) -> OracleResult:
     """Smallest code length up to ``l_max`` over GF(q), or none.
 
     ``max_nodes`` bounds the nodes of the whole sweep over the lengths.
     """
-    check_caps(p, q, l_max, n_cap)
-    exists_by_length: dict[int, bool] = {}
+    check_caps(q, l_max)
     nodes_total = 0
     for length in range(1, l_max + 1):
         try:
-            found, witness, nodes = exists_code(p, q, length, n_cap=n_cap, max_nodes=max_nodes - nodes_total)
+            found, witness, nodes = exists_code(p, q, length, max_nodes=max_nodes - nodes_total)
         except OracleBudgetError:
             raise OracleBudgetError(
                 f"the search for the minimum code length over GF({q}) exceeded "
                 f"its budget of {max_nodes} nodes at L={length}"
             ) from None
         nodes_total += nodes
-        exists_by_length[length] = found
         if found:
             return OracleResult(
                 prime=q,
-                exists_by_length=exists_by_length,
                 min_length=length,
                 witness=witness,
                 nodes_explored=nodes_total,
             )
     return OracleResult(
         prime=q,
-        exists_by_length=exists_by_length,
         min_length=None,
         witness=None,
         nodes_explored=nodes_total,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from indexcode import oracle
+from indexcode import linalg, oracle
 from indexcode.cli import main
 from indexcode.fixtures import fixture_text
 from indexcode.problem import parse_problem
@@ -96,6 +96,24 @@ def test_construct_precondition_exit_code(fixture_file, capsys):
     rc, _, err = run(capsys, "construct", fixture_file("ex_inf"), "--rate", "1/3", "--seed", "1")
     assert rc == 4
     assert "precondition" in err
+
+
+def test_construct_tests_prime_once(fixture_file, monkeypatch, capsys):
+    # the --prime check and the code share one cached test per modulus;
+    # 1000003 is used by no other test, so the cache starts cold
+    calls = []
+    is_prime = linalg.is_prime
+
+    def counting(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(linalg, "is_prime", counting)
+    rc, _, _ = run(
+        capsys, "construct", fixture_file("p5"), "--rate", "1/3", "--prime", "1000003", "--seed", "0"
+    )
+    assert rc == 0
+    assert calls == [1000003]
 
 
 def test_construct_exhausted_exit_code(tmp_path, capsys):
@@ -201,6 +219,13 @@ def test_oracle_bad_field_list_is_usage_error(fixture_file, capsys):
     rc, _, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,x")
     assert rc == 2
     assert "--q" in err
+
+
+def test_oracle_has_no_n_cap_option(fixture_file, capsys):
+    rc, out, err = run(capsys, "oracle", fixture_file("ex_feas"), "--n-cap", "5")
+    assert rc == 2
+    assert out == ""
+    assert "--n-cap" in err
 
 
 def test_oracle_witness_output(fixture_file, tmp_path, capsys):
