@@ -88,18 +88,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _shown(result: oracle.OracleResult, max_len: int) -> str:
+    return str(result.min_length) if result.min_length is not None else f">{max_len}"
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
     for q in args.q:  # refuse every field before searching any
         oracle.check_caps(q, args.max_len)
-    results = [  # every search ends before any output, so a budget error prints none
-        oracle.min_length(p, q, l_max=args.max_len, max_nodes=oracle.DEFAULT_NODE_CAP)
-        for q in args.q
-    ]
+    results = []  # every search ends before any output on stdout
+    for q in args.q:
+        try:
+            results.append(oracle.min_length(p, q, l_max=args.max_len, max_nodes=oracle.DEFAULT_NODE_CAP))
+        except oracle.OracleBudgetError:
+            # the budget is per field: keep the answers of the fields that finished
+            for done in results:
+                print(f"q={done.prime}: min length {_shown(done, args.max_len)}, "
+                      f"nodes explored {done.nodes_explored}", file=sys.stderr)
+            raise
     summary = []
     for q, result in zip(args.q, results):
-        shown = result.min_length if result.min_length is not None else f">{args.max_len}"
-        summary.append(f"{shown} (q={q})")
+        summary.append(f"{_shown(result, args.max_len)} (q={q})")
         if result.witness is not None and args.output:
             _write(args.output, codec.code_to_json(result.witness))
         print(f"q={q}: nodes explored {result.nodes_explored}", file=sys.stderr)

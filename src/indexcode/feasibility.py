@@ -63,9 +63,13 @@ class FeasibilityReport:
 
 
 def check_rate_one(p: Problem) -> RateOneVerdict:
-    pairs = p.conflict_pairs
-    witness = min(pairs) if pairs else None
-    return RateOneVerdict(feasible=not pairs, conflict_witness=witness)
+    # the smallest message with a partner has only larger partners, so its
+    # lowest partner completes the smallest conflict pair
+    conf = p.bits.conf
+    a = next((a for a in range(1, p.n + 1) if conf[a]), None)
+    if a is None:
+        return RateOneVerdict(feasible=True, conflict_witness=None)
+    return RateOneVerdict(feasible=False, conflict_witness=(a, (conf[a] & -conf[a]).bit_length() - 1))
 
 
 def check_rate_half(p: Problem) -> RateHalfVerdict:
@@ -153,7 +157,7 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
             "type2_sets": [
                 {
                     "messages": sorted(t.messages),
-                    "triangles": [list(tri) for tri in t.triangles],
+                    "triangles": t.triangles,  # json writes each int triple as a list
                 }
                 for t in rep.structure.type2_sets
             ],

@@ -41,14 +41,26 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _merge(masks: Iterable[int]) -> list[int]:
+    """Unions of the masks that overlap, directly or through a chain of
+    others; disjoint, and empty masks are left out."""
+    first, rest = 0, []  # one running union takes every mask that meets it
+    for mask in masks:
+        if mask & first or not first:
+            first |= mask
+        elif mask:
+            rest.append(mask)
+    comps = [first] if first else []
+    for mask in rest:
+        touched = [c for c in comps if c & mask]
+        comps = [c for c in comps if not c & mask] + [reduce(or_, touched, mask)]
+    return comps
+
+
 def _components(edges: Iterable[tuple[int, int]], keep: int) -> tuple[int, ...]:
     """Alignment components over the messages of ``keep``, as masks ordered
     by smallest member: each hyperedge (k, I) with k kept merges I & keep."""
-    comps: list[int] = []  # disjoint component masks
-    for k, interf in edges:
-        if keep >> k & 1 and (clique := interf & keep):
-            touched = [c for c in comps if c & clique]
-            comps = [c for c in comps if not c & clique] + [reduce(or_, touched, clique)]
+    comps = _merge([interf & keep for k, interf in edges if keep >> k & 1])
     comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
     return tuple(sorted(comps, key=lambda c: c & -c))
 
@@ -131,20 +143,38 @@ class Problem:
     @cached_property
     def conflict_pairs(self) -> frozenset[ConflictPair]:
         """Unordered conflict pairs: a demanded message versus each interferer."""
-        return frozenset((min(i, k), max(i, k)) for k, interf in self.hyperedges for i in interf)
+        conf = self.bits.conf
+        return frozenset((a, b) for a in range(1, self.n + 1) for b in _iter_bits((conf[a] >> (a + 1)) << (a + 1)))
 
     @cached_property
     def bits(self) -> HypergraphBits:
-        """``hyperedges`` and ``conflict_pairs`` as int bitmasks, derived once."""
-        edges = tuple(sorted((k, _to_mask(interf)) for k, interf in self.hyperedges))
-        sets = tuple(sorted({s for _, s in edges}, key=lambda s: (-s.bit_count(), s)))
+        """The conflict hypergraph as int bitmasks, built from the receivers:
+        one mask per receiver, each demand k clearing bit k of it, and each
+        distinct interfering set mapped to the mask of the messages demanded
+        against it.  ``conf`` is that map together with its transpose."""
+        against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
+        pairs: set[tuple[int, int]] = set()
+        full, bit = self.messages, [1 << m for m in range(self.n + 1)]
+        for r in self.receivers:
+            base = sum(map(bit.__getitem__, full.difference(r.side_info)))  # distinct bits: sum is or
+            for k in r.demands:
+                if interf := base ^ bit[k]:
+                    against[interf] = against.get(interf, 0) | bit[k]
+                    pairs.add((k, interf))
+        edges = tuple(sorted(pairs))
+        sets = tuple(sorted(against, key=lambda s: (-s.bit_count(), s)))
         sets_with, near, conf = [0] * (self.n + 1), [0] * (self.n + 1), [0] * (self.n + 1)
         for idx, s in enumerate(sets):
-            for m in _iter_bits(s):
-                sets_with[m] |= 1 << idx
+            ks, here, rest = against[s], 1 << idx, s
+            while rest:  # _iter_bits inlined: this loop runs once per member of each set
+                low = rest & -rest
+                m = low.bit_length() - 1
+                sets_with[m] |= here
                 near[m] |= s
-        for a, b in self.conflict_pairs:
-            conf[a], conf[b] = conf[a] | 1 << b, conf[b] | 1 << a
+                conf[m] |= ks
+                rest ^= low
+        for k, s in edges:
+            conf[k] |= s
         return HypergraphBits(edges, sets, tuple(sets_with), tuple(near), tuple(conf))
 
     @cached_property

@@ -3,15 +3,19 @@
 Alignment graph/sets, forks and cycles, acyclic quadruples, triangular
 interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
-construction.  The conflict hypergraph itself and its conflict pairs are
-``Problem.hyperedges`` and ``Problem.conflict_pairs``; everything here
-reads their integer view ``Problem.bits`` and returns plain values: the
-alignment graph is a frozenset of edges and a triangle an ascending int
-triple.  Fork, cycle and kind are bit counts over ``bits.near``,
-``bits.sets`` and ``bits.conf``.  The full alignment sets are merged once
-per problem, as ``Problem.alignment_components``, and ``structure_report``
-merges the restricted alignment sets of each type-2 set once, for the
-dirty witnesses, the classification and the rate-1/3 construction.
+construction.  Everything here reads ``Problem.bits``, the integer view
+of the conflict hypergraph that ``Problem`` builds from its receivers
+(``Problem.conflict_pairs`` is a view of ``bits.conf``), and returns
+plain values: the alignment graph is a frozenset of edges and a triangle
+an ascending int triple.  Fork, cycle and kind are bit counts over
+``bits.near``, ``bits.sets`` and ``bits.conf``.  Type-2 sets are the
+components of the conflict pairs that lie in triangles, merged per
+message as masks, so the grouping costs no work per triangle when there
+is one component and one lookup per triangle otherwise.  The full
+alignment sets are merged once per problem, as
+``Problem.alignment_components``, and ``structure_report`` merges the
+restricted alignment sets of each type-2 set once, for the dirty
+witnesses, the classification and the rate-1/3 construction.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from itertools import chain
 from operator import or_
 
-from .problem import ConflictPair, Problem, _components, _iter_bits, _to_mask, restriction_members
+from .problem import ConflictPair, Problem, _components, _iter_bits, _merge, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
 Triangle = tuple[int, int, int]  # ascending
@@ -176,35 +181,95 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
 
     Two triangles are adjacent iff their intersection is exactly two
     messages and that pair is in conflict.  Distinct triangles sharing a
-    pair meet in exactly that pair, so a union-find over the conflict
-    pairs (key a * (n + 1) + b) that joins the pairs inside each triangle
-    chains them, and each triangle joins the group of any of its pairs.
-    A group keeps its triangles in listing order, so they stay sorted.
+    pair meet in exactly that pair, so a group is a component of the
+    conflict pairs that lie in triangles, two pairs joined when one
+    triangle holds both (``_pair_components``).  With one component the
+    listing itself is the group.  Otherwise each triangle joins the
+    component of its first conflict pair.  A group keeps its triangles in
+    listing order, so they stay sorted.
     """
     triangles = triangular_interfering_sets(p)
-    conf, width = p.bits.conf, p.n + 1
-    parent: dict[int, int] = {}  # absent keys are roots; memory stays linear in the triangles
-
-    def root(x: int) -> int:
-        while (up := parent.get(x, x)) != x:
-            parent[x] = x = parent.get(up, up)
-        return x
-
-    keys = []
-    for a, b, c in triangles:
-        ca, cb = conf[a], conf[b]
-        # join (a, c) and (b, c), when conflicts, to the first conflict pair
-        first = root(a * width + b if ca >> b & 1 else a * width + c if ca >> c & 1 else b * width + c)
-        if ca >> c & 1:
-            parent[root(a * width + c)] = first
-        if cb >> c & 1:
-            parent[root(b * width + c)] = first
-        keys.append(first)
-    comps: dict[int, list[Triangle]] = {}
-    for t, key in zip(triangles, keys):
-        comps.setdefault(root(key), []).append(t)
-    out = [Type2AlignmentSet(tuple(g), frozenset().union(*g)) for g in comps.values()]
+    if not triangles:
+        return []
+    nodes, comp, components, union = _pair_components(p)
+    if components == 1:
+        return [Type2AlignmentSet(tuple(triangles), frozenset(_iter_bits(union)))]
+    conf = p.bits.conf
+    groups: dict[int, list[Triangle]] = {}
+    for t in triangles:
+        a, b, c = t
+        u, v = (a, b) if conf[a] >> b & 1 else (a, c) if conf[a] >> c & 1 else (b, c)
+        row = nodes[u]
+        node = row[0][1] if len(row) == 1 else next(x for g, x in row if g >> v & 1)
+        groups.setdefault(comp[node], []).append(t)
+    out = [Type2AlignmentSet(tuple(g), frozenset(chain.from_iterable(g))) for g in groups.values()]
     return sorted(out, key=lambda s: sorted(s.messages))
+
+
+def _pair_components(p: Problem) -> tuple[dict[int, list[tuple[int, int]]], dict[int, int], int, int]:
+    """Components of the conflict pairs that lie in triangles.
+
+    Such a pair (a, b) lies in a set S of three or more members, and then
+    b is in the "star" S & conf[a] of a in S; every member of a set with a
+    star is in a triangle.  Two pairs share a component when one triangle
+    holds both: they share a message a, and both partners lie in one star
+    of a.  The stars of each message are merged as masks into its partner
+    groups, each a set of pairs (a, b) within one component.  The group
+    of a that holds b and the group of b that holds a are the same pair,
+    so a search over the groups finds the components.  Each group is a
+    node: message a itself when it has one group, an id above n
+    otherwise.  Returns, per message with a star, its (partner group,
+    node) pairs; the component index of each node; the number of
+    components; and the union of the triangles.
+    """
+    conf = p.bits.conf
+    stars: dict[int, list[int]] = {}
+    union = 0
+    for s in p.bits.sets:
+        if s.bit_count() < 3:
+            break  # the sets are sorted largest first
+        rest = s
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            if star := s & conf[a]:
+                stars.setdefault(a, []).append(star)
+                union |= s
+            rest ^= low
+    single, extra = 0, p.n  # messages with one group; the last id given above n
+    nodes: dict[int, list[tuple[int, int]]] = {}
+    for a, found in stars.items():
+        groups = _merge(found) if len(found) > 1 else found
+        if len(groups) == 1:
+            single |= 1 << a
+            nodes[a] = [(groups[0], a)]
+        else:
+            nodes[a] = [(g, extra + i) for i, g in enumerate(groups, 1)]
+            extra += len(groups)
+    links: dict[int, int] = {}  # node -> mask of the nodes sharing a pair with it
+    for a, row in nodes.items():
+        for g, node in row:
+            links[node] = g & single
+            if g & ~single:
+                for b in _iter_bits(g & ~single):
+                    links[node] |= 1 << next(other for h, other in nodes[b] if h >> a & 1)
+    comp: dict[int, int] = {}  # node -> component index
+    components = 0
+    for start in links:
+        if start not in comp:
+            reach = frontier = 1 << start
+            while frontier:
+                step = 0
+                while frontier:
+                    low = frontier & -frontier
+                    node = low.bit_length() - 1
+                    comp[node] = components
+                    step |= links[node]
+                    frontier ^= low
+                frontier = step & ~reach
+                reach |= frontier
+            components += 1
+    return nodes, comp, components, union
 
 
 def restricted_internal_conflicts(

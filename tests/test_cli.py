@@ -215,6 +215,18 @@ def test_oracle_node_budget_exit_code(fixture_file, monkeypatch, capsys):
     assert "budget of 50 nodes" in err
 
 
+def test_oracle_budget_error_keeps_finished_fields(fixture_file, monkeypatch, capsys):
+    # on ex_inf GF(2) settles length 4 in 40 nodes and GF(3) needs 56: a
+    # budget of 50 per field lets the first finish and stops the second
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_CAP", 50)
+    rc, out, err = run(capsys, "oracle", fixture_file("ex_inf"), "--q", "2,3")
+    assert rc == 3
+    assert out == ""
+    assert "q=2: min length 4, nodes explored 40" in err
+    assert err.index("q=2:") < err.index("GF(3) exceeded its budget of 50 nodes")
+    assert "q=3:" not in err
+
+
 def test_oracle_bad_field_list_is_usage_error(fixture_file, capsys):
     rc, _, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,x")
     assert rc == 2

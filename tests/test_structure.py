@@ -1,13 +1,15 @@
 import random
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations, permutations, product
+from operator import or_
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import random_unicast_problem
-from indexcode.feasibility import check_rate_half
+from indexcode.feasibility import check_rate_half, check_rate_one
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
-from indexcode.problem import Problem, interfering_set, parse_problem, random_problem
+from indexcode.problem import HypergraphBits, Problem, Receiver, interfering_set, parse_problem, random_problem
 from indexcode.structure import (
     AlignmentSetInfo,
     Kind,
@@ -132,13 +134,33 @@ def reference_problem(seed, max_n=16):
     return p
 
 
+def reference_conflict_pairs(p):
+    """Conflict pairs straight from the hyperedges: k against each i in I."""
+    return frozenset((min(i, k), max(i, k)) for k, interf in p.hyperedges for i in interf)
+
+
+def reference_bits(p):
+    """``Problem.bits`` built from the hyperedges and their conflict pairs."""
+    pairs, ids = reference_conflict_pairs(p), range(p.n + 1)
+    edges = tuple(sorted((k, sum(1 << i for i in interf)) for k, interf in p.hyperedges))
+    sets = tuple(sorted({s for _, s in edges}, key=lambda s: (-s.bit_count(), s)))
+    return HypergraphBits(
+        edges,
+        sets,
+        tuple(sum(1 << idx for idx, s in enumerate(sets) if s >> m & 1) for m in ids),
+        tuple(reduce(or_, (s for s in sets if s >> m & 1), 0) for m in ids),
+        tuple(sum(1 << b for b in ids if (min(m, b), max(m, b)) in pairs) for m in ids),
+    )
+
+
 def naive_triangles(p):
     """Every 3-subset of every interfering set that holds a conflict pair,
     as ascending triples in sorted order."""
+    pairs = reference_conflict_pairs(p)
     seen = set()
     for _, interf in p.hyperedges:
         for trio in combinations(sorted(interf), 3):
-            if any(pair in p.conflict_pairs for pair in combinations(trio, 2)):
+            if any(pair in pairs for pair in combinations(trio, 2)):
                 seen.add(trio)
     return sorted(seen)
 
@@ -154,10 +176,11 @@ def naive_type2_sets(p):
     conflict pair it contains; a group's triangles are sorted, and groups
     with the same messages keep the order of their first triangle."""
     triangles = naive_triangles(p)
+    pairs = reference_conflict_pairs(p)
     parent = {}
     for t in triangles:
         for pair in combinations(sorted(t), 2):
-            if pair in p.conflict_pairs:
+            if pair in pairs:
                 parent[_find(parent, pair)] = _find(parent, t)
     groups = {}
     for t in triangles:
@@ -185,7 +208,7 @@ def naive_restricted_internal_conflicts(p, members):
     return [
         (pair, comp)
         for comp in naive_restricted_alignment_sets(p, members)
-        for pair in sorted(p.conflict_pairs)
+        for pair in sorted(reference_conflict_pairs(p))
         if set(pair) <= comp
     ]
 
@@ -201,7 +224,8 @@ def per_set_kind(p, members, type2_sets):
     member pair, and the restricted conflicts of a matching type-2 set."""
     if not any(len(interf & members) >= 3 for _, interf in p.hyperedges):
         return Kind.KIND1
-    if len(members) == 3 and not any(pair in p.conflict_pairs for pair in combinations(sorted(members), 2)):
+    pairs = reference_conflict_pairs(p)
+    if len(members) == 3 and not any(pair in pairs for pair in combinations(sorted(members), 2)):
         return Kind.KIND2
     for t2 in type2_sets:
         if t2.messages == members:
@@ -243,6 +267,39 @@ def test_structure_matches_references_on_corpus():
         )
         seen_kinds |= {info.kind for info in report.alignment_sets}
     assert seen_kinds == set(Kind)
+
+
+def test_type2_grouping_matches_reference_past_n10():
+    # both paths of the grouping: one component, where the listing is the
+    # group, and several, where each triangle joins its first pair's group
+    groups = []
+    for n, density, seed in product((12, 16), (0.7, 0.85), range(10)):
+        p = random_problem(n, density, seed=seed)
+        found = [(t.triangles, t.messages) for t in type2_alignment_sets(p)]
+        assert found == naive_type2_sets(p)
+        groups.append(len(found))
+    assert 1 in groups
+    assert any(g > 1 for g in groups)
+
+
+def test_bits_match_hyperedge_reference():
+    # duplicated receivers, groupcast demands and an interfering set
+    # emptied by side information must all give the reference's view
+    doubled = [Problem(p.n, p.receivers + p.receivers[::2]) for p in map(reference_problem, range(20))]
+    empty = Problem(3, (Receiver(frozenset({1}), frozenset({2, 3})), Receiver(frozenset({2, 3}), frozenset())))
+    problems = (
+        [reference_problem(seed) for seed in range(150)]
+        + [load_fixture(f) for f in FIXTURE_NAMES]
+        + [random_problem(n, 0.5, single_unicast=False, seed=seed) for n in (5, 12, 24) for seed in range(4)]
+        + doubled
+        + [empty, Problem(2, (Receiver(frozenset({1}), frozenset({2})),))]
+    )
+    assert empty.bits.edges == ((2, 0b1010), (3, 0b0110))  # receiver 1 adds no edge
+    for p in problems:
+        assert p.bits == reference_bits(p)
+        pairs = reference_conflict_pairs(p)
+        assert p.conflict_pairs == pairs
+        assert check_rate_one(p).conflict_witness == (min(pairs) if pairs else None)
 
 
 @given(st.integers(0, 400))
