@@ -7,22 +7,27 @@ receiver (the linear decodability criterion of Bar-Yossef, Birk, Jayram
 and Kol, "Index coding with side information", FOCS 2006).  That
 criterion depends only on v_k and the set of distinct vectors on
 Interf_k(j), and constructed codes share one vector across a whole
-alignment set, so a code has few distinct vectors.  ``verify`` and
-``decode_all`` read ``Problem.demand_edges``, key each (j, k) by the
-index of v_k and the indexes of the distinct vectors of Interf_k(j), and
-do the span work once per distinct vector set: one elimination gives
-``verify`` the residue test and ``decode_all`` the nullspace, and each
-distinct (v_k, set) then costs one reduction or one dot product.
-``decode_all`` needs one decoding functional per distinct (v_k, set);
-one exists exactly when v_k is outside the span, so it raises on an
-unverified code instead of running ``verify`` first.
+alignment set, so a code has few distinct vectors.
+
+``verify`` and ``decode_all`` read one span table per (problem, code).
+It keys each (j, k) of ``Problem.demand_edges`` by the index of v_k and
+the indexes of the distinct vectors of Interf_k(j).  For each distinct
+vector set it holds the rows that span the set's annihilator
+{u : u . v = 0 on the set} (``linalg.nullspace``, fraction-free), and
+for each distinct key either a row r with r . v_k != 0, with that dot,
+or "in span" when there is none.  ``verify`` reads whether the row
+exists; ``decode_all`` scales it by the inverse of the dot into the
+decoding functional, and raises on an unverified code instead of running
+``verify`` first.  The code holds the table of the last problem it was
+checked against, so the code a construction returns decodes with no
+further elimination.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -58,6 +63,8 @@ class ScalarLinearCode:
     length: int
     prime: int
     vectors: tuple[Vector, ...]  # vectors[i - 1] belongs to message i
+    # span table of the last problem the code was checked against
+    _span: _SpanTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # True and 1.0 equal valid values; one exact type test rejects them
@@ -96,6 +103,17 @@ def _check_vector_count(p: Problem, code: ScalarLinearCode) -> None:
 SpanKey = tuple[int, frozenset[int]]  # (index of v_k, indexes of the vectors of Interf_k(j))
 
 
+@dataclass(frozen=True)
+class _SpanTable:
+    """The span work of one (problem, code): every demand edge keyed by
+    ``_span_keys``, and per distinct key an annihilator row r of its vector
+    set with r . v_k != 0 and that dot, or None when v_k is in the span."""
+
+    problem: Problem
+    edges: list[tuple[int, int, SpanKey]]
+    rows: dict[SpanKey, tuple[Vector, int] | None]
+
+
 def _span_keys(p: Problem, code: ScalarLinearCode) -> tuple[list[Vector], list[tuple[int, int, SpanKey]]]:
     """The distinct vectors of ``code`` and (j, k, key) for every demand edge.
 
@@ -110,33 +128,55 @@ def _span_keys(p: Problem, code: ScalarLinearCode) -> tuple[list[Vector], list[t
     return list(index), [(j, k, (ids[k], frozenset(map(get, interf)))) for j, k, interf in p.demand_edges]
 
 
+def _build_span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
+    """One annihilator per distinct vector set, one dot product per row
+    tried for each distinct key, and no modular inverse."""
+    distinct, edges = _span_keys(p, code)
+    length, prime = code.length, code.prime
+    annihilators: dict[frozenset[int], list[Vector]] = {}
+    rows: dict[SpanKey, tuple[Vector, int] | None] = {}
+    get = distinct.__getitem__
+    for _, _, key in edges:
+        if key in rows:
+            continue
+        target, vset = key
+        basis = annihilators.get(vset)
+        if basis is None:
+            basis = annihilators[vset] = linalg.nullspace(list(map(get, vset)), length, prime)
+        v = distinct[target]
+        for r in basis:  # some annihilator row misses v_k iff v_k is outside the span
+            dot = sum(map(mul, r, v)) % prime
+            if dot:
+                rows[key] = r, dot
+                break
+        else:
+            rows[key] = None
+    return _SpanTable(p, edges, rows)
+
+
+def _span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
+    """The table of (``p``, ``code``), built on the first check against ``p``."""
+    table = code._span
+    if table is None or table.problem is not p:
+        table = _build_span_table(p, code)
+        object.__setattr__(code, "_span", table)
+    return table
+
+
 def verify(p: Problem, code: ScalarLinearCode, attempts_used: int = 0) -> VerificationResult:
     """Check the resolved-conflicts criterion for every receiver and demand.
 
-    One elimination per distinct vector set of an interfering set, and one
-    reduction of v_k against it per distinct key; the answer is reported
-    for every (j, k) with that key, as ``(j, k)`` violations in receiver
-    order with k ascending.
+    Reads the span table: (j, k) is a violation when its key has no
+    annihilator row that misses v_k.  Violations come in receiver order
+    with k ascending.
     """
-    distinct, edges = _span_keys(p, code)
-    prime = code.prime
+    table = _span_table(p, code)
+    rows = table.rows
+    violations = tuple((j, k) for j, k, key in table.edges if rows[key] is None)
     zeros = tuple(i for i, v in enumerate(code.vectors, start=1) if not any(v))
-    bases: dict[frozenset[int], tuple[list[list[int]], list[int]]] = {}
-    resolved: dict[SpanKey, bool] = {}
-    violations = []
-    for j, k, key in edges:
-        ok = resolved.get(key)
-        if ok is None:
-            target, vset = key
-            basis = bases.get(vset)
-            if basis is None:
-                basis = bases[vset] = linalg.rref([distinct[i] for i in vset], prime)
-            ok = resolved[key] = any(linalg.reduce_against(distinct[target], *basis, prime))
-        if not ok:
-            violations.append((j, k))
     return VerificationResult(
         ok=not violations and not zeros,
-        violations=tuple(violations),
+        violations=violations,
         zero_vector_messages=zeros,
         attempts_used=attempts_used,
     )
@@ -240,32 +280,20 @@ _UNVERIFIED = "decode_all called with a code that fails verification"
 
 def _decoding_functionals(p: Problem, code: ScalarLinearCode) -> list[tuple[int, int, Vector]]:
     """(j, k, u) for every demand edge, u . v_k = 1 and u . v_i = 0 on
-    Interf_k(j): one nullspace per distinct vector set, one u per distinct
+    Interf_k(j): the span table's row for the key, scaled once per distinct
     key.  Raises ``CodecError`` exactly when ``verify`` would fail."""
-    distinct, edges = _span_keys(p, code)
-    length, prime = code.length, code.prime
+    table = _span_table(p, code)
     if not all(map(any, code.vectors)):
         raise CodecError(_UNVERIFIED)
-    nullspaces: dict[frozenset[int], list[Vector]] = {}
+    prime = code.prime
     functionals: dict[SpanKey, Vector] = {}
-    out = []
-    for j, k, key in edges:
-        u = functionals.get(key)
-        if u is None:
-            target, vset = key
-            null = nullspaces.get(vset)
-            if null is None:
-                null = nullspaces[vset] = linalg.nullspace([distinct[i] for i in vset], length, prime)
-            for candidate in null:
-                dot = sum(map(mul, candidate, distinct[target])) % prime
-                if dot:  # some nullspace vector misses v_k iff v_k is outside the span
-                    scale = pow(dot, -1, prime)
-                    u = functionals[key] = tuple(x * scale % prime for x in candidate)
-                    break
-            else:
-                raise CodecError(_UNVERIFIED)
-        out.append((j, k, u))
-    return out
+    for key, entry in table.rows.items():
+        if entry is None:
+            raise CodecError(_UNVERIFIED)
+        row, dot = entry
+        scale = pow(dot, -1, prime)
+        functionals[key] = tuple([x * scale % prime for x in row])
+    return [(j, k, functionals[key]) for j, k, key in table.edges]
 
 
 def decode_all(
@@ -279,11 +307,10 @@ def decode_all(
     ``side_symbols[j - 1]`` maps each message in S(j) to its symbol.  The
     receiver subtracts the known side-information contribution, then
     recovers each demanded symbol through a functional that annihilates
-    the interfering span, computed once per distinct key of v_k and the
-    vector set of Interf_k(j).  Raises ``CodecError`` on every code that
-    ``verify`` refuses (a zero vector, or a demand with no such
-    functional), since uniqueness would be lost, and on a codeword whose
-    length is not the code length.
+    the interfering span, read from the span table of (``p``, ``code``).
+    Raises ``CodecError`` on every code that ``verify`` refuses (a zero
+    vector, or a demand with no such functional), since uniqueness would
+    be lost, and on a codeword whose length is not the code length.
     """
     functionals = _decoding_functionals(p, code)
     if len(codeword) != code.length:
@@ -303,8 +330,12 @@ def decode_all(
     for j, (r, known) in enumerate(zip(p.receivers, side_symbols), start=1):
         if known.keys() != r.side_info:
             raise CodecError(f"receiver {j}: side symbols must cover exactly S(j)")
-        # sum of w_i * v_i over S(j), each w_i reduced mod p, in one C-level sum
-        total = sum(map(mul, map(packed.__getitem__, known), map(prime.__rmod__, known.values())))
+        # sum of w_i * v_i over S(j) in one C-level sum; the lane bound needs
+        # each w_i in [0, p), so the symbols are reduced only when one is not
+        symbols = known.values()
+        if symbols and (min(symbols) < 0 or max(symbols) >= prime):
+            symbols = map(prime.__rmod__, symbols)
+        total = sum(map(mul, map(packed.__getitem__, known), symbols))
         residuals.append([(c - (total >> s & lane)) % prime for c, s in zip(codeword, shifts)])
     out: list[dict[int, int]] = [{} for _ in p.receivers]
     for j, k, u in functionals:

@@ -9,6 +9,7 @@ enough.
 from __future__ import annotations
 
 import random
+from operator import mul
 
 Vector = tuple[int, ...]
 
@@ -117,16 +118,30 @@ def in_span(v: Vector, vectors: list[Vector] | tuple[Vector, ...], p: int) -> bo
 
 
 def nullspace(rows: list[Vector] | tuple[Vector, ...], length: int, p: int) -> list[Vector]:
-    """Basis of ``{u : row . u = 0 for every row}`` over GF(p)."""
-    reduced, pivots = rref(list(rows), p)
-    free_cols = [c for c in range(length) if c not in pivots]
-    basis: list[Vector] = []
-    for free in free_cols:
-        u = [0] * length
-        u[free] = 1
-        for row, col in zip(reduced, pivots):
-            u[col] = (-row[free]) % p
-        basis.append(tuple(u))
+    """Basis of ``{u : row . u = 0 for every row}`` over GF(p).
+
+    Fraction-free: start from the unit vectors of GF(p)^length.  For each
+    row, the first basis vector u0 with a nonzero dot d0 = u0 . row is the
+    pivot; every other u with a nonzero dot d becomes d0 * u - d * u0, and
+    u0 is dropped.  Each step leaves a basis of the vectors that also
+    annihilate that row, so a row in the span of the earlier ones changes
+    nothing, and no step needs a modular inverse.
+    """
+    if not {length}.issuperset(map(len, rows)):
+        raise LinalgError(f"rows must have length {length}")
+    basis = [(0,) * i + (1,) + (0,) * (length - 1 - i) for i in range(length)]
+    for row in rows:
+        dots = [sum(map(mul, u, row)) % p for u in basis]
+        for pivot, d0 in enumerate(dots):
+            if d0:
+                break
+        else:
+            continue
+        u0 = basis.pop(pivot)
+        del dots[pivot]
+        basis = [tuple([(d0 * a - d * b) % p for a, b in zip(u, u0)]) if d else u for u, d in zip(basis, dots)]
+        if not basis:
+            break
     return basis
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from corpusgen import (
     random_unicast_problem,
     shared_hypergraph_pair,
 )
-from indexcode import linalg
+from indexcode import codec, linalg
 from indexcode.codec import (
     AttemptsExhausted,
     CodecError,
@@ -448,6 +449,19 @@ def test_decode_all_side_sums_at_their_largest():
     assert decoded == [{j: prime - 1} for j in range(1, n + 1)]
 
 
+def test_decode_all_negative_side_symbols():
+    # symbols congruent to the payload but negative must be reduced before
+    # they enter the packed side-information sum, which has no sign lanes
+    p = load_fixture("ex_feas")
+    code = explicit_assignment()
+    payload = [EXPLICIT_PRIME - 1, 0, 1, 500, EXPLICIT_PRIME - 2, 7]
+    side = [{i: payload[i - 1] - EXPLICIT_PRIME * (1 + i % 3) for i in r.side_info} for r in p.receivers]
+    assert any(w < -EXPLICIT_PRIME for known in side for w in known.values())
+    decoded = decode_all(p, code, encode(code, payload), side)
+    assert decoded == [{k: payload[k - 1] for k in r.demands} for r in p.receivers]
+    assert decoded == reference_decode_all(p, code, encode(code, payload), side)
+
+
 @given(
     st.sampled_from(PRIMES).flatmap(
         lambda prime: st.integers(1, 4).flatmap(
@@ -488,3 +502,80 @@ def test_code_json_roundtrip():
     # arithmetic assumes word-size moduli
     with pytest.raises(CodecError, match="64 bits"):
         code_from_json(json.dumps({"length": 1, "prime": 2**89 - 1, "vectors": [[1]]}))
+
+
+def span_table_problems():
+    """Three problems on the six messages of ``explicit_assignment``: one it
+    resolves, one with no interference at all, and one it violates."""
+    unit = Problem(6, tuple(Receiver(frozenset({j}), frozenset(range(1, 7)) - {j}) for j in range(1, 7)))
+    blind = parse_problem(
+        '{"n": 6, "receivers": [{"demands": [1], "side_info": []}, {"demands": [2, 3, 4, 5, 6], "side_info": []}]}'
+    )
+    return load_fixture("ex_feas"), unit, blind
+
+
+@pytest.mark.parametrize("order", list(permutations(range(3))))
+def test_span_table_follows_the_problem(order):
+    # one code checked against problems that differ, in every order and
+    # back to the first: each answer is that problem's reference answer
+    problems = span_table_problems()
+    code = explicit_assignment()
+    rng = random.Random(sum(order))
+    for i in (*order, order[0]):
+        p = problems[i]
+        codeword, side = random_roundtrip_inputs(rng, p, code)
+        for _ in range(2):  # decode, verify, and both once more
+            ok, violations, zeros = reference_verify(p, code)
+            if ok:
+                assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
+            else:
+                with pytest.raises(CodecError, match="fails verification"):
+                    decode_all(p, code, codeword, side)
+            result = verify(p, code)
+            assert (result.ok, result.violations, result.zero_vector_messages) == (ok, violations, zeros)
+    assert [reference_verify(p, code)[0] for p in problems] == [True, True, False]
+
+
+def test_parsed_code_decodes_like_the_verified_original():
+    rng = random.Random(3)
+    for p, code in islice(verifying_codes(), 40):
+        assert verify(p, code).ok
+        parsed = code_from_json(code_to_json(code))
+        assert parsed == code and parsed._span is None
+        codeword, side = random_roundtrip_inputs(rng, p, code)
+        assert decode_all(p, parsed, codeword, side) == decode_all(p, code, codeword, side)
+
+
+def test_one_span_table_per_problem_and_code(monkeypatch):
+    builds = []
+    build = codec._build_span_table
+
+    def counted(p, code):
+        builds.append(code)
+        return build(p, code)
+
+    monkeypatch.setattr(codec, "_build_span_table", counted)
+    p = load_fixture("p5")
+    code, result = construct_rate_third(p, prime=3, rng=random.Random(0))
+    assert result.attempts_used == len(builds) == 7  # one table per drawn code
+    rng = random.Random(5)
+    for _ in range(3):
+        codeword, side = random_roundtrip_inputs(rng, p, code)
+        assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
+    assert len(builds) == 7
+
+    def no_inverse(base, exp, mod=None):
+        assert exp >= 0, "verify computed a modular inverse"
+        return pow(base, exp, mod)
+
+    # verify of a parsed copy, as the CLI runs it, builds its own table
+    # with no modular inverse, and the copy then decodes from that table
+    parsed = code_from_json(code_to_json(code))
+    with monkeypatch.context() as m:
+        m.setattr(codec, "pow", no_inverse, raising=False)
+        m.setattr(linalg, "pow", no_inverse, raising=False)
+        assert verify(p, parsed).ok
+    assert len(builds) == 8 and builds[-1] is parsed
+    codeword, side = random_roundtrip_inputs(rng, p, code)
+    assert decode_all(p, parsed, codeword, side) == decode_all(p, code, codeword, side)
+    assert len(builds) == 8

@@ -119,6 +119,32 @@ def test_nullspace_annihilates_rows():
     assert len(nullspace(rows, 4, 7)) == 4 - rank(rows, 7)
 
 
+@given(
+    st.sampled_from((2, 3, 5, linalg.DEFAULT_PRIME)).flatmap(
+        lambda p: st.integers(1, 4).flatmap(
+            lambda length: st.tuples(
+                st.just(p), st.just(length), st.lists(st.tuples(*[st.integers(-2 * p, 2 * p)] * length), max_size=6)
+            )
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_nullspace_is_a_basis_of_the_annihilator(case):
+    # rows may repeat, depend on each other, be zero or hold entries outside [0, p)
+    p, length, rows = case
+    basis = nullspace(rows, length, p)
+    assert len(basis) == length - rank(rows, p)
+    assert rank(basis, p) == len(basis)
+    for u in basis:
+        assert all(0 <= x < p for x in u)
+        assert all(sum(a * b for a, b in zip(row, u)) % p == 0 for row in rows)
+
+
+def test_nullspace_rejects_rows_of_another_length():
+    with pytest.raises(linalg.LinalgError, match="length 3"):
+        nullspace([E1, (1, 0)], 3, 7)
+
+
 def test_invert_matrix_roundtrip():
     m = [[1, 2, 0], [0, 1, 4], [3, 0, 1]]
     inv = invert_matrix(m, 7)
