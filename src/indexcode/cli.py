@@ -109,9 +109,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     summary = []
     for q, result in zip(args.q, results):
         summary.append(f"{_shown(result, args.max_len)} (q={q})")
-        if result.witness is not None and args.output:
-            _write(args.output, codec.code_to_json(result.witness))
         print(f"q={q}: nodes explored {result.nodes_explored}", file=sys.stderr)
+    witnesses = [result.witness for result in results if result.witness is not None]
+    if witnesses and args.output:
+        # min keeps the first of equal lengths: ties go to the field listed first
+        _write(args.output, codec.code_to_json(min(witnesses, key=lambda code: code.length)))
     print("min length: " + ", ".join(summary))
     print(
         "note: lengths are field-relative; absence over the tested fields is not "

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -163,7 +164,7 @@ def _span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
     return table
 
 
-def verify(p: Problem, code: ScalarLinearCode, attempts_used: int = 0) -> VerificationResult:
+def verify(p: Problem, code: ScalarLinearCode) -> VerificationResult:
     """Check the resolved-conflicts criterion for every receiver and demand.
 
     Reads the span table: (j, k) is a violation when its key has no
@@ -178,7 +179,22 @@ def verify(p: Problem, code: ScalarLinearCode, attempts_used: int = 0) -> Verifi
         ok=not violations and not zeros,
         violations=violations,
         zero_vector_messages=zeros,
-        attempts_used=attempts_used,
+    )
+
+
+def _first_verified(
+    p: Problem, length: int, prime: int, draw: Callable[[], list[Vector]], max_attempts: int
+) -> tuple[ScalarLinearCode, VerificationResult]:
+    """Redraw the whole assignment with ``draw()`` until ``verify`` passes;
+    the result records the attempt that passed."""
+    for attempt in range(1, max_attempts + 1):
+        code = ScalarLinearCode(length=length, prime=prime, vectors=tuple(draw()))
+        result = verify(p, code)
+        if result.ok:
+            return code, replace(result, attempts_used=attempt)
+    raise AttemptsExhausted(
+        f"no verified length-{length} code in {max_attempts} attempts over GF({prime}); "
+        "the field is likely too small"
     )
 
 
@@ -201,20 +217,16 @@ def construct_rate_half(
         )
     rng = rng or random.Random(0)
     sets = alignment_sets(p)
-    for attempt in range(1, max_attempts + 1):
+
+    def draw() -> list[Vector]:
         vectors: list[Vector] = [()] * p.n
         for comp in sets:
             v = linalg.random_nonzero_vector(2, prime, rng)
             for m in comp:
                 vectors[m - 1] = v
-        code = ScalarLinearCode(length=2, prime=prime, vectors=tuple(vectors))
-        result = verify(p, code, attempts_used=attempt)
-        if result.ok:
-            return code, result
-    raise AttemptsExhausted(
-        f"no verified length-2 code in {max_attempts} attempts over GF({prime}); "
-        "the field is likely too small"
-    )
+        return vectors
+
+    return _first_verified(p, 2, prime, draw, max_attempts)
 
 
 def construct_rate_third(
@@ -238,7 +250,8 @@ def construct_rate_third(
             f"{verdict.status.value}"
         )
     rng = rng or random.Random(0)
-    for attempt in range(1, max_attempts + 1):
+
+    def draw() -> list[Vector]:
         vectors: list[Vector] = [()] * p.n
         for info in report.alignment_sets:
             if info.kind is Kind.KIND1:
@@ -254,14 +267,9 @@ def construct_rate_third(
                     v = linalg.random_vector_in_span(plane, prime, rng)
                     for m in comp:
                         vectors[m - 1] = v
-        code = ScalarLinearCode(length=3, prime=prime, vectors=tuple(vectors))
-        result = verify(p, code, attempts_used=attempt)
-        if result.ok:
-            return code, result
-    raise AttemptsExhausted(
-        f"no verified length-3 code in {max_attempts} attempts over GF({prime}); "
-        "the field is likely too small"
-    )
+        return vectors
+
+    return _first_verified(p, 3, prime, draw, max_attempts)
 
 
 def encode(code: ScalarLinearCode, payload: list[int] | tuple[int, ...]) -> Vector:
@@ -348,25 +356,23 @@ def project_type2_assignment(
 ) -> tuple[Problem, dict[int, int], ScalarLinearCode]:
     """Collapse a two-dimensional length-3 assignment on ``members`` to length 2.
 
-    Computes a basis of the span of the member vectors (which must be
-    two-dimensional), builds the 2x3 map sending that basis to the unit
-    vectors, and applies it.  Returns the restricted problem, the id
+    The member vectors must span a plane.  Its RREF basis b0, b1 has 1 at
+    its own pivot column c0 or c1 and 0 at the other, so every v in the
+    plane is v[c0] * b0 + v[c1] * b1, and (v[c0], v[c1]) are its
+    coordinates in that basis.  Returns the restricted problem, the id
     mapping, and the projected length-2 code for it.
     """
-    member_vectors = [code.vector(m) for m in sorted(members)]
-    reduced, pivots = linalg.rref(member_vectors, code.prime)
+    _, pivots = linalg.rref([code.vector(m) for m in sorted(members)], code.prime)
     if len(pivots) != 2:
         raise CodecError(
             f"member vectors span {len(pivots)} dimensions, expected exactly 2"
         )
-    basis = [tuple(row) for row in reduced]
-    full = linalg.extend_to_basis(basis, code.length, code.prime)
-    columns = [[full[c][r] for c in range(code.length)] for r in range(code.length)]
-    projector = linalg.invert_matrix(columns, code.prime)[:2]
+    c0, c1 = pivots
     restricted, mapping = restrict_problem(p, members)
     projected = [()] * restricted.n
     for old, new in mapping.items():
-        projected[new - 1] = linalg.mat_vec(projector, code.vector(old), code.prime)
+        v = code.vector(old)
+        projected[new - 1] = (v[c0], v[c1])
     l2 = ScalarLinearCode(length=2, prime=code.prime, vectors=tuple(projected))
     return restricted, mapping, l2
 

@@ -145,36 +145,6 @@ def nullspace(rows: list[Vector] | tuple[Vector, ...], length: int, p: int) -> l
     return basis
 
 
-def invert_matrix(rows: list[Vector] | list[list[int]], p: int) -> list[list[int]]:
-    """Inverse of a square matrix over GF(p) via Gauss-Jordan."""
-    m = len(rows)
-    if any(len(r) != m for r in rows):
-        raise LinalgError("matrix is not square")
-    aug = [[x % p for x in row] + [int(i == j) for j in range(m)] for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug, p)
-    if pivots != list(range(m)):
-        raise LinalgError("matrix is singular")
-    return [row[m:] for row in reduced]
-
-
-def mat_vec(rows: list[Vector] | list[list[int]], v: Vector, p: int) -> Vector:
-    return tuple(sum(a * b for a, b in zip(row, v)) % p for row in rows)
-
-
-def extend_to_basis(vectors: list[Vector], length: int, p: int) -> list[Vector]:
-    """Extend ``vectors`` to a full basis of GF(p)^length with unit vectors."""
-    basis = list(vectors)
-    for i in range(length):
-        if len(basis) == length:
-            break
-        unit = tuple(int(j == i) for j in range(length))
-        if not in_span(unit, basis, p):
-            basis.append(unit)
-    if rank(basis, p) != length:
-        raise LinalgError("could not extend to a full basis")
-    return basis
-
-
 #: Draws each random helper below makes before it gives up; at any
 #: reasonable modulus a single retry is already unlikely, and the cap
 #: turns a tiny field into an error instead of a spin.

@@ -12,8 +12,8 @@ import json
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain
+from functools import cached_property, partial, reduce
+from itertools import chain, count, filterfalse, islice
 from operator import or_
 
 ConflictPair = tuple[int, int]  # always stored with a < b
@@ -65,6 +65,20 @@ def _components(edges: Iterable[tuple[int, int]], keep: int) -> tuple[int, ...]:
     return tuple(sorted(comps, key=lambda c: c & -c))
 
 
+def _all_message_ids(ms: Iterable[object], n: int) -> bool:
+    """Whether each of ``ms`` equals one of the ids 1..n, as a lookup in a
+    set of them would find, with no such set: a non-int equal to an id
+    (``2.0``, ``True``) passes, and ``Problem`` then refuses its type."""
+    for m in ms:
+        try:
+            i = int(m)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if not (0 < i <= n and i == m):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class HypergraphBits:
     """Integer view of the conflict hypergraph, bit m for message m."""
@@ -94,6 +108,12 @@ class Problem:
             raise ProblemError(f"need at least one message, got n={self.n}")
         if not self.receivers:
             raise ProblemError("need at least one receiver")
+        # ``messages`` is built only while it is no larger than the lists of
+        # ids, so a tiny file with a huge n allocates nothing of size n
+        if self.n <= sum(len(r.demands) + len(r.side_info) for r in self.receivers):
+            in_range = self.messages.issuperset
+        else:
+            in_range = partial(_all_message_ids, n=self.n)
         for j, r in enumerate(self.receivers, start=1):
             if not r.demands:
                 raise ProblemError(f"receiver {j}: empty demand set")
@@ -102,8 +122,8 @@ class Problem:
                     f"receiver {j}: demands overlap side info: "
                     f"{sorted(r.demands & r.side_info)}"
                 )
-            if not (r.demands <= self.messages and r.side_info <= self.messages):
-                m = min((r.demands | r.side_info) - self.messages, key=repr)
+            if not (in_range(r.demands) and in_range(r.side_info)):
+                m = min((m for m in r.demands | r.side_info if not in_range((m,))), key=repr)
                 also = "" if type(m) is int else " and not an integer"
                 raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]{also}")
         # 2.0 and True equal ids in range; one exact type test over every id
@@ -139,12 +159,6 @@ class Problem:
         """The conflict hypergraph, distinct nonempty (k, Interf_k(j)); every
         structural quantity depends only on it, so it is derived once."""
         return frozenset((k, interf) for _, k, interf in self.demand_edges if interf)
-
-    @cached_property
-    def conflict_pairs(self) -> frozenset[ConflictPair]:
-        """Unordered conflict pairs: a demanded message versus each interferer."""
-        conf = self.bits.conf
-        return frozenset((a, b) for a in range(1, self.n + 1) for b in _iter_bits((conf[a] >> (a + 1)) << (a + 1)))
 
     @cached_property
     def bits(self) -> HypergraphBits:
@@ -186,19 +200,17 @@ class Problem:
 _SHOWN_IDS = 10  # ids an error lists before it gives only the count
 
 
-def undemanded_messages(p: Problem) -> frozenset[int]:
-    demanded: set[int] = set()
-    for r in p.receivers:
-        demanded |= r.demands
-    return p.messages - demanded
-
-
 def check_groupcast_complete(p: Problem) -> None:
-    missing = undemanded_messages(p)
-    if missing:
-        ids = sorted(missing)
-        more = f" and {len(ids) - _SHOWN_IDS} more, {len(ids)} in all" if len(ids) > _SHOWN_IDS else ""
-        raise ProblemError(f"messages demanded by no receiver: {ids[:_SHOWN_IDS]}{more}")
+    """Refuse a problem with an undemanded message, in memory linear in the
+    demands rather than in ``n``: ``Problem`` has checked that every
+    demand is an int id in 1..n, so the demands cover fewer than n ids
+    exactly when some message is undemanded."""
+    demanded = frozenset().union(*(r.demands for r in p.receivers))
+    total = p.n - len(demanded)
+    if total:
+        shown = list(islice(filterfalse(demanded.__contains__, count(1)), _SHOWN_IDS))
+        more = f" and {total - _SHOWN_IDS} more, {total} in all" if total > _SHOWN_IDS else ""
+        raise ProblemError(f"messages demanded by no receiver: {shown}{more}")
 
 
 def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:
@@ -217,8 +229,10 @@ def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:
 
 
 def conflicts(p: Problem) -> frozenset[ConflictPair]:
-    """Unordered conflict pairs: a demanded message versus each interferer."""
-    return p.conflict_pairs
+    """Unordered conflict pairs: a demanded message versus each interferer,
+    read from ``Problem.bits``."""
+    conf = p.bits.conf
+    return frozenset((a, b) for a in range(1, p.n + 1) for b in _iter_bits((conf[a] >> (a + 1)) << (a + 1)))
 
 
 def restriction_members(p: Problem, members: frozenset[int] | set[int]) -> frozenset[int]:

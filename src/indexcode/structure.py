@@ -5,7 +5,7 @@ interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
 construction.  Everything here reads ``Problem.bits``, the integer view
 of the conflict hypergraph that ``Problem`` builds from its receivers
-(``Problem.conflict_pairs`` is a view of ``bits.conf``), and returns
+(``problem.conflicts`` reads the pairs from ``bits.conf``), and returns
 plain values: the alignment graph is a frozenset of edges and a triangle
 an ascending int triple.  Fork, cycle and kind are bit counts over
 ``bits.near``, ``bits.sets`` and ``bits.conf``.  Type-2 sets are the
@@ -79,18 +79,14 @@ def alignment_sets(p: Problem) -> list[frozenset[int]]:
     return [frozenset(_iter_bits(c)) for c in p.alignment_components]
 
 
-def restricted_alignment_sets(p: Problem, members: frozenset[int] | set[int]) -> list[frozenset[int]]:
-    """Alignment sets of the problem restricted to ``members``, in original ids.
+def _restricted_components(p: Problem, members: frozenset[int] | set[int]) -> tuple[int, ...]:
+    """Alignment sets of the problem restricted to ``members``, as masks of
+    original ids ordered by smallest member.
 
     Restriction keeps each hyperedge (k, I) with k in ``members`` as
     (k, I & members), and each restricted interfering set is a clique of
     the restricted alignment graph, so no restricted problem is built.
     """
-    return [frozenset(_iter_bits(c)) for c in _restricted_components(p, members)]
-
-
-def _restricted_components(p: Problem, members: frozenset[int] | set[int]) -> tuple[int, ...]:
-    """``restricted_alignment_sets`` as masks, ordered by smallest member."""
     return _components(p.bits.edges, _to_mask(restriction_members(p, members)))
 
 

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +11,8 @@ from indexcode import linalg, oracle
 from indexcode.cli import main
 from indexcode.fixtures import fixture_text
 from indexcode.problem import parse_problem
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -252,6 +259,29 @@ def test_oracle_witness_output(fixture_file, tmp_path, capsys):
     assert out.startswith("OK")
 
 
+def test_oracle_writes_the_shortest_witness_over_all_fields(tmp_path, capsys):
+    # length 2 over GF(3) and length 3 over GF(2): the GF(3) code is the
+    # shortest although GF(2) is searched last
+    problem_path, out_path = str(tmp_path / "g.json"), tmp_path / "w.json"
+    rc, _, _ = run(capsys, "gen", "-n", "10", "--density", "0.85", "--seed", "21", "-o", problem_path)
+    assert rc == 0
+    rc, out, _ = run(capsys, "oracle", problem_path, "--q", "3,2", "-o", str(out_path))
+    assert rc == 0
+    assert "min length: 2 (q=3), 3 (q=2)" in out
+    witness = json.loads(out_path.read_text())
+    assert (witness["length"], witness["prime"]) == (2, 3)
+    rc, out, _ = run(capsys, "verify", problem_path, str(out_path))
+    assert out.startswith("OK")
+
+
+def test_oracle_witness_tie_goes_to_the_first_field(fixture_file, tmp_path, capsys):
+    out_path = tmp_path / "w.json"
+    rc, out, _ = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,3", "--max-len", "3", "-o", str(out_path))
+    assert rc == 0
+    assert "min length: 3 (q=2), 3 (q=3)" in out
+    assert json.loads(out_path.read_text())["prime"] == 2
+
+
 def test_verify_large_prime_code(fixture_file, tmp_path, capsys):
     code_path = tmp_path / "mersenne.code"
     vectors = [[1, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]
@@ -281,6 +311,34 @@ def test_bad_input_exit_code(tmp_path, capsys):
         rc, _, err = run(capsys, "analyze", str(path))
         assert rc == 3
         assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "demand, error",
+    [
+        (1, "messages demanded by no receiver: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 999999989 more, 999999999 in all"),
+        (0, "receiver 1: message id 0 out of range [1..1000000000]"),
+    ],
+    ids=["undemanded", "out-of-range"],
+)
+def test_huge_n_with_few_ids_is_rejected_in_bounded_memory(tmp_path, demand, error):
+    # n = 10**9 and one demand: the file must be refused before any set of
+    # size n exists, which under a 1 GB address-space limit ended in a
+    # MemoryError traceback
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "receivers": [{"demands": [%d], "side_info": []}]}' % demand)
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "indexcode.cli", "analyze", str(path)],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: {error}\n"
 
 
 def test_missing_file_exit_code(capsys):

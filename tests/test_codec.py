@@ -370,6 +370,24 @@ def test_projection_of_type2_plane():
     restricted, mapping, l2 = project_type2_assignment(p, code, frozenset({1, 2, 3}))
     assert l2.length == 2
     assert verify(restricted, l2).ok
+    # recorded when the projection still inverted an extended basis: the
+    # RREF pivots of this plane are columns 0 and 1
+    assert mapping == {1: 1, 2: 2, 3: 3}
+    assert l2.vectors == ((75608415, 595555498), (1783476025, 1963179646), (1607641852, 932507960))
+
+
+@pytest.mark.parametrize(
+    "vectors, rank",
+    [
+        (((1, 2, 0), (2, 4, 0), (3, 6, 0), (0, 0, 1), (1, 0, 0)), 1),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)), 3),
+    ],
+)
+def test_projection_rejects_members_not_spanning_a_plane(vectors, rank):
+    p = load_fixture("p5")
+    code = ScalarLinearCode(length=3, prime=7, vectors=vectors)
+    with pytest.raises(CodecError, match=f"span {rank} dimensions, expected exactly 2"):
+        project_type2_assignment(p, code, frozenset({1, 2, 3}))
 
 
 PRIMES = (2, 3, 5, linalg.DEFAULT_PRIME)

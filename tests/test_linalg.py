@@ -6,11 +6,8 @@ from hypothesis import strategies as st
 
 from indexcode import linalg
 from indexcode.linalg import (
-    extend_to_basis,
     in_span,
-    invert_matrix,
     is_prime,
-    mat_vec,
     nullspace,
     random_nonzero_vector,
     random_subspace_basis,
@@ -143,19 +140,6 @@ def test_nullspace_is_a_basis_of_the_annihilator(case):
 def test_nullspace_rejects_rows_of_another_length():
     with pytest.raises(linalg.LinalgError, match="length 3"):
         nullspace([E1, (1, 0)], 3, 7)
-
-
-def test_invert_matrix_roundtrip():
-    m = [[1, 2, 0], [0, 1, 4], [3, 0, 1]]
-    inv = invert_matrix(m, 7)
-    for i in range(3):
-        col = tuple(m[r][i] for r in range(3))
-        assert mat_vec(inv, col, 7) == tuple(int(j == i) for j in range(3))
-
-
-def test_extend_to_basis():
-    full = extend_to_basis([E1], 3, 5)
-    assert rank(full, 5) == 3
 
 
 def test_is_prime():

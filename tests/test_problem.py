@@ -17,7 +17,6 @@ from indexcode.problem import (
     problem_to_json,
     random_problem,
     restrict_problem,
-    undemanded_messages,
 )
 
 
@@ -83,6 +82,25 @@ def test_problem_rejects_true_as_message_id():
         Problem(True, (Receiver(frozenset({1}), frozenset()),))
 
 
+def test_ids_past_the_listed_count_are_checked_without_the_message_set():
+    # n exceeds the ids the receivers list, so Problem tests each id alone
+    # instead of building ``messages``; the verdicts and texts match the
+    # set lookup's
+    n = 10**6
+    p = Problem(n, (Receiver(frozenset({1}), frozenset({n})),))
+    assert "messages" not in p.__dict__
+    for bad, text in (
+        (0, "message id 0 out of range"),
+        (n + 1, f"message id {n + 1} out of range"),
+        (1.5, r"message id 1\.5 out of range \[1\.\.1000000\] and not an integer"),
+        ("2", "message id '2' out of range .* and not an integer"),
+        (2.0, r"message id 2\.0 is not an integer"),
+        (True, "message id True is not an integer"),
+    ):
+        with pytest.raises(ProblemError, match=f"receiver 1: {text}"):
+            Problem(n, (Receiver(frozenset({bad}), frozenset()),))
+
+
 def test_parse_rejects_malformed_json():
     with pytest.raises(ProblemError, match="malformed"):
         parse_problem("{not json")
@@ -102,7 +120,7 @@ def test_undemanded_rejected_by_default_allowed_by_flag():
     with pytest.raises(ProblemError, match="demanded by no receiver"):
         parse_problem(text)
     p = parse_problem(text, allow_undemanded=True)
-    assert undemanded_messages(p) == frozenset({2})
+    assert p.n == 2 and [r.demands for r in p.receivers] == [frozenset({1})]
 
 
 def test_undemanded_error_lists_ten_ids_and_the_count():

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from corpusgen import random_unicast_problem
 from indexcode.feasibility import check_rate_half, check_rate_one
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
-from indexcode.problem import HypergraphBits, Problem, Receiver, interfering_set, parse_problem, random_problem
+from indexcode.problem import (
+    HypergraphBits,
+    Problem,
+    Receiver,
+    conflicts,
+    interfering_set,
+    parse_problem,
+    random_problem,
+)
 from indexcode.structure import (
     AlignmentSetInfo,
     Kind,
@@ -19,7 +27,6 @@ from indexcode.structure import (
     find_acyclic_quadruple,
     has_cycle,
     has_fork,
-    restricted_alignment_sets,
     restricted_internal_conflicts,
     structure_report,
     to_dot,
@@ -66,7 +73,7 @@ def test_hypergraphs_of_motivating_pair():
         (4, frozenset({1, 2, 3})),
     }
     assert ex1a.hyperedges != ex1b.hyperedges
-    assert ex1a.conflict_pairs == ex1b.conflict_pairs
+    assert conflicts(ex1a) == conflicts(ex1b)
     assert alignment_graph(ex1a) == alignment_graph(ex1b)
 
 
@@ -83,12 +90,12 @@ def test_hypergraph_ignores_duplicate_receivers():
         + "}"
     )
     assert p.hyperedges == doubled.hyperedges
-    assert p.conflict_pairs == doubled.conflict_pairs
+    assert conflicts(p) == conflicts(doubled)
 
 
 def test_legacy_conflict_graph_ex_feas():
     p = load_fixture("ex_feas")
-    assert p.conflict_pairs == frozenset(
+    assert conflicts(p) == frozenset(
         {(1, 4), (1, 6), (1, 2), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (5, 6)}
     )
 
@@ -253,7 +260,6 @@ def test_structure_matches_references_on_corpus():
         rng = random.Random(seed)
         subsets = [frozenset(rng.sample(sorted(p.messages), rng.randint(1, p.n))) for _ in range(3)]
         for members in [p.messages] + subsets:
-            assert restricted_alignment_sets(p, members) == naive_restricted_alignment_sets(p, members)
             assert restricted_internal_conflicts(p, members) == naive_restricted_internal_conflicts(p, members)
         report = structure_report(p)
         type2 = type2_alignment_sets(p)
@@ -298,7 +304,7 @@ def test_bits_match_hyperedge_reference():
     for p in problems:
         assert p.bits == reference_bits(p)
         pairs = reference_conflict_pairs(p)
-        assert p.conflict_pairs == pairs
+        assert conflicts(p) == pairs
         assert check_rate_one(p).conflict_witness == (min(pairs) if pairs else None)
 
 
