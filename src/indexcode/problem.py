@@ -13,7 +13,7 @@ import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import chain, count, filterfalse, islice
+from itertools import chain, filterfalse, islice
 from operator import or_
 
 ConflictPair = tuple[int, int]  # always stored with a < b
@@ -109,7 +109,8 @@ class Problem:
         if not self.receivers:
             raise ProblemError("need at least one receiver")
         # ``messages`` is built only while it is no larger than the lists of
-        # ids, so a tiny file with a huge n allocates nothing of size n
+        # ids, so a tiny file with a huge n allocates nothing of size n; the
+        # per-id test is the fallback only, as it doubles Problem() otherwise
         if self.n <= sum(len(r.demands) + len(r.side_info) for r in self.receivers):
             in_range = self.messages.issuperset
         else:
@@ -208,7 +209,7 @@ def check_groupcast_complete(p: Problem) -> None:
     demanded = frozenset().union(*(r.demands for r in p.receivers))
     total = p.n - len(demanded)
     if total:
-        shown = list(islice(filterfalse(demanded.__contains__, count(1)), _SHOWN_IDS))
+        shown = list(islice(filterfalse(demanded.__contains__, range(1, p.n + 1)), _SHOWN_IDS))
         more = f" and {total - _SHOWN_IDS} more, {total} in all" if total > _SHOWN_IDS else ""
         raise ProblemError(f"messages demanded by no receiver: {shown}{more}")
 

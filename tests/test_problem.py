@@ -117,7 +117,7 @@ def test_parse_rejects_malformed_json():
 
 def test_undemanded_rejected_by_default_allowed_by_flag():
     text = '{"n": 2, "receivers": [{"demands": [1], "side_info": []}]}'
-    with pytest.raises(ProblemError, match="demanded by no receiver"):
+    with pytest.raises(ProblemError, match=r"^messages demanded by no receiver: \[2\]$"):
         parse_problem(text)
     p = parse_problem(text, allow_undemanded=True)
     assert p.n == 2 and [r.demands for r in p.receivers] == [frozenset({1})]
@@ -130,6 +130,13 @@ def test_undemanded_error_lists_ten_ids_and_the_count():
     message = str(exc.value)
     assert "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99989 more, 99999 in all" in message
     assert len(message) < 120
+
+
+def test_undemanded_error_lists_only_ids_up_to_n():
+    # fewer than ten ids are missing, some in the middle and the last one
+    text = '{"n": 7, "receivers": [{"demands": [1, 3, 4], "side_info": [2]}, {"demands": [6], "side_info": []}]}'
+    with pytest.raises(ProblemError, match=r"^messages demanded by no receiver: \[2, 5, 7\]$"):
+        parse_problem(text)
 
 
 def test_roundtrip_serialization():
