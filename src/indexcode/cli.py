@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 command ran (any verdict), 2 usage error, 3 invalid input
-or an oracle cap exceeded (including an exhausted node budget, whose
-answer is unknown), 4 construction precondition unmet, 5 random attempts
-exhausted.
+Exit codes: 0 command ran (any verdict), 2 usage error, 3 invalid input,
+an oracle cap exceeded (including an exhausted node budget, whose answer
+is unknown) or an input too large for the memory available (a huge ``n``
+under ``--allow-undemanded``), 4 construction precondition unmet, 5
+random attempts exhausted.
 """
 
 from __future__ import annotations
@@ -204,6 +205,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except (problem.ProblemError, codec.CodecError, oracle.OracleCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError:
+        # the partial allocation is freed as the exception unwinds, so printing still works
+        print("error: out of memory: the input is too large for this command", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

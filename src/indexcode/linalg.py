@@ -120,17 +120,37 @@ def in_span(v: Vector, vectors: list[Vector] | tuple[Vector, ...], p: int) -> bo
 def nullspace(rows: list[Vector] | tuple[Vector, ...], length: int, p: int) -> list[Vector]:
     """Basis of ``{u : row . u = 0 for every row}`` over GF(p).
 
-    Fraction-free: start from the unit vectors of GF(p)^length.  For each
+    Fraction-free.  The first nonzero row r, with its first nonzero entry
+    d0 = r_pivot, gives the basis d0 * e_i - r_i * e_pivot for each
+    i != pivot, or e_i where r_i = 0, written directly.  For each later
     row, the first basis vector u0 with a nonzero dot d0 = u0 . row is the
     pivot; every other u with a nonzero dot d becomes d0 * u - d * u0, and
     u0 is dropped.  Each step leaves a basis of the vectors that also
     annihilate that row, so a row in the span of the earlier ones changes
-    nothing, and no step needs a modular inverse.
+    nothing, and no step needs a modular inverse.  The first step is the
+    one the later rule takes from the unit vectors, so it gives the same
+    basis.
     """
     if not {length}.issuperset(map(len, rows)):
         raise LinalgError(f"rows must have length {length}")
-    basis = [(0,) * i + (1,) + (0,) * (length - 1 - i) for i in range(length)]
-    for row in rows:
+    later = iter(rows)
+    for first in later:
+        first = [x % p for x in first]
+        if any(first):
+            break
+    else:
+        return [(0,) * i + (1,) + (0,) * (length - 1 - i) for i in range(length)]
+    pivot = next(i for i, d in enumerate(first) if d)
+    d0 = first[pivot]
+    basis: list[Vector] = []
+    for i, d in enumerate(first):
+        if i != pivot:
+            u = [0] * length
+            u[i], u[pivot] = (d0, p - d) if d else (1, 0)
+            basis.append(tuple(u))
+    for row in later:
+        if not basis:
+            break
         dots = [sum(map(mul, u, row)) % p for u in basis]
         for pivot, d0 in enumerate(dots):
             if d0:
@@ -140,8 +160,6 @@ def nullspace(rows: list[Vector] | tuple[Vector, ...], length: int, p: int) -> l
         u0 = basis.pop(pivot)
         del dots[pivot]
         basis = [tuple([(d0 * a - d * b) % p for a, b in zip(u, u0)]) if d else u for u, d in zip(basis, dots)]
-        if not basis:
-            break
     return basis
 
 

@@ -58,8 +58,9 @@ def _merge(masks: Iterable[int]) -> list[int]:
 
 
 def _components(edges: Iterable[tuple[int, int]], keep: int) -> tuple[int, ...]:
-    """Alignment components over the messages of ``keep``, as masks ordered
-    by smallest member: each hyperedge (k, I) with k kept merges I & keep."""
+    """Alignment components of the problem restricted to ``keep``, as masks
+    ordered by smallest member: each hyperedge (k, I) with k kept merges
+    I & keep.  The full sets need no merge (``Problem.alignment_components``)."""
     comps = _merge([interf & keep for k, interf in edges if keep >> k & 1])
     comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
     return tuple(sorted(comps, key=lambda c: c & -c))
@@ -85,6 +86,8 @@ class HypergraphBits:
 
     edges: tuple[tuple[int, int], ...]  # (k, mask of Interf), ascending
     sets: tuple[int, ...]  # the distinct interfering sets, largest first
+    against: tuple[int, ...]  # [i]: mask of the messages demanded against ``sets[i]``
+    crowded: int  # union of the sets with three or more members
     sets_with: tuple[int, ...]  # [m], m = 1..n: mask of the indexes into ``sets`` that contain m
     near: tuple[int, ...]  # [m]: union of the sets that contain m, its alignment-graph neighbours
     conf: tuple[int, ...]  # [m]: mask of m's conflict partners
@@ -166,7 +169,8 @@ class Problem:
         """The conflict hypergraph as int bitmasks, built from the receivers:
         one mask per receiver, each demand k clearing bit k of it, and each
         distinct interfering set mapped to the mask of the messages demanded
-        against it.  ``conf`` is that map together with its transpose."""
+        against it (``against``, in the order of ``sets``).  ``conf`` is that
+        map together with its transpose."""
         against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
         pairs: set[tuple[int, int]] = set()
         full, bit = self.messages, [1 << m for m in range(self.n + 1)]
@@ -190,12 +194,34 @@ class Problem:
                 rest ^= low
         for k, s in edges:
             conf[k] |= s
-        return HypergraphBits(edges, sets, tuple(sets_with), tuple(near), tuple(conf))
+        crowded = reduce(or_, (s for s in sets if s.bit_count() > 2), 0)
+        return HypergraphBits(
+            edges, sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
+        )
 
     @cached_property
     def alignment_components(self) -> tuple[int, ...]:
-        """Alignment sets as masks, ordered by smallest member, merged once."""
-        return _components(self.bits.edges, (1 << (self.n + 1)) - 2)
+        """Alignment sets as masks, ordered by smallest member, found once.
+
+        Each is the reach of ``bits.near``, the alignment-graph neighbours,
+        from the lowest message no earlier set holds, so every message is
+        expanded once; a message in no interfering set is a set alone.
+        """
+        near, comps = self.bits.near, []
+        left = (1 << (self.n + 1)) - 2
+        while left:
+            reach = frontier = left & -left
+            while frontier:
+                step = 0
+                while frontier:  # _iter_bits inlined: this loop runs once per message
+                    low = frontier & -frontier
+                    step |= near[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = step & ~reach
+                reach |= frontier
+            comps.append(reach)
+            left &= ~reach
+        return tuple(comps)
 
 
 _SHOWN_IDS = 10  # ids an error lists before it gives only the count

@@ -7,15 +7,19 @@ construction.  Everything here reads ``Problem.bits``, the integer view
 of the conflict hypergraph that ``Problem`` builds from its receivers
 (``problem.conflicts`` reads the pairs from ``bits.conf``), and returns
 plain values: the alignment graph is a frozenset of edges and a triangle
-an ascending int triple.  Fork, cycle and kind are bit counts over
-``bits.near``, ``bits.sets`` and ``bits.conf``.  Type-2 sets are the
-components of the conflict pairs that lie in triangles, merged per
-message as masks, so the grouping costs no work per triangle when there
-is one component and one lookup per triangle otherwise.  The full
-alignment sets are merged once per problem, as
-``Problem.alignment_components``, and ``structure_report`` merges the
-restricted alignment sets of each type-2 set once, for the dirty
-witnesses, the classification and the rate-1/3 construction.
+an ascending int triple.  Type-2 sets are the components of the conflict
+pairs that lie in triangles, merged per message as masks, so the
+grouping costs no work per triangle when there is one component and one
+lookup per triangle otherwise.  The full alignment sets are the reach of
+``bits.near``, found once per problem as ``Problem.alignment_components``,
+and ``structure_report`` merges the restricted alignment sets of each
+type-2 set once, for the dirty witnesses, the classification and the
+rate-1/3 construction.  The acyclic-quadruple search walks masks of set
+indexes (``bits.sets_with``) and reads its candidates from
+``bits.against``.  The classification takes each alignment set as its
+mask: kind 1 is one test against ``bits.crowded``, the union of the sets
+with three or more members, and fork and cycle come from one pass over
+the degrees in ``bits.near``.
 """
 
 from __future__ import annotations
@@ -90,43 +94,56 @@ def _restricted_components(p: Problem, members: frozenset[int] | set[int]) -> tu
     return _components(p.bits.edges, _to_mask(restriction_members(p, members)))
 
 
-def _degrees(p: Problem, members: frozenset[int]) -> list[int]:
-    """Alignment-graph degree of each member among ``members``."""
-    near, mask = p.bits.near, _to_mask(members)
-    return [(near[v] & mask & ~(1 << v)).bit_count() for v in members]
-
-
-def has_fork(p: Problem, members: frozenset[int]) -> bool:
-    """A fork is a vertex of degree three or more."""
-    return max(_degrees(p, members), default=0) >= 3
-
-
-def has_cycle(p: Problem, members: frozenset[int]) -> bool:
-    # For a connected component, a cycle exists iff #edges >= #vertices.
-    return sum(_degrees(p, members)) >= 2 * len(members)
+def fork_and_cycle(p: Problem, mask: int) -> tuple[bool, bool]:
+    """Whether the alignment set ``mask`` has a fork, a vertex of degree
+    three or more, and a cycle, from one pass over its degrees.  The set
+    is connected, so it has a cycle iff #edges >= #vertices."""
+    size = mask.bit_count()
+    if size < 3:  # a fork needs four vertices and a cycle three
+        return False, False
+    near, fork, degrees, rest = p.bits.near, False, 0, mask
+    while rest:
+        low = rest & -rest
+        d = (near[low.bit_length() - 1] & mask & ~low).bit_count()
+        fork = fork or d >= 3
+        degrees += d
+        rest ^= low
+    return fork, degrees >= 2 * size
 
 
 def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     """Four messages orderable so each interferes with every earlier one.
 
-    Exhaustive DFS over ordered tuples, smallest ids first, so the witness
-    is the lexicographically first: position k needs a hyperedge of the
-    k-th message whose I contains all earlier picks, and each level passes
-    those hyperedges down; their messages are the next candidates.
+    Exhaustive search over ordered tuples, smallest ids first, so the
+    witness is the lexicographically first.  Position k needs an
+    interfering set of the k-th message that holds all earlier picks, so
+    the search carries the indexes of the sets holding the prefix, as the
+    mask ``sets_with[m1] & sets_with[m2] & ...``, and the next candidates
+    are the messages demanded against those sets (``bits.against``).  The
+    fourth position takes the lowest such message outright.
     """
+    sets_with, against = p.bits.sets_with, p.bits.against
 
-    def extend(prefix: tuple[int, ...], edges: list[tuple[int, int]], candidates: int) -> tuple[int, ...] | None:
-        if len(prefix) == 4:
-            return prefix
-        for m in _iter_bits(candidates):
-            below = [(k, interf) for k, interf in edges if interf >> m & 1]
-            found = extend(prefix + (m,), below, reduce(or_, (1 << k for k, _ in below), 0))
-            if found:
-                return found
-        return None
+    def demanded(held: int) -> int:
+        """Messages demanded against the sets whose indexes ``held`` has."""
+        out = 0
+        while held:
+            low = held & -held
+            out |= against[low.bit_length() - 1]
+            held ^= low
+        return out
 
-    # Only a demanded message can take a position, even the first one.
-    return extend((), list(p.bits.edges), _to_mask(k for r in p.receivers for k in r.demands))
+    # Only a demanded message can take a position, even the first one, and
+    # the fourth needs a set of three or more members that holds the first three.
+    crowded = p.bits.crowded
+    for m1 in _iter_bits(_to_mask(k for r in p.receivers for k in r.demands) & crowded):
+        held1 = sets_with[m1]
+        for m2 in _iter_bits(demanded(held1) & crowded):
+            held2 = held1 & sets_with[m2]
+            for m3 in _iter_bits(demanded(held2) & crowded):
+                if last := demanded(held2 & sets_with[m3]):
+                    return m1, m2, m3, (last & -last).bit_length() - 1
+    return None
 
 
 def triangular_interfering_sets(p: Problem) -> list[Triangle]:
@@ -291,45 +308,42 @@ def _internal_pairs(p: Problem, comps: Iterable[int]) -> Iterator[tuple[Conflict
                 yield (a, b), c
 
 
-def classify_alignment_set(
-    p: Problem, members: frozenset[int], type2_dirty: dict[frozenset[int], bool]
-) -> Kind:
+def classify_alignment_set(p: Problem, mask: int, type2_dirty: dict[int, bool]) -> Kind:
     """Classification driving the rate-1/3 construction; total by the chain below.
 
-    ``type2_dirty`` maps each type-2 message union to whether it has
-    restricted internal conflicts, as ``structure_report`` builds it.
+    ``mask`` is an alignment set, and ``type2_dirty`` maps the mask of each
+    type-2 message union to whether it has restricted internal conflicts,
+    as ``structure_report`` builds it.  Every interfering set lies inside
+    one alignment set, so a set of three or more members meets ``mask``
+    exactly when it lies inside it: kind 1 is one test against their
+    union, ``bits.crowded``.
     """
-    mask = _to_mask(members)
-    if not any((s & mask).bit_count() >= 3 for s in p.bits.sets):
+    if not mask & p.bits.crowded:
         return Kind.KIND1
     # some receiver sees three members, so a three-member set is co-interfering
-    if len(members) == 3 and not any(p.bits.conf[v] & mask for v in members):
+    conf = p.bits.conf
+    if mask.bit_count() == 3 and not any(conf[v] & mask for v in _iter_bits(mask)):
         return Kind.KIND2
-    if members in type2_dirty:
-        return Kind.TYPE2_DIRTY if type2_dirty[members] else Kind.TYPE2_CLEAN
+    if mask in type2_dirty:
+        return Kind.TYPE2_DIRTY if type2_dirty[mask] else Kind.TYPE2_CLEAN
     return Kind.OTHER
 
 
 def structure_report(p: Problem) -> StructureReport:
     type2 = type2_alignment_sets(p)
-    type2_dirty: dict[frozenset[int], bool] = {}
+    type2_dirty: dict[int, bool] = {}
     restricted: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     dirty = []
     for t2 in type2:
         comps = _restricted_components(p, t2.messages)
         sets = dict(zip(comps, map(frozenset, map(_iter_bits, comps))))
         found = [(t2.messages, pair, sets[c]) for pair, c in _internal_pairs(p, comps)]
-        type2_dirty.setdefault(t2.messages, bool(found))
+        type2_dirty.setdefault(reduce(or_, comps), bool(found))  # the components cover the union
         restricted.setdefault(t2.messages, tuple(sets.values()))
         dirty += found
     infos = tuple(
-        AlignmentSetInfo(
-            members=s,
-            has_fork=has_fork(p, s),
-            has_cycle=has_cycle(p, s),
-            kind=classify_alignment_set(p, s, type2_dirty),
-        )
-        for s in alignment_sets(p)
+        AlignmentSetInfo(s, *fork_and_cycle(p, c), classify_alignment_set(p, c, type2_dirty))
+        for s, c in zip(alignment_sets(p), p.alignment_components)
     )
     return StructureReport(
         alignment_sets=infos,

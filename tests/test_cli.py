@@ -313,6 +313,19 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert "error" in err
 
 
+def run_capped(limit, *args):
+    """The CLI in a subprocess whose address space is capped at ``limit`` bytes."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "indexcode.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
+    )
+
+
 @pytest.mark.parametrize(
     "demand, error",
     [
@@ -327,18 +340,21 @@ def test_huge_n_with_few_ids_is_rejected_in_bounded_memory(tmp_path, demand, err
     # MemoryError traceback
     path = tmp_path / "huge.json"
     path.write_text('{"n": 1000000000, "receivers": [{"demands": [%d], "side_info": []}]}' % demand)
-    limit = 1 << 30
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "indexcode.cli", "analyze", str(path)],
-        capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap_memory,
-    )
+    proc = run_capped(1 << 30, "analyze", str(path))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"error: {error}\n"
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    # with --allow-undemanded a huge n passes the checks and the analysis
+    # builds sets of size n; past the address-space limit that is exit 3
+    # and one error line, where it used to be a MemoryError traceback
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000, "receivers": [{"demands": [1], "side_info": []}]}')
+    proc = run_capped(1 << 29, "analyze", str(path), "--allow-undemanded")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: out of memory: the input is too large for this command\n"
+    assert proc.stdout == ""
 
 
 def test_missing_file_exit_code(capsys):

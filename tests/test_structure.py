@@ -6,7 +6,7 @@ from operator import or_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_unicast_problem
+from corpusgen import random_constructible_problem, random_unicast_problem
 from indexcode.feasibility import check_rate_half, check_rate_one
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import (
@@ -17,16 +17,15 @@ from indexcode.problem import (
     interfering_set,
     parse_problem,
     random_problem,
+    restrict_problem,
 )
 from indexcode.structure import (
-    AlignmentSetInfo,
     Kind,
     alignment_graph,
     alignment_sets,
     classify_alignment_set,
     find_acyclic_quadruple,
-    has_cycle,
-    has_fork,
+    fork_and_cycle,
     restricted_internal_conflicts,
     structure_report,
     to_dot,
@@ -100,13 +99,15 @@ def test_legacy_conflict_graph_ex_feas():
     )
 
 
+def mask_of(members):
+    return sum(1 << m for m in members)
+
+
 def test_fork_and_cycle_ex_feas():
     p = load_fixture("ex_feas")
     g = alignment_graph(p)
-    members = frozenset(range(1, 7))
     assert sum(4 in e for e in g) == 4
-    assert has_fork(p, members)
-    assert has_cycle(p, members)
+    assert fork_and_cycle(p, mask_of(range(1, 7))) == (True, True)
     # the cycle 3-4-5 lies in g
     assert {(3, 4), (4, 5), (3, 5)} <= g
 
@@ -121,10 +122,8 @@ def test_fork_cycle_trivial_components():
     )
     # Interf_1(1) = {2, 3}: a single path-like component {2, 3}
     g = alignment_graph(p)
-    assert not has_fork(p, frozenset({2, 3}))
-    assert not has_cycle(p, frozenset({2, 3}))
-    assert not has_fork(p, frozenset({4}))
-    assert not has_cycle(p, frozenset({4}))
+    assert fork_and_cycle(p, mask_of({2, 3})) == (False, False)
+    assert fork_and_cycle(p, mask_of({4})) == (False, False)
     # one edge on two vertices: a tree
     assert [e for e in g if set(e) <= {2, 3}] == [(2, 3)]
 
@@ -154,6 +153,8 @@ def reference_bits(p):
     return HypergraphBits(
         edges,
         sets,
+        tuple(sum({1 << k for k, interf in edges if interf == s}) for s in sets),
+        reduce(or_, (s for s in sets if s.bit_count() >= 3), 0),
         tuple(sum(1 << idx for idx, s in enumerate(sets) if s >> m & 1) for m in ids),
         tuple(reduce(or_, (s for s in sets if s >> m & 1), 0) for m in ids),
         tuple(sum(1 << b for b in ids if (min(m, b), max(m, b)) in pairs) for m in ids),
@@ -174,7 +175,7 @@ def naive_triangles(p):
 
 def _find(parent, x):
     while parent.setdefault(x, x) != x:
-        x = parent[x]
+        parent[x] = x = parent[parent[x]]  # path halving
     return x
 
 
@@ -220,26 +221,6 @@ def naive_restricted_internal_conflicts(p, members):
     ]
 
 
-def edge_scan_fork_cycle(p, members):
-    """Fork and cycle from the alignment-graph edges inside ``members``."""
-    within = [e for e in alignment_graph(p) if e[0] in members and e[1] in members]
-    return any(sum(v in e for e in within) >= 3 for v in members), len(within) >= len(members)
-
-
-def per_set_kind(p, members, type2_sets):
-    """Classification by a hyperedge scan, the conflict pairs of every
-    member pair, and the restricted conflicts of a matching type-2 set."""
-    if not any(len(interf & members) >= 3 for _, interf in p.hyperedges):
-        return Kind.KIND1
-    pairs = reference_conflict_pairs(p)
-    if len(members) == 3 and not any(pair in pairs for pair in combinations(sorted(members), 2)):
-        return Kind.KIND2
-    for t2 in type2_sets:
-        if t2.messages == members:
-            return Kind.TYPE2_DIRTY if naive_restricted_internal_conflicts(p, members) else Kind.TYPE2_CLEAN
-    return Kind.OTHER
-
-
 def test_structure_matches_references_on_corpus():
     seen_kinds = set()
     # the fixtures bring the only clean type-2 set; the last three problems
@@ -263,9 +244,7 @@ def test_structure_matches_references_on_corpus():
             assert restricted_internal_conflicts(p, members) == naive_restricted_internal_conflicts(p, members)
         report = structure_report(p)
         type2 = type2_alignment_sets(p)
-        assert report.alignment_sets == tuple(
-            AlignmentSetInfo(s, *edge_scan_fork_cycle(p, s), per_set_kind(p, s, type2)) for s in alignment_sets(p)
-        )
+        assert [(i.members, i.has_fork, i.has_cycle, i.kind) for i in report.alignment_sets] == naive_classification(p)
         assert report.dirty_witnesses == tuple(
             (t2.messages, pair, comp)
             for t2 in type2
@@ -409,13 +388,78 @@ def test_classification_kind2():
     assert kinds(p) == {frozenset({1, 2, 3}): Kind.KIND2, frozenset({4}): Kind.KIND1}
 
 
+def naive_components(p):
+    """Components of ``alignment_graph``, each a frozenset, by smallest member."""
+    parent = {}
+    for a, b in alignment_graph(p):
+        parent[_find(parent, a)] = _find(parent, b)
+    comps = {}
+    for m in range(1, p.n + 1):
+        comps.setdefault(_find(parent, m), set()).add(m)
+    return sorted((frozenset(c) for c in comps.values()), key=min)
+
+
+def naive_interference(p):
+    """(k, Interf_k(j)) for every receiver j and demand k, from ``interfering_set``."""
+    return [(k, interfering_set(p, j, k)) for j, r in enumerate(p.receivers, 1) for k in sorted(r.demands)]
+
+
+def naive_pairs(p):
+    return {frozenset((k, i)) for k, interf in naive_interference(p) for i in interf}
+
+
+def naive_classification(p):
+    """(members, fork, cycle, kind) per alignment set, from the receivers'
+    interfering sets and the alignment graph alone: degrees and edges
+    counted on the graph, the type-2 unions of ``naive_type2_sets``, and
+    restricted conflicts read off ``restrict_problem``."""
+    hyper, pairs, graph = naive_interference(p), naive_pairs(p), alignment_graph(p)
+    type2 = {messages for _, messages in naive_type2_sets(p)}
+
+    def dirty(members):
+        q, _ = restrict_problem(p, members)
+        inner = naive_pairs(q)
+        return any(frozenset(pair) in inner for comp in naive_components(q) for pair in combinations(comp, 2))
+
+    out = []
+    for s in naive_components(p):
+        edges = [e for e in graph if set(e) <= s]
+        fork = any(sum(v in e for e in edges) >= 3 for v in s)
+        if not any(len(interf & s) >= 3 for _, interf in hyper):
+            kind = Kind.KIND1
+        elif len(s) == 3 and not any(frozenset(pair) in pairs for pair in combinations(s, 2)):
+            kind = Kind.KIND2
+        elif s in type2:
+            kind = Kind.TYPE2_DIRTY if dirty(s) else Kind.TYPE2_CLEAN
+        else:
+            kind = Kind.OTHER
+        out.append((s, fork, len(edges) >= len(s), kind))
+    return out
+
+
+def test_classification_matches_naive_reference():
+    # n <= 10 keeps the naive triangle listing cheap and still meets every kind
+    problems = (
+        [reference_problem(seed, max_n=10) for seed in range(300)]
+        + [random_unicast_problem(seed) for seed in range(200)]
+        + [random_constructible_problem(seed) for seed in range(50)]
+    )
+    seen = set()
+    for p in problems:
+        found = [(i.members, i.has_fork, i.has_cycle, i.kind) for i in structure_report(p).alignment_sets]
+        assert found == naive_classification(p)
+        seen |= {(fork, cycle, kind) for _, fork, cycle, kind in found}
+    assert {kind for *_, kind in seen} == set(Kind)
+    assert {fork for fork, _, _ in seen} == {cycle for _, cycle, _ in seen} == {False, True}
+
+
 def test_classification_reads_the_type2_dirty_map():
     # the map, not a recomputation, decides clean against dirty
     ex_inf = load_fixture("ex_inf")
-    members = frozenset({1, 2, 3, 4})
-    assert classify_alignment_set(ex_inf, members, {members: True}) is Kind.TYPE2_DIRTY
-    assert classify_alignment_set(ex_inf, members, {members: False}) is Kind.TYPE2_CLEAN
-    assert classify_alignment_set(ex_inf, members, {}) is Kind.OTHER
+    mask = mask_of({1, 2, 3, 4})
+    assert classify_alignment_set(ex_inf, mask, {mask: True}) is Kind.TYPE2_DIRTY
+    assert classify_alignment_set(ex_inf, mask, {mask: False}) is Kind.TYPE2_CLEAN
+    assert classify_alignment_set(ex_inf, mask, {}) is Kind.OTHER
 
 
 @given(st.integers(0, 500))
