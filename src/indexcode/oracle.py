@@ -8,12 +8,16 @@ nonzero coordinate normalized to 1), one message at a time, and it
 refutes a span condition as soon as the messages assigned so far decide
 it (forward checking, below).
 
-**Vectors and spans as integers.**  A vector is indexed by the base-q
-integer whose j-th digit is its j-th coordinate, so span(e1, ..., er) is
-exactly the indices below q^r.  A span is an int bitmask over these
-indices.  It is built one generator at a time (span(S + g) is the union of
-the cosets span(S) + c*g) and memoized by the bitmask of its generators,
-so an in-span test is a bit test.  The per-(q, L) tables are cached.
+**Vectors and subspaces as integers.**  A vector is indexed by the
+base-q integer whose j-th digit is its j-th coordinate, so span(e1, ...,
+er) is exactly the indices below q^r.  Every span the search meets is a
+subspace of GF(q)^L, which does not depend on the problem, so one table
+per (q, L), shared by every search over that field and length, gives each
+subspace met so far a small id (id 0 is the zero space) and holds its
+member mask (an int bitmask over vector indices, so an in-span test is a
+bit test), its dimension, and a join map from a vector index v to the id
+of span(S + v).  A join is computed once, on first use, as the union of
+the cosets S + c*v; ``_Subspaces`` states the size bound of the table.
 
 **Basis pinning is sound.**  Whether a conflict is resolved is invariant
 under scaling any single vector by a nonzero constant and under applying
@@ -63,8 +67,19 @@ then by id, so the dense part of the hypergraph is fixed early and a
 refuted constraint prunes a small subtree.  The order, the positions and
 the checks at each position depend only on the hypergraph, not on q or
 L, so ``_plan`` derives them once per hypergraph and keeps the most
-recent ones; a sweep over lengths and fields reuses one plan.  The
-witness is mapped back to the original message ids.
+recent ones; a sweep over lengths and fields reuses one plan.  Every
+prefix P = at[:j] of the sorted positions at of an interfering set that
+a check reads is a node of a trie, with a parent at[:j-1] and a last
+position at[j-1].  The search keeps the subspace id of each node and
+sets it at the position t where the node is first read, with one join:
+span(P) = span(parent) + v_last.  This is sound because every position
+of P lies below t, and the parent, the part of I below last, is itself
+read at last, so on the current branch it was set at a position no
+later than last, from positions below last that have not changed since;
+the same argument keeps the node valid at every later read on the
+branch.  An avoid check is then one member mask, a pair check one join
+with v_s, and the hyperplane test ``dim == L - 1``.  The witness is
+mapped back to the original message ids.
 
 **Node budget.**  ``nodes explored`` counts every candidate vector tried
 at a search position, including those a forward check rules out.  A
@@ -83,7 +98,7 @@ vectors, which bounds both the tables and the candidates per message.
 from __future__ import annotations
 
 import json
-from collections import Counter
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,8 +150,73 @@ def _translation(q: int, length: int, g: int) -> tuple[int, ...]:
     return tuple(sum((a + b) % q * q**j for j, (a, b) in enumerate(zip(v, vectors[g]))) for v in vectors)
 
 
+class _Subspaces:
+    """The subspaces of GF(q)^length met so far, by id; id 0 is the zero space.
+
+    ``members[a]`` is the bitmask of the vector indices in subspace a,
+    ``dim[a]`` its dimension, and ``join[a][v]`` the id of span(a + v),
+    computed on first use.  The search joins only projective points, so
+    the table holds at most (subspaces) x (projective points) joins:
+    1,120 x 156 for GF(5)^4, the largest space the caps allow.
+    """
+
+    __slots__ = ("q", "length", "members", "dim", "join", "elements", "ids", "lock")
+
+    def __init__(self, q: int, length: int) -> None:
+        self.q, self.length = q, length
+        self.members = [1]
+        self.dim = [0]
+        self.join = [_Join(self, 0)]
+        self.elements = [[0]]  # vector indices of each subspace
+        self.ids = {1: 0}  # member mask -> id
+        self.lock = threading.Lock()  # the table is shared by every search in the process
+
+    def extend(self, a: int, v: int) -> int:
+        """Id of span(a + v): a itself if it holds v, else the union of the
+        cosets a + c*v, added to the table if new."""
+        if self.members[a] >> v & 1:
+            return a
+        row, coset = _translation(self.q, self.length, v), self.elements[a]
+        grown = list(coset)
+        for _ in range(self.q - 1):
+            coset = [row[x] for x in coset]
+            grown += coset
+        mask = sum(1 << x for x in grown)
+        with self.lock:
+            b = self.ids.get(mask)
+            if b is None:
+                b = len(self.members)
+                self.members.append(mask)
+                self.dim.append(self.dim[a] + 1)
+                self.join.append(_Join(self, b))
+                self.elements.append(grown)
+                self.ids[mask] = b
+        return b
+
+
+class _Join(dict):
+    """Vector index v -> id of span(S + v), for one subspace S of a table."""
+
+    __slots__ = ("table", "source")
+
+    def __init__(self, table: _Subspaces, source: int) -> None:
+        self.table, self.source = table, source
+
+    def __missing__(self, v: int) -> int:
+        self[v] = b = self.table.extend(self.source, v)
+        return b
+
+
+@lru_cache(maxsize=None)
+def _subspaces(q: int, length: int) -> _Subspaces:
+    """The subspace table of GF(q)^length, shared by every search over it."""
+    return _Subspaces(q, length)
+
+
 def check_caps(q: int, length: int) -> None:
     """Raise ``OracleCapError`` unless a length-``length`` search over GF(q) fits the caps."""
+    if type(q) is not int or type(length) is not int:
+        raise OracleCapError(f"field size {q!r} and length {length!r} must be integers")
     if not 0 <= length <= DEFAULT_L_CAP:
         raise OracleCapError(f"L={length} is outside the oracle cap 0..{DEFAULT_L_CAP}")
     if q**length > VECTOR_CAP:
@@ -149,46 +229,77 @@ def check_caps(q: int, length: int) -> None:
 class _Plan:
     """The forward checks of one hypergraph at each search position t.
 
-    Each P is a tuple of positions before t, the part of some interfering
-    set I already assigned when t is tried; v is the vector tried at t.
+    Each P is a trie node: a prefix of the sorted positions of some
+    interfering set I, all before t, the part of I already assigned when t
+    is tried; node 0 is the empty prefix.  v is the vector tried at t.
     """
 
     position: tuple[int, ...]  # search position of message m, at index m - 1
+    nodes: int  # trie nodes, the root included
+    # (P, parent, last) of each node first read at t: span(P) = span(parent) + v_last
+    extend: tuple[tuple[tuple[int, int, int], ...], ...]
     # P of each I interfering with the message at t: v avoids span(P)
-    avoid: tuple[tuple[tuple[int, ...], ...], ...]
+    avoid: tuple[tuple[int, ...], ...]
     # (P, s) of each I containing t and interfering with the message at
     # s < t: v avoids span(P + v_s) - span(P)
-    pairs: tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-    # P of each I containing t and interfering with a message after t,
-    # longest first: v lies in span(P) when span(P) is a hyperplane
-    inside: tuple[tuple[tuple[int, ...], ...], ...]
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    # (|P|, P) of each I containing t and interfering with a message after
+    # t, longest first: v lies in span(P) when span(P) is a hyperplane
+    inside: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=64)
 def _plan(n: int, hyperedges: frozenset[Hyperedge]) -> _Plan:
     """The most-constrained-first order and its checks; independent of q and L."""
-    degree = Counter(m for k, interf in hyperedges for m in interf | {k})
-    order = sorted(range(1, n + 1), key=lambda m: (-degree[m], m))
-    position = {m: t for t, m in enumerate(order)}
+    degree = [0] * (n + 1)
+    for k, interf in hyperedges:
+        degree[k] += 1
+        for m in interf:
+            degree[m] += 1
+    # a stable sort keeps ids ascending among equal degrees, also in reverse
+    order = sorted(range(1, n + 1), key=degree.__getitem__, reverse=True)
+    position = [0] * (n + 1)
+    for t, m in enumerate(order):
+        position[m] = t
+    trie: dict[tuple[int, int], int] = {}  # (parent, last) -> node
+    first = [n]  # position where each node is first read; the root is never set
     avoid: list[set] = [set() for _ in order]
     pairs: list[set] = [set() for _ in order]
     inside: list[set] = [set() for _ in order]
     for k, interf in hyperedges:
         s = position[k]
-        at = sorted(position[i] for i in interf)
-        before = tuple(a for a in at if a < s)
-        if before:
-            avoid[s].add(before)
-        for j, t in enumerate(at):
+        # each position of I, and that of k, reads the node x of the
+        # positions of I below it, of length size
+        x = size = 0
+        last = None  # the position of I that extends x at the next read
+        for t in sorted([s, *map(position.__getitem__, interf)]):
+            if last is not None:
+                y = trie.get((x, last))
+                if y is None:
+                    y = trie[x, last] = len(first)
+                    first.append(t)
+                elif t < first[y]:
+                    first[y] = t
+                x, size, last = y, size + 1, None
+            if t == s:
+                if x:
+                    avoid[s].add(x)
+                continue
             if t > s:
-                pairs[t].add((tuple(at[:j]), s))
+                pairs[t].add((x, s))
             else:
-                inside[t].add(tuple(at[:j]))
+                inside[t].add((size, x))
+            last = t
+    extend: list[list] = [[] for _ in order]
+    for (parent, last), x in trie.items():
+        extend[first[x]].append((x, parent, last))
     return _Plan(
-        position=tuple(position[m] for m in range(1, n + 1)),
+        position=tuple(position[1:]),
+        nodes=len(first),
+        extend=tuple(map(tuple, extend)),
         avoid=tuple(map(tuple, avoid)),
         pairs=tuple(map(tuple, pairs)),
-        inside=tuple(tuple(sorted(c, key=len, reverse=True)) for c in inside),
+        inside=tuple(tuple(sorted(c, reverse=True)) for c in inside),
     )
 
 
@@ -206,57 +317,33 @@ def exists_code(
     """
     check_caps(q, length)
     plan = _plan(p.n, p.hyperedges)
-    avoid, pairs, inside = plan.avoid, plan.pairs, plan.inside
+    extend, avoid, pairs, inside = plan.extend, plan.avoid, plan.pairs, plan.inside
+    table = _subspaces(q, length)
+    members, dim, join = table.members, table.dim, table.join
     candidates = _candidates(q, length)
     full = (1 << q**length) - 1  # every vector index
-    hyperplane = q**length // q  # size of a rank L - 1 span
+    hyperplane = length - 1  # dimension of a hyperplane
     assigned = [0] * p.n  # vector index at each search position
-    bits = [0] * p.n  # 1 << assigned[t]
-    spans = {0: 1}  # generator bitmask -> span bitmask
-    elements = {1: [0]}  # span bitmask -> its vector indices
-
-    def span(gens: int) -> int:
-        mask = spans.get(gens)
-        if mask is None:
-            # span(S + g) is the union of the cosets span(S) + c*g
-            g = gens.bit_length() - 1
-            mask = span(gens ^ (1 << g))
-            if not mask >> g & 1:
-                row, coset = _translation(q, length, g), elements[mask]
-                grown = list(coset)
-                for _ in range(q - 1):
-                    coset = [row[x] for x in coset]
-                    grown += coset
-                mask = sum(1 << x for x in grown)
-                elements.setdefault(mask, grown)
-            spans[gens] = mask
-        return mask
-
+    sp = [0] * plan.nodes  # subspace id of each trie node
     nodes = 0
 
     def search(t: int, rank: int) -> bool:
         nonlocal nodes
+        for x, parent, last in extend[t]:
+            sp[x] = join[sp[parent]][assigned[last]]
         allowed = full
-        for prefix in avoid[t]:
-            gens = 0
-            for i in prefix:
-                gens |= bits[i]
-            allowed &= ~span(gens)
-        for prefix, s in pairs[t]:
-            gens = 0
-            for i in prefix:
-                gens |= bits[i]
-            allowed &= span(gens) | ~span(gens | bits[s])
-        if rank + 1 >= length:  # only then can a prefix span a hyperplane
-            for prefix in inside[t]:
-                if len(prefix) + 1 < length:
+        for x in avoid[t]:
+            allowed &= ~members[sp[x]]
+        for x, s in pairs[t]:
+            a = sp[x]
+            allowed &= members[a] | ~members[join[a][assigned[s]]]
+        if rank >= hyperplane:  # only then can a prefix span a hyperplane
+            for size, x in inside[t]:
+                if size < hyperplane:
                     break
-                gens = 0
-                for i in prefix:
-                    gens |= bits[i]
-                mask = span(gens)
-                if mask.bit_count() == hyperplane:
-                    allowed &= mask
+                a = sp[x]
+                if dim[a] == hyperplane:
+                    allowed &= members[a]
         unit = q**rank if rank < length else None  # index of e_{rank+1}
         for v in candidates[rank]:
             nodes += 1
@@ -266,7 +353,7 @@ def exists_code(
                     f"exceeded its budget of {max_nodes} nodes"
                 )
             if allowed >> v & 1:
-                assigned[t], bits[t] = v, 1 << v
+                assigned[t] = v
                 if t + 1 == p.n or search(t + 1, rank + (v == unit)):
                     return True
         return False

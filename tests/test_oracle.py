@@ -13,6 +13,8 @@ from indexcode.oracle import (
     OracleBudgetError,
     OracleCapError,
     _candidates,
+    _plan,
+    _subspaces,
     _translation,
     _vectors,
     conjecture_probe,
@@ -104,6 +106,60 @@ def test_caps_enforced():
     with pytest.raises(OracleCapError, match="vectors"):
         min_length(p, 7)
     assert min_length(p, 7, l_max=3).min_length is not None
+
+
+def test_caps_require_exact_integers():
+    # True equals 1 and 2.0 equals 2: one exact type test rejects both,
+    # where a bool length was searched as length 1 and a float ended in a
+    # TypeError
+    p = random_problem(4, 0.5, seed=1)
+    for q, length in [(2, True), (True, 1), (2.0, 2), (2, 2.0), (3, None)]:
+        with pytest.raises(OracleCapError, match="must be integers"):
+            exists_code(p, q, length)
+        with pytest.raises(OracleCapError, match="must be integers"):
+            min_length(p, q, l_max=length)
+
+
+def _n10_corpus():
+    return [random_problem(10, d, seed=s) for d in (0.3, 0.5, 0.7) for s in range(10)]
+
+
+def test_search_is_pinned_on_the_n10_corpus():
+    # node counts and minimum lengths recorded before the subspace table
+    # and the prefix trie replaced the per-search span dicts
+    results = [min_length(p, q) for p in _n10_corpus() for q in (2, 3)]
+    assert sum(r.nodes_explored for r in results) == 15_983
+    # no code up to length 4 at densities 0.3 and 0.5; at 0.7 length 4
+    # over both fields, but length 3 at seed 8
+    want = [None] * 40 + [4] * 16 + [3, 3, 4, 4]
+    assert [r.min_length for r in results] == want
+    for p, r in zip([p for p in _n10_corpus() for _ in (2, 3)], results):
+        assert r.witness is None or verify(p, r.witness).ok
+
+
+def test_subspace_tables_leak_nothing_between_searches():
+    corpus = _n10_corpus() + [
+        random_problem(3 + s % 8, (0.3, 0.5, 0.7, 0.85)[s % 4], single_unicast=s % 2 == 0, seed=s)
+        for s in range(40)
+    ]
+    searches = [(i, q, length) for i in range(len(corpus)) for q in (2, 3) for length in (1, 2, 3, 4)]
+    _subspaces.cache_clear()
+    _plan.cache_clear()
+    cold = {key: exists_code(corpus[key[0]], *key[1:]) for key in searches}
+    # warm: reversed, so every field and length meets tables the other
+    # order filled, GF(3) before GF(2)
+    warm = {key: exists_code(corpus[key[0]], *key[1:]) for key in reversed(searches)}
+    assert warm == cold
+    assert sum(found for found, _, _ in cold.values()) > 50
+    for q in (2, 3):
+        for length in (1, 2, 3, 4):
+            table = _subspaces(q, length)
+            # at length 1 every check reads only the zero space
+            assert len(table.members) > 1 or length == 1
+            for a, (mask, dim) in enumerate(zip(table.members, table.dim)):
+                assert mask.bit_count() == q**dim and mask & 1
+                for v, b in table.join[a].items():
+                    assert table.members[b] >> v & 1 and mask & ~table.members[b] == 0
 
 
 def _brute_force_exists(p, q, length):
