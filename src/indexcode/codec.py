@@ -68,9 +68,10 @@ class ScalarLinearCode:
     _span: _SpanTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        entries = [*chain(*self.vectors)]
         # True and 1.0 equal valid values; one exact type test rejects them
-        if not {int}.issuperset(map(type, chain((self.length, self.prime), *self.vectors))):
-            bad = next(x for x in chain((self.length, self.prime), *self.vectors) if type(x) is not int)
+        if not (type(self.length) is int and type(self.prime) is int and {int}.issuperset(map(type, entries))):
+            bad = next(x for x in chain((self.length, self.prime), entries) if type(x) is not int)
             raise CodecError(f"code length, prime and vector entries must be integers, got {bad!r}")
         if self.length < 1:
             raise CodecError(f"code length must be >= 1, got {self.length}")
@@ -78,11 +79,15 @@ class ScalarLinearCode:
             raise CodecError(f"modulus {self.prime} does not fit in 64 bits")
         if not is_prime_modulus(self.prime):
             raise CodecError(f"modulus {self.prime} is not prime")
-        for i, v in enumerate(self.vectors, start=1):
-            if len(v) != self.length:
-                raise CodecError(f"vector for message {i} has length {len(v)} != {self.length}")
-            if min(v) < 0 or max(v) >= self.prime:
-                raise CodecError(f"vector for message {i} has entries outside [0, {self.prime})")
+        # C-level passes over the lengths and the entries; the loop runs only
+        # to name the first offending vector
+        bad_entries = entries and (min(entries) < 0 or max(entries) >= self.prime)
+        if bad_entries or {*map(len, self.vectors)} - {self.length}:
+            for i, v in enumerate(self.vectors, start=1):
+                if len(v) != self.length:
+                    raise CodecError(f"vector for message {i} has length {len(v)} != {self.length}")
+                if min(v) < 0 or max(v) >= self.prime:
+                    raise CodecError(f"vector for message {i} has entries outside [0, {self.prime})")
 
     def vector(self, message: int) -> Vector:
         return self.vectors[message - 1]

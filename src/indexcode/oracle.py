@@ -59,35 +59,50 @@ t holds k; when t is in I and k is assigned, v must avoid
 span(P + v_k) - span(P), which is where v_k enters span(P + v) given that
 v_k lies outside span(P); when t is in I and k comes later, v must lie in
 span(P) if span(P) is a hyperplane, since any v outside it spans
-everything.  Each candidate then costs one bit test.
+everything.  The search then steps through the set bits of that mask
+and the candidate mask of the current rank, lowest first, so a candidate
+the checks rule out costs no step at all.
 
 **Search plan.**  Messages are searched most constrained first: by the
 number of hyperedges (k, I) with the message in {k} | I, descending,
 then by id, so the dense part of the hypergraph is fixed early and a
 refuted constraint prunes a small subtree.  The order, the positions and
 the checks at each position depend only on the hypergraph, not on q or
-L, so ``_plan`` derives them once per hypergraph and keeps the most
-recent ones; a sweep over lengths and fields reuses one plan.  Every
+L, so ``_plan`` derives them once per hypergraph from the (k, mask of I)
+of ``Problem.edge_masks``, built in plain lists, and keeps the most
+recent plans; a sweep over lengths and fields reuses one plan.  Every
 prefix P = at[:j] of the sorted positions at of an interfering set that
-a check reads is a node of a trie, with a parent at[:j-1] and a last
-position at[j-1].  The search keeps the subspace id of each node and
-sets it at the position t where the node is first read, with one join:
-span(P) = span(parent) + v_last.  This is sound because every position
-of P lies below t, and the parent, the part of I below last, is itself
-read at last, so on the current branch it was set at a position no
-later than last, from positions below last that have not changed since;
-the same argument keeps the node valid at every later read on the
-branch.  An avoid check is then one member mask, a pair check one join
-with v_s, and the hyperplane test ``dim == L - 1``.  The witness is
-mapped back to the original message ids.
+a check reads is a node of a trie, keyed by its mask of positions, with
+a parent at[:j-1] and a last position at[j-1].  The search keeps the
+subspace id of each node and sets it at the position t where the node
+is first read, with one join: span(P) = span(parent) + v_last.  This is
+sound because every position of P lies below t, and the parent, the
+part of I below last, is itself read at last, so on the current branch
+it was set at a position no later than last, from positions below last
+that have not changed since; the same argument keeps the node valid at
+every later read on the branch.  An avoid check is then one member
+mask, a pair check one join with v_s, and the hyperplane test
+``dim == L - 1``.  The search keeps, per position, the allowed candidates
+not yet tried, the candidates counted and the rank in a list, and backs
+up by index, with no recursion.  The witness is mapped back to the
+original message ids.
 
 **Node budget.**  ``nodes explored`` counts every candidate vector tried
-at a search position, including those a forward check rules out.  A
-search that would try more than ``max_nodes`` (``DEFAULT_NODE_CAP`` by
-default; ``min_length`` counts its whole sweep over lengths) raises
-``OracleBudgetError``: an exhausted budget leaves the answer unknown and
-is never reported as "no code".  The budget is the only bound on the
-size of the problem; the caps below depend on q and L alone.
+at a search position, including those a forward check rules out; the
+search counts those without visiting them.  The candidates of a rank are
+the first projective points in index order, so how many of them come up
+to and including a point v is one lookup, the number of points up to v.
+Trying v adds that number less the candidates the position has counted
+already, which is v and every candidate skipped before it, and a
+position that runs out adds the rest of its candidates.  The total is
+that of trying each candidate in turn, added in larger steps between the
+same branchings, so node counts, witnesses and the step at which a
+budget runs out are unchanged.  A search that would try more than
+``max_nodes`` (``DEFAULT_NODE_CAP`` by default; ``min_length`` counts its
+whole sweep over lengths) raises ``OracleBudgetError``: an exhausted
+budget leaves the answer unknown and is never reported as "no code".
+The budget is the only bound on the size of the problem; the caps below
+depend on q and L alone.
 
 Results are always field-relative: "no length-3 code over GF(2) and
 GF(3)" does not by itself rule the rate out over larger fields.  The
@@ -101,10 +116,11 @@ import json
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import linalg
-from .codec import ScalarLinearCode
-from .problem import Hyperedge, Problem, problem_to_json
+from .codec import ScalarLinearCode, is_prime_modulus
+from .problem import Problem, problem_to_json
 from .structure import structure_report
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -221,86 +237,108 @@ def check_caps(q: int, length: int) -> None:
         raise OracleCapError(f"L={length} is outside the oracle cap 0..{DEFAULT_L_CAP}")
     if q**length > VECTOR_CAP:
         raise OracleCapError(f"q^L = {q}^{length} exceeds the oracle cap of {VECTOR_CAP} vectors")
-    if not linalg.is_prime(q):
+    if not is_prime_modulus(q):
         raise OracleCapError(f"field size {q} is not prime")
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """The forward checks of one hypergraph at each search position t.
 
     Each P is a trie node: a prefix of the sorted positions of some
     interfering set I, all before t, the part of I already assigned when t
     is tried; node 0 is the empty prefix.  v is the vector tried at t.
+    The lists are shared by every search that reads the plan; nothing
+    changes them after ``_plan`` returns.  An avoid or pair check that two
+    hyperedges share is listed twice, which costs a repeated AND only.
     """
 
-    position: tuple[int, ...]  # search position of message m, at index m - 1
+    position: list[int]  # search position of message m, at index m - 1
     nodes: int  # trie nodes, the root included
     # (P, parent, last) of each node first read at t: span(P) = span(parent) + v_last
-    extend: tuple[tuple[tuple[int, int, int], ...], ...]
+    extend: list[list[tuple[int, int, int]]]
     # P of each I interfering with the message at t: v avoids span(P)
-    avoid: tuple[tuple[int, ...], ...]
+    avoid: list[list[int]]
     # (P, s) of each I containing t and interfering with the message at
     # s < t: v avoids span(P + v_s) - span(P)
-    pairs: tuple[tuple[tuple[int, int], ...], ...]
+    pairs: list[list[tuple[int, int]]]
     # (|P|, P) of each I containing t and interfering with a message after
     # t, longest first: v lies in span(P) when span(P) is a hyperplane
-    inside: tuple[tuple[tuple[int, int], ...], ...]
+    inside: list[list[tuple[int, int]]]
 
 
 @lru_cache(maxsize=64)
-def _plan(n: int, hyperedges: frozenset[Hyperedge]) -> _Plan:
-    """The most-constrained-first order and its checks; independent of q and L."""
+def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
+    """The most-constrained-first order and its checks, from the (k, mask
+    of I) of ``Problem.edge_masks``; independent of q and L."""
     degree = [0] * (n + 1)
-    for k, interf in hyperedges:
+    members = []  # the messages of each I
+    for k, interf in edges:
         degree[k] += 1
-        for m in interf:
+        ms = []
+        while interf:
+            low = interf & -interf
+            m = low.bit_length() - 1
+            ms.append(m)
             degree[m] += 1
+            interf ^= low
+        members.append(ms)
     # a stable sort keeps ids ascending among equal degrees, also in reverse
     order = sorted(range(1, n + 1), key=degree.__getitem__, reverse=True)
     position = [0] * (n + 1)
     for t, m in enumerate(order):
         position[m] = t
-    trie: dict[tuple[int, int], int] = {}  # (parent, last) -> node
+    node = {0: 0}  # prefix, as its mask of positions -> node; its parent lacks the highest position
     first = [n]  # position where each node is first read; the root is never set
-    avoid: list[set] = [set() for _ in order]
-    pairs: list[set] = [set() for _ in order]
-    inside: list[set] = [set() for _ in order]
-    for k, interf in hyperedges:
+    avoid: list[list[int]] = [[] for _ in order]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in order]
+    inside: list[list[tuple[int, int]]] = [[] for _ in order]
+    for (k, _), ms in zip(edges, members):
         s = position[k]
-        # each position of I, and that of k, reads the node x of the
-        # positions of I below it, of length size
-        x = size = 0
-        last = None  # the position of I that extends x at the next read
-        for t in sorted([s, *map(position.__getitem__, interf)]):
-            if last is not None:
-                y = trie.get((x, last))
+        x = size = prefix = 0
+        last = -1  # the position of I that extends x at the next read, if any
+        for t in sorted([s, *map(position.__getitem__, ms)]):
+            if last >= 0:
+                prefix |= 1 << last
+                y = node.get(prefix)
                 if y is None:
-                    y = trie[x, last] = len(first)
+                    y = node[prefix] = len(first)
                     first.append(t)
                 elif t < first[y]:
                     first[y] = t
-                x, size, last = y, size + 1, None
-            if t == s:
-                if x:
-                    avoid[s].add(x)
-                continue
+                x, size, last = y, size + 1, -1
             if t > s:
-                pairs[t].add((x, s))
-            else:
-                inside[t].add((size, x))
-            last = t
-    extend: list[list] = [[] for _ in order]
-    for (parent, last), x in trie.items():
-        extend[first[x]].append((x, parent, last))
-    return _Plan(
-        position=tuple(position[1:]),
-        nodes=len(first),
-        extend=tuple(map(tuple, extend)),
-        avoid=tuple(map(tuple, avoid)),
-        pairs=tuple(map(tuple, pairs)),
-        inside=tuple(tuple(sorted(c, reverse=True)) for c in inside),
-    )
+                pairs[t].append((x, s))
+            elif t < s:
+                inside[t].append((size, x))
+            elif x:
+                avoid[s].append(x)
+            if t != s:
+                last = t
+    extend: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for prefix, x in node.items():
+        if x:
+            last = prefix.bit_length() - 1
+            extend[first[x]].append((x, node[prefix ^ 1 << last], last))
+    # many hyperedges read one inside check: keep each once, longest prefix first
+    return _Plan(position[1:], len(first), extend, avoid, pairs, [sorted(set(c), reverse=True) for c in inside])
+
+
+@lru_cache(maxsize=None)
+def _field(q: int, length: int) -> tuple:
+    """What a search over GF(q)^length reads: the member masks, dimensions
+    and join maps of the subspace table, then ``_candidates`` as masks.  Per
+    rank r: the mask of its candidates, their number and the index q^r of
+    e_{r+1} (0, no candidate, at rank ``length``).  Per projective point v:
+    how many points come up to and including v, which is how many
+    candidates of any rank come no later, as the candidates of a rank are
+    the first points in index order."""
+    table, candidates = _subspaces(q, length), _candidates(q, length)
+    reach = [0] * q**length
+    for count, v in enumerate(candidates[-1], start=1):
+        reach[v] = count
+    masks = tuple(sum(1 << v for v in c) for c in candidates)
+    units = tuple(q**r for r in range(length)) + (0,)
+    return table.members, table.dim, table.join, masks, tuple(map(len, candidates)), units, tuple(reach)
 
 
 def exists_code(
@@ -316,53 +354,63 @@ def exists_code(
     ``OracleBudgetError`` once more than ``max_nodes`` nodes are explored.
     """
     check_caps(q, length)
-    plan = _plan(p.n, p.hyperedges)
-    extend, avoid, pairs, inside = plan.extend, plan.avoid, plan.pairs, plan.inside
-    table = _subspaces(q, length)
-    members, dim, join = table.members, table.dim, table.join
-    candidates = _candidates(q, length)
-    full = (1 << q**length) - 1  # every vector index
+    position, trie_nodes, extend, avoid, pairs, inside = _plan(p.n, p.edge_masks)
+    members, dim, join, candidates, count, unit, reach = _field(q, length)  # candidates as masks
     hyperplane = length - 1  # dimension of a hyperplane
+    last = p.n - 1
     assigned = [0] * p.n  # vector index at each search position
-    sp = [0] * plan.nodes  # subspace id of each trie node
-    nodes = 0
-
-    def search(t: int, rank: int) -> bool:
-        nonlocal nodes
-        for x, parent, last in extend[t]:
-            sp[x] = join[sp[parent]][assigned[last]]
-        allowed = full
+    # (allowed candidates not yet tried, candidates counted, rank) at each
+    # position, the count including the skipped candidates
+    saved: list[tuple[int, int, int]] = [(0, 0, 0)] * p.n
+    sp = [0] * trie_nodes  # subspace id of each trie node
+    nodes = t = r = 0
+    while True:
+        # enter position t at rank r: the forward checks give the allowed candidates
+        for x, parent, at in extend[t]:
+            sp[x] = join[sp[parent]][assigned[at]]
+        allowed = candidates[r]
         for x in avoid[t]:
             allowed &= ~members[sp[x]]
         for x, s in pairs[t]:
             a = sp[x]
             allowed &= members[a] | ~members[join[a][assigned[s]]]
-        if rank >= hyperplane:  # only then can a prefix span a hyperplane
+        if r >= hyperplane:  # only then can a prefix span a hyperplane
             for size, x in inside[t]:
                 if size < hyperplane:
                     break
                 a = sp[x]
                 if dim[a] == hyperplane:
                     allowed &= members[a]
-        unit = q**rank if rank < length else None  # index of e_{rank+1}
-        for v in candidates[rank]:
-            nodes += 1
+        done = 0  # candidates of t counted so far
+        while not allowed:  # t is exhausted: count the rest of its candidates and back up
+            nodes += count[r] - done
             if nodes > max_nodes:
-                raise OracleBudgetError(
-                    f"the search for a length-{length} code over GF({q}) "
-                    f"exceeded its budget of {max_nodes} nodes"
-                )
-            if allowed >> v & 1:
-                assigned[t] = v
-                if t + 1 == p.n or search(t + 1, rank + (v == unit)):
-                    return True
-        return False
+                raise _budget_error(q, length, max_nodes)
+            if not t:
+                return False, None, nodes
+            t -= 1
+            allowed, done, r = saved[t]
+        # try the first allowed candidate v, counting the candidates before it as tried
+        low = allowed & -allowed
+        v = low.bit_length() - 1
+        nodes += reach[v] - done
+        if nodes > max_nodes:
+            raise _budget_error(q, length, max_nodes)
+        saved[t] = allowed ^ low, reach[v], r
+        assigned[t] = v
+        if t == last:
+            vectors = _vectors(q, length)
+            witness = tuple(map(vectors.__getitem__, map(assigned.__getitem__, position)))
+            return True, ScalarLinearCode(length=length, prime=q, vectors=witness), nodes
+        r += v == unit[r]
+        t += 1
 
-    if search(0, 0):
-        vectors = _vectors(q, length)
-        witness = tuple(vectors[assigned[t]] for t in plan.position)
-        return True, ScalarLinearCode(length=length, prime=q, vectors=witness), nodes
-    return False, None, nodes
+
+def _budget_error(q: int, length: int, max_nodes: int) -> OracleBudgetError:
+    """The error of a length-``length`` search over GF(q) past its budget."""
+    return OracleBudgetError(
+        f"the search for a length-{length} code over GF({q}) exceeded its budget of {max_nodes} nodes"
+    )
 
 
 def min_length(

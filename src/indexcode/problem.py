@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain, filterfalse, islice
-from operator import or_
+from operator import and_, or_
 
 ConflictPair = tuple[int, int]  # always stored with a < b
 Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
@@ -84,7 +84,7 @@ def _all_message_ids(ms: Iterable[object], n: int) -> bool:
 class HypergraphBits:
     """Integer view of the conflict hypergraph, bit m for message m."""
 
-    edges: tuple[tuple[int, int], ...]  # (k, mask of Interf), ascending
+    edges: tuple[tuple[int, int], ...]  # ``Problem.edge_masks`` ascending: (k, mask of Interf)
     sets: tuple[int, ...]  # the distinct interfering sets, largest first
     against: tuple[int, ...]  # [i]: mask of the messages demanded against ``sets[i]``
     crowded: int  # union of the sets with three or more members
@@ -111,13 +111,31 @@ class Problem:
             raise ProblemError(f"need at least one message, got n={self.n}")
         if not self.receivers:
             raise ProblemError("need at least one receiver")
-        # ``messages`` is built only while it is no larger than the lists of
-        # ids, so a tiny file with a huge n allocates nothing of size n; the
-        # per-id test is the fallback only, as it doubles Problem() otherwise
-        if self.n <= sum(len(r.demands) + len(r.side_info) for r in self.receivers):
-            in_range = self.messages.issuperset
+        demands = [r.demands for r in self.receivers]
+        sides = [r.side_info for r in self.receivers]
+        # the set of ids 1..n is built only while it is no larger than the
+        # lists of ids, so a tiny file with a huge n allocates nothing of
+        # size n; the per-id test is the fallback only, as it doubles
+        # Problem() otherwise
+        if self.n <= sum(map(len, demands)) + sum(map(len, sides)):
+            in_range = frozenset(range(1, self.n + 1)).issuperset
         else:
             in_range = partial(_all_message_ids, n=self.n)
+        # C-level passes over every receiver and id: demands nonempty and in
+        # range, side information in range, ids of exact type int (2.0 and
+        # True equal ids in range) and demands apart from side information;
+        # the checks one receiver at a time run only to name the first offence
+        if not (
+            all(demands)
+            and all(map(in_range, demands))
+            and all(map(in_range, sides))
+            and {int}.issuperset(map(type, chain(*demands, *sides)))
+            and not any(map(and_, demands, sides))
+        ):
+            self._refuse(in_range)
+
+    def _refuse(self, in_range: Callable[[Iterable[object]], bool]) -> None:
+        """Raise the error of the first receiver at fault."""
         for j, r in enumerate(self.receivers, start=1):
             if not r.demands:
                 raise ProblemError(f"receiver {j}: empty demand set")
@@ -130,14 +148,11 @@ class Problem:
                 m = min((m for m in r.demands | r.side_info if not in_range((m,))), key=repr)
                 also = "" if type(m) is int else " and not an integer"
                 raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]{also}")
-        # 2.0 and True equal ids in range; one exact type test over every id
-        # rejects them and every other non-int, without a Python loop per id
-        ids = chain.from_iterable(s for r in self.receivers for s in (r.demands, r.side_info))
-        if not {int}.issuperset(map(type, ids)):
-            j, r = next((j, r) for j, r in enumerate(self.receivers, start=1)
-                        if not {int}.issuperset(map(type, r.demands | r.side_info)))
-            m = min((m for m in r.demands | r.side_info if type(m) is not int), key=repr)
-            raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
+        # every id is in range, so some id equal to one is not an int
+        j, r = next((j, r) for j, r in enumerate(self.receivers, start=1)
+                    if not {int}.issuperset(map(type, r.demands | r.side_info)))
+        m = min((m for m in r.demands | r.side_info if type(m) is not int), key=repr)
+        raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
 
     @property
     def t(self) -> int:
@@ -165,24 +180,40 @@ class Problem:
         return frozenset((k, interf) for _, k, interf in self.demand_edges if interf)
 
     @cached_property
-    def bits(self) -> HypergraphBits:
-        """The conflict hypergraph as int bitmasks, built from the receivers:
-        one mask per receiver, each demand k clearing bit k of it, and each
-        distinct interfering set mapped to the mask of the messages demanded
-        against it (``against``, in the order of ``sets``).  ``conf`` is that
-        map together with its transpose."""
-        against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
-        pairs: set[tuple[int, int]] = set()
-        full, bit = self.messages, [1 << m for m in range(self.n + 1)]
+    def edge_masks(self) -> frozenset[tuple[int, int]]:
+        """The conflict hypergraph as int masks: each distinct (k, mask of
+        Interf_k(j)) with a nonempty interfering set.  Built straight from
+        the receivers, one mask per receiver of the messages outside its side
+        information, each demand k clearing bit k of it.  A frozenset keeps
+        its hash, so a cache keyed by it hashes it once."""
+        bit = [1 << m for m in range(self.n + 1)]
+        full, everyone = 2 * bit[-1] - 2, frozenset(range(1, self.n + 1))
+        pairs = set()
         for r in self.receivers:
-            base = sum(map(bit.__getitem__, full.difference(r.side_info)))  # distinct bits: sum is or
+            # distinct bits, so a sum is an or; it reads the shorter of the
+            # side information and its complement
+            if 2 * len(r.side_info) > self.n:
+                base = sum(map(bit.__getitem__, everyone.difference(r.side_info)))
+            else:
+                base = full ^ sum(map(bit.__getitem__, r.side_info))
             for k in r.demands:
                 if interf := base ^ bit[k]:
-                    against[interf] = against.get(interf, 0) | bit[k]
                     pairs.add((k, interf))
-        edges = tuple(sorted(pairs))
-        sets = tuple(sorted(against, key=lambda s: (-s.bit_count(), s)))
+        return frozenset(pairs)
+
+    @cached_property
+    def bits(self) -> HypergraphBits:
+        """The conflict hypergraph as int bitmasks, read from ``edge_masks``:
+        each distinct interfering set mapped to the mask of the messages
+        demanded against it (``against``, in the order of ``sets``).
+        ``conf`` is that map together with its transpose."""
+        edges = tuple(sorted(self.edge_masks))
         sets_with, near, conf = [0] * (self.n + 1), [0] * (self.n + 1), [0] * (self.n + 1)
+        against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
+        for k, s in edges:
+            against[s] = against.get(s, 0) | 1 << k
+            conf[k] |= s
+        sets = tuple(sorted(against, key=lambda s: (-s.bit_count(), s)))
         for idx, s in enumerate(sets):
             ks, here, rest = against[s], 1 << idx, s
             while rest:  # _iter_bits inlined: this loop runs once per member of each set
@@ -192,8 +223,6 @@ class Problem:
                 near[m] |= s
                 conf[m] |= ks
                 rest ^= low
-        for k, s in edges:
-            conf[k] |= s
         crowded = reduce(or_, (s for s in sets if s.bit_count() > 2), 0)
         return HypergraphBits(
             edges, sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
@@ -329,6 +358,7 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     if type(n) is not int:
         raise ProblemError(f"'n' must be an integer, got {n!r}")
     receivers = []
+    repeats = []  # (receiver, its ids) where a list repeats a value
     if not isinstance(data["receivers"], list):
         raise ProblemError("'receivers' must be a list")
     for idx, entry in enumerate(data["receivers"], start=1):
@@ -336,12 +366,21 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
             raise ProblemError(f"receiver {idx}: must be an object")
         try:
             # Problem checks the id types, exactly and once for all receivers
-            receivers.append(Receiver(frozenset(entry["demands"]), frozenset(entry.get("side_info", []))))
+            demands, side_info = entry["demands"], entry.get("side_info", [])
+            d, s = frozenset(demands), frozenset(side_info)
         except (KeyError, TypeError) as exc:
             raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
+        receivers.append(Receiver(d, s))
+        if len(d) < len(demands) or len(s) < len(side_info):
+            repeats.append((idx, [*demands, *side_info]))
     if not receivers:
         raise ProblemError("problem file lists no receivers")
     p = Problem(n=n, receivers=tuple(receivers))
+    # a set keeps the first of equal values, so [1, true] is the set {1}
+    # and hides true from Problem's type test: test the repeating lists here
+    for idx, ids in repeats:
+        if odd := [m for m in ids if type(m) is not int]:
+            raise ProblemError(f"receiver {idx}: message id {min(odd, key=repr)!r} is not an integer")
     if not allow_undemanded:
         check_groupcast_complete(p)
     return p

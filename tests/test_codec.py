@@ -503,6 +503,21 @@ def test_code_rejects_non_integer_entries():
             ScalarLinearCode(length, prime, vectors)
 
 
+def test_code_names_its_first_bad_vector():
+    # the lengths and entries are checked in bulk first, so with two bad
+    # vectors the error must still name the first one in message order
+    for vectors, text in (
+        (((1, 0), (1,), (5, 0)), "vector for message 2 has length 1 != 2"),
+        (((1, 0), (0, 5), (1,)), r"vector for message 2 has entries outside \[0, 5\)"),
+        (((1, 0), (0, -1), (7, 0)), r"vector for message 2 has entries outside \[0, 5\)"),
+        (((1, 0, 0), (1, 0), (1, 0)), "vector for message 1 has length 3 != 2"),
+    ):
+        with pytest.raises(CodecError, match=f"^{text}$"):
+            ScalarLinearCode(2, 5, vectors)
+    assert ScalarLinearCode(2, 5, ((0, 4), (4, 0))).vectors == ((0, 4), (4, 0))
+    assert ScalarLinearCode(2, 5, ()).vectors == ()
+
+
 def test_code_json_roundtrip():
     p = load_fixture("p5")
     code, _ = construct_rate_third(p, rng=random.Random(9))

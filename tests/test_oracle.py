@@ -1,4 +1,5 @@
 from collections import Counter
+from hashlib import sha256
 from itertools import chain, product
 
 import pytest
@@ -13,6 +14,7 @@ from indexcode.oracle import (
     OracleBudgetError,
     OracleCapError,
     _candidates,
+    _field,
     _plan,
     _subspaces,
     _translation,
@@ -126,9 +128,15 @@ def _n10_corpus():
 
 def test_search_is_pinned_on_the_n10_corpus():
     # node counts and minimum lengths recorded before the subspace table
-    # and the prefix trie replaced the per-search span dicts
+    # and the prefix trie replaced the per-search span dicts; the witness
+    # digest was recorded before the search stepped through the allowed
+    # candidates alone
     results = [min_length(p, q) for p in _n10_corpus() for q in (2, 3)]
     assert sum(r.nodes_explored for r in results) == 15_983
+    witnesses = "".join(repr(r.witness and r.witness.vectors) for r in results)
+    assert sha256(witnesses.encode()).hexdigest() == (
+        "bb1ad35c228a29fb62e16d6eb07526e297031d8c82e69cda2512aae24b645436"
+    )
     # no code up to length 4 at densities 0.3 and 0.5; at 0.7 length 4
     # over both fields, but length 3 at seed 8
     want = [None] * 40 + [4] * 16 + [3, 3, 4, 4]
@@ -144,6 +152,7 @@ def test_subspace_tables_leak_nothing_between_searches():
     ]
     searches = [(i, q, length) for i in range(len(corpus)) for q in (2, 3) for length in (1, 2, 3, 4)]
     _subspaces.cache_clear()
+    _field.cache_clear()
     _plan.cache_clear()
     cold = {key: exists_code(corpus[key[0]], *key[1:]) for key in searches}
     # warm: reversed, so every field and length meets tables the other
@@ -261,6 +270,28 @@ def test_node_budget_binds():
         min_length(p, 2, max_nodes=spent - 1)
     with pytest.raises(OracleBudgetError, match="length-3 code over GF\\(3\\)"):
         exists_code(p, 3, 3, max_nodes=5)
+
+
+def test_node_budget_is_exact_over_a_corpus():
+    # the search counts the candidates its forward checks rule out without
+    # trying them, so a budget of exactly the nodes a search explores must
+    # give the same answer, and one node less must raise; 2.96M nodes in
+    # all, 2.9M of them in one refuted search
+    corpus = [
+        random_problem(5 + s % 8, (0.3, 0.5, 0.7, 0.85)[s % 4], single_unicast=s % 3 > 0, seed=s)
+        for s in range(24)
+    ]
+    outcomes = Counter()
+    for p in corpus:
+        for q in (2, 3, 5):
+            for length in (2, 3, 4):
+                result = exists_code(p, q, length)
+                found, _, nodes = result
+                assert exists_code(p, q, length, max_nodes=nodes) == result
+                with pytest.raises(OracleBudgetError, match=f"budget of {nodes - 1} nodes"):
+                    exists_code(p, q, length, max_nodes=nodes - 1)
+                outcomes[q, found] += 1
+    assert all(outcomes[q, found] >= 10 for q in (2, 3, 5) for found in (True, False)), outcomes
 
 
 def _contradictions(report, lengths):

@@ -115,6 +115,23 @@ def test_parse_rejects_malformed_json():
             parse_problem(text)
 
 
+def test_parse_rejects_a_non_integer_next_to_an_equal_integer():
+    # a set keeps the first of equal values, so [1, true] was parsed as
+    # {1} and [2, 2.0] as {2}, while [2.0, 2] was rejected
+    for demands, side_info, bad in (
+        ("[1, true]", "[2]", "True"),
+        ("[1]", "[2, 2.0]", r"2\.0"),
+        ("[1]", "[2.0, 2]", r"2\.0"),
+        ("[1, 1.0, 1]", "[]", r"1\.0"),
+    ):
+        text = '{"n": 2, "receivers": [{"demands": %s, "side_info": %s}, {"demands": [2]}]}' % (demands, side_info)
+        with pytest.raises(ProblemError, match=f"^receiver 1: message id {bad} is not an integer$"):
+            parse_problem(text)
+    # repeated integer ids are still one id each
+    p = parse_problem('{"n": 2, "receivers": [{"demands": [1, 1], "side_info": [2, 2]}, {"demands": [2]}]}')
+    assert p.receivers[0] == Receiver(frozenset({1}), frozenset({2}))
+
+
 def test_undemanded_rejected_by_default_allowed_by_flag():
     text = '{"n": 2, "receivers": [{"demands": [1], "side_info": []}]}'
     with pytest.raises(ProblemError, match=r"^messages demanded by no receiver: \[2\]$"):
@@ -183,6 +200,8 @@ def test_demand_edges_list_every_interfering_set_in_order(p):
     )
     assert p.demand_edges == expected
     assert p.hyperedges == frozenset((k, interf) for _, k, interf in expected if interf)
+    assert p.edge_masks == {(k, sum(1 << m for m in interf)) for k, interf in p.hyperedges}
+    assert p.bits.edges == tuple(sorted(p.edge_masks))
 
 
 def test_parser_accepts_any_order():
