@@ -223,12 +223,6 @@ class _Join(dict):
         return b
 
 
-@lru_cache(maxsize=None)
-def _subspaces(q: int, length: int) -> _Subspaces:
-    """The subspace table of GF(q)^length, shared by every search over it."""
-    return _Subspaces(q, length)
-
-
 def check_caps(q: int, length: int) -> None:
     """Raise ``OracleCapError`` unless a length-``length`` search over GF(q) fits the caps."""
     if type(q) is not int or type(length) is not int:
@@ -326,13 +320,14 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
 @lru_cache(maxsize=None)
 def _field(q: int, length: int) -> tuple:
     """What a search over GF(q)^length reads: the member masks, dimensions
-    and join maps of the subspace table, then ``_candidates`` as masks.  Per
+    and join maps of its subspace table, shared by every search over it and
+    filled as they go, then ``_candidates`` as masks.  Per
     rank r: the mask of its candidates, their number and the index q^r of
     e_{r+1} (0, no candidate, at rank ``length``).  Per projective point v:
     how many points come up to and including v, which is how many
     candidates of any rank come no later, as the candidates of a rank are
     the first points in index order."""
-    table, candidates = _subspaces(q, length), _candidates(q, length)
+    table, candidates = _Subspaces(q, length), _candidates(q, length)
     reach = [0] * q**length
     for count, v in enumerate(candidates[-1], start=1):
         reach[v] = count

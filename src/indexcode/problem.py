@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain, filterfalse, islice
-from operator import and_, or_
+from operator import or_
 
 ConflictPair = tuple[int, int]  # always stored with a < b
 Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
@@ -111,31 +111,13 @@ class Problem:
             raise ProblemError(f"need at least one message, got n={self.n}")
         if not self.receivers:
             raise ProblemError("need at least one receiver")
-        demands = [r.demands for r in self.receivers]
-        sides = [r.side_info for r in self.receivers]
-        # the set of ids 1..n is built only while it is no larger than the
-        # lists of ids, so a tiny file with a huge n allocates nothing of
-        # size n; the per-id test is the fallback only, as it doubles
-        # Problem() otherwise
-        if self.n <= sum(map(len, demands)) + sum(map(len, sides)):
-            in_range = frozenset(range(1, self.n + 1)).issuperset
+        # ``messages`` is built only while it is no larger than the lists of
+        # ids, so a tiny file with a huge n allocates nothing of size n; the
+        # per-id test is the fallback only, as it doubles Problem() otherwise
+        if self.n <= sum(len(r.demands) + len(r.side_info) for r in self.receivers):
+            in_range = self.messages.issuperset
         else:
             in_range = partial(_all_message_ids, n=self.n)
-        # C-level passes over every receiver and id: demands nonempty and in
-        # range, side information in range, ids of exact type int (2.0 and
-        # True equal ids in range) and demands apart from side information;
-        # the checks one receiver at a time run only to name the first offence
-        if not (
-            all(demands)
-            and all(map(in_range, demands))
-            and all(map(in_range, sides))
-            and {int}.issuperset(map(type, chain(*demands, *sides)))
-            and not any(map(and_, demands, sides))
-        ):
-            self._refuse(in_range)
-
-    def _refuse(self, in_range: Callable[[Iterable[object]], bool]) -> None:
-        """Raise the error of the first receiver at fault."""
         for j, r in enumerate(self.receivers, start=1):
             if not r.demands:
                 raise ProblemError(f"receiver {j}: empty demand set")
@@ -148,11 +130,14 @@ class Problem:
                 m = min((m for m in r.demands | r.side_info if not in_range((m,))), key=repr)
                 also = "" if type(m) is int else " and not an integer"
                 raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]{also}")
-        # every id is in range, so some id equal to one is not an int
-        j, r = next((j, r) for j, r in enumerate(self.receivers, start=1)
-                    if not {int}.issuperset(map(type, r.demands | r.side_info)))
-        m = min((m for m in r.demands | r.side_info if type(m) is not int), key=repr)
-        raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
+        # 2.0 and True equal ids in range; one exact type test over every id
+        # rejects them and every other non-int, without a Python loop per id
+        ids = chain.from_iterable(s for r in self.receivers for s in (r.demands, r.side_info))
+        if not {int}.issuperset(map(type, ids)):
+            j, r = next((j, r) for j, r in enumerate(self.receivers, start=1)
+                        if not {int}.issuperset(map(type, r.demands | r.side_info)))
+            m = min((m for m in r.demands | r.side_info if type(m) is not int), key=repr)
+            raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
 
     @property
     def t(self) -> int:
@@ -187,15 +172,10 @@ class Problem:
         information, each demand k clearing bit k of it.  A frozenset keeps
         its hash, so a cache keyed by it hashes it once."""
         bit = [1 << m for m in range(self.n + 1)]
-        full, everyone = 2 * bit[-1] - 2, frozenset(range(1, self.n + 1))
+        full = self.messages
         pairs = set()
         for r in self.receivers:
-            # distinct bits, so a sum is an or; it reads the shorter of the
-            # side information and its complement
-            if 2 * len(r.side_info) > self.n:
-                base = sum(map(bit.__getitem__, everyone.difference(r.side_info)))
-            else:
-                base = full ^ sum(map(bit.__getitem__, r.side_info))
+            base = sum(map(bit.__getitem__, full.difference(r.side_info)))  # distinct bits: sum is or
             for k in r.demands:
                 if interf := base ^ bit[k]:
                     pairs.add((k, interf))
@@ -358,29 +338,28 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     if type(n) is not int:
         raise ProblemError(f"'n' must be an integer, got {n!r}")
     receivers = []
-    repeats = []  # (receiver, its ids) where a list repeats a value
     if not isinstance(data["receivers"], list):
         raise ProblemError("'receivers' must be a list")
     for idx, entry in enumerate(data["receivers"], start=1):
         if not isinstance(entry, dict):
             raise ProblemError(f"receiver {idx}: must be an object")
         try:
-            # Problem checks the id types, exactly and once for all receivers
+            # Problem checks the id types, exactly and once for all receivers.
+            # A set keeps the first of equal values, so [1, true] would be {1}
+            # and hide true from that check: a list that repeats a value is
+            # read with its non-integers first
             demands, side_info = entry["demands"], entry.get("side_info", [])
             d, s = frozenset(demands), frozenset(side_info)
+            if len(d) < len(demands):
+                d = frozenset(sorted(demands, key=lambda m: type(m) is int))
+            if len(s) < len(side_info):
+                s = frozenset(sorted(side_info, key=lambda m: type(m) is int))
         except (KeyError, TypeError) as exc:
             raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
         receivers.append(Receiver(d, s))
-        if len(d) < len(demands) or len(s) < len(side_info):
-            repeats.append((idx, [*demands, *side_info]))
     if not receivers:
         raise ProblemError("problem file lists no receivers")
     p = Problem(n=n, receivers=tuple(receivers))
-    # a set keeps the first of equal values, so [1, true] is the set {1}
-    # and hides true from Problem's type test: test the repeating lists here
-    for idx, ids in repeats:
-        if odd := [m for m in ids if type(m) is not int]:
-            raise ProblemError(f"receiver {idx}: message id {min(odd, key=repr)!r} is not an integer")
     if not allow_undemanded:
         check_groupcast_complete(p)
     return p

@@ -127,6 +127,11 @@ def test_parse_rejects_a_non_integer_next_to_an_equal_integer():
         text = '{"n": 2, "receivers": [{"demands": %s, "side_info": %s}, {"demands": [2]}]}' % (demands, side_info)
         with pytest.raises(ProblemError, match=f"^receiver 1: message id {bad} is not an integer$"):
             parse_problem(text)
+    # the first receiver holding a non-integer is named, also where its
+    # list hides it behind an equal integer and a later list does not
+    text = '{"n": 2, "receivers": [{"demands": [1, true]}, {"demands": [2.0]}]}'
+    with pytest.raises(ProblemError, match="^receiver 1: message id True is not an integer$"):
+        parse_problem(text)
     # repeated integer ids are still one id each
     p = parse_problem('{"n": 2, "receivers": [{"demands": [1, 1], "side_info": [2, 2]}, {"demands": [2]}]}')
     assert p.receivers[0] == Receiver(frozenset({1}), frozenset({2}))
