@@ -133,9 +133,22 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _field_sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(q) for q in text.split(","))
+        sizes = tuple(int(q) for q in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"each field size may appear once, got {text!r}")
+    return sizes
+
+
+def _attempts(text: str) -> int:
+    try:
+        attempts = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if attempts < 1:
+        raise argparse.ArgumentTypeError(f"need at least one attempt, got {attempts}")
+    return attempts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", choices=["1", "1/2", "1/3"], required=True)
     sp.add_argument("--prime", type=int, default=linalg.DEFAULT_PRIME)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--max-attempts", type=int, default=8)
+    sp.add_argument("--max-attempts", type=_attempts, default=8)
     sp.add_argument("-o", "--output", default="-")
     common(sp)
     sp.set_defaults(func=cmd_construct)

@@ -21,6 +21,11 @@ decoding functional, and raises on an unverified code instead of running
 ``verify`` first.  The code holds the table of the last problem it was
 checked against, so the code a construction returns decodes with no
 further elimination.
+
+Both constructions draw whole assignments and keep the first that
+``verify`` passes, within ``max_attempts`` (at least 1) draws; the rate-1/3
+one reads only the message sets of the type-2 sets, so it lists no
+triangle.  ``code_to_json`` formats every entry with one ``%``-format.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import mul
@@ -191,12 +196,14 @@ def _first_verified(
     p: Problem, length: int, prime: int, draw: Callable[[], list[Vector]], max_attempts: int
 ) -> tuple[ScalarLinearCode, VerificationResult]:
     """Redraw the whole assignment with ``draw()`` until ``verify`` passes;
-    the result records the attempt that passed."""
+    the result records the attempt that passed.  A passing result has no
+    violation and no zero vector, so it is built directly."""
+    if max_attempts < 1:
+        raise CodecError(f"max_attempts must be >= 1, got {max_attempts}")
     for attempt in range(1, max_attempts + 1):
         code = ScalarLinearCode(length=length, prime=prime, vectors=tuple(draw()))
-        result = verify(p, code)
-        if result.ok:
-            return code, replace(result, attempts_used=attempt)
+        if verify(p, code).ok:
+            return code, VerificationResult(ok=True, violations=(), zero_vector_messages=(), attempts_used=attempt)
     raise AttemptsExhausted(
         f"no verified length-{length} code in {max_attempts} attempts over GF({prime}); "
         "the field is likely too small"
@@ -211,7 +218,8 @@ def construct_rate_half(
 ) -> tuple[ScalarLinearCode, VerificationResult]:
     """Length-2 code: one shared random vector per alignment set.
 
-    Redraws the whole assignment until verification passes.  Requires the
+    Redraws the whole assignment until verification passes, at most
+    ``max_attempts`` times, which must be at least 1.  Requires the
     problem to have no internal conflicts.
     """
     verdict = check_rate_half(p)
@@ -245,7 +253,9 @@ def construct_rate_third(
     Sets where no receiver sees three members at once get an independent
     random vector per message; conflict-free co-interfering triples share
     one vector; clean type-2 sets draw a fresh two-dimensional subspace
-    and one vector inside it per restricted alignment set.
+    and one vector inside it per restricted alignment set.  Redraws the
+    whole assignment until verification passes, at most ``max_attempts``
+    times, which must be at least 1.
     """
     report = structure_report(p)
     verdict = check_rate_third(report)
@@ -385,10 +395,12 @@ def project_type2_assignment(
 def code_to_json(code: ScalarLinearCode) -> str:
     """The bytes of ``json.dumps`` with ``indent=2`` on ``{"length": L,
     "prime": p, "vectors": [[...], ...]}``, formatted directly, since
-    ``indent`` selects the pure-Python encoder."""
-    rows = ",\n".join("    [\n      " + ",\n      ".join(map(str, v)) + "\n    ]" for v in code.vectors)
-    vectors = "[\n" + rows + "\n  ]" if rows else "[]"
-    return '{\n  "length": %d,\n  "prime": %d,\n  "vectors": %s\n}\n' % (code.length, code.prime, vectors)
+    ``indent`` selects the pure-Python encoder.  Every vector has length
+    L, so one template with a ``%d`` per entry formats them all at once."""
+    row = "    [\n      " + ",\n      ".join(["%d"] * code.length) + "\n    ]"
+    vectors = "[\n" + ",\n".join([row] * len(code.vectors)) + "\n  ]" if code.vectors else "[]"
+    template = '{\n  "length": %d,\n  "prime": %d,\n  "vectors": ' + vectors + "\n}\n"
+    return template % (code.length, code.prime, *chain.from_iterable(code.vectors))
 
 
 def code_from_json(text: str) -> ScalarLinearCode:

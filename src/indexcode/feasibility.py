@@ -5,6 +5,12 @@ rate 1/3 is decided by the necessary conditions (a dirty type-2 set, an
 acyclic quadruple) and the sufficient classification-based condition,
 with everything else reported as Undetermined plus a clearly labeled
 conjecture prediction.
+
+The verdicts and ``render_report`` read only the message sets of the
+type-2 sets, so ``analyze`` lists no triangle.  ``report_to_dict`` is
+the one caller of ``structure.triangular_interfering_sets``: the JSON
+report writes every triangle, in the type-2 set of its first conflict
+pair, and it reuses the pair components the analysis found.
 """
 
 from __future__ import annotations
@@ -13,7 +19,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .problem import ConflictPair, Problem, _iter_bits
-from .structure import Kind, StructureReport, _internal_pairs, structure_report
+from .structure import (
+    Kind,
+    StructureReport,
+    _group_triangles,
+    structure_report,
+    triangular_interfering_sets,
+)
 
 
 @dataclass(frozen=True)
@@ -73,9 +85,17 @@ def check_rate_one(p: Problem) -> RateOneVerdict:
 
 
 def check_rate_half(p: Problem) -> RateHalfVerdict:
-    # an internal conflict lies inside an alignment set; the first one is the witness
-    for pair, comp in _internal_pairs(p, p.alignment_components):
-        return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=frozenset(_iter_bits(comp)))
+    """An internal conflict lies inside an alignment set; the first, by set
+    and then by pair, is the witness.  One mask test per message finds it:
+    the first member a with a partner in its set has no partner below it,
+    which would have been found first, so its lowest partner completes the
+    first pair."""
+    conf = p.bits.conf
+    for comp in p.alignment_components:
+        for a in _iter_bits(comp):
+            if inside := conf[a] & comp:
+                pair, members = (a, (inside & -inside).bit_length() - 1), frozenset(_iter_bits(comp))
+                return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=members)
     return RateHalfVerdict(feasible=True, internal_conflict=None, alignment_set=None)
 
 
@@ -116,8 +136,13 @@ def analyze(p: Problem) -> FeasibilityReport:
 
 
 def report_to_dict(rep: FeasibilityReport) -> dict:
-    """Stable, versioned serialization of a feasibility report."""
-    third = rep.rate_third
+    """Stable, versioned serialization of a feasibility report.
+
+    The one place that lists the triangles: each type-2 set writes its
+    own, placed by the partner groups the analysis found."""
+    third, structure = rep.rate_third, rep.structure
+    listing = triangular_interfering_sets(structure.problem) if structure.type2_sets else []
+    triangles = _group_triangles(structure, listing)
     return {
         "schema_version": 1,
         "rate_1": {
@@ -157,9 +182,9 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
             "type2_sets": [
                 {
                     "messages": sorted(t.messages),
-                    "triangles": t.triangles,  # json writes each int triple as a list
+                    "triangles": group,  # json writes each int triple as a list
                 }
-                for t in rep.structure.type2_sets
+                for t, group in zip(structure.type2_sets, triangles)
             ],
             "acyclic_quadruple": list(rep.structure.acyclic_quadruple)
             if rep.structure.acyclic_quadruple
@@ -169,46 +194,45 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
 
 
 def render_report(rep: FeasibilityReport) -> str:
-    """Human-readable rendering, derived from the structured form."""
-    d = report_to_dict(rep)
+    """Human-readable rendering, read from the report itself.  Each set is
+    printed from its sorted ids, as the JSON form lists them."""
     lines = []
-    r1 = d["rate_1"]
+    r1 = rep.rate_one
     lines.append(
         "rate 1:   feasible"
-        if r1["feasible"]
-        else f"rate 1:   infeasible (conflict {set(r1['conflict_witness'])})"
+        if r1.feasible
+        else f"rate 1:   infeasible (conflict {set(r1.conflict_witness)})"
     )
-    rh = d["rate_1_2"]
-    if rh["feasible"]:
+    rh = rep.rate_half
+    if rh.feasible:
         lines.append("rate 1/2: feasible (no internal conflicts)")
     else:
         lines.append(
-            f"rate 1/2: infeasible (internal conflict {set(rh['internal_conflict'])} "
-            f"inside alignment set {set(rh['alignment_set'])})"
+            f"rate 1/2: infeasible (internal conflict {set(rh.internal_conflict)} "
+            f"inside alignment set {set(sorted(rh.alignment_set))})"
         )
-    rt = d["rate_1_3"]
-    status = rep.rate_third.status
-    if status is RateThirdStatus.FEASIBLE_MAIN:
+    rt = rep.rate_third
+    if rt.status is RateThirdStatus.FEASIBLE_MAIN:
         lines.append("rate 1/3: feasible (main construction applies)")
-    elif status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2:
-        w = rt["dirty_witness"]
+    elif rt.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2:
+        type2_set, conflict, _ = rt.dirty_witness
         lines.append(
-            f"rate 1/3: infeasible (type-2 set {set(w['type2_set'])} has restricted "
-            f"internal conflict {set(w['conflict'])})"
+            f"rate 1/3: infeasible (type-2 set {set(sorted(type2_set))} has restricted "
+            f"internal conflict {set(conflict)})"
         )
-    elif status is RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE:
-        lines.append(f"rate 1/3: infeasible (acyclic quadruple {tuple(rt['acyclic_quadruple'])})")
+    elif rt.status is RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE:
+        lines.append(f"rate 1/3: infeasible (acyclic quadruple {rt.quadruple})")
     else:
-        prediction = "feasible" if rt["conjecture_predicts_feasible"] else "infeasible"
+        prediction = "feasible" if rt.conjecture_predicts_feasible else "infeasible"
         lines.append(
             f"rate 1/3: undetermined by the known conditions; conjecture predicts {prediction}"
         )
-    for info in d["structure"]["alignment_sets"]:
+    for info in rep.structure.alignment_sets:
         flags = []
-        if info["has_fork"]:
+        if info.has_fork:
             flags.append("fork")
-        if info["has_cycle"]:
+        if info.has_cycle:
             flags.append("cycle")
         flag_text = f" [{', '.join(flags)}]" if flags else ""
-        lines.append(f"  alignment set {set(info['members'])}: {info['kind']}{flag_text}")
+        lines.append(f"  alignment set {set(sorted(info.members))}: {info.kind.value}{flag_text}")
     return "\n".join(lines) + "\n"

@@ -140,8 +140,8 @@ def nullspace(rows: list[Vector] | tuple[Vector, ...], length: int, p: int) -> l
             break
     else:
         return [(0,) * i + (1,) + (0,) * (length - 1 - i) for i in range(length)]
-    pivot = next(i for i, d in enumerate(first) if d)
-    d0 = first[pivot]
+    d0 = next(filter(None, first))
+    pivot = first.index(d0)
     basis: list[Vector] = []
     for i, d in enumerate(first):
         if i != pivot:
@@ -176,7 +176,7 @@ def random_vector(length: int, p: int, rng: random.Random) -> Vector:
     ``rng.randrange(p)``, so a seeded ``random.Random`` reproduces draws
     bit for bit.
     """
-    return tuple(rng.randrange(p) for _ in range(length))
+    return tuple([rng.randrange(p) for _ in range(length)])
 
 
 def random_nonzero_vector(length: int, p: int, rng: random.Random) -> Vector:
@@ -199,11 +199,11 @@ def random_subspace_basis(length: int, dim: int, p: int, rng: random.Random) -> 
 
 
 def random_vector_in_span(basis: tuple[Vector, ...], p: int, rng: random.Random) -> Vector:
-    """Random nonzero combination of the basis vectors."""
-    length = len(basis[0])
+    """Random nonzero combination of the basis vectors, its coefficients
+    drawn left to right with ``rng.randrange(p)``."""
     for _ in range(_MAX_DRAWS):
         coeffs = [rng.randrange(p) for _ in basis]
-        v = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) % p for i in range(length))
+        v = tuple([sum(map(mul, coeffs, column)) % p for column in zip(*basis)])
         if any(v):
             return v
     raise LinalgError(f"no nonzero span vector after {_MAX_DRAWS} draws (p={p})")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
 
@@ -41,19 +41,19 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _merge(masks: Iterable[int]) -> list[int]:
-    """Unions of the masks that overlap, directly or through a chain of
-    others; disjoint, and empty masks are left out."""
+def _merge(masks: Iterable[int], within: int = -1) -> list[int]:
+    """Unions of the masks that overlap inside ``within``, directly or
+    through a chain of others; disjoint there, and empty masks are left out."""
     first, rest = 0, []  # one running union takes every mask that meets it
     for mask in masks:
-        if mask & first or not first:
+        if mask & first & within or not first:
             first |= mask
         elif mask:
             rest.append(mask)
     comps = [first] if first else []
     for mask in rest:
-        touched = [c for c in comps if c & mask]
-        comps = [c for c in comps if not c & mask] + [reduce(or_, touched, mask)]
+        touched = [c for c in comps if c & mask & within]
+        comps = [c for c in comps if not c & mask & within] + [reduce(or_, touched, mask)]
     return comps
 
 
@@ -78,6 +78,28 @@ def _all_message_ids(ms: Iterable[object], n: int) -> bool:
         if not (0 < i <= n and i == m):
             return False
     return True
+
+
+class _cached:
+    """``functools.cached_property`` without its lock: the first access
+    computes the value and stores it in the instance ``__dict__``, where
+    every later access finds it before this descriptor.  Before Python
+    3.12 ``cached_property`` takes a lock on every first access; the views
+    it serves here are pure, so two threads racing on one would at most
+    compute the same value twice."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: object, owner: type | None = None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -143,11 +165,11 @@ class Problem:
     def t(self) -> int:
         return len(self.receivers)
 
-    @cached_property
+    @_cached
     def messages(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1))
 
-    @cached_property
+    @_cached
     def demand_edges(self) -> tuple[DemandEdge, ...]:
         """(j, k, Interf_k(j)) for every receiver j and demand k, in receiver
         order with k ascending; the interfering sets are built once here."""
@@ -158,13 +180,13 @@ class Problem:
             for k in sorted(r.demands)
         )
 
-    @cached_property
+    @_cached
     def hyperedges(self) -> frozenset[Hyperedge]:
         """The conflict hypergraph, distinct nonempty (k, Interf_k(j)); every
         structural quantity depends only on it, so it is derived once."""
         return frozenset((k, interf) for _, k, interf in self.demand_edges if interf)
 
-    @cached_property
+    @_cached
     def edge_masks(self) -> frozenset[tuple[int, int]]:
         """The conflict hypergraph as int masks: each distinct (k, mask of
         Interf_k(j)) with a nonempty interfering set.  Built straight from
@@ -181,7 +203,7 @@ class Problem:
                     pairs.add((k, interf))
         return frozenset(pairs)
 
-    @cached_property
+    @_cached
     def bits(self) -> HypergraphBits:
         """The conflict hypergraph as int bitmasks, read from ``edge_masks``:
         each distinct interfering set mapped to the mask of the messages
@@ -208,7 +230,7 @@ class Problem:
             edges, sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
         )
 
-    @cached_property
+    @_cached
     def alignment_components(self) -> tuple[int, ...]:
         """Alignment sets as masks, ordered by smallest member, found once.
 

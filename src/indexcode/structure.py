@@ -8,9 +8,12 @@ of the conflict hypergraph that ``Problem`` builds from its receivers
 (``problem.conflicts`` reads the pairs from ``bits.conf``), and returns
 plain values: the alignment graph is a frozenset of edges and a triangle
 an ascending int triple.  Type-2 sets are the components of the conflict
-pairs that lie in triangles, merged per message as masks, so the
-grouping costs no work per triangle when there is one component and one
-lookup per triangle otherwise.  The full alignment sets are the reach of
+pairs that lie in triangles, merged per message as masks, and their
+messages are the unions of the sets whose stars joined them, so the
+analysis does no work per triangle and lists none.  Only
+``feasibility.report_to_dict`` lists the triangles, which it writes, and
+``_group_triangles`` places each in its type-2 set with one lookup when
+there are several.  The full alignment sets are the reach of
 ``bits.near``, found once per problem as ``Problem.alignment_components``,
 and ``structure_report`` merges the restricted alignment sets of each
 type-2 set once, for the dirty witnesses, the classification and the
@@ -28,7 +31,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import chain
 from operator import or_
 
 from .problem import ConflictPair, Problem, _components, _iter_bits, _merge, _to_mask, restriction_members
@@ -39,8 +41,9 @@ Triangle = tuple[int, int, int]  # ascending
 
 @dataclass(frozen=True)
 class Type2AlignmentSet:
-    triangles: tuple[Triangle, ...]  # ascending, as listed
     messages: frozenset[int]
+    # (a, g): a message of the set and the mask of its partners b whose conflict pair (a, b) lies in the set
+    partners: tuple[tuple[int, int], ...]
 
 
 class Kind(Enum):
@@ -68,6 +71,7 @@ class StructureReport:
     dirty_witnesses: tuple[tuple[frozenset[int], ConflictPair, frozenset[int]], ...]
     # type-2 message union -> its restricted alignment sets, ordered by smallest member
     restricted_sets: dict[frozenset[int], tuple[frozenset[int], ...]]
+    problem: Problem  # the problem described, whose triangles ``report_to_dict`` lists
 
 
 def alignment_graph(p: Problem) -> frozenset[Edge]:
@@ -196,48 +200,44 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
     messages and that pair is in conflict.  Distinct triangles sharing a
     pair meet in exactly that pair, so a group is a component of the
     conflict pairs that lie in triangles, two pairs joined when one
-    triangle holds both (``_pair_components``).  With one component the
-    listing itself is the group.  Otherwise each triangle joins the
-    component of its first conflict pair.  A group keeps its triangles in
-    listing order, so they stay sorted.
+    triangle holds both (``_pair_components``), and no triangle is listed.
+    Groups are ordered by their sorted messages; two groups with the same
+    messages keep the order of their first triangles in the listing.
     """
-    triangles = triangular_interfering_sets(p)
-    if not triangles:
-        return []
-    nodes, comp, components, union = _pair_components(p)
-    if components == 1:
-        return [Type2AlignmentSet(tuple(triangles), frozenset(_iter_bits(union)))]
-    conf = p.bits.conf
-    groups: dict[int, list[Triangle]] = {}
-    for t in triangles:
-        a, b, c = t
-        u, v = (a, b) if conf[a] >> b & 1 else (a, c) if conf[a] >> c & 1 else (b, c)
-        row = nodes[u]
-        node = row[0][1] if len(row) == 1 else next(x for g, x in row if g >> v & 1)
-        groups.setdefault(comp[node], []).append(t)
-    out = [Type2AlignmentSet(tuple(g), frozenset(chain.from_iterable(g))) for g in groups.values()]
-    return sorted(out, key=lambda s: sorted(s.messages))
+    comps = _pair_components(p)
+    tied = len({messages for messages, _ in comps}) < len(comps)
+    order = sorted(comps, key=lambda c: (list(_iter_bits(c[0])), _first_triangle(p, c[1]) if tied else ()))
+    return [Type2AlignmentSet(frozenset(_iter_bits(messages)), tuple(pairs)) for messages, pairs in order]
 
 
-def _pair_components(p: Problem) -> tuple[dict[int, list[tuple[int, int]]], dict[int, int], int, int]:
-    """Components of the conflict pairs that lie in triangles.
+def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Components of the conflict pairs that lie in triangles, with the
+    messages of their triangles.
 
     Such a pair (a, b) lies in a set S of three or more members, and then
-    b is in the "star" S & conf[a] of a in S; every member of a set with a
-    star is in a triangle.  Two pairs share a component when one triangle
-    holds both: they share a message a, and both partners lie in one star
-    of a.  The stars of each message are merged as masks into its partner
-    groups, each a set of pairs (a, b) within one component.  The group
-    of a that holds b and the group of b that holds a are the same pair,
-    so a search over the groups finds the components.  Each group is a
-    node: message a itself when it has one group, an id above n
-    otherwise.  Returns, per message with a star, its (partner group,
-    node) pairs; the component index of each node; the number of
-    components; and the union of the triangles.
+    b is in the "star" S & conf[a] of a in S.  Two pairs share a component
+    when one triangle holds both: they share a message a, and both
+    partners lie in one star of a.  The stars of each message are merged
+    as masks into its partner groups, each a set of pairs (a, b) within
+    one component.  The group of a that holds b and the group of b that
+    holds a are the same pair, so a search over the groups finds the
+    components.  Each group is a node: message a itself when it has one
+    group, an id above n otherwise.
+
+    A group also carries the union of the sets S whose star joined it, and
+    a component's messages are the union over its groups.  Proof: when
+    (a, b) is a conflict pair, every c in a set S of three or more members
+    that holds both a and b forms a triangle with them, and that triangle
+    holds (a, b), so it lies in the component of (a, b); S is one of the
+    sets whose star joined the group of a that holds b.  Conversely every
+    triangle of the component lies in such a set with one of its conflict
+    pairs.  So the messages cost no work per triangle.
+
+    Returns, per component, the mask of its messages and its (message,
+    partner group) pairs.
     """
     conf = p.bits.conf
-    stars: dict[int, list[int]] = {}
-    union = 0
+    held: dict[int, list[int]] = {}  # message a -> the sets of three or more members where a has a star
     for s in p.bits.sets:
         if s.bit_count() < 3:
             break  # the sets are sorted largest first
@@ -245,20 +245,24 @@ def _pair_components(p: Problem) -> tuple[dict[int, list[tuple[int, int]]], dict
         while rest:
             low = rest & -rest
             a = low.bit_length() - 1
-            if star := s & conf[a]:
-                stars.setdefault(a, []).append(star)
-                union |= s
+            if s & conf[a]:
+                held.setdefault(a, []).append(s)
             rest ^= low
     single, extra = 0, p.n  # messages with one group; the last id given above n
-    nodes: dict[int, list[tuple[int, int]]] = {}
-    for a, found in stars.items():
-        groups = _merge(found) if len(found) > 1 else found
-        if len(groups) == 1:
+    nodes: dict[int, list[tuple[int, int]]] = {}  # message -> its (partner group, node) pairs
+    groups: dict[int, tuple[int, int, int]] = {}  # node -> (message, partner group, union of its sets)
+    for a, sets in held.items():
+        # the sets merged where their stars overlap: each union's star part is a group
+        merged = _merge(sets, conf[a]) if len(sets) > 1 else sets
+        if len(merged) == 1:
             single |= 1 << a
-            nodes[a] = [(groups[0], a)]
+            ids = [a]
         else:
-            nodes[a] = [(g, extra + i) for i, g in enumerate(groups, 1)]
-            extra += len(groups)
+            ids = range(extra + 1, extra + 1 + len(merged))
+            extra += len(merged)
+        nodes[a] = [(u & conf[a], node) for u, node in zip(merged, ids)]
+        for (g, node), u in zip(nodes[a], merged):
+            groups[node] = a, g, u
     links: dict[int, int] = {}  # node -> mask of the nodes sharing a pair with it
     for a, row in nodes.items():
         for g, node in row:
@@ -266,23 +270,68 @@ def _pair_components(p: Problem) -> tuple[dict[int, list[tuple[int, int]]], dict
             if g & ~single:
                 for b in _iter_bits(g & ~single):
                     links[node] |= 1 << next(other for h, other in nodes[b] if h >> a & 1)
-    comp: dict[int, int] = {}  # node -> component index
-    components = 0
+    comps: list[tuple[int, list[tuple[int, int]]]] = []
+    seen = 0  # mask of the nodes already in a component
     for start in links:
-        if start not in comp:
-            reach = frontier = 1 << start
+        if seen >> start & 1:
+            continue
+        reach = frontier = 1 << start
+        messages, pairs = 0, []
+        while frontier:
+            step = 0
             while frontier:
-                step = 0
-                while frontier:
-                    low = frontier & -frontier
-                    node = low.bit_length() - 1
-                    comp[node] = components
-                    step |= links[node]
-                    frontier ^= low
-                frontier = step & ~reach
-                reach |= frontier
-            components += 1
-    return nodes, comp, components, union
+                low = frontier & -frontier
+                node = low.bit_length() - 1
+                a, g, cover = groups[node]
+                pairs.append((a, g))
+                messages |= cover
+                step |= links[node]
+                frontier ^= low
+            frontier = step & ~reach
+            reach |= frontier
+        seen |= reach
+        comps.append((messages, pairs))
+    return comps
+
+
+def _first_triangle(p: Problem, pairs: Iterable[tuple[int, int]]) -> Triangle:
+    """The first triangle in listing order among those holding a conflict
+    pair (a, b) of ``pairs``, given as (message, partner group).
+
+    The triangles holding (a, b) are {a, b, c} for c in the union of the
+    sets of three or more members that hold a and b, and the sorted triple
+    grows with c, so each pair offers its lowest such c.
+    """
+    sets, sets_with = p.bits.sets, p.bits.sets_with
+    firsts = []
+    for a, group in pairs:
+        for b in _iter_bits((group >> (a + 1)) << (a + 1)):  # each pair once, from its smaller end
+            both = [sets[i] for i in _iter_bits(sets_with[a] & sets_with[b])]
+            third = reduce(or_, [s for s in both if s.bit_count() > 2]) & ~(1 << a | 1 << b)
+            firsts.append(tuple(sorted((a, b, (third & -third).bit_length() - 1))))
+    return min(firsts)
+
+
+def _group_triangles(report: StructureReport, triangles: list[Triangle]) -> list[list[Triangle]]:
+    """The listing ``triangles`` split by the type-2 sets of ``report``, in
+    their order: each triangle joins the set of its first conflict pair,
+    found from that set's partner groups.  With one set the listing itself
+    is its group.  Each group keeps listing order, so it stays sorted."""
+    type2 = report.type2_sets
+    if len(type2) == 1:
+        return [triangles]
+    where: dict[int, list[tuple[int, int]]] = {}  # message -> (partner group, index of its type-2 set)
+    for i, t2 in enumerate(type2):
+        for a, g in t2.partners:
+            where.setdefault(a, []).append((g, i))
+    conf = report.problem.bits.conf
+    out: list[list[Triangle]] = [[] for _ in type2]
+    for t in triangles:
+        a, b, c = t
+        u, v = (a, b) if conf[a] >> b & 1 else (a, c) if conf[a] >> c & 1 else (b, c)
+        row = where[u]
+        out[row[0][1] if len(row) == 1 else next(i for g, i in row if g >> v & 1)].append(t)
+    return out
 
 
 def restricted_internal_conflicts(
@@ -351,6 +400,7 @@ def structure_report(p: Problem) -> StructureReport:
         acyclic_quadruple=find_acyclic_quadruple(p),
         dirty_witnesses=tuple(dirty),
         restricted_sets=restricted,
+        problem=p,
     )
 
 

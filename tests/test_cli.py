@@ -10,7 +10,7 @@ import pytest
 from indexcode import linalg, oracle
 from indexcode.cli import main
 from indexcode.fixtures import fixture_text
-from indexcode.problem import parse_problem
+from indexcode.problem import parse_problem, problem_to_json, random_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -139,6 +139,20 @@ def test_construct_exhausted_exit_code(tmp_path, capsys):
     assert "attempts" in err
 
 
+@pytest.mark.parametrize("attempts", ["0", "-2"])
+def test_construct_without_attempts_is_usage_error(tmp_path, attempts, capsys):
+    # the problem is rate-1/2 feasible, so a code exists, and no attempt at
+    # all must not be reported as a field that is too small
+    path = tmp_path / "half.json"
+    path.write_text(problem_to_json(random_problem(8, 0.9, seed=0)))
+    for rate in ("1/2", "1/3"):
+        rc, out, err = run(capsys, "construct", str(path), "--rate", rate, f"--max-attempts={attempts}")
+        assert rc == 2
+        assert out == ""
+        assert "--max-attempts" in err
+        assert "too small" not in err
+
+
 def test_verify_reports_violations(fixture_file, tmp_path, capsys):
     code_path = tmp_path / "bad.code"
     code_path.write_text(
@@ -237,6 +251,13 @@ def test_oracle_budget_error_keeps_finished_fields(fixture_file, monkeypatch, ca
 def test_oracle_bad_field_list_is_usage_error(fixture_file, capsys):
     rc, _, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,x")
     assert rc == 2
+    assert "--q" in err
+
+
+def test_oracle_repeated_field_is_usage_error(fixture_file, capsys):
+    rc, out, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2,3,2")
+    assert rc == 2
+    assert out == ""
     assert "--q" in err
 
 

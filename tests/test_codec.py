@@ -134,6 +134,17 @@ def test_construct_rate_half_pigeonhole_gf2():
     assert not found
 
 
+@pytest.mark.parametrize("attempts", [0, -2])
+def test_construct_needs_one_attempt(attempts):
+    # both problems are feasible at their rate, and no attempt at all says
+    # nothing about the field
+    cases = ((construct_rate_half, random_problem(8, 0.9, seed=0)), (construct_rate_third, load_fixture("p5")))
+    for construct, p in cases:
+        with pytest.raises(CodecError, match="max_attempts") as info:
+            construct(p, rng=random.Random(0), max_attempts=attempts)
+        assert not isinstance(info.value, AttemptsExhausted)
+
+
 def test_construct_rate_third_p5():
     p = load_fixture("p5")
     code, result = construct_rate_third(p, rng=random.Random(7))

@@ -1,10 +1,13 @@
 import dataclasses
+import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_unicast_problem
+from corpusgen import random_constructible_problem, random_unicast_problem
+from indexcode.codec import construct_rate_third
 from indexcode.feasibility import (
     RateThirdStatus,
     analyze,
@@ -14,9 +17,10 @@ from indexcode.feasibility import (
     render_report,
     report_to_dict,
 )
-from indexcode.fixtures import load_fixture
+from indexcode.fixtures import FIXTURE_NAMES, load_fixture
+from indexcode.oracle import conjecture_probe
 from indexcode.problem import parse_problem, random_problem
-from indexcode.structure import structure_report, triangular_interfering_sets
+from indexcode.structure import structure_report, triangular_interfering_sets, type2_alignment_sets
 from test_oracle import relabeled_twins
 
 
@@ -155,3 +159,35 @@ def test_analyze_invariant_under_relabeling(twins):
     # verdict or a count that changes with the labels
     p, twin = twins
     assert _label_free_summary(p) == _label_free_summary(twin)
+
+
+def test_only_the_json_report_lists_triangles(monkeypatch):
+    # the verdicts, the text report, the rate-1/3 construction and the
+    # conjecture probe need only the type-2 message sets
+    def no_listing(p):
+        raise AssertionError("triangles listed")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        listing = vars(module).get("triangular_interfering_sets")
+        if name.startswith("indexcode.") and listing is triangular_interfering_sets:
+            monkeypatch.setattr(module, "triangular_interfering_sets", no_listing)
+            patched.append(name)
+    assert "indexcode.structure" in patched and "indexcode.feasibility" in patched
+    problems = (
+        [load_fixture(f) for f in FIXTURE_NAMES]
+        + [random_unicast_problem(seed) for seed in range(100)]
+        + [random_problem(9, 0.7, seed=7), random_problem(24, 0.85, seed=1)]
+    )
+    listed = 0
+    for p in problems:
+        rep = analyze(p)
+        render_report(rep)
+        conjecture_probe(p, fields=())
+        if type2_alignment_sets(p):
+            listed += 1
+            with pytest.raises(AssertionError, match="triangles listed"):
+                report_to_dict(rep)
+    for seed in range(30):
+        construct_rate_third(random_constructible_problem(seed))
+    assert listed > 20

@@ -79,6 +79,12 @@ def test_random_vector_deterministic():
     assert random_vector(3, 2**31 - 1, random.Random(99)) == random_vector(
         3, 2**31 - 1, random.Random(99)
     )
+    # entries and span coefficients come left to right from rng.randrange(p)
+    p, rng, ref = 2**31 - 1, random.Random(99), random.Random(99)
+    assert random_vector(3, p, rng) == tuple(ref.randrange(p) for _ in range(3))
+    basis = ((1, 2, 3), (4, 5, 6))
+    a, b = ref.randrange(p), ref.randrange(p)
+    assert random_vector_in_span(basis, p, rng) == tuple((a * x + b * y) % p for x, y in zip(*basis))
 
 
 def test_random_subspace_basis_has_requested_rank():
@@ -135,6 +141,15 @@ def test_nullspace_is_a_basis_of_the_annihilator(case):
     for u in basis:
         assert all(0 <= x < p for x in u)
         assert all(sum(a * b for a, b in zip(row, u)) % p == 0 for row in rows)
+
+
+def test_nullspace_basis_row_for_row():
+    # the first row (2, 3, 0) gives d0 * e_1 - 3 * e_0 and e_2; the second
+    # row meets both, so the first is the pivot and the other becomes
+    # 2 * e_2 - 1 * (4, 2, 0)
+    assert nullspace([(2, 3, 0)], 3, 7) == [(4, 2, 0), (0, 0, 1)]
+    assert nullspace([(0, 0, 0), (2, 3, 0), (4, 6, 0), (0, 1, 1)], 3, 7) == [(3, 5, 2)]
+    assert nullspace([(7, 14)], 2, 7) == [(1, 0), (0, 1)]
 
 
 def test_nullspace_rejects_rows_of_another_length():

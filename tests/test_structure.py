@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import random_constructible_problem, random_unicast_problem
-from indexcode.feasibility import check_rate_half, check_rate_one
+from indexcode.feasibility import analyze, check_rate_half, check_rate_one, report_to_dict
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import (
     HypergraphBits,
@@ -221,6 +221,12 @@ def naive_restricted_internal_conflicts(p, members):
     ]
 
 
+def written_type2_sets(p):
+    """(triangles, messages) per type-2 set as ``report_to_dict`` writes them."""
+    written = report_to_dict(analyze(p))["structure"]["type2_sets"]
+    return [(tuple(t2["triangles"]), frozenset(t2["messages"])) for t2 in written]
+
+
 def test_structure_matches_references_on_corpus():
     seen_kinds = set()
     # the fixtures bring the only clean type-2 set; the last three problems
@@ -237,7 +243,14 @@ def test_structure_matches_references_on_corpus():
     )
     for seed, p in enumerate(problems):
         assert triangular_interfering_sets(p) == naive_triangles(p)
-        assert [(t.triangles, t.messages) for t in type2_alignment_sets(p)] == naive_type2_sets(p)
+        naive = naive_type2_sets(p)
+        # the analysis finds the message sets with no listing; the report
+        # lists the triangles and splits them by the sets it found
+        assert [t.messages for t in type2_alignment_sets(p)] == [messages for _, messages in naive]
+        assert written_type2_sets(p) == naive
+        internal = naive_restricted_internal_conflicts(p, p.messages)
+        verdict = check_rate_half(p)
+        assert (verdict.internal_conflict, verdict.alignment_set) == (internal[0] if internal else (None, None))
         rng = random.Random(seed)
         subsets = [frozenset(rng.sample(sorted(p.messages), rng.randint(1, p.n))) for _ in range(3)]
         for members in [p.messages] + subsets:
@@ -260,7 +273,7 @@ def test_type2_grouping_matches_reference_past_n10():
     groups = []
     for n, density, seed in product((12, 16), (0.7, 0.85), range(10)):
         p = random_problem(n, density, seed=seed)
-        found = [(t.triangles, t.messages) for t in type2_alignment_sets(p)]
+        found = written_type2_sets(p)
         assert found == naive_type2_sets(p)
         groups.append(len(found))
     assert 1 in groups
@@ -350,7 +363,7 @@ def test_triangles_fixtures():
 def test_type2_sets_fixtures():
     (t2,) = type2_alignment_sets(load_fixture("ex_inf"))
     assert t2.messages == frozenset({1, 2, 3, 4})
-    assert t2.triangles == ((1, 2, 4), (1, 3, 4))
+    assert written_type2_sets(load_fixture("ex_inf")) == [(((1, 2, 4), (1, 3, 4)), t2.messages)]
     (t2,) = type2_alignment_sets(load_fixture("ex_feas"))
     assert t2.messages == frozenset({3, 4, 5})
     assert type2_alignment_sets(random_problem(4, 1.0, seed=0)) == []
@@ -481,9 +494,9 @@ def test_structural_invariants_on_corpus(seed):
 
     # every type-2 union sits inside exactly one alignment set, and every
     # triangle sits inside one alignment set too
-    for t2 in type2_alignment_sets(p):
-        assert sum(1 for s in sets if t2.messages <= s) == 1
-        for tri in t2.triangles:
+    for triangles, messages in written_type2_sets(p):
+        assert sum(1 for s in sets if messages <= s) == 1
+        for tri in triangles:
             assert sum(1 for s in sets if set(tri) <= s) == 1
 
     # classification is total and consistent with the report
