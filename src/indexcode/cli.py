@@ -23,9 +23,18 @@ EXIT_PRECONDITION = 4
 EXIT_EXHAUSTED = 5
 
 
-def _read_problem(path: str, allow_undemanded: bool) -> problem.Problem:
+def _read_text(path: str, error: type[Exception]) -> str:
+    """The text of the file at ``path``; one that is not UTF-8 raises
+    ``error`` naming it."""
     with open(path, encoding="utf-8") as fh:
-        return problem.parse_problem(fh.read(), allow_undemanded=allow_undemanded)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_problem(path: str, allow_undemanded: bool) -> problem.Problem:
+    return problem.parse_problem(_read_text(path, problem.ProblemError), allow_undemanded=allow_undemanded)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -74,8 +83,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
-    with open(args.code, encoding="utf-8") as fh:
-        code = codec.code_from_json(fh.read())
+    code = codec.code_from_json(_read_text(args.code, codec.CodecError))
     result = codec.verify(p, code)
     if result.ok:
         print(f"OK ({p.t}/{p.t} receivers)")

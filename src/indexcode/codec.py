@@ -406,7 +406,7 @@ def code_to_json(code: ScalarLinearCode) -> str:
 def code_from_json(text: str) -> ScalarLinearCode:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or nesting past the stack
         raise CodecError(f"malformed code file: {exc}") from exc
     try:
         length, prime = data["length"], data["prime"]

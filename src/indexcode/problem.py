@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
 
 ConflictPair = tuple[int, int]  # always stored with a < b
-Hyperedge = tuple[int, frozenset[int]]  # (demanded message, its interferers)
 DemandEdge = tuple[int, int, frozenset[int]]  # (receiver j, demanded message k, Interf_k(j))
 
 
@@ -59,11 +58,33 @@ def _merge(masks: Iterable[int], within: int = -1) -> list[int]:
 
 def _components(edges: Iterable[tuple[int, int]], keep: int) -> tuple[int, ...]:
     """Alignment components of the problem restricted to ``keep``, as masks
-    ordered by smallest member: each hyperedge (k, I) with k kept merges
-    I & keep.  The full sets need no merge (``Problem.alignment_components``)."""
+    ordered by smallest member: each hyperedge (k, I) of ``edges``
+    (``Problem.edge_masks``) with k kept merges I & keep.  The full sets
+    need no merge (``Problem.alignment_components``)."""
     comps = _merge([interf & keep for k, interf in edges if keep >> k & 1])
     comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
     return tuple(sorted(comps, key=lambda c: c & -c))
+
+
+def _reaches(near: Sequence[int] | Mapping[int, int], left: int) -> list[int]:
+    """Components of the graph in which ``near[v]`` is the mask of node v's
+    neighbours, over the nodes of the mask ``left``, ordered by smallest
+    node: each is the reach from the lowest node no earlier one holds, so
+    every node is expanded once."""
+    comps = []
+    while left:
+        reach = frontier = left & -left
+        while frontier:
+            step = 0
+            while frontier:  # _iter_bits inlined: this loop runs once per node
+                low = frontier & -frontier
+                step |= near[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~reach
+            reach |= frontier
+        comps.append(reach)
+        left &= ~reach
+    return comps
 
 
 def _all_message_ids(ms: Iterable[object], n: int) -> bool:
@@ -106,7 +127,6 @@ class _cached:
 class HypergraphBits:
     """Integer view of the conflict hypergraph, bit m for message m."""
 
-    edges: tuple[tuple[int, int], ...]  # ``Problem.edge_masks`` ascending: (k, mask of Interf)
     sets: tuple[int, ...]  # the distinct interfering sets, largest first
     against: tuple[int, ...]  # [i]: mask of the messages demanded against ``sets[i]``
     crowded: int  # union of the sets with three or more members
@@ -181,15 +201,10 @@ class Problem:
         )
 
     @_cached
-    def hyperedges(self) -> frozenset[Hyperedge]:
-        """The conflict hypergraph, distinct nonempty (k, Interf_k(j)); every
-        structural quantity depends only on it, so it is derived once."""
-        return frozenset((k, interf) for _, k, interf in self.demand_edges if interf)
-
-    @_cached
     def edge_masks(self) -> frozenset[tuple[int, int]]:
         """The conflict hypergraph as int masks: each distinct (k, mask of
-        Interf_k(j)) with a nonempty interfering set.  Built straight from
+        Interf_k(j)) with a nonempty interfering set.  Every structural
+        quantity depends only on it, so it is derived once, straight from
         the receivers, one mask per receiver of the messages outside its side
         information, each demand k clearing bit k of it.  A frozenset keeps
         its hash, so a cache keyed by it hashes it once."""
@@ -208,11 +223,11 @@ class Problem:
         """The conflict hypergraph as int bitmasks, read from ``edge_masks``:
         each distinct interfering set mapped to the mask of the messages
         demanded against it (``against``, in the order of ``sets``).
-        ``conf`` is that map together with its transpose."""
-        edges = tuple(sorted(self.edge_masks))
+        ``conf`` is that map together with its transpose.  Every value is
+        an OR over the edges, so their order does not matter."""
         sets_with, near, conf = [0] * (self.n + 1), [0] * (self.n + 1), [0] * (self.n + 1)
         against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
-        for k, s in edges:
+        for k, s in self.edge_masks:
             against[s] = against.get(s, 0) | 1 << k
             conf[k] |= s
         sets = tuple(sorted(against, key=lambda s: (-s.bit_count(), s)))
@@ -227,32 +242,17 @@ class Problem:
                 rest ^= low
         crowded = reduce(or_, (s for s in sets if s.bit_count() > 2), 0)
         return HypergraphBits(
-            edges, sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
+            sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
         )
 
     @_cached
     def alignment_components(self) -> tuple[int, ...]:
         """Alignment sets as masks, ordered by smallest member, found once.
 
-        Each is the reach of ``bits.near``, the alignment-graph neighbours,
-        from the lowest message no earlier set holds, so every message is
-        expanded once; a message in no interfering set is a set alone.
+        Each is a reach of ``bits.near``, the alignment-graph neighbours;
+        a message in no interfering set is a set alone.
         """
-        near, comps = self.bits.near, []
-        left = (1 << (self.n + 1)) - 2
-        while left:
-            reach = frontier = left & -left
-            while frontier:
-                step = 0
-                while frontier:  # _iter_bits inlined: this loop runs once per message
-                    low = frontier & -frontier
-                    step |= near[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = step & ~reach
-                reach |= frontier
-            comps.append(reach)
-            left &= ~reach
-        return tuple(comps)
+        return tuple(_reaches(self.bits.near, (1 << (self.n + 1)) - 2))
 
 
 _SHOWN_IDS = 10  # ids an error lists before it gives only the count
@@ -352,7 +352,7 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     """Parse the canonical JSON problem format (see ``problem_to_json``)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or nesting past the stack
         raise ProblemError(f"malformed problem file: {exc}") from exc
     if not isinstance(data, dict) or "n" not in data or "receivers" not in data:
         raise ProblemError("problem file must be an object with 'n' and 'receivers'")

@@ -3,26 +3,30 @@
 Alignment graph/sets, forks and cycles, acyclic quadruples, triangular
 interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
-construction.  Everything here reads ``Problem.bits``, the integer view
-of the conflict hypergraph that ``Problem`` builds from its receivers
-(``problem.conflicts`` reads the pairs from ``bits.conf``), and returns
-plain values: the alignment graph is a frozenset of edges and a triangle
-an ascending int triple.  Type-2 sets are the components of the conflict
-pairs that lie in triangles, merged per message as masks, and their
-messages are the unions of the sets whose stars joined them, so the
-analysis does no work per triangle and lists none.  Only
-``feasibility.report_to_dict`` lists the triangles, which it writes, and
-``_group_triangles`` places each in its type-2 set with one lookup when
-there are several.  The full alignment sets are the reach of
-``bits.near``, found once per problem as ``Problem.alignment_components``,
-and ``structure_report`` merges the restricted alignment sets of each
-type-2 set once, for the dirty witnesses, the classification and the
-rate-1/3 construction.  The acyclic-quadruple search walks masks of set
-indexes (``bits.sets_with``) and reads its candidates from
-``bits.against``.  The classification takes each alignment set as its
-mask: kind 1 is one test against ``bits.crowded``, the union of the sets
-with three or more members, and fork and cycle come from one pass over
-the degrees in ``bits.near``.
+construction.  Everything here reads the conflict hypergraph in one of
+two forms that ``Problem`` builds from its receivers: ``edge_masks``,
+the distinct (k, mask of Interf_k(j)), which the restricted alignment
+sets and ``to_dot`` read, and ``bits``, the integer view derived from it
+that every search reads (``problem.conflicts`` reads the pairs from
+``bits.conf``).  The results are plain values: the alignment graph is a
+frozenset of edges and a triangle an ascending int triple.  Type-2 sets
+are the components of the conflict pairs that lie in triangles, merged
+per message as masks, and their messages are the unions of the sets
+whose stars joined them, so the analysis does no work per triangle and
+lists none.  Only ``feasibility.report_to_dict`` lists the triangles,
+which it writes, and ``_group_triangles`` places each in its type-2 set
+with one lookup when there are several.  The full alignment sets are the
+reaches of ``bits.near``, found once per problem as
+``Problem.alignment_components`` by ``problem._reaches``, the same
+search that joins the partner groups of the type-2 sets, and
+``structure_report`` merges the restricted alignment sets of each type-2
+set once, from ``edge_masks``, for the dirty witnesses, the
+classification and the rate-1/3 construction.  The acyclic-quadruple
+search walks masks of set indexes (``bits.sets_with``) and reads its
+candidates from ``bits.against``.  The classification takes each
+alignment set as its mask: kind 1 is one test against ``bits.crowded``,
+the union of the sets with three or more members, and fork and cycle
+come from one pass over the degrees in ``bits.near``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from enum import Enum
 from functools import reduce
 from operator import or_
 
-from .problem import ConflictPair, Problem, _components, _iter_bits, _merge, _to_mask, restriction_members
+from .problem import ConflictPair, Problem, _components, _iter_bits, _merge, _reaches, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
 Triangle = tuple[int, int, int]  # ascending
@@ -85,17 +89,6 @@ def alignment_graph(p: Problem) -> frozenset[Edge]:
 def alignment_sets(p: Problem) -> list[frozenset[int]]:
     """Connected components of the alignment graph; a partition of [1..n]."""
     return [frozenset(_iter_bits(c)) for c in p.alignment_components]
-
-
-def _restricted_components(p: Problem, members: frozenset[int] | set[int]) -> tuple[int, ...]:
-    """Alignment sets of the problem restricted to ``members``, as masks of
-    original ids ordered by smallest member.
-
-    Restriction keeps each hyperedge (k, I) with k in ``members`` as
-    (k, I & members), and each restricted interfering set is a clique of
-    the restricted alignment graph, so no restricted problem is built.
-    """
-    return _components(p.bits.edges, _to_mask(restriction_members(p, members)))
 
 
 def fork_and_cycle(p: Problem, mask: int) -> tuple[bool, bool]:
@@ -271,25 +264,12 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
                 for b in _iter_bits(g & ~single):
                     links[node] |= 1 << next(other for h, other in nodes[b] if h >> a & 1)
     comps: list[tuple[int, list[tuple[int, int]]]] = []
-    seen = 0  # mask of the nodes already in a component
-    for start in links:
-        if seen >> start & 1:
-            continue
-        reach = frontier = 1 << start
+    for reach in _reaches(links, _to_mask(links)):
         messages, pairs = 0, []
-        while frontier:
-            step = 0
-            while frontier:
-                low = frontier & -frontier
-                node = low.bit_length() - 1
-                a, g, cover = groups[node]
-                pairs.append((a, g))
-                messages |= cover
-                step |= links[node]
-                frontier ^= low
-            frontier = step & ~reach
-            reach |= frontier
-        seen |= reach
+        for node in _iter_bits(reach):
+            a, g, cover = groups[node]
+            pairs.append((a, g))
+            messages |= cover
         comps.append((messages, pairs))
     return comps
 
@@ -344,7 +324,8 @@ def restricted_internal_conflicts(
     members, so these are the problem's own conflict pairs inside each
     restricted set: the partners b > a of each member a in ``bits.conf``.
     """
-    return [(pair, frozenset(_iter_bits(c))) for pair, c in _internal_pairs(p, _restricted_components(p, members))]
+    comps = _components(p.edge_masks, _to_mask(restriction_members(p, members)))
+    return [(pair, frozenset(_iter_bits(c))) for pair, c in _internal_pairs(p, comps)]
 
 
 def _internal_pairs(p: Problem, comps: Iterable[int]) -> Iterator[tuple[ConflictPair, int]]:
@@ -384,10 +365,11 @@ def structure_report(p: Problem) -> StructureReport:
     restricted: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
     dirty = []
     for t2 in type2:
-        comps = _restricted_components(p, t2.messages)
+        mask = _to_mask(t2.messages)
+        comps = _components(p.edge_masks, mask)
         sets = dict(zip(comps, map(frozenset, map(_iter_bits, comps))))
         found = [(t2.messages, pair, sets[c]) for pair, c in _internal_pairs(p, comps)]
-        type2_dirty.setdefault(reduce(or_, comps), bool(found))  # the components cover the union
+        type2_dirty.setdefault(mask, bool(found))
         restricted.setdefault(t2.messages, tuple(sets.values()))
         dirty += found
     infos = tuple(
@@ -411,12 +393,12 @@ def to_dot(p: Problem) -> str:
         lines.append(f"  m{v} [label=\"W{v}\"];")
     for a, b in sorted(alignment_graph(p)):
         lines.append(f"  m{a} -- m{b};")
-    hyperedges = sorted(p.hyperedges, key=lambda e: (e[0], sorted(e[1])))
+    hyperedges = sorted(p.edge_masks, key=lambda e: (e[0], list(_iter_bits(e[1]))))
     for idx, (k, interf) in enumerate(hyperedges):
         hub = f"h{idx}"
         lines.append(f"  {hub} [shape=point, label=\"\"];")
         lines.append(f"  m{k} -- {hub} [style=dashed];")
-        for i in sorted(interf):
+        for i in _iter_bits(interf):
             lines.append(f"  {hub} -- m{i} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,9 +10,20 @@ from __future__ import annotations
 
 import random
 
-from indexcode.problem import Problem, Receiver, random_problem
+from indexcode.problem import Problem, Receiver, interfering_set, random_problem
 
 Spec = tuple[int, frozenset[int]]  # (demand, interferers)
+
+
+def hyperedges(p: Problem) -> frozenset[tuple[int, frozenset[int]]]:
+    """The conflict hypergraph from its definition: the distinct nonempty
+    (k, Interf_k(j)) over every receiver j and demand k."""
+    return frozenset(
+        (k, interf)
+        for j, r in enumerate(p.receivers, start=1)
+        for k in r.demands
+        if (interf := interfering_set(p, j, k))
+    )
 
 
 def build_from_specs(n: int, specs: list[Spec]) -> Problem:

@@ -334,6 +334,39 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert "error" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 200_000, '{"n": %s}' % ("9" * 5000)], ids=["deep", "huge-int"])
+@pytest.mark.parametrize("kind", ["problem", "code"])
+def test_undecodable_json_is_one_error_line(fixture_file, tmp_path, capsys, kind, text):
+    # json.loads raises RecursionError on nesting past the recursion limit
+    # and, on an integer literal past Python's 4,300-digit limit, a
+    # ValueError that is not a JSONDecodeError; both ended in a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = ["analyze", str(path)] if kind == "problem" else ["verify", fixture_file("ex_feas"), str(path)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert err.startswith(f"error: malformed {kind} file: ") and err.count("\n") == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "verify-problem", "verify-code"])
+def test_non_utf8_file_is_one_error_line_naming_it(fixture_file, tmp_path, capsys, command):
+    # a UnicodeDecodeError is neither an OSError nor a ProblemError, and it
+    # ended in a traceback with exit 1
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "oracle": ["oracle", str(bad)],
+        "verify-problem": ["verify", str(bad), str(bad)],
+        "verify-code": ["verify", fixture_file("ex_feas"), str(bad)],
+    }[command]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert err.startswith(f"error: {bad}: not UTF-8") and err.count("\n") == 1
+    assert out == ""
+
+
 def run_capped(limit, *args):
     """The CLI in a subprocess whose address space is capped at ``limit`` bytes."""
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_unicast_problem
+from corpusgen import hyperedges, random_unicast_problem
 from indexcode.codec import ScalarLinearCode, verify
 from indexcode.feasibility import RateThirdStatus, analyze
 from indexcode.fixtures import load_fixture
@@ -194,11 +194,11 @@ def test_search_agrees_with_brute_force_on_tiny_instances():
 def _last_message_search(p, q, length):
     """Reference: the same search with each hyperedge checked only once all
     of its messages are assigned, at the position of the last one."""
-    degree = Counter(m for k, interf in p.hyperedges for m in interf | {k})
+    degree = Counter(m for k, interf in hyperedges(p) for m in interf | {k})
     order = sorted(p.messages, key=lambda m: (-degree[m], m))
     position = {m: t for t, m in enumerate(order)}
     checks = [[] for _ in order]
-    for k, interf in p.hyperedges:
+    for k, interf in hyperedges(p):
         at = [position[i] for i in interf]
         checks[max(at + [position[k]])].append((position[k], at))
     candidates = _candidates(q, length)

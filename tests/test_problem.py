@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusgen import hyperedges
 from indexcode.fixtures import load_fixture
 from indexcode.problem import (
     Problem,
     ProblemError,
     Receiver,
+    _iter_bits,
     check_groupcast_complete,
     conflicts,
     interfering_set,
@@ -204,9 +206,9 @@ def test_demand_edges_list_every_interfering_set_in_order(p):
         for k in sorted(r.demands)
     )
     assert p.demand_edges == expected
-    assert p.hyperedges == frozenset((k, interf) for _, k, interf in expected if interf)
-    assert p.edge_masks == {(k, sum(1 << m for m in interf)) for k, interf in p.hyperedges}
-    assert p.bits.edges == tuple(sorted(p.edge_masks))
+    assert hyperedges(p) == frozenset((k, interf) for _, k, interf in p.demand_edges if interf)
+    assert p.edge_masks == {(k, sum(1 << m for m in interf)) for k, interf in hyperedges(p)}
+    assert p.edge_masks == {(k, s) for s, ks in zip(p.bits.sets, p.bits.against) for k in _iter_bits(ks)}
 
 
 def test_parser_accepts_any_order():

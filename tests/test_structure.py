@@ -6,7 +6,7 @@ from operator import or_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_constructible_problem, random_unicast_problem
+from corpusgen import hyperedges, random_constructible_problem, random_unicast_problem
 from indexcode.feasibility import analyze, check_rate_half, check_rate_one, report_to_dict
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import (
@@ -60,18 +60,18 @@ def test_alignment_sets_ex_inf():
 
 def test_hypergraphs_of_motivating_pair():
     ex1a, ex1b = load_fixture("ex1a"), load_fixture("ex1b")
-    assert ex1a.hyperedges == {
+    assert hyperedges(ex1a) == {
         (1, frozenset({3})),
         (2, frozenset({1})),
         (3, frozenset({2})),
         (4, frozenset({1, 2, 3})),
     }
-    assert ex1b.hyperedges == {
+    assert hyperedges(ex1b) == {
         (2, frozenset({1})),
         (3, frozenset({1, 2})),
         (4, frozenset({1, 2, 3})),
     }
-    assert ex1a.hyperedges != ex1b.hyperedges
+    assert hyperedges(ex1a) != hyperedges(ex1b)
     assert conflicts(ex1a) == conflicts(ex1b)
     assert alignment_graph(ex1a) == alignment_graph(ex1b)
 
@@ -88,7 +88,7 @@ def test_hypergraph_ignores_duplicate_receivers():
         )
         + "}"
     )
-    assert p.hyperedges == doubled.hyperedges
+    assert hyperedges(p) == hyperedges(doubled)
     assert conflicts(p) == conflicts(doubled)
 
 
@@ -142,16 +142,15 @@ def reference_problem(seed, max_n=16):
 
 def reference_conflict_pairs(p):
     """Conflict pairs straight from the hyperedges: k against each i in I."""
-    return frozenset((min(i, k), max(i, k)) for k, interf in p.hyperedges for i in interf)
+    return frozenset((min(i, k), max(i, k)) for k, interf in hyperedges(p) for i in interf)
 
 
 def reference_bits(p):
     """``Problem.bits`` built from the hyperedges and their conflict pairs."""
     pairs, ids = reference_conflict_pairs(p), range(p.n + 1)
-    edges = tuple(sorted((k, sum(1 << i for i in interf)) for k, interf in p.hyperedges))
+    edges = {(k, sum(1 << i for i in interf)) for k, interf in hyperedges(p)}
     sets = tuple(sorted({s for _, s in edges}, key=lambda s: (-s.bit_count(), s)))
     return HypergraphBits(
-        edges,
         sets,
         tuple(sum({1 << k for k, interf in edges if interf == s}) for s in sets),
         reduce(or_, (s for s in sets if s.bit_count() >= 3), 0),
@@ -166,7 +165,7 @@ def naive_triangles(p):
     as ascending triples in sorted order."""
     pairs = reference_conflict_pairs(p)
     seen = set()
-    for _, interf in p.hyperedges:
+    for _, interf in hyperedges(p):
         for trio in combinations(sorted(interf), 3):
             if any(pair in pairs for pair in combinations(trio, 2)):
                 seen.add(trio)
@@ -292,7 +291,7 @@ def test_bits_match_hyperedge_reference():
         + doubled
         + [empty, Problem(2, (Receiver(frozenset({1}), frozenset({2})),))]
     )
-    assert empty.bits.edges == ((2, 0b1010), (3, 0b0110))  # receiver 1 adds no edge
+    assert empty.edge_masks == {(2, 0b1010), (3, 0b0110)}  # receiver 1 adds no edge
     for p in problems:
         assert p.bits == reference_bits(p)
         pairs = reference_conflict_pairs(p)
@@ -516,6 +515,44 @@ def test_dot_export_mentions_structure():
     assert dot.startswith("graph")
     assert "m4 -- m6" in dot
     assert "style=dashed" in dot
+
+
+def test_dot_export_bytes_are_pinned():
+    # alignment edges ascending, then one hub per hyperedge (k, I) ordered by
+    # k and then by the ascending members of I
+    assert to_dot(load_fixture("ex_feas")) == """\
+graph index_coding {
+  m1 [label="W1"];
+  m2 [label="W2"];
+  m3 [label="W3"];
+  m4 [label="W4"];
+  m5 [label="W5"];
+  m6 [label="W6"];
+  m1 -- m4;
+  m2 -- m3;
+  m3 -- m4;
+  m3 -- m5;
+  m4 -- m5;
+  m4 -- m6;
+  h0 [shape=point, label=""];
+  m1 -- h0 [style=dashed];
+  h0 -- m4 [style=dashed];
+  h0 -- m6 [style=dashed];
+  h1 [shape=point, label=""];
+  m2 -- h1 [style=dashed];
+  h1 -- m1 [style=dashed];
+  h1 -- m4 [style=dashed];
+  h2 [shape=point, label=""];
+  m5 -- h2 [style=dashed];
+  h2 -- m2 [style=dashed];
+  h2 -- m3 [style=dashed];
+  h3 [shape=point, label=""];
+  m6 -- h3 [style=dashed];
+  h3 -- m3 [style=dashed];
+  h3 -- m4 [style=dashed];
+  h3 -- m5 [style=dashed];
+}
+"""
 
 
 def test_dot_hub_order_ignores_receiver_order():
