@@ -228,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except MemoryError:
-        # the partial allocation is freed as the exception unwinds, so printing still works
+        # the failed allocation is freed as the exception unwinds, so printing still works
         print("error: out of memory: the input is too large for this command", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -10,7 +10,7 @@ Interf_k(j), and constructed codes share one vector across a whole
 alignment set, so a code has few distinct vectors.
 
 ``verify`` and ``decode_all`` read one span table per (problem, code).
-It keys each (j, k) of ``Problem.demand_edges`` by the index of v_k and
+It keys each (j, k), read from the receivers, by the index of v_k and
 the indexes of the distinct vectors of Interf_k(j).  For each distinct
 vector set it holds the rows that span the set's annihilator
 {u : u . v = 0 on the set} (``linalg.nullspace``, fraction-free), and
@@ -30,7 +30,6 @@ triangle.  ``code_to_json`` formats every entry with one ``%``-format.
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -41,7 +40,7 @@ from operator import mul
 from . import linalg
 from .feasibility import RateThirdStatus, check_rate_half, check_rate_third
 from .linalg import Vector
-from .problem import Problem, restrict_problem
+from .problem import Problem, _load_json, restrict_problem
 from .structure import Kind, alignment_sets, structure_report
 
 
@@ -106,11 +105,6 @@ class VerificationResult:
     attempts_used: int = 0
 
 
-def _check_vector_count(p: Problem, code: ScalarLinearCode) -> None:
-    if len(code.vectors) != p.n:
-        raise CodecError(f"code has {len(code.vectors)} vectors for {p.n} messages")
-
-
 SpanKey = tuple[int, frozenset[int]]  # (index of v_k, indexes of the vectors of Interf_k(j))
 
 
@@ -126,17 +120,23 @@ class _SpanTable:
 
 
 def _span_keys(p: Problem, code: ScalarLinearCode) -> tuple[list[Vector], list[tuple[int, int, SpanKey]]]:
-    """The distinct vectors of ``code`` and (j, k, key) for every demand edge.
+    """The distinct vectors of ``code`` and (j, k, key) for every receiver j
+    and demand k, in receiver order with k ascending.
 
     Both the span test and the decoding functional of (j, k) depend only
     on its key, so each distinct key, and each distinct vector set in it,
     needs its span work once.
     """
-    _check_vector_count(p, code)
+    if len(code.vectors) != p.n:
+        raise CodecError(f"code has {len(code.vectors)} vectors for {p.n} messages")
     index: dict[Vector, int] = {}
     ids = (-1, *[index.setdefault(v, len(index)) for v in code.vectors])  # ids[m] for message m
-    get = ids.__getitem__
-    return list(index), [(j, k, (ids[k], frozenset(map(get, interf)))) for j, k, interf in p.demand_edges]
+    get, full = ids.__getitem__, p.messages
+    return list(index), [
+        (j, k, (ids[k], frozenset(map(get, full.difference(r.side_info, (k,))))))
+        for j, r in enumerate(p.receivers, start=1)
+        for k in sorted(r.demands)
+    ]
 
 
 def _build_span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
@@ -404,13 +404,10 @@ def code_to_json(code: ScalarLinearCode) -> str:
 
 
 def code_from_json(text: str) -> ScalarLinearCode:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or nesting past the stack
-        raise CodecError(f"malformed code file: {exc}") from exc
-    try:
-        length, prime = data["length"], data["prime"]
-        vectors = tuple(tuple(row) for row in data["vectors"])
-    except (KeyError, TypeError) as exc:
-        raise CodecError(f"bad code file contents: {exc}") from exc
-    return ScalarLinearCode(length=length, prime=prime, vectors=vectors)
+    data = _load_json(text, "code", CodecError)
+    if not isinstance(data, dict) or not data.keys() >= {"length", "prime", "vectors"}:
+        raise CodecError("code file must be an object with 'length', 'prime' and 'vectors'")
+    vectors = data["vectors"]
+    if type(vectors) is not list or not {list}.issuperset(map(type, vectors)):  # a string or object is iterable too
+        raise CodecError("'vectors' must be a list of lists of integers")
+    return ScalarLinearCode(length=data["length"], prime=data["prime"], vectors=tuple(map(tuple, vectors)))

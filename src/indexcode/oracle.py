@@ -49,7 +49,7 @@ Both run whenever P grows or k is assigned, so once the last message of
 {k} | I is assigned the first check is the span condition itself, and a
 complete assignment that passes is a code.  Pinning the basis stays sound
 alongside: it narrows which codes are searched, whatever the constraints,
-while forward checking drops only partial assignments that no completion
+while forward checking drops only incomplete assignments that no completion
 turns into a code, so the pinned code that exists is never pruned.
 
 The search applies both checks to the vector v tried at position t as one

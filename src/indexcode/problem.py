@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
 
 ConflictPair = tuple[int, int]  # always stored with a < b
-DemandEdge = tuple[int, int, frozenset[int]]  # (receiver j, demanded message k, Interf_k(j))
 
 
 class ProblemError(ValueError):
@@ -87,20 +87,6 @@ def _reaches(near: Sequence[int] | Mapping[int, int], left: int) -> list[int]:
     return comps
 
 
-def _all_message_ids(ms: Iterable[object], n: int) -> bool:
-    """Whether each of ``ms`` equals one of the ids 1..n, as a lookup in a
-    set of them would find, with no such set: a non-int equal to an id
-    (``2.0``, ``True``) passes, and ``Problem`` then refuses its type."""
-    for m in ms:
-        try:
-            i = int(m)
-        except (TypeError, ValueError, OverflowError):
-            return False
-        if not (0 < i <= n and i == m):
-            return False
-    return True
-
-
 class _cached:
     """``functools.cached_property`` without its lock: the first access
     computes the value and stores it in the instance ``__dict__``, where
@@ -153,33 +139,35 @@ class Problem:
             raise ProblemError(f"need at least one message, got n={self.n}")
         if not self.receivers:
             raise ProblemError("need at least one receiver")
-        # ``messages`` is built only while it is no larger than the lists of
-        # ids, so a tiny file with a huge n allocates nothing of size n; the
-        # per-id test is the fallback only, as it doubles Problem() otherwise
-        if self.n <= sum(len(r.demands) + len(r.side_info) for r in self.receivers):
-            in_range = self.messages.issuperset
-        else:
-            in_range = partial(_all_message_ids, n=self.n)
-        for j, r in enumerate(self.receivers, start=1):
+        demands = [r.demands for r in self.receivers]
+        side = [r.side_info for r in self.receivers]
+        ids = frozenset().union(*demands, *side)  # the distinct listed ids, whatever n is
+        # one C-level pass per check over all receivers.  2.0 and True equal
+        # ids, so the exact type test reads every listed id, and min and max
+        # read the distinct ones only once all are ints
+        if (
+            all(demands)
+            and all(map(frozenset.isdisjoint, demands, side))
+            and {int}.issuperset(map(type, chain(*demands, *side)))
+            and 1 <= min(ids)
+            and max(ids) <= self.n
+        ):
+            return
+        for j, r in enumerate(self.receivers, start=1):  # a check failed: name the first receiver at fault
             if not r.demands:
                 raise ProblemError(f"receiver {j}: empty demand set")
-            if r.demands & r.side_info:
+            listed = [*r.demands, *r.side_info]
+            if not {int}.issuperset(map(type, listed)):
+                m = min((m for m in listed if type(m) is not int), key=repr)
+                raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
+            if not r.demands.isdisjoint(r.side_info):
                 raise ProblemError(
                     f"receiver {j}: demands overlap side info: "
                     f"{sorted(r.demands & r.side_info)}"
                 )
-            if not (in_range(r.demands) and in_range(r.side_info)):
-                m = min((m for m in r.demands | r.side_info if not in_range((m,))), key=repr)
-                also = "" if type(m) is int else " and not an integer"
-                raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]{also}")
-        # 2.0 and True equal ids in range; one exact type test over every id
-        # rejects them and every other non-int, without a Python loop per id
-        ids = chain.from_iterable(s for r in self.receivers for s in (r.demands, r.side_info))
-        if not {int}.issuperset(map(type, ids)):
-            j, r = next((j, r) for j, r in enumerate(self.receivers, start=1)
-                        if not {int}.issuperset(map(type, r.demands | r.side_info)))
-            m = min((m for m in r.demands | r.side_info if type(m) is not int), key=repr)
-            raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
+            if outside := [m for m in listed if not 0 < m <= self.n]:
+                m = min(outside, key=repr)
+                raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]")
 
     @property
     def t(self) -> int:
@@ -188,17 +176,6 @@ class Problem:
     @_cached
     def messages(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1))
-
-    @_cached
-    def demand_edges(self) -> tuple[DemandEdge, ...]:
-        """(j, k, Interf_k(j)) for every receiver j and demand k, in receiver
-        order with k ascending; the interfering sets are built once here."""
-        full = self.messages
-        return tuple(
-            (j, k, full.difference(r.side_info, (k,)))
-            for j, r in enumerate(self.receivers, start=1)
-            for k in sorted(r.demands)
-        )
 
     @_cached
     def edge_masks(self) -> frozenset[tuple[int, int]]:
@@ -276,7 +253,7 @@ def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:
 
     Empty when receiver ``j`` does not demand ``k``; otherwise every
     message other than ``k`` that is not in ``j``'s side information.
-    ``Problem.demand_edges`` holds every such set, built once per problem.
+    ``Problem.edge_masks`` holds every nonempty such set, as a mask.
     """
     if not 1 <= j <= p.t:
         raise ProblemError(f"receiver index {j} out of range [1..{p.t}]")
@@ -348,12 +325,31 @@ def random_problem(n: int, density: float, single_unicast: bool = True, seed: in
     return Problem(n=n, receivers=tuple(receivers))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object as a dict, refused when it repeats a key, which
+    ``json.loads`` would otherwise settle by keeping the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"repeated key {key!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads with a hook builds one per call
+
+
+def _load_json(text: str, kind: str, error: type[ValueError]) -> object:
+    """The JSON value of a ``kind`` file; a text that does not decode to
+    exactly one value raises ``error``."""
+    try:
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or nesting past the stack
+        raise error(f"malformed {kind} file: {exc}") from exc
+
+
 def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     """Parse the canonical JSON problem format (see ``problem_to_json``)."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or nesting past the stack
-        raise ProblemError(f"malformed problem file: {exc}") from exc
+    data = _load_json(text, "problem", ProblemError)
     if not isinstance(data, dict) or "n" not in data or "receivers" not in data:
         raise ProblemError("problem file must be an object with 'n' and 'receivers'")
     n = data["n"]
@@ -371,6 +367,8 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
             # and hide true from that check: a list that repeats a value is
             # read with its non-integers first
             demands, side_info = entry["demands"], entry.get("side_info", [])
+            if type(demands) is not list or type(side_info) is not list:  # a string or object is iterable too
+                raise TypeError
             d, s = frozenset(demands), frozenset(side_info)
             if len(d) < len(demands):
                 d = frozenset(sorted(demands, key=lambda m: type(m) is int))

@@ -3,10 +3,10 @@
 Alignment graph/sets, forks and cycles, acyclic quadruples, triangular
 interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
-construction.  Everything here reads the conflict hypergraph in one of
-two forms that ``Problem`` builds from its receivers: ``edge_masks``,
-the distinct (k, mask of Interf_k(j)), which the restricted alignment
-sets and ``to_dot`` read, and ``bits``, the integer view derived from it
+construction.  Everything here reads the conflict hypergraph in the one
+form that ``Problem`` builds from its receivers, ``edge_masks``, the
+distinct (k, mask of Interf_k(j)), which the restricted alignment sets
+and ``to_dot`` read, or in ``bits``, the integer view derived from it
 that every search reads (``problem.conflicts`` reads the pairs from
 ``bits.conf``).  The results are plain values: the alignment graph is a
 frozenset of edges and a triangle an ascending int triple.  Type-2 sets

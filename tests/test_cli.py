@@ -327,6 +327,8 @@ def test_bad_input_exit_code(tmp_path, capsys):
     for text in (
         '{"n": 2, "receivers": [{"demands": [1], "side_info": [1]}]}',
         '{"n": 2, "receivers": [{"demands": [1.7, 2], "side_info": []}]}',
+        # sorting the overlap {1, 'a'} for its message was a TypeError traceback
+        '{"n": 2, "receivers": [{"demands": [1, "a"], "side_info": [1, "a"]}, {"demands": [2]}]}',
     ):
         path.write_text(text)
         rc, _, err = run(capsys, "analyze", str(path))
@@ -334,12 +336,24 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert "error" in err
 
 
-@pytest.mark.parametrize("text", ["[" * 200_000, '{"n": %s}' % ("9" * 5000)], ids=["deep", "huge-int"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 200_000,
+        '{"n": %s}' % ("9" * 5000),
+        '{"n": 2, "receivers": [{"demands": [1, 2]}], "n": 3}',
+        '{"length": 1, "prime": 2, "vectors": [[1]], "vectors": [[1], [1], [1], [1], [1], [1]]}',
+    ],
+    ids=["deep", "huge-int", "repeated-n", "repeated-vectors"],
+)
 @pytest.mark.parametrize("kind", ["problem", "code"])
 def test_undecodable_json_is_one_error_line(fixture_file, tmp_path, capsys, kind, text):
     # json.loads raises RecursionError on nesting past the recursion limit
     # and, on an integer literal past Python's 4,300-digit limit, a
-    # ValueError that is not a JSONDecodeError; both ended in a traceback
+    # ValueError that is not a JSONDecodeError; both ended in a traceback.
+    # It keeps the last value of a repeated key, which read the repeated-n
+    # file as n = 3 and the repeated-vectors file as a length-1 code for
+    # ex_feas
     path = tmp_path / "bad.json"
     path.write_text(text)
     argv = ["analyze", str(path)] if kind == "problem" else ["verify", fixture_file("ex_feas"), str(path)]
@@ -347,6 +361,31 @@ def test_undecodable_json_is_one_error_line(fixture_file, tmp_path, capsys, kind
     assert rc == 3
     assert err.startswith(f"error: malformed {kind} file: ") and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, text, error",
+    [
+        ("problem", '{"n": 2, "receivers": [{"demands": "12"}]}',
+         "receiver 1: demands and side_info must be lists of integer ids"),
+        ("problem", '{"n": 2, "receivers": [{"demands": [1, 2], "side_info": {"1": 0}}]}',
+         "receiver 1: demands and side_info must be lists of integer ids"),
+        ("code", '{"length": 1, "prime": 2, "vectors": {"a": [1]}}', "'vectors' must be a list of lists of integers"),
+        ("code", '{"length": 1, "prime": 2, "vectors": ["1", "1", "1", "1", "1", "1"]}',
+         "'vectors' must be a list of lists of integers"),
+        ("code", "[1]", "code file must be an object with 'length', 'prime' and 'vectors'"),
+    ],
+    ids=["string-demands", "object-side-info", "object-vectors", "string-vector", "list-code-file"],
+)
+def test_non_list_value_is_one_error_line(fixture_file, tmp_path, capsys, kind, text, error):
+    # a string or object was iterated, so "12" was read as the ids '1' and
+    # '2', and an object as its keys, and the error named those values; a
+    # code file that is a list read "list indices must be integers"
+    path = tmp_path / "not-a-list.json"
+    path.write_text(text)
+    argv = ["analyze", str(path)] if kind == "problem" else ["verify", fixture_file("ex_feas"), str(path)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (3, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "oracle", "verify-problem", "verify-code"])

@@ -1,0 +1,109 @@
+"""The byte-stable outputs that `.github/workflows/tests.yml` checks, run
+in process.
+
+Each row runs its ``setup`` commands, which must exit 0, then its command,
+in a fresh directory holding ``p5.json``.  The row pins the exit code, the
+SHA-256 of stdout (or of the file the command writes), the lines stderr
+must hold, and, for a code, the problem file it must pass ``verify``
+against.  An empty stdout has the digest ``EMPTY``.
+"""
+
+import hashlib
+from typing import NamedTuple
+
+import pytest
+
+from indexcode.cli import main
+from indexcode.fixtures import fixture_text
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+class Row(NamedTuple):
+    setup: tuple[tuple[str, ...], ...]
+    argv: tuple[str, ...]
+    exit_code: int
+    sha256: str
+    digested: str = "-"  # "-" for stdout, else the file the command writes
+    stderr: tuple[str, ...] = ()
+    verify_against: str | None = None
+
+
+def gen(n, density, seed, out, *extra):
+    return ("gen", "-n", str(n), "--density", str(density), "--seed", str(seed), "-o", out, *extra)
+
+
+ROWS = {
+    "gen-n96": Row(
+        (), ("gen", "-n", "96", "--density", "0.5", "--seed", "1"), 0,
+        "072fccf2c21395243f3f11fc84a3f700dbae25db8754a189ae99b280f4bbbfa1",
+    ),
+    "analyze-n96-json": Row(
+        (gen(96, 0.5, 1, "n96.json"),), ("analyze", "n96.json", "--format", "json"), 0,
+        "2f57d555dc140947f62131d30eaaed5913e1269a57075bca42d121d3fbfcaf7f",
+    ),
+    "analyze-n160-text": Row(
+        (gen(160, 0.6, 1, "n160.json"),), ("analyze", "n160.json"), 0,
+        "0eafcf759bf7c23b449e9cda87aab7f1bba22adf45d712238809c45d74bd0ed4",
+    ),
+    "analyze-n64-json": Row(
+        (gen(64, 0.9, 0, "n64.json"),), ("analyze", "n64.json", "--format", "json"), 0,
+        "f321fbea40f669e42b9b11fa575140c675d644e94cd822bedb08d1afa9848570",
+    ),
+    "construct-p5-gf3": Row(
+        (), ("construct", "p5.json", "--rate", "1/3", "--prime", "3", "--seed", "0"), 0,
+        "01b07f484e8554c709425923dbe6e24f6bf2622318eefd158def79e1badc9854",
+        stderr=("seed: 0", "attempts_used: 7"), verify_against="p5.json",
+    ),
+    "construct-p5-gf2-exhausted": Row(
+        (), ("construct", "p5.json", "--rate", "1/3", "--prime", "2", "--seed", "1"), 5, EMPTY,
+        stderr=("error: no verified length-3 code in 8 attempts over GF(2); the field is likely too small",),
+    ),
+    "construct-n40-half": Row(
+        (gen(40, 0.97, 1, "n40.json"),), ("construct", "n40.json", "--rate", "1/2", "--seed", "0"), 0,
+        "a5a9230336f3f5a34e12c45686a0c8335825adfe0d78476d3ca83efc50236d3f",
+        stderr=("seed: 0", "attempts_used: 1"), verify_against="n40.json",
+    ),
+    "dot-n24": Row(
+        (gen(24, 0.5, 3, "n24.json", "--general"),), ("analyze", "n24.json", "--emit-graph", "n24.dot"), 0,
+        "7d893fc4fdb64e0b58458499f7c2e4be3af6b85f4ab53b0a351acee6d5fbfa0e", digested="n24.dot",
+    ),
+    "oracle-n10-node-counts": Row(
+        (gen(10, 0.5, 4, "n10-slowest.json"),), ("oracle", "n10-slowest.json"), 0,
+        "5f4757287acfd6cd1f9da793b4ad0869c387b61f805c1d170f4ac6bc0da2e36a",
+        stderr=("q=2: nodes explored 134", "q=3: nodes explored 510"),
+    ),
+    "oracle-n32-budget": Row(
+        (gen(32, 0.85, 4, "n32.json"),), ("oracle", "n32.json", "--q", "3", "--max-len", "3"), 3, EMPTY,
+        stderr=("error: the search for the minimum code length over GF(3) exceeded its budget "
+                "of 10000000 nodes at L=3",),
+    ),
+    "oracle-n10-shortest-witness": Row(
+        (gen(10, 0.85, 21, "n10-shortest.json"),),
+        ("oracle", "n10-shortest.json", "--q", "3,2", "-o", "witness.json"), 0,
+        "0f6ab820666efc7492a9fe1a6fea402a71a85ac0f54632965b3c3085471ff705", digested="witness.json",
+        stderr=("q=3: nodes explored 35", "q=2: nodes explored 45"), verify_against="n10-shortest.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
+def test_workflow_output_is_byte_stable(row, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p5.json").write_text(fixture_text("p5"))
+    for argv in row.setup:
+        assert main(list(argv)) == 0
+    capsys.readouterr()
+    rc = main(list(row.argv))
+    out, err = capsys.readouterr()
+    assert rc == row.exit_code, err
+    digested = out.encode() if row.digested == "-" else (tmp_path / row.digested).read_bytes()
+    assert hashlib.sha256(digested).hexdigest() == row.sha256
+    assert set(row.stderr) <= set(err.splitlines()), err
+    if row.verify_against is not None:
+        code = row.digested
+        if code == "-":
+            code = "code.json"
+            (tmp_path / code).write_text(out)
+        assert main(["verify", row.verify_against, code]) == 0
+        assert capsys.readouterr().out.startswith("OK ")

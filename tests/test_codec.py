@@ -239,7 +239,7 @@ def test_decode_checks_codeword_length():
 
 
 # Test-only references: the per-receiver loops that verify and decode_all
-# ran before they read Problem.demand_edges.
+# ran before they read the span table.
 
 
 def reference_verify(p, code):
