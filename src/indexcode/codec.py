@@ -36,11 +36,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .feasibility import RateThirdStatus, check_rate_half, check_rate_third
 from .linalg import Vector
-from .problem import Problem, _load_json, restrict_problem
+from .problem import Problem, _load_json, _unknown_key, restrict_problem
 from .structure import Kind, alignment_sets, structure_report
 
 
@@ -97,8 +98,7 @@ class ScalarLinearCode:
         return self.vectors[message - 1]
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     ok: bool
     violations: tuple[tuple[int, int], ...]  # (receiver j, message k)
     zero_vector_messages: tuple[int, ...]
@@ -403,10 +403,16 @@ def code_to_json(code: ScalarLinearCode) -> str:
     return template % (code.length, code.prime, *chain.from_iterable(code.vectors))
 
 
+_CODE_KEYS = frozenset({"length", "prime", "vectors"})
+
+
 def code_from_json(text: str) -> ScalarLinearCode:
     data = _load_json(text, "code", CodecError)
-    if not isinstance(data, dict) or not data.keys() >= {"length", "prime", "vectors"}:
+    if not isinstance(data, dict) or not data.keys() >= _CODE_KEYS:
         raise CodecError("code file must be an object with 'length', 'prime' and 'vectors'")
+    if not _CODE_KEYS.issuperset(data):
+        key = _unknown_key(data, _CODE_KEYS)
+        raise CodecError(f"code file: unknown key {key!r}; it holds only 'length', 'prime' and 'vectors'")
     vectors = data["vectors"]
     if type(vectors) is not list or not {list}.issuperset(map(type, vectors)):  # a string or object is iterable too
         raise CodecError("'vectors' must be a list of lists of integers")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .problem import ConflictPair, Problem, _iter_bits
 from .structure import (
@@ -28,14 +29,12 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class RateOneVerdict:
+class RateOneVerdict(NamedTuple):
     feasible: bool
     conflict_witness: ConflictPair | None
 
 
-@dataclass(frozen=True)
-class RateHalfVerdict:
+class RateHalfVerdict(NamedTuple):
     feasible: bool
     internal_conflict: ConflictPair | None
     alignment_set: frozenset[int] | None
@@ -48,8 +47,7 @@ class RateThirdStatus(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class RateThirdVerdict:
+class RateThirdVerdict(NamedTuple):
     status: RateThirdStatus
     # dirty type-2 witness: (type-2 message union, conflict, restricted set)
     dirty_witness: tuple[frozenset[int], ConflictPair, frozenset[int]] | None

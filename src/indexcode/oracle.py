@@ -70,7 +70,12 @@ refuted constraint prunes a small subtree.  The order, the positions and
 the checks at each position depend only on the hypergraph, not on q or
 L, so ``_plan`` derives them once per hypergraph from the (k, mask of I)
 of ``Problem.edge_masks``, built in plain lists, and keeps the most
-recent plans; a sweep over lengths and fields reuses one plan.  Every
+recent plans; a sweep over lengths and fields reuses one plan.  It makes
+one pass over the hyperedges, listing k and the members of I and
+counting degrees, then walks the sorted positions of each {k} | I once,
+creating a trie node (below) where it is first read and noting its
+parent and last position as it goes; only an inside list that holds
+more than one check is deduplicated and sorted.  Every
 prefix P = at[:j] of the sorted positions at of an interfering set that
 a check reads is a node of a trie, keyed by its mask of positions, with
 a parent at[:j-1] and a last position at[j-1].  The search keeps the
@@ -114,7 +119,6 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -137,8 +141,7 @@ class OracleBudgetError(OracleCapError):
     """A search explored more nodes than its budget allowed; its answer is unknown."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     prime: int
     min_length: int | None
     witness: ScalarLinearCode | None
@@ -265,10 +268,10 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     """The most-constrained-first order and its checks, from the (k, mask
     of I) of ``Problem.edge_masks``; independent of q and L."""
     degree = [0] * (n + 1)
-    members = []  # the messages of each I
+    members = []  # k, then the messages of I, for each hyperedge
     for k, interf in edges:
         degree[k] += 1
-        ms = []
+        ms = [k]
         while interf:
             low = interf & -interf
             m = low.bit_length() - 1
@@ -281,40 +284,46 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     position = [0] * (n + 1)
     for t, m in enumerate(order):
         position[m] = t
-    node = {0: 0}  # prefix, as its mask of positions -> node; its parent lacks the highest position
+    at = position.__getitem__
+    node = {0: 0}  # prefix, as its mask of positions -> node
     first = [n]  # position where each node is first read; the root is never set
+    links = []  # (node, parent, last) of each node but the root, by node
     avoid: list[list[int]] = [[] for _ in order]
     pairs: list[list[tuple[int, int]]] = [[] for _ in order]
     inside: list[list[tuple[int, int]]] = [[] for _ in order]
-    for (k, _), ms in zip(edges, members):
-        s = position[k]
+    for ms in members:
+        s = position[ms[0]]
         x = size = prefix = 0
         last = -1  # the position of I that extends x at the next read, if any
-        for t in sorted([s, *map(position.__getitem__, ms)]):
+        for t in sorted(map(at, ms)):
             if last >= 0:
                 prefix |= 1 << last
                 y = node.get(prefix)
                 if y is None:
                     y = node[prefix] = len(first)
                     first.append(t)
+                    links.append((y, x, last))
                 elif t < first[y]:
                     first[y] = t
-                x, size, last = y, size + 1, -1
+                x = y
+                size += 1
             if t > s:
                 pairs[t].append((x, s))
+                last = t
             elif t < s:
                 inside[t].append((size, x))
-            elif x:
-                avoid[s].append(x)
-            if t != s:
                 last = t
+            else:
+                last = -1
+                if x:
+                    avoid[s].append(x)
     extend: list[list[tuple[int, int, int]]] = [[] for _ in order]
-    for prefix, x in node.items():
-        if x:
-            last = prefix.bit_length() - 1
-            extend[first[x]].append((x, node[prefix ^ 1 << last], last))
-    # many hyperedges read one inside check: keep each once, longest prefix first
-    return _Plan(position[1:], len(first), extend, avoid, pairs, [sorted(set(c), reverse=True) for c in inside])
+    for link, t in zip(links, first[1:]):
+        extend[t].append(link)
+    for c in inside:  # many hyperedges read one inside check: keep each once, longest prefix first
+        if len(c) > 1:
+            c[:] = sorted(set(c), reverse=True)
+    return _Plan(position[1:], len(first), extend, avoid, pairs, inside)
 
 
 @lru_cache(maxsize=None)
@@ -430,22 +439,11 @@ def min_length(
             ) from None
         nodes_total += nodes
         if found:
-            return OracleResult(
-                prime=q,
-                min_length=length,
-                witness=witness,
-                nodes_explored=nodes_total,
-            )
-    return OracleResult(
-        prime=q,
-        min_length=None,
-        witness=None,
-        nodes_explored=nodes_total,
-    )
+            return OracleResult(q, length, witness, nodes_total)
+    return OracleResult(q, None, None, nodes_total)
 
 
-@dataclass(frozen=True)
-class ProbeFinding:
+class ProbeFinding(NamedTuple):
     all_type2_clean: bool
     min_lengths: dict[int, int | None]  # per tested field, up to length 3
     achieves_one_third: bool

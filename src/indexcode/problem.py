@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
+from typing import NamedTuple
 
 ConflictPair = tuple[int, int]  # always stored with a < b
 
@@ -109,8 +110,7 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class HypergraphBits:
+class HypergraphBits(NamedTuple):
     """Integer view of the conflict hypergraph, bit m for message m."""
 
     sets: tuple[int, ...]  # the distinct interfering sets, largest first
@@ -121,8 +121,7 @@ class HypergraphBits:
     conf: tuple[int, ...]  # [m]: mask of m's conflict partners
 
 
-@dataclass(frozen=True)
-class Receiver:
+class Receiver(NamedTuple):
     demands: frozenset[int]
     side_info: frozenset[int]
 
@@ -139,8 +138,7 @@ class Problem:
             raise ProblemError(f"need at least one message, got n={self.n}")
         if not self.receivers:
             raise ProblemError("need at least one receiver")
-        demands = [r.demands for r in self.receivers]
-        side = [r.side_info for r in self.receivers]
+        demands, side = zip(*self.receivers)
         ids = frozenset().union(*demands, *side)  # the distinct listed ids, whatever n is
         # one C-level pass per check over all receivers.  2.0 and True equal
         # ids, so the exact type test reads every listed id, and min and max
@@ -186,11 +184,11 @@ class Problem:
         information, each demand k clearing bit k of it.  A frozenset keeps
         its hash, so a cache keyed by it hashes it once."""
         bit = [1 << m for m in range(self.n + 1)]
-        full = self.messages
+        get, full = bit.__getitem__, self.messages
         pairs = set()
-        for r in self.receivers:
-            base = sum(map(bit.__getitem__, full.difference(r.side_info)))  # distinct bits: sum is or
-            for k in r.demands:
+        for demands, side_info in self.receivers:
+            base = sum(map(get, full.difference(side_info)))  # distinct bits: sum is or
+            for k in demands:
                 if interf := base ^ bit[k]:
                     pairs.add((k, interf))
         return frozenset(pairs)
@@ -240,7 +238,7 @@ def check_groupcast_complete(p: Problem) -> None:
     demands rather than in ``n``: ``Problem`` has checked that every
     demand is an int id in 1..n, so the demands cover fewer than n ids
     exactly when some message is undemanded."""
-    demanded = frozenset().union(*(r.demands for r in p.receivers))
+    demanded = frozenset().union(*next(zip(*p.receivers)))  # the demand sets
     total = p.n - len(demanded)
     if total:
         shown = list(islice(filterfalse(demanded.__contains__, range(1, p.n + 1)), _SHOWN_IDS))
@@ -347,11 +345,26 @@ def _load_json(text: str, kind: str, error: type[ValueError]) -> object:
         raise error(f"malformed {kind} file: {exc}") from exc
 
 
+def _unknown_key(obj: dict[str, object], known: frozenset[str]) -> str:
+    """The first key of ``obj``, in file order, that is not in ``known``."""
+    return next(key for key in obj if key not in known)
+
+
+_PROBLEM_KEYS = frozenset({"n", "receivers"})
+_RECEIVER_KEYS = frozenset({"demands", "side_info"})
+
+
 def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
-    """Parse the canonical JSON problem format (see ``problem_to_json``)."""
+    """Parse the canonical JSON problem format (see ``problem_to_json``).
+
+    A key the format does not name is refused rather than dropped, so a
+    misspelled ``side_info`` cannot read as no side information."""
     data = _load_json(text, "problem", ProblemError)
     if not isinstance(data, dict) or "n" not in data or "receivers" not in data:
         raise ProblemError("problem file must be an object with 'n' and 'receivers'")
+    if not _PROBLEM_KEYS.issuperset(data):
+        key = _unknown_key(data, _PROBLEM_KEYS)
+        raise ProblemError(f"problem file: unknown key {key!r}; it holds only 'n' and 'receivers'")
     n = data["n"]
     if type(n) is not int:
         raise ProblemError(f"'n' must be an integer, got {n!r}")
@@ -361,6 +374,11 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     for idx, entry in enumerate(data["receivers"], start=1):
         if not isinstance(entry, dict):
             raise ProblemError(f"receiver {idx}: must be an object")
+        if not _RECEIVER_KEYS.issuperset(entry):
+            key = _unknown_key(entry, _RECEIVER_KEYS)
+            raise ProblemError(
+                f"receiver {idx}: unknown key {key!r}; a receiver holds only 'demands' and 'side_info'"
+            )
         try:
             # Problem checks the id types, exactly and once for all receivers.
             # A set keeps the first of equal values, so [1, true] would be {1}

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .problem import ConflictPair, Problem, _components, _iter_bits, _merge, _reaches, _to_mask, restriction_members
 
@@ -43,8 +44,7 @@ Edge = tuple[int, int]  # unordered, stored with a < b
 Triangle = tuple[int, int, int]  # ascending
 
 
-@dataclass(frozen=True)
-class Type2AlignmentSet:
+class Type2AlignmentSet(NamedTuple):
     messages: frozenset[int]
     # (a, g): a message of the set and the mask of its partners b whose conflict pair (a, b) lies in the set
     partners: tuple[tuple[int, int], ...]
@@ -58,8 +58,7 @@ class Kind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class AlignmentSetInfo:
+class AlignmentSetInfo(NamedTuple):
     members: frozenset[int]
     has_fork: bool
     has_cycle: bool

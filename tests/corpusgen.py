@@ -107,6 +107,19 @@ def random_unicast_problem(seed: int, max_n: int = 6) -> Problem:
     return random_problem(n, density, single_unicast=True, seed=seed)
 
 
+def random_groupcast_problem(seed: int, max_n: int = 6) -> Problem:
+    rng = random.Random(f"groupcast:{seed}")
+    n = rng.randint(1, max_n)
+    density = rng.choice([0.1, 0.25, 0.4, 0.55, 0.7, 0.85])
+    return random_problem(n, density, single_unicast=False, seed=seed)
+
+
+def oracle_small_base() -> list[Problem]:
+    """The 400 base problems of the benchmark's ``oracle-small`` workload, in
+    its order: the unicast and the groupcast problem of each seed 0-199."""
+    return [p for seed in range(200) for p in (random_unicast_problem(seed), random_groupcast_problem(seed))]
+
+
 def shared_hypergraph_pair(seed: int, max_n: int = 5) -> tuple[Problem, Problem]:
     """Two problems with identical conflict hypergraphs.
 

@@ -388,6 +388,35 @@ def test_non_list_value_is_one_error_line(fixture_file, tmp_path, capsys, kind, 
     assert (rc, out, err) == (3, "", f"error: {error}\n")
 
 
+_RECEIVER_ONLY = "a receiver holds only 'demands' and 'side_info'"
+
+
+@pytest.mark.parametrize(
+    "kind, text, error",
+    [
+        ("problem", '{"n": 2, "receivers": [{"demands": [1, 2], "sideinfo": [1]}]}',
+         f"receiver 1: unknown key 'sideinfo'; {_RECEIVER_ONLY}"),
+        ("problem", '{"n": 2, "receivers": [{"demands": [1, 2]}, {"side_info": [], "demands": [2], "x": 0}]}',
+         f"receiver 2: unknown key 'x'; {_RECEIVER_ONLY}"),
+        ("problem", '{"n": 2, "receivers": [{"sideinfo": [1]}]}', f"receiver 1: unknown key 'sideinfo'; {_RECEIVER_ONLY}"),
+        ("problem", '{"n": 2, "receivers": [{"demands": [1, 2], "sideinfo": [1]}], "comment": 1}',
+         "problem file: unknown key 'comment'; it holds only 'n' and 'receivers'"),
+        ("code", '{"length": 1, "prime": 2, "vectors": [[1], [1], [1], [1], [1], [1]], "seed": 0}',
+         "code file: unknown key 'seed'; it holds only 'length', 'prime' and 'vectors'"),
+    ],
+    ids=["misspelled-side-info", "second-receiver", "no-demands", "top-level", "code-file"],
+)
+def test_unknown_key_is_one_error_line(fixture_file, tmp_path, capsys, kind, text, error):
+    # an unknown key was dropped without a word: a misspelled side_info read
+    # as no side information and exited 0; the top-level keys are checked
+    # before the receivers
+    path = tmp_path / "unknown-key.json"
+    path.write_text(text)
+    argv = ["analyze", str(path)] if kind == "problem" else ["verify", fixture_file("ex_feas"), str(path)]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (3, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("command", ["analyze", "oracle", "verify-problem", "verify-code"])
 def test_non_utf8_file_is_one_error_line_naming_it(fixture_file, tmp_path, capsys, command):
     # a UnicodeDecodeError is neither an OSError nor a ProblemError, and it

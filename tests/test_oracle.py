@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import hyperedges, random_unicast_problem
+from corpusgen import hyperedges, oracle_small_base, random_unicast_problem
+from plan_reference import reference_plan
 from indexcode.codec import ScalarLinearCode, verify
 from indexcode.feasibility import RateThirdStatus, analyze
 from indexcode.fixtures import load_fixture
@@ -142,6 +143,33 @@ def test_search_is_pinned_on_the_n10_corpus():
     assert [r.min_length for r in results] == want
     for p, r in zip([p for p in _n10_corpus() for _ in (2, 3)], results):
         assert r.witness is None or verify(p, r.witness).ok
+
+
+def test_search_is_pinned_on_the_oracle_small_corpus():
+    # minimum length, nodes and witness of every search the benchmark's
+    # oracle-small op runs on its 400 base problems, recorded before the
+    # plan was rebuilt in fewer steps and the results became tuples
+    results = [min_length(p, q, l_max=3) for p in oracle_small_base() for q in (2, 3)]
+    digest = "".join(repr((r.min_length, r.nodes_explored, r.witness and r.witness.vectors)) for r in results)
+    assert sum(r.nodes_explored for r in results) == 7_456
+    assert sum(r.min_length is None for r in results) == 260
+    assert sha256(digest.encode()).hexdigest() == (
+        "541661a67bf498518156347bf52be5b73644d4c645575b3f509b785fce0a68e6"
+    )
+
+
+def test_plan_matches_the_reference_plan():
+    # the oracle-small base problems, then unicast and groupcast problems up
+    # to n = 16 at three densities
+    larger = [
+        random_problem(n, density, single_unicast=unicast, seed=s)
+        for n in range(1, 17)
+        for density in (0.2, 0.5, 0.8)
+        for unicast in (True, False)
+        for s in range(3)
+    ]
+    for p in oracle_small_base() + larger:
+        assert _plan.__wrapped__(p.n, p.edge_masks) == reference_plan(p.n, p.edge_masks), p
 
 
 def test_subspace_tables_leak_nothing_between_searches():
