@@ -291,11 +291,9 @@ def encode(code: ScalarLinearCode, payload: list[int] | tuple[int, ...]) -> Vect
     """Codeword sum(V_i * w_i) for one field symbol per message."""
     if len(payload) != len(code.vectors):
         raise CodecError(f"payload has {len(payload)} symbols for {len(code.vectors)} messages")
-    out = [0] * code.length
-    for v, w in zip(code.vectors, payload):
-        for idx in range(code.length):
-            out[idx] = (out[idx] + v[idx] * w) % code.prime
-    return tuple(out)
+    if not code.vectors:  # the empty sum: zip would find no column
+        return (0,) * code.length
+    return tuple([sum(map(mul, column, payload)) % code.prime for column in zip(*code.vectors)])
 
 
 _UNVERIFIED = "decode_all called with a code that fails verification"

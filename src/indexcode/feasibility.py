@@ -137,10 +137,15 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
     """Stable, versioned serialization of a feasibility report.
 
     The one place that lists the triangles: each type-2 set writes its
-    own, placed by the partner groups the analysis found."""
+    own, placed by the partner groups the analysis found.  Sets with the
+    same messages differ only there, so the head of each group, its first
+    triangle, orders them."""
     third, structure = rep.rate_third, rep.structure
     listing = triangular_interfering_sets(structure.problem) if structure.type2_sets else []
-    triangles = _group_triangles(structure, listing)
+    type2 = sorted(
+        ((sorted(t.messages), group) for t, group in zip(structure.type2_sets, _group_triangles(structure, listing))),
+        key=lambda entry: (entry[0], entry[1][0]),
+    )
     return {
         "schema_version": 1,
         "rate_1": {
@@ -179,10 +184,10 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
             ],
             "type2_sets": [
                 {
-                    "messages": sorted(t.messages),
+                    "messages": messages,
                     "triangles": group,  # json writes each int triple as a list
                 }
-                for t, group in zip(structure.type2_sets, triangles)
+                for messages, group in type2
             ],
             "acyclic_quadruple": list(rep.structure.acyclic_quadruple)
             if rep.structure.acyclic_quadruple

@@ -41,32 +41,6 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _merge(masks: Iterable[int], within: int = -1) -> list[int]:
-    """Unions of the masks that overlap inside ``within``, directly or
-    through a chain of others; disjoint there, and empty masks are left out."""
-    first, rest = 0, []  # one running union takes every mask that meets it
-    for mask in masks:
-        if mask & first & within or not first:
-            first |= mask
-        elif mask:
-            rest.append(mask)
-    comps = [first] if first else []
-    for mask in rest:
-        touched = [c for c in comps if c & mask & within]
-        comps = [c for c in comps if not c & mask & within] + [reduce(or_, touched, mask)]
-    return comps
-
-
-def _components(edges: Iterable[tuple[int, int]], keep: int) -> tuple[int, ...]:
-    """Alignment components of the problem restricted to ``keep``, as masks
-    ordered by smallest member: each hyperedge (k, I) of ``edges``
-    (``Problem.edge_masks``) with k kept merges I & keep.  The full sets
-    need no merge (``Problem.alignment_components``)."""
-    comps = _merge([interf & keep for k, interf in edges if keep >> k & 1])
-    comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
-    return tuple(sorted(comps, key=lambda c: c & -c))
-
-
 def _reaches(near: Sequence[int] | Mapping[int, int], left: int) -> list[int]:
     """Components of the graph in which ``near[v]`` is the mask of node v's
     neighbours, over the nodes of the mask ``left``, ordered by smallest
@@ -269,10 +243,14 @@ def conflicts(p: Problem) -> frozenset[ConflictPair]:
 
 
 def restriction_members(p: Problem, members: frozenset[int] | set[int]) -> frozenset[int]:
-    """``members`` as a frozenset, rejected when empty or out of range."""
+    """``members`` as a frozenset, rejected when empty, when an id is not
+    exactly an int (2.0 and True equal ids, as in ``Problem``) or out of range."""
     members = frozenset(members)
     if not members:
         raise ProblemError("cannot restrict to an empty message set")
+    if not {int}.issuperset(map(type, members)):
+        m = min((m for m in members if type(m) is not int), key=repr)
+        raise ProblemError(f"restriction id {m!r} is not an integer")
     if not members <= p.messages:
         raise ProblemError(f"restriction ids out of range: {sorted(members - p.messages)}")
     return members

@@ -3,30 +3,33 @@
 Alignment graph/sets, forks and cycles, acyclic quadruples, triangular
 interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
-construction.  Everything here reads the conflict hypergraph in the one
-form that ``Problem`` builds from its receivers, ``edge_masks``, the
-distinct (k, mask of Interf_k(j)), which the restricted alignment sets
-and ``to_dot`` read, or in ``bits``, the integer view derived from it
-that every search reads (``problem.conflicts`` reads the pairs from
-``bits.conf``).  The results are plain values: the alignment graph is a
-frozenset of edges and a triangle an ascending int triple.  Type-2 sets
-are the components of the conflict pairs that lie in triangles, merged
-per message as masks, and their messages are the unions of the sets
-whose stars joined them, so the analysis does no work per triangle and
-lists none.  Only ``feasibility.report_to_dict`` lists the triangles,
-which it writes, and ``_group_triangles`` places each in its type-2 set
-with one lookup when there are several.  The full alignment sets are the
-reaches of ``bits.near``, found once per problem as
+construction.  Everything here reads the conflict hypergraph through
+``Problem.bits``, the integer view of the distinct (k, mask of
+Interf_k(j)) that ``Problem`` builds from its receivers
+(``problem.conflicts`` reads the pairs from ``bits.conf``); only
+``to_dot`` reads those hyperedges, ``Problem.edge_masks``, one by one.
+The results are plain values: the alignment graph is a frozenset of
+edges and a triangle an ascending int triple.  Type-2 sets are the
+components of the conflict pairs that lie in triangles, merged per
+message as masks, and their messages are the unions of the sets whose
+stars joined them, so the analysis does no work per triangle and lists
+none.  Only ``feasibility.report_to_dict`` lists the triangles, which it
+writes, and ``_group_triangles`` places each in its type-2 set with one
+lookup when there are several.  Type-2 sets with the same messages differ
+only in their triangles, so the report, which writes them, orders them
+by their first triangles.  The full alignment sets are the reaches of
+``bits.near``, found once per problem as
 ``Problem.alignment_components`` by ``problem._reaches``, the same
 search that joins the partner groups of the type-2 sets, and
 ``structure_report`` merges the restricted alignment sets of each type-2
-set once, from ``edge_masks``, for the dirty witnesses, the
-classification and the rate-1/3 construction.  The acyclic-quadruple
-search walks masks of set indexes (``bits.sets_with``) and reads its
-candidates from ``bits.against``.  The classification takes each
-alignment set as its mask: kind 1 is one test against ``bits.crowded``,
-the union of the sets with three or more members, and fork and cycle
-come from one pass over the degrees in ``bits.near``.
+set once, from ``bits.sets`` and ``bits.against`` (``_components``, the
+one restriction rule), for the dirty witnesses, the classification and
+the rate-1/3 construction.  The acyclic-quadruple search walks masks of
+set indexes (``bits.sets_with``) and reads its candidates from
+``bits.against``.  The classification takes each alignment set as its
+mask: kind 1 is one test against ``bits.crowded``, the union of the sets
+with three or more members, and fork and cycle come from one pass over
+the degrees in ``bits.near``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .problem import ConflictPair, Problem, _components, _iter_bits, _merge, _reaches, _to_mask, restriction_members
+from .problem import ConflictPair, HypergraphBits, Problem, _iter_bits, _reaches, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
 Triangle = tuple[int, int, int]  # ascending
@@ -193,12 +196,12 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
     pair meet in exactly that pair, so a group is a component of the
     conflict pairs that lie in triangles, two pairs joined when one
     triangle holds both (``_pair_components``), and no triangle is listed.
-    Groups are ordered by their sorted messages; two groups with the same
-    messages keep the order of their first triangles in the listing.
+    Groups are ordered by their sorted messages.  Two groups with the same
+    messages have the same restricted sets, dirty witnesses and kind, which
+    read only the messages, so only the JSON report tells them apart, and
+    ``report_to_dict`` orders them by their first triangles.
     """
-    comps = _pair_components(p)
-    tied = len({messages for messages, _ in comps}) < len(comps)
-    order = sorted(comps, key=lambda c: (list(_iter_bits(c[0])), _first_triangle(p, c[1]) if tied else ()))
+    order = sorted(_pair_components(p), key=lambda c: list(_iter_bits(c[0])))
     return [Type2AlignmentSet(frozenset(_iter_bits(messages)), tuple(pairs)) for messages, pairs in order]
 
 
@@ -273,29 +276,13 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
     return comps
 
 
-def _first_triangle(p: Problem, pairs: Iterable[tuple[int, int]]) -> Triangle:
-    """The first triangle in listing order among those holding a conflict
-    pair (a, b) of ``pairs``, given as (message, partner group).
-
-    The triangles holding (a, b) are {a, b, c} for c in the union of the
-    sets of three or more members that hold a and b, and the sorted triple
-    grows with c, so each pair offers its lowest such c.
-    """
-    sets, sets_with = p.bits.sets, p.bits.sets_with
-    firsts = []
-    for a, group in pairs:
-        for b in _iter_bits((group >> (a + 1)) << (a + 1)):  # each pair once, from its smaller end
-            both = [sets[i] for i in _iter_bits(sets_with[a] & sets_with[b])]
-            third = reduce(or_, [s for s in both if s.bit_count() > 2]) & ~(1 << a | 1 << b)
-            firsts.append(tuple(sorted((a, b, (third & -third).bit_length() - 1))))
-    return min(firsts)
-
-
 def _group_triangles(report: StructureReport, triangles: list[Triangle]) -> list[list[Triangle]]:
     """The listing ``triangles`` split by the type-2 sets of ``report``, in
     their order: each triangle joins the set of its first conflict pair,
     found from that set's partner groups.  With one set the listing itself
-    is its group.  Each group keeps listing order, so it stays sorted."""
+    is its group.  Each group keeps listing order, so it stays sorted and
+    its head is its first triangle, which orders the sets with the same
+    messages in ``report_to_dict``."""
     type2 = report.type2_sets
     if len(type2) == 1:
         return [triangles]
@@ -313,6 +300,32 @@ def _group_triangles(report: StructureReport, triangles: list[Triangle]) -> list
     return out
 
 
+def _merge(masks: Iterable[int], within: int = -1) -> list[int]:
+    """Unions of the masks that overlap inside ``within``, directly or
+    through a chain of others; disjoint there, and empty masks are left out."""
+    first, rest = 0, []  # one running union takes every mask that meets it
+    for mask in masks:
+        if mask & first & within or not first:
+            first |= mask
+        elif mask:
+            rest.append(mask)
+    comps = [first] if first else []
+    for mask in rest:
+        touched = [c for c in comps if c & mask & within]
+        comps = [c for c in comps if not c & mask & within] + [reduce(or_, touched, mask)]
+    return comps
+
+
+def _components(bits: HypergraphBits, keep: int) -> tuple[int, ...]:
+    """Alignment components of the problem restricted to ``keep``, as masks
+    ordered by smallest member: each interfering set I of ``bits.sets``
+    with a kept message demanded against it (``bits.against``) merges
+    I & keep.  The full sets need no merge (``Problem.alignment_components``)."""
+    comps = _merge([s & keep for s, ks in zip(bits.sets, bits.against) if ks & keep])
+    comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
+    return tuple(sorted(comps, key=lambda c: c & -c))
+
+
 def restricted_internal_conflicts(
     p: Problem, members: frozenset[int] | set[int]
 ) -> list[tuple[ConflictPair, frozenset[int]]]:
@@ -323,7 +336,7 @@ def restricted_internal_conflicts(
     members, so these are the problem's own conflict pairs inside each
     restricted set: the partners b > a of each member a in ``bits.conf``.
     """
-    comps = _components(p.edge_masks, _to_mask(restriction_members(p, members)))
+    comps = _components(p.bits, _to_mask(restriction_members(p, members)))
     return [(pair, frozenset(_iter_bits(c))) for pair, c in _internal_pairs(p, comps)]
 
 
@@ -365,7 +378,7 @@ def structure_report(p: Problem) -> StructureReport:
     dirty = []
     for t2 in type2:
         mask = _to_mask(t2.messages)
-        comps = _components(p.edge_masks, mask)
+        comps = _components(p.bits, mask)
         sets = dict(zip(comps, map(frozenset, map(_iter_bits, comps))))
         found = [(t2.messages, pair, sets[c]) for pair, c in _internal_pairs(p, comps)]
         type2_dirty.setdefault(mask, bool(found))

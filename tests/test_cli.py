@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from indexcode import linalg, oracle
 from indexcode.cli import main
@@ -496,3 +498,100 @@ def test_allow_undemanded_flag(tmp_path, capsys):
     assert rc == 3
     rc, _, _ = run(capsys, "analyze", str(path), "--allow-undemanded")
     assert rc == 0
+
+
+class Obj(list):
+    """A JSON object as its (key, value) pairs, so that a key may repeat."""
+
+
+def _dumps(value) -> str:
+    if isinstance(value, Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_dumps, value)) + "]"
+    return json.dumps(value)
+
+
+def _slots(value):
+    """(container, index, node) for every node below the root, depth first;
+    an object's slot is the index of its (key, value) pair."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            child = item[1] if isinstance(value, Obj) else item
+            yield value, i, child
+            yield from _slots(child)
+
+
+def _put(container, index, node):
+    container[index] = (container[index][0], node) if isinstance(container, Obj) else node
+
+
+_OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 7), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-1, 6), max_size=3), st.builds(Obj), st.builds(lambda: Obj([("demands", [1])])),
+)  # each object built afresh: a later mutation may change it in place
+
+
+@st.composite
+def _mutated_file(draw, base: str):
+    """``base`` with one to three mutations: a dropped key, a repeated key,
+    a value of another JSON type, a string for a list, or a bool or float
+    for an integer."""
+    root = json.loads(base, object_pairs_hook=Obj)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(root))
+        objects = [node for node in [root, *(node for _, _, node in slots)] if isinstance(node, Obj) and node]
+        kind = draw(st.sampled_from(["drop", "repeat", "swap", "string", "id"]))
+        if kind in ("drop", "repeat") and objects:
+            obj = draw(st.sampled_from(objects))
+            i = draw(st.integers(0, len(obj) - 1))
+            if kind == "drop":
+                del obj[i]
+            else:
+                key, value = obj[i]
+                obj.insert(draw(st.integers(0, len(obj))), (key, draw(st.one_of(st.just(value), _OTHER_VALUES))))
+        elif kind == "swap" and slots:
+            container, i, _ = draw(st.sampled_from(slots))
+            _put(container, i, draw(_OTHER_VALUES))
+        elif kind == "string":
+            lists = [(c, i, node) for c, i, node in slots if type(node) is list]
+            if lists:
+                container, i, node = draw(st.sampled_from(lists))
+                _put(container, i, draw(st.sampled_from(["".join(map(str, node)), _dumps(node), ""])))
+        elif kind == "id":
+            ints = [(c, i, node) for c, i, node in slots if type(node) is int]
+            if ints:
+                container, i, node = draw(st.sampled_from(ints))
+                _put(container, i, draw(st.sampled_from([True, False, float(node)])))
+    return _dumps(root)
+
+
+_CODES = [
+    json.dumps({"length": length, "prime": prime, "vectors": [[(m * 7 + i) % prime for i in range(length)] for m in range(5)]})
+    for length, prime in [(1, 2), (2, 3), (3, 5)]
+]
+
+
+@given(
+    data=st.data(),
+    base=st.sampled_from(
+        [("problem", fixture_text(name)) for name in ("p5", "ex_inf", "ex_feas")]
+        + [("problem", problem_to_json(random_problem(4, 0.4, single_unicast=False, seed=3)))]
+        + [("code", text) for text in _CODES]
+    ),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_files_exit_0_or_one_error_line(fixture_file, tmp_path, capsys, data, base):
+    # every input file either parses exactly or is refused with exit 3 and
+    # one "error:" line, never a traceback or another exit code; problem
+    # files run through analyze, code files through verify against p5
+    kind, text = base
+    path = tmp_path / "mutated.json"
+    path.write_text(data.draw(_mutated_file(text)))
+    argv = ["analyze", str(path)] if kind == "problem" else ["verify", fixture_file("p5"), str(path)]
+    rc, out, err = run(capsys, *argv)
+    if rc == 0:
+        assert err == ""
+    else:
+        assert rc == 3, err
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err

@@ -50,6 +50,10 @@ ROWS = {
         (gen(64, 0.9, 0, "n64.json"),), ("analyze", "n64.json", "--format", "json"), 0,
         "f321fbea40f669e42b9b11fa575140c675d644e94cd822bedb08d1afa9848570",
     ),
+    "analyze-n9-json-tied": Row(
+        (gen(9, 0.7, 7, "n9.json"),), ("analyze", "n9.json", "--format", "json"), 0,
+        "f51dc91a19efb15ca73f7e695d85f60937b95dcf1753c2560ac06d4307c5fa11",
+    ),
     "construct-p5-gf3": Row(
         (), ("construct", "p5.json", "--rate", "1/3", "--prime", "3", "--seed", "0"), 0,
         "01b07f484e8554c709425923dbe6e24f6bf2622318eefd158def79e1badc9854",

@@ -187,6 +187,7 @@ def test_encode_zero_payload():
     code = explicit_assignment()
     assert encode(code, [0] * 6) == (0, 0, 0)
     assert roundtrip(p, code, [0] * 6)
+    assert encode(ScalarLinearCode(length=2, prime=3, vectors=()), ()) == (0, 0)  # the empty sum
 
 
 def test_roundtrip_ex_feas_random_payloads():
@@ -196,6 +197,8 @@ def test_roundtrip_ex_feas_random_payloads():
     for _ in range(100):
         payload = [rng.randrange(EXPLICIT_PRIME) for _ in range(6)]
         assert roundtrip(p, code, payload)
+        # symbols are read mod p, below 0 and from p up too
+        assert encode(code, [w + EXPLICIT_PRIME * rng.randint(-3, 3) for w in payload]) == encode(code, payload)
 
 
 def test_single_message_identity_channel():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from indexcode.problem import (
     random_problem,
     restrict_problem,
 )
+from indexcode.structure import restricted_internal_conflicts
 
 
 def test_parse_ex_feas():
@@ -270,6 +272,18 @@ def test_restrict_full_set_is_identity_up_to_reindexing():
 def test_restrict_empty_rejected():
     with pytest.raises(ProblemError):
         restrict_problem(load_fixture("p5"), set())
+
+
+@pytest.mark.parametrize(
+    "members, shown", [({True, 2.0, 3}, "2.0"), ({2.0, 3}, "2.0"), ({True, 3}, "True"), ({"1", 2}, "'1'")]
+)
+@pytest.mark.parametrize("restrict", [restrict_problem, restricted_internal_conflicts])
+def test_restriction_ids_must_be_ints(restrict, members, shown):
+    # True and 2.0 equal the ids 1 and 2, so the subset test let them
+    # through: restrict_problem returned a mapping keyed by True and 2.0,
+    # and restricted_internal_conflicts shifted by 2.0 into a TypeError
+    with pytest.raises(ProblemError, match=f"^restriction id {re.escape(shown)} is not an integer$"):
+        restrict(load_fixture("ex_inf"), members)
 
 
 @given(st.integers(0, 300))
