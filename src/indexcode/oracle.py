@@ -17,7 +17,7 @@ subspace met so far a small id (id 0 is the zero space) and holds its
 member mask (an int bitmask over vector indices, so an in-span test is a
 bit test), its dimension, and a join map from a vector index v to the id
 of span(S + v).  A join is computed once, on first use, as the union of
-the cosets S + c*v; ``_Subspaces`` states the size bound of the table.
+the cosets S + c*v; ``_Field`` states the size bound of the table.
 
 **Basis pinning is sound.**  Whether a conflict is resolved is invariant
 under scaling any single vector by a nonzero constant and under applying
@@ -122,7 +122,6 @@ import threading
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import linalg
 from .codec import ScalarLinearCode, is_prime_modulus
 from .problem import Problem, problem_to_json
 from .structure import structure_report
@@ -148,56 +147,65 @@ class OracleResult(NamedTuple):
     nodes_explored: int
 
 
-@lru_cache(maxsize=None)
-def _vectors(q: int, length: int) -> tuple[linalg.Vector, ...]:
-    """GF(q)^length in index order: digit j of i in base q is coordinate j."""
-    return tuple(tuple(i // q**j % q for j in range(length)) for i in range(q**length))
+class _Field:
+    """Everything a search over GF(q)^length reads, shared by every search
+    over that field and length: ``_field`` keeps one per (q, L).
 
+    ``vectors`` is GF(q)^length in index order: digit j of index i in base
+    q is coordinate j.  Per rank r, ``candidates[r]`` is the mask of the
+    candidates, ``count[r]`` their number and ``unit[r]`` the index q^r of
+    e_{r+1}: below rank ``length`` the candidates are the projective
+    points of span(e1..er), then e_{r+1}; at rank ``length`` they are every
+    projective point, and the unit is 0, no candidate.  ``reach[v]`` is
+    how many projective points come up to and including v, which is how
+    many candidates of any rank come no later, as the candidates of a rank
+    are the first points in index order.
 
-@lru_cache(maxsize=None)
-def _candidates(q: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """Per rank r < length: the projective points of span(e1..er), then
-    e_{r+1} (index q^r); at rank ``length``: every projective point."""
-    points = tuple(i for i, v in enumerate(_vectors(q, length)) if any(v) and next(filter(None, v)) == 1)
-    return tuple(points[: (q**r - 1) // (q - 1) + 1] for r in range(length)) + (points,)
-
-
-@lru_cache(maxsize=None)
-def _translation(q: int, length: int, g: int) -> tuple[int, ...]:
-    """Index of vector x + vector g, for every index x."""
-    vectors = _vectors(q, length)
-    return tuple(sum((a + b) % q * q**j for j, (a, b) in enumerate(zip(v, vectors[g]))) for v in vectors)
-
-
-class _Subspaces:
-    """The subspaces of GF(q)^length met so far, by id; id 0 is the zero space.
-
-    ``members[a]`` is the bitmask of the vector indices in subspace a,
-    ``dim[a]`` its dimension, and ``join[a][v]`` the id of span(a + v),
-    computed on first use.  The search joins only projective points, so
-    the table holds at most (subspaces) x (projective points) joins:
-    1,120 x 156 for GF(5)^4, the largest space the caps allow.
+    The subspace table gives each subspace met so far an id; id 0 is the
+    zero space.  ``members[a]`` is the bitmask of the vector indices in
+    subspace a, ``elements[a]`` those indices, ``dim[a]`` its dimension
+    and ``join[a][v]`` the id of span(a + v), computed on first use from
+    ``translation[v]``, the index of vector x + vector v for each index x.
+    The search joins only projective points, so the table holds at most
+    (subspaces) x (projective points) joins: 1,120 x 156 for GF(5)^4, the
+    largest space the caps allow.
     """
 
-    __slots__ = ("q", "length", "members", "dim", "join", "elements", "ids", "lock")
+    __slots__ = ("q", "vectors", "candidates", "count", "unit", "reach",
+                 "members", "dim", "join", "elements", "ids", "lock", "translation")
 
     def __init__(self, q: int, length: int) -> None:
-        self.q, self.length = q, length
+        self.q = q
+        self.vectors = vectors = tuple(tuple(i // q**j % q for j in range(length)) for i in range(q**length))
+        points = [i for i, v in enumerate(vectors) if any(v) and next(filter(None, v)) == 1]
+        ranks = [points[: (q**r - 1) // (q - 1) + 1] for r in range(length)] + [points]
+        self.candidates = tuple(sum(1 << v for v in rank) for rank in ranks)
+        self.count = tuple(map(len, ranks))
+        self.unit = tuple(q**r for r in range(length)) + (0,)
+        self.reach = [0] * q**length
+        for count, v in enumerate(points, start=1):
+            self.reach[v] = count
         self.members = [1]
         self.dim = [0]
         self.join = [_Join(self, 0)]
-        self.elements = [[0]]  # vector indices of each subspace
+        self.elements = [[0]]
         self.ids = {1: 0}  # member mask -> id
         self.lock = threading.Lock()  # the table is shared by every search in the process
+        self.translation: dict[int, tuple[int, ...]] = {}
 
     def extend(self, a: int, v: int) -> int:
         """Id of span(a + v): a itself if it holds v, else the union of the
         cosets a + c*v, added to the table if new."""
         if self.members[a] >> v & 1:
             return a
-        row, coset = _translation(self.q, self.length, v), self.elements[a]
+        q, row, coset = self.q, self.translation.get(v), self.elements[a]
+        if row is None:
+            g = self.vectors[v]
+            row = self.translation[v] = tuple(
+                sum((x + y) % q * q**j for j, (x, y) in enumerate(zip(u, g))) for u in self.vectors
+            )
         grown = list(coset)
-        for _ in range(self.q - 1):
+        for _ in range(q - 1):
             coset = [row[x] for x in coset]
             grown += coset
         mask = sum(1 << x for x in grown)
@@ -214,24 +222,27 @@ class _Subspaces:
 
 
 class _Join(dict):
-    """Vector index v -> id of span(S + v), for one subspace S of a table."""
+    """Vector index v -> id of span(S + v), for one subspace S of a field's table."""
 
-    __slots__ = ("table", "source")
+    __slots__ = ("field", "source")
 
-    def __init__(self, table: _Subspaces, source: int) -> None:
-        self.table, self.source = table, source
+    def __init__(self, field: _Field, source: int) -> None:
+        self.field, self.source = field, source
 
     def __missing__(self, v: int) -> int:
-        self[v] = b = self.table.extend(self.source, v)
+        self[v] = b = self.field.extend(self.source, v)
         return b
+
+
+_field = lru_cache(maxsize=None)(_Field)  # the one _Field per (q, L); cache_clear drops all per-field state
 
 
 def check_caps(q: int, length: int) -> None:
     """Raise ``OracleCapError`` unless a length-``length`` search over GF(q) fits the caps."""
     if type(q) is not int or type(length) is not int:
         raise OracleCapError(f"field size {q!r} and length {length!r} must be integers")
-    if not 0 <= length <= DEFAULT_L_CAP:
-        raise OracleCapError(f"L={length} is outside the oracle cap 0..{DEFAULT_L_CAP}")
+    if not 1 <= length <= DEFAULT_L_CAP:
+        raise OracleCapError(f"L={length} is outside the oracle cap 1..{DEFAULT_L_CAP}")
     if q**length > VECTOR_CAP:
         raise OracleCapError(f"q^L = {q}^{length} exceeds the oracle cap of {VECTOR_CAP} vectors")
     if not is_prime_modulus(q):
@@ -326,25 +337,6 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     return _Plan(position[1:], len(first), extend, avoid, pairs, inside)
 
 
-@lru_cache(maxsize=None)
-def _field(q: int, length: int) -> tuple:
-    """What a search over GF(q)^length reads: the member masks, dimensions
-    and join maps of its subspace table, shared by every search over it and
-    filled as they go, then ``_candidates`` as masks.  Per
-    rank r: the mask of its candidates, their number and the index q^r of
-    e_{r+1} (0, no candidate, at rank ``length``).  Per projective point v:
-    how many points come up to and including v, which is how many
-    candidates of any rank come no later, as the candidates of a rank are
-    the first points in index order."""
-    table, candidates = _Subspaces(q, length), _candidates(q, length)
-    reach = [0] * q**length
-    for count, v in enumerate(candidates[-1], start=1):
-        reach[v] = count
-    masks = tuple(sum(1 << v for v in c) for c in candidates)
-    units = tuple(q**r for r in range(length)) + (0,)
-    return table.members, table.dim, table.join, masks, tuple(map(len, candidates)), units, tuple(reach)
-
-
 def exists_code(
     p: Problem,
     q: int,
@@ -359,7 +351,9 @@ def exists_code(
     """
     check_caps(q, length)
     position, trie_nodes, extend, avoid, pairs, inside = _plan(p.n, p.edge_masks)
-    members, dim, join, candidates, count, unit, reach = _field(q, length)  # candidates as masks
+    f = _field(q, length)
+    members, dim, join, reach = f.members, f.dim, f.join, f.reach
+    candidates, count, unit = f.candidates, f.count, f.unit  # per rank
     hyperplane = length - 1  # dimension of a hyperplane
     last = p.n - 1
     assigned = [0] * p.n  # vector index at each search position
@@ -403,8 +397,7 @@ def exists_code(
         saved[t] = allowed ^ low, reach[v], r
         assigned[t] = v
         if t == last:
-            vectors = _vectors(q, length)
-            witness = tuple(map(vectors.__getitem__, map(assigned.__getitem__, position)))
+            witness = tuple(map(f.vectors.__getitem__, map(assigned.__getitem__, position)))
             return True, ScalarLinearCode(length=length, prime=q, vectors=witness), nodes
         r += v == unit[r]
         t += 1

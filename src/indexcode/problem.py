@@ -343,9 +343,6 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     if not _PROBLEM_KEYS.issuperset(data):
         key = _unknown_key(data, _PROBLEM_KEYS)
         raise ProblemError(f"problem file: unknown key {key!r}; it holds only 'n' and 'receivers'")
-    n = data["n"]
-    if type(n) is not int:
-        raise ProblemError(f"'n' must be an integer, got {n!r}")
     receivers = []
     if not isinstance(data["receivers"], list):
         raise ProblemError("'receivers' must be a list")
@@ -373,9 +370,7 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
         except (KeyError, TypeError) as exc:
             raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
         receivers.append(Receiver(d, s))
-    if not receivers:
-        raise ProblemError("problem file lists no receivers")
-    p = Problem(n=n, receivers=tuple(receivers))
+    p = Problem(n=data["n"], receivers=tuple(receivers))  # Problem checks n and that some receiver is listed
     if not allow_undemanded:
         check_groupcast_complete(p)
     return p

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -204,10 +205,12 @@ def test_oracle_command_ex_inf(fixture_file, capsys):
 
 
 def test_oracle_max_len_above_cap_exit_code(fixture_file, capsys):
-    rc, out, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2", "--max-len", "7")
-    assert rc == 3
-    assert "cap" in err
-    assert "nodes explored" not in err
+    # the cap is 1..4: at 0 every problem read "min length: >0", though no
+    # problem has a length-0 code
+    for max_len in ("7", "0"):
+        rc, out, err = run(capsys, "oracle", fixture_file("ex_feas"), "--q", "2", "--max-len", max_len)
+        assert (rc, out) == (3, "")
+        assert err == f"error: L={max_len} is outside the oracle cap 1..4\n"
 
 
 def test_oracle_field_above_vector_cap_exit_code(fixture_file, capsys):
@@ -376,13 +379,18 @@ def test_undecodable_json_is_one_error_line(fixture_file, tmp_path, capsys, kind
         ("code", '{"length": 1, "prime": 2, "vectors": ["1", "1", "1", "1", "1", "1"]}',
          "'vectors' must be a list of lists of integers"),
         ("code", "[1]", "code file must be an object with 'length', 'prime' and 'vectors'"),
+        ("problem", '{"n": "2", "receivers": [{"demands": [1, 2]}]}', "n must be an integer, got '2'"),
+        ("problem", '{"n": 2, "receivers": []}', "need at least one receiver"),
     ],
-    ids=["string-demands", "object-side-info", "object-vectors", "string-vector", "list-code-file"],
+    ids=["string-demands", "object-side-info", "object-vectors", "string-vector", "list-code-file",
+         "string-n", "no-receivers"],
 )
 def test_non_list_value_is_one_error_line(fixture_file, tmp_path, capsys, kind, text, error):
     # a string or object was iterated, so "12" was read as the ids '1' and
     # '2', and an object as its keys, and the error named those values; a
-    # code file that is a list read "list indices must be integers"
+    # code file that is a list read "list indices must be integers".  A
+    # string n and an empty receiver list are refused by Problem itself,
+    # the one place that checks them
     path = tmp_path / "not-a-list.json"
     path.write_text(text)
     argv = ["analyze", str(path)] if kind == "problem" else ["verify", fixture_file("ex_feas"), str(path)]
@@ -504,7 +512,16 @@ class Obj(list):
     """A JSON object as its (key, value) pairs, so that a key may repeat."""
 
 
+class Deep(NamedTuple):
+    """A node wrapped in ``depth`` arrays, written as a string since ``_dumps`` recurses."""
+
+    node: object
+    depth: int
+
+
 def _dumps(value) -> str:
+    if isinstance(value, Deep):
+        return "[" * value.depth + _dumps(value.node) + "]" * value.depth
     if isinstance(value, Obj):
         return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v)}" for k, v in value) + "}"
     if isinstance(value, list):
@@ -535,13 +552,13 @@ _OTHER_VALUES = st.one_of(
 @st.composite
 def _mutated_file(draw, base: str):
     """``base`` with one to three mutations: a dropped key, a repeated key,
-    a value of another JSON type, a string for a list, or a bool or float
-    for an integer."""
+    a value of another JSON type, a string for a list, a bool or float for
+    an integer, or a node wrapped in more arrays than the recursion limit."""
     root = json.loads(base, object_pairs_hook=Obj)
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(root))
         objects = [node for node in [root, *(node for _, _, node in slots)] if isinstance(node, Obj) and node]
-        kind = draw(st.sampled_from(["drop", "repeat", "swap", "string", "id"]))
+        kind = draw(st.sampled_from(["drop", "repeat", "swap", "string", "id", "deep"]))
         if kind in ("drop", "repeat") and objects:
             obj = draw(st.sampled_from(objects))
             i = draw(st.integers(0, len(obj) - 1))
@@ -563,6 +580,9 @@ def _mutated_file(draw, base: str):
             if ints:
                 container, i, node = draw(st.sampled_from(ints))
                 _put(container, i, draw(st.sampled_from([True, False, float(node)])))
+        elif kind == "deep" and slots:
+            container, i, node = draw(st.sampled_from(slots))
+            _put(container, i, Deep(node, sys.getrecursionlimit() + 1))
     return _dumps(root)
 
 

@@ -8,17 +8,15 @@ from hypothesis import strategies as st
 
 from corpusgen import hyperedges, oracle_small_base, random_unicast_problem
 from plan_reference import reference_plan
+from indexcode import oracle
 from indexcode.codec import ScalarLinearCode, verify
 from indexcode.feasibility import RateThirdStatus, analyze
 from indexcode.fixtures import load_fixture
 from indexcode.oracle import (
     OracleBudgetError,
     OracleCapError,
-    _candidates,
     _field,
     _plan,
-    _translation,
-    _vectors,
     conjecture_probe,
     exists_code,
     min_length,
@@ -26,12 +24,30 @@ from indexcode.oracle import (
 from indexcode.problem import Problem, Receiver, parse_problem, random_problem
 
 
+def _projective_points(q, length):
+    """The vectors of GF(q)^length whose first nonzero coordinate is 1."""
+    return [v for v in product(range(q), repeat=length) if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1]
+
+
 def test_projective_points_counts():
     for q, length in [(2, 2), (2, 3), (3, 3), (5, 2)]:
-        points = [_vectors(q, length)[i] for i in _candidates(q, length)[-1]]
+        f = _field(q, length)
+        # the index of a vector is the base-q integer whose digit j is coordinate j
+        index = {v: sum(x * q**j for j, x in enumerate(v)) for v in product(range(q), repeat=length)}
+        assert [index[v] for v in f.vectors] == list(range(q**length))
+        points = _projective_points(q, length)
         assert len(points) == (q**length - 1) // (q - 1)
-        assert len(set(points)) == len(points)
-        assert all(v[next(i for i, x in enumerate(v) if x)] == 1 for v in points)
+        # rank r < length: the points of span(e1..er), then e_{r+1}; rank
+        # length: every point
+        for r in range(length + 1):
+            rank = [index[v] for v in points if not any(v[r:])]
+            unit = 0
+            if r < length:
+                unit = index[tuple(int(j == r) for j in range(length))]
+                rank.append(unit)
+            assert (f.candidates[r], f.count[r], f.unit[r]) == (sum(1 << i for i in rank), len(rank), unit)
+        ascending = sorted(map(index.__getitem__, points))
+        assert [f.reach[i] for i in ascending] == list(range(1, len(points) + 1))
 
 
 def test_ex_inf_no_length3_code_over_small_fields():
@@ -90,6 +106,11 @@ def test_caps_enforced():
         exists_code(p, 2, 5)
     with pytest.raises(OracleCapError):
         exists_code(p, 2, -1)
+    # no problem has a length-0 code: L = 0 is outside the cap, not "no code"
+    with pytest.raises(OracleCapError, match="outside the oracle cap 1..4"):
+        exists_code(p, 2, 0)
+    with pytest.raises(OracleCapError, match="outside the oracle cap 1..4"):
+        min_length(p, 2, l_max=0)
     with pytest.raises(OracleCapError):
         exists_code(p, 4, 2)
     # no cap on n: the node budget alone bounds the size of the problem
@@ -188,13 +209,31 @@ def test_subspace_tables_leak_nothing_between_searches():
     assert sum(found for found, _, _ in cold.values()) > 50
     for q in (2, 3):
         for length in (1, 2, 3, 4):
-            members, dims, join = _field(q, length)[:3]
+            f = _field(q, length)
+            members, dims, join = f.members, f.dim, f.join
             # at length 1 every check reads only the zero space
             assert len(members) > 1 or length == 1
             for a, (mask, dim) in enumerate(zip(members, dims)):
                 assert mask.bit_count() == q**dim and mask & 1
                 for v, b in join[a].items():
                     assert members[b] >> v & 1 and mask & ~members[b] == 0
+
+
+def test_nothing_per_field_survives_a_cache_clear():
+    p = load_fixture("ex_inf")
+    result = exists_code(p, 2, 4)
+    warm = _field(2, 4)
+    assert len(warm.members) > 1 and warm.translation
+    _field.cache_clear()
+    cold = _field(2, 4)
+    assert cold is not warm
+    assert (cold.members, cold.dim, cold.elements, cold.ids, cold.join, cold.translation) == (
+        [1], [0], [[0]], {1: 0}, [{}], {}
+    )
+    # the only other cache the module defines is the plan, which holds no field
+    caches = {name for name, obj in vars(oracle).items() if hasattr(obj, "cache_clear")}
+    assert {name for name in caches if vars(oracle)[name].__module__ == oracle.__name__} == {"_field", "_plan"}
+    assert exists_code(p, 2, 4) == result
 
 
 def _brute_force_exists(p, q, length):
@@ -229,37 +268,38 @@ def _last_message_search(p, q, length):
     for k, interf in hyperedges(p):
         at = [position[i] for i in interf]
         checks[max(at + [position[k]])].append((position[k], at))
-    candidates = _candidates(q, length)
-    assigned = [0] * p.n
+    # rank r < length: the points of span(e1..er), then e_{r+1}; rank
+    # length: every point
+    points = _projective_points(q, length)
+    units = [tuple(int(j == r) for j in range(length)) for r in range(length)]
+    candidates = [[v for v in points if not any(v[r:])] + [units[r]] for r in range(length)] + [points]
+    vectors = list(product(range(q), repeat=length))  # numbered in any fixed order, for the span keys
+    bit = {v: 1 << i for i, v in enumerate(vectors)}
+    assigned = [None] * p.n
     bits = [0] * p.n
-    spans = {0: 1}
-    elements = {1: [0]}
+    spans = {0: {(0,) * length}}
 
     def span(gens):
-        mask = spans.get(gens)
-        if mask is None:
-            g = gens.bit_length() - 1
-            mask = span(gens ^ (1 << g))
-            if not mask >> g & 1:
-                row, coset = _translation(q, length, g), elements[mask]
-                grown = list(coset)
-                for _ in range(q - 1):
-                    coset = [row[x] for x in coset]
-                    grown += coset
-                mask = sum(1 << x for x in grown)
-                elements.setdefault(mask, grown)
-            spans[gens] = mask
-        return mask
+        """The span of the vectors whose bits ``gens`` holds, grown one
+        generator at a time as the union of the cosets S + c*g."""
+        members = spans.get(gens)
+        if members is None:
+            i = gens.bit_length() - 1
+            members, g = span(gens ^ (1 << i)), vectors[i]
+            if g not in members:
+                members = {tuple((x + c * y) % q for x, y in zip(u, g)) for u in members for c in range(q)}
+            spans[gens] = members
+        return members
 
     def search(t, rank):
-        unit = q**rank if rank < length else None
+        unit = units[rank] if rank < length else None
         for v in candidates[rank]:
-            assigned[t], bits[t] = v, 1 << v
+            assigned[t], bits[t] = v, bit[v]
             for k, interf in checks[t]:
                 gens = 0
                 for i in interf:
                     gens |= bits[i]
-                if span(gens) >> assigned[k] & 1:
+                if assigned[k] in span(gens):
                     break
             else:
                 if t + 1 == p.n or search(t + 1, rank + (v == unit)):

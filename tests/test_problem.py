@@ -201,7 +201,7 @@ def test_problem_to_json_writes_the_bytes_of_json_dumps(p):
 
 @given(arbitrary_problems())
 @settings(max_examples=200, deadline=None)
-def test_demand_edges_list_every_interfering_set_in_order(p):
+def test_edge_masks_hold_every_hyperedge_and_match_bits(p):
     assert p.edge_masks == {(k, sum(1 << m for m in interf)) for k, interf in hyperedges(p)}
     assert p.edge_masks == {(k, s) for s, ks in zip(p.bits.sets, p.bits.against) for k in _iter_bits(ks)}
 
