@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .problem import ConflictPair, Problem, _iter_bits
+from .problem import ConflictPair, Problem, _iter_bits, _pairs
 from .structure import (
     Kind,
     StructureReport,
@@ -73,27 +73,17 @@ class FeasibilityReport:
 
 
 def check_rate_one(p: Problem) -> RateOneVerdict:
-    # the smallest message with a partner has only larger partners, so its
-    # lowest partner completes the smallest conflict pair
-    conf = p.bits.conf
-    a = next((a for a in range(1, p.n + 1) if conf[a]), None)
-    if a is None:
-        return RateOneVerdict(feasible=True, conflict_witness=None)
-    return RateOneVerdict(feasible=False, conflict_witness=(a, (conf[a] & -conf[a]).bit_length() - 1))
+    """The witness is the lowest conflict pair, the first of ``problem._pairs``."""
+    for pair, _ in _pairs(p.bits.conf, [(1 << (p.n + 1)) - 2]):
+        return RateOneVerdict(feasible=False, conflict_witness=pair)
+    return RateOneVerdict(feasible=True, conflict_witness=None)
 
 
 def check_rate_half(p: Problem) -> RateHalfVerdict:
     """An internal conflict lies inside an alignment set; the first, by set
-    and then by pair, is the witness.  One mask test per message finds it:
-    the first member a with a partner in its set has no partner below it,
-    which would have been found first, so its lowest partner completes the
-    first pair."""
-    conf = p.bits.conf
-    for comp in p.alignment_components:
-        for a in _iter_bits(comp):
-            if inside := conf[a] & comp:
-                pair, members = (a, (inside & -inside).bit_length() - 1), frozenset(_iter_bits(comp))
-                return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=members)
+    and then by pair, is the witness, the first of ``problem._pairs``."""
+    for pair, comp in _pairs(p.bits.conf, p.alignment_components):
+        return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=frozenset(_iter_bits(comp)))
     return RateHalfVerdict(feasible=True, internal_conflict=None, alignment_set=None)
 
 

@@ -62,6 +62,26 @@ def _reaches(near: Sequence[int] | Mapping[int, int], left: int) -> list[int]:
     return comps
 
 
+def _pairs(adj: Sequence[int], comps: Iterable[int]) -> Iterator[tuple[ConflictPair, int]]:
+    """Edges inside each mask c of ``comps`` of the graph with the symmetric
+    neighbour masks ``adj``, such as ``bits.conf`` or ``bits.near``, lazily:
+    ((a, b), c) for a < b in c, ordered by c, then a, then b.  Each member a
+    costs one AND with the members of c above it, so each edge is listed
+    once, from its lower end.  Hence a mask's first pair is its lowest, and
+    taking it stops the scan at the first member with a neighbour in c."""
+    for c in comps:
+        above = c
+        while above:  # _iter_bits inlined, twice: no generator per member
+            low = above & -above
+            above ^= low
+            a = low.bit_length() - 1
+            partners = adj[a] & above
+            while partners:
+                high = partners & -partners
+                yield (a, high.bit_length() - 1), c
+                partners ^= high
+
+
 class _cached:
     """``functools.cached_property`` without its lock: the first access
     computes the value and stores it in the instance ``__dict__``, where
@@ -238,8 +258,7 @@ def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:
 def conflicts(p: Problem) -> frozenset[ConflictPair]:
     """Unordered conflict pairs: a demanded message versus each interferer,
     read from ``Problem.bits``."""
-    conf = p.bits.conf
-    return frozenset((a, b) for a in range(1, p.n + 1) for b in _iter_bits((conf[a] >> (a + 1)) << (a + 1)))
+    return frozenset(pair for pair, _ in _pairs(p.bits.conf, [(1 << (p.n + 1)) - 2]))
 
 
 def restriction_members(p: Problem, members: frozenset[int] | set[int]) -> frozenset[int]:
@@ -328,6 +347,13 @@ def _unknown_key(obj: dict[str, object], known: frozenset[str]) -> str:
     return next(key for key in obj if key not in known)
 
 
+# The largest n a problem file may hold.  Problem.edge_masks, bits.near and
+# bits.conf hold n masks of up to n bits, so a file with few ids still costs
+# O(n^2) bits, and the structure layer more: at n = 1024, indexcode analyze
+# takes about 2.5 s and 110 MB on one receiver that demands every message
+# (README, on input files).
+MAX_MESSAGES = 1024
+
 _PROBLEM_KEYS = frozenset({"n", "receivers"})
 _RECEIVER_KEYS = frozenset({"demands", "side_info"})
 
@@ -336,7 +362,9 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     """Parse the canonical JSON problem format (see ``problem_to_json``).
 
     A key the format does not name is refused rather than dropped, so a
-    misspelled ``side_info`` cannot read as no side information."""
+    misspelled ``side_info`` cannot read as no side information.  An ``n``
+    above ``MAX_MESSAGES`` is refused after the id and demand checks, which
+    cost memory in the listed ids only, before anything of size n exists."""
     data = _load_json(text, "problem", ProblemError)
     if not isinstance(data, dict) or "n" not in data or "receivers" not in data:
         raise ProblemError("problem file must be an object with 'n' and 'receivers'")
@@ -373,6 +401,8 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     p = Problem(n=data["n"], receivers=tuple(receivers))  # Problem checks n and that some receiver is listed
     if not allow_undemanded:
         check_groupcast_complete(p)
+    if p.n > MAX_MESSAGES:
+        raise ProblemError(f"n = {p.n} is above the limit of {MAX_MESSAGES} messages")
     return p
 
 

@@ -5,9 +5,12 @@ interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
 construction.  Everything here reads the conflict hypergraph through
 ``Problem.bits``, the integer view of the distinct (k, mask of
-Interf_k(j)) that ``Problem`` builds from its receivers
-(``problem.conflicts`` reads the pairs from ``bits.conf``); only
+Interf_k(j)) that ``Problem`` builds from its receivers; only
 ``to_dot`` reads those hyperedges, ``Problem.edge_masks``, one by one.
+Every pair listing inside a mask is ``problem._pairs``: the alignment
+graph and the pairs the triangle listing extends on ``bits.near``, the
+dirty witnesses and the kind-2 test on ``bits.conf``, as the rate-1 and
+rate-1/2 witnesses in ``feasibility``.
 The results are plain values: the alignment graph is a frozenset of
 edges and a triangle an ascending int triple.  Type-2 sets are the
 components of the conflict pairs that lie in triangles, merged per
@@ -34,14 +37,14 @@ the degrees in ``bits.near``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .problem import ConflictPair, HypergraphBits, Problem, _iter_bits, _reaches, _to_mask, restriction_members
+from .problem import ConflictPair, HypergraphBits, Problem, _iter_bits, _pairs, _reaches, _to_mask, restriction_members
 
 Edge = tuple[int, int]  # unordered, stored with a < b
 Triangle = tuple[int, int, int]  # ascending
@@ -82,10 +85,7 @@ class StructureReport:
 
 def alignment_graph(p: Problem) -> frozenset[Edge]:
     """Two messages are joined iff they co-interfere at some receiver."""
-    near = p.bits.near
-    return frozenset(
-        (a, b) for a in range(1, p.n + 1) for b in _iter_bits((near[a] >> (a + 1)) << (a + 1))
-    )
+    return frozenset(pair for pair, _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]))
 
 
 def alignment_sets(p: Problem) -> list[frozenset[int]]:
@@ -176,15 +176,14 @@ def triangular_interfering_sets(p: Problem) -> list[Triangle]:
 
     out: list[Triangle] = []
     append = out.append
-    for a in range(1, p.n + 1):
-        for b in _iter_bits((near[a] >> (a + 1)) << (a + 1)):
-            above = (union(sets_with[a] & sets_with[b]) >> (b + 1)) << (b + 1)
-            if not conf[a] >> b & 1:
-                above &= conf[a] | conf[b]
-            while above:  # _iter_bits inlined: this loop runs once per triangle
-                low = above & -above
-                append((a, b, low.bit_length() - 1))
-                above ^= low
+    for (a, b), _ in _pairs(near, [(1 << (p.n + 1)) - 2]):
+        above = (union(sets_with[a] & sets_with[b]) >> (b + 1)) << (b + 1)
+        if not conf[a] >> b & 1:
+            above &= conf[a] | conf[b]
+        while above:  # _iter_bits inlined: this loop runs once per triangle
+            low = above & -above
+            append((a, b, low.bit_length() - 1))
+            above ^= low
     return out
 
 
@@ -334,20 +333,10 @@ def restricted_internal_conflicts(
     Each comes with its witnessing restricted alignment set, ordered by
     set and then by pair.  Restriction keeps every conflict between two
     members, so these are the problem's own conflict pairs inside each
-    restricted set: the partners b > a of each member a in ``bits.conf``.
+    restricted set: the pair scan ``problem._pairs`` over ``bits.conf``.
     """
     comps = _components(p.bits, _to_mask(restriction_members(p, members)))
-    return [(pair, frozenset(_iter_bits(c))) for pair, c in _internal_pairs(p, comps)]
-
-
-def _internal_pairs(p: Problem, comps: Iterable[int]) -> Iterator[tuple[ConflictPair, int]]:
-    """Conflict pairs (a, b) inside each component mask, lazily, ordered by
-    component and then by pair, each with its component."""
-    conf = p.bits.conf
-    for c in comps:
-        for a in _iter_bits(c):
-            for b in _iter_bits(((conf[a] & c) >> (a + 1)) << (a + 1)):
-                yield (a, b), c
+    return [(pair, frozenset(_iter_bits(c))) for pair, c in _pairs(p.bits.conf, comps)]
 
 
 def classify_alignment_set(p: Problem, mask: int, type2_dirty: dict[int, bool]) -> Kind:
@@ -363,8 +352,7 @@ def classify_alignment_set(p: Problem, mask: int, type2_dirty: dict[int, bool]) 
     if not mask & p.bits.crowded:
         return Kind.KIND1
     # some receiver sees three members, so a three-member set is co-interfering
-    conf = p.bits.conf
-    if mask.bit_count() == 3 and not any(conf[v] & mask for v in _iter_bits(mask)):
+    if mask.bit_count() == 3 and next(_pairs(p.bits.conf, (mask,)), None) is None:
         return Kind.KIND2
     if mask in type2_dirty:
         return Kind.TYPE2_DIRTY if type2_dirty[mask] else Kind.TYPE2_CLEAN
@@ -380,7 +368,7 @@ def structure_report(p: Problem) -> StructureReport:
         mask = _to_mask(t2.messages)
         comps = _components(p.bits, mask)
         sets = dict(zip(comps, map(frozenset, map(_iter_bits, comps))))
-        found = [(t2.messages, pair, sets[c]) for pair, c in _internal_pairs(p, comps)]
+        found = [(t2.messages, pair, sets[c]) for pair, c in _pairs(p.bits.conf, comps)]
         type2_dirty.setdefault(mask, bool(found))
         restricted.setdefault(t2.messages, tuple(sets.values()))
         dirty += found

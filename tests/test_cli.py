@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from indexcode import linalg, oracle
 from indexcode.cli import main
 from indexcode.fixtures import fixture_text
-from indexcode.problem import parse_problem, problem_to_json, random_problem
+from indexcode.problem import MAX_MESSAGES, parse_problem, problem_to_json, random_problem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -477,13 +477,34 @@ def test_huge_n_with_few_ids_is_rejected_in_bounded_memory(tmp_path, demand, err
     assert proc.stderr == f"error: {error}\n"
 
 
-def test_out_of_memory_is_one_error_line(tmp_path):
-    # with --allow-undemanded a huge n passes the checks and the analysis
-    # builds sets of size n; past the address-space limit that is exit 3
-    # and one error line, where it used to be a MemoryError traceback
+@pytest.mark.parametrize("n", [MAX_MESSAGES + 1, 1000000000])
+def test_n_above_the_limit_is_refused_in_bounded_memory(tmp_path, n):
+    # --allow-undemanded lets a huge n pass the id and demand checks; the
+    # limit refuses it before anything of size n is built
     path = tmp_path / "huge.json"
-    path.write_text('{"n": 1000000000, "receivers": [{"demands": [1], "side_info": []}]}')
-    proc = run_capped(1 << 29, "analyze", str(path), "--allow-undemanded")
+    path.write_text('{"n": %d, "receivers": [{"demands": [1], "side_info": []}]}' % n)
+    proc = run_capped(1 << 30, "analyze", str(path), "--allow-undemanded")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: n = {n} is above the limit of {MAX_MESSAGES} messages\n"
+    assert proc.stdout == ""
+
+
+def test_n_at_the_limit_is_analyzed(tmp_path):
+    path = tmp_path / "limit.json"
+    path.write_text('{"n": %d, "receivers": [{"demands": [1], "side_info": []}]}' % MAX_MESSAGES)
+    proc = run_capped(1 << 30, "analyze", str(path), "--allow-undemanded")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rate 1:   infeasible (conflict {1, 2})\n")
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    # n at the limit and two receivers without side information: the JSON
+    # report lists about a million triangles, over 500 MB, so a 64 MB
+    # address space runs out; that is exit 3 and one error line, where it
+    # used to be a MemoryError traceback
+    path = tmp_path / "triangles.json"
+    path.write_text('{"n": %d, "receivers": [{"demands": [1]}, {"demands": [2]}]}' % MAX_MESSAGES)
+    proc = run_capped(1 << 26, "analyze", str(path), "--allow-undemanded", "--format", "json")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == "error: out of memory: the input is too large for this command\n"
     assert proc.stdout == ""

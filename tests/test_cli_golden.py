@@ -5,7 +5,8 @@ Each row runs its ``setup`` commands, which must exit 0, then its command,
 in a fresh directory holding ``p5.json``.  The row pins the exit code, the
 SHA-256 of stdout (or of the file the command writes), the lines stderr
 must hold, and, for a code, the problem file it must pass ``verify``
-against.  An empty stdout has the digest ``EMPTY``.
+against.  A row that exits 3 pins stderr exactly: its one ``error:``
+line.  An empty stdout has the digest ``EMPTY``.
 """
 
 import hashlib
@@ -88,6 +89,10 @@ ROWS = {
         "0f6ab820666efc7492a9fe1a6fea402a71a85ac0f54632965b3c3085471ff705", digested="witness.json",
         stderr=("q=3: nodes explored 35", "q=2: nodes explored 45"), verify_against="n10-shortest.json",
     ),
+    "analyze-n-above-limit": Row(
+        (gen(1025, 0, 1, "n1025.json"),), ("analyze", "n1025.json"), 3, EMPTY,
+        stderr=("error: n = 1025 is above the limit of 1024 messages",),
+    ),
 }
 
 
@@ -104,6 +109,8 @@ def test_workflow_output_is_byte_stable(row, tmp_path, monkeypatch, capsys):
     digested = out.encode() if row.digested == "-" else (tmp_path / row.digested).read_bytes()
     assert hashlib.sha256(digested).hexdigest() == row.sha256
     assert set(row.stderr) <= set(err.splitlines()), err
+    if row.exit_code == 3:
+        assert err.splitlines() == list(row.stderr) and err.startswith("error: "), err
     if row.verify_against is not None:
         code = row.digested
         if code == "-":

@@ -297,6 +297,7 @@ def test_bits_match_hyperedge_reference():
         pairs = reference_conflict_pairs(p)
         assert conflicts(p) == pairs
         assert check_rate_one(p).conflict_witness == (min(pairs) if pairs else None)
+        assert alignment_graph(p) == naive_alignment_graph(p)
 
 
 @given(st.integers(0, 400))
@@ -401,9 +402,9 @@ def test_classification_kind2():
 
 
 def naive_components(p):
-    """Components of ``alignment_graph``, each a frozenset, by smallest member."""
+    """Components of ``naive_alignment_graph``, each a frozenset, by smallest member."""
     parent = {}
-    for a, b in alignment_graph(p):
+    for a, b in naive_alignment_graph(p):
         parent[_find(parent, a)] = _find(parent, b)
     comps = {}
     for m in range(1, p.n + 1):
@@ -416,16 +417,21 @@ def naive_interference(p):
     return [(k, interfering_set(p, j, k)) for j, r in enumerate(p.receivers, 1) for k in sorted(r.demands)]
 
 
+def naive_alignment_graph(p):
+    """Pairs a < b that lie together in some Interf_k(j), from ``naive_interference``."""
+    return frozenset(pair for _, interf in naive_interference(p) for pair in combinations(sorted(interf), 2))
+
+
 def naive_pairs(p):
     return {frozenset((k, i)) for k, interf in naive_interference(p) for i in interf}
 
 
 def naive_classification(p):
     """(members, fork, cycle, kind) per alignment set, from the receivers'
-    interfering sets and the alignment graph alone: degrees and edges
-    counted on the graph, the type-2 unions of ``naive_type2_sets``, and
+    interfering sets alone: degrees and edges counted on
+    ``naive_alignment_graph``, the type-2 unions of ``naive_type2_sets``, and
     restricted conflicts read off ``restrict_problem``."""
-    hyper, pairs, graph = naive_interference(p), naive_pairs(p), alignment_graph(p)
+    hyper, pairs, graph = naive_interference(p), naive_pairs(p), naive_alignment_graph(p)
     type2 = {messages for _, messages in naive_type2_sets(p)}
 
     def dirty(members):
