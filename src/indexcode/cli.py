@@ -139,24 +139,30 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _field_sizes(text: str) -> tuple[int, ...]:
+def _integer(text: str) -> int:
     try:
-        sizes = tuple(int(q) for q in text.split(","))
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _field_sizes(text: str) -> tuple[int, ...]:
+    sizes = tuple(map(_integer, text.split(",")))
     if len(set(sizes)) < len(sizes):
         raise argparse.ArgumentTypeError(f"each field size may appear once, got {text!r}")
     return sizes
 
 
 def _attempts(text: str) -> int:
-    try:
-        attempts = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if attempts < 1:
+    if (attempts := _integer(text)) < 1:
         raise argparse.ArgumentTypeError(f"need at least one attempt, got {attempts}")
     return attempts
+
+
+def _message_count(text: str) -> int:
+    if (n := _integer(text)) > problem.MAX_MESSAGES:
+        raise argparse.ArgumentTypeError(f"n = {n} is above the limit of {problem.MAX_MESSAGES} messages")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("gen", help="generate a seeded random problem")
-    sp.add_argument("-n", type=int, required=True)
+    sp.add_argument("-n", type=_message_count, required=True)
     sp.add_argument("--density", type=float, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--general", action="store_true", help="allow multi-demand receivers")

@@ -91,9 +91,8 @@ _CONSTRUCTIBLE = {Kind.KIND1, Kind.KIND2, Kind.TYPE2_CLEAN}
 
 
 def check_rate_third(report: StructureReport) -> RateThirdVerdict:
-    dirty = report.dirty_witnesses[0] if report.dirty_witnesses else None
     quadruple = report.acyclic_quadruple
-    if dirty is not None:
+    if report.dirty_witness is not None:
         status = RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
     # Kept as an independent check: the dirty-type-2 condition should
     # always subsume this one, and the test suite asserts that dominance.
@@ -107,9 +106,9 @@ def check_rate_third(report: StructureReport) -> RateThirdVerdict:
     # necessary condition that fired
     return RateThirdVerdict(
         status=status,
-        dirty_witness=dirty,
+        dirty_witness=report.dirty_witness,
         quadruple=quadruple,
-        conjecture_predicts_feasible=dirty is None and quadruple is None,
+        conjecture_predicts_feasible=report.dirty_witness is None and quadruple is None,
     )
 
 
@@ -221,11 +220,7 @@ def render_report(rep: FeasibilityReport) -> str:
             f"rate 1/3: undetermined by the known conditions; conjecture predicts {prediction}"
         )
     for info in rep.structure.alignment_sets:
-        flags = []
-        if info.has_fork:
-            flags.append("fork")
-        if info.has_cycle:
-            flags.append("cycle")
+        flags = [name for name, has in (("fork", info.has_fork), ("cycle", info.has_cycle)) if has]
         flag_text = f" [{', '.join(flags)}]" if flags else ""
         lines.append(f"  alignment set {set(sorted(info.members))}: {info.kind.value}{flag_text}")
     return "\n".join(lines) + "\n"

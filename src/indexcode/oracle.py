@@ -458,7 +458,7 @@ def conjecture_probe(
     about the conjecture's large-field claim.
     """
     report = structure_report(p)
-    clean = not report.dirty_witnesses
+    clean = report.dirty_witness is None
     lengths: dict[int, int | None] = {}
     for q in fields:
         lengths[q] = min_length(p, q, l_max=3).min_length

@@ -350,7 +350,7 @@ def _unknown_key(obj: dict[str, object], known: frozenset[str]) -> str:
 # The largest n a problem file may hold.  Problem.edge_masks, bits.near and
 # bits.conf hold n masks of up to n bits, so a file with few ids still costs
 # O(n^2) bits, and the structure layer more: at n = 1024, indexcode analyze
-# takes about 2.5 s and 110 MB on one receiver that demands every message
+# takes about 1.3-2.1 s and 27 MB on one receiver that demands every message
 # (README, on input files).
 MAX_MESSAGES = 1024
 

@@ -9,7 +9,7 @@ Interf_k(j)) that ``Problem`` builds from its receivers; only
 ``to_dot`` reads those hyperedges, ``Problem.edge_masks``, one by one.
 Every pair listing inside a mask is ``problem._pairs``: the alignment
 graph and the pairs the triangle listing extends on ``bits.near``, the
-dirty witnesses and the kind-2 test on ``bits.conf``, as the rate-1 and
+dirty witness and the kind-2 test on ``bits.conf``, as the rate-1 and
 rate-1/2 witnesses in ``feasibility``.
 The results are plain values: the alignment graph is a frozenset of
 edges and a triangle an ascending int triple.  Type-2 sets are the
@@ -18,21 +18,20 @@ message as masks, and their messages are the unions of the sets whose
 stars joined them, so the analysis does no work per triangle and lists
 none.  Only ``feasibility.report_to_dict`` lists the triangles, which it
 writes, and ``_group_triangles`` places each in its type-2 set with one
-lookup when there are several.  Type-2 sets with the same messages differ
-only in their triangles, so the report, which writes them, orders them
-by their first triangles.  The full alignment sets are the reaches of
-``bits.near``, found once per problem as
+lookup when there are several.  The full alignment sets are the reaches
+of ``bits.near``, found once per problem as
 ``Problem.alignment_components`` by ``problem._reaches``, the same
 search that joins the partner groups of the type-2 sets, and
-``structure_report`` merges the restricted alignment sets of each type-2
-set once, from ``bits.sets`` and ``bits.against`` (``_components``, the
-one restriction rule), for the dirty witnesses, the classification and
-the rate-1/3 construction.  The acyclic-quadruple search walks masks of
-set indexes (``bits.sets_with``) and reads its candidates from
-``bits.against``.  The classification takes each alignment set as its
-mask: kind 1 is one test against ``bits.crowded``, the union of the sets
-with three or more members, and fork and cycle come from one pass over
-the degrees in ``bits.near``.
+``structure_report`` merges the restricted alignment sets once per
+distinct type-2 message set (``_components``, the one restriction rule),
+for the rate-1/3 construction, and takes only the first pair inside
+them: it decides the kind, and the first in type-2 order is the dirty
+witness.  The acyclic-quadruple search walks masks of set indexes
+(``bits.sets_with``) and reads its candidates from ``bits.against``.
+The classification takes each alignment set as its mask: kind 1 is one
+test against ``bits.crowded``, the union of the sets with three or more
+members, and fork and cycle come from one pass over the degrees in
+``bits.near``.
 """
 
 from __future__ import annotations
@@ -76,8 +75,8 @@ class StructureReport:
     alignment_sets: tuple[AlignmentSetInfo, ...]
     type2_sets: tuple[Type2AlignmentSet, ...]
     acyclic_quadruple: tuple[int, int, int, int] | None
-    # (type-2 message union, conflict pair, restricted alignment set), original ids
-    dirty_witnesses: tuple[tuple[frozenset[int], ConflictPair, frozenset[int]], ...]
+    # first restricted internal conflict in type-2 order: (type-2 message union, pair, restricted set)
+    dirty_witness: tuple[frozenset[int], ConflictPair, frozenset[int]] | None
     # type-2 message union -> its restricted alignment sets, ordered by smallest member
     restricted_sets: dict[frozenset[int], tuple[frozenset[int], ...]]
     problem: Problem  # the problem described, whose triangles ``report_to_dict`` lists
@@ -196,7 +195,7 @@ def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:
     conflict pairs that lie in triangles, two pairs joined when one
     triangle holds both (``_pair_components``), and no triangle is listed.
     Groups are ordered by their sorted messages.  Two groups with the same
-    messages have the same restricted sets, dirty witnesses and kind, which
+    messages have the same restricted sets, dirty witness and kind, which
     read only the messages, so only the JSON report tells them apart, and
     ``report_to_dict`` orders them by their first triangles.
     """
@@ -363,15 +362,15 @@ def structure_report(p: Problem) -> StructureReport:
     type2 = type2_alignment_sets(p)
     type2_dirty: dict[int, bool] = {}
     restricted: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    dirty = []
-    for t2 in type2:
-        mask = _to_mask(t2.messages)
+    dirty = None
+    for messages in dict.fromkeys(t2.messages for t2 in type2):  # tied sets share their messages
+        mask = _to_mask(messages)
         comps = _components(p.bits, mask)
-        sets = dict(zip(comps, map(frozenset, map(_iter_bits, comps))))
-        found = [(t2.messages, pair, sets[c]) for pair, c in _pairs(p.bits.conf, comps)]
-        type2_dirty.setdefault(mask, bool(found))
-        restricted.setdefault(t2.messages, tuple(sets.values()))
-        dirty += found
+        restricted[messages] = tuple(frozenset(_iter_bits(c)) for c in comps)
+        found = next(_pairs(p.bits.conf, comps), None)
+        type2_dirty[mask] = found is not None
+        if found and dirty is None:
+            dirty = messages, found[0], frozenset(_iter_bits(found[1]))
     infos = tuple(
         AlignmentSetInfo(s, *fork_and_cycle(p, c), classify_alignment_set(p, c, type2_dirty))
         for s, c in zip(alignment_sets(p), p.alignment_components)
@@ -380,7 +379,7 @@ def structure_report(p: Problem) -> StructureReport:
         alignment_sets=infos,
         type2_sets=tuple(type2),
         acyclic_quadruple=find_acyclic_quadruple(p),
-        dirty_witnesses=tuple(dirty),
+        dirty_witness=dirty,
         restricted_sets=restricted,
         problem=p,
     )

@@ -30,6 +30,7 @@ from indexcode.structure import (
     Kind,
     alignment_graph,
     find_acyclic_quadruple,
+    restricted_internal_conflicts,
     structure_report,
 )
 
@@ -72,9 +73,9 @@ def test_criterion_02_infeasible_example_pipeline():
     started = time.monotonic()
     p = load_fixture("ex_inf")
     report = structure_report(p)
-    dirty_sets = {members for members, _pair, _restricted in report.dirty_witnesses}
-    assert frozenset({1, 2, 3, 4}) in dirty_sets
-    pairs = {pair for members, pair, _ in report.dirty_witnesses if members == frozenset({1, 2, 3, 4})}
+    assert report.dirty_witness[0] == frozenset({1, 2, 3, 4})
+    assert frozenset({1, 2, 3, 4}) in {t2.messages for t2 in report.type2_sets}
+    pairs = {pair for pair, _restricted in restricted_internal_conflicts(p, frozenset({1, 2, 3, 4}))}
     assert (1, 3) in pairs
     assert find_acyclic_quadruple(p) is None
     verdict = analyze(p).rate_third
@@ -173,7 +174,7 @@ def test_criterion_06_necessary_conditions_against_oracle():
         p = random_unicast_problem(seed)
         report = structure_report(p)
         has_quad = report.acyclic_quadruple is not None
-        has_dirty = bool(report.dirty_witnesses)
+        has_dirty = report.dirty_witness is not None
         if not (has_quad or has_dirty):
             continue
         quad_hits += has_quad
@@ -266,7 +267,7 @@ def test_criterion_10_conjecture_probe_report(tmp_path):
         density = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
         p = random_problem(n, density, seed=seed)
         seed += 1
-        if structure_report(p).dirty_witnesses:
+        if structure_report(p).dirty_witness is not None:
             continue
         examined += 1
         finding = conjecture_probe(

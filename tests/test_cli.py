@@ -497,6 +497,33 @@ def test_n_at_the_limit_is_analyzed(tmp_path):
     assert proc.stdout.startswith("rate 1:   infeasible (conflict {1, 2})\n")
 
 
+def test_text_report_at_the_limit_fits_in_64_mb(tmp_path):
+    # one receiver per message and no side information: every pair is a
+    # conflict, and the report used to hold every restricted internal
+    # conflict, 523,776 of them, which ran out of memory under this limit
+    path = str(tmp_path / "cap.json")
+    assert main(["gen", "-n", str(MAX_MESSAGES), "--density", "0", "--seed", "0", "-o", path]) == 0
+    proc = run_capped(1 << 26, "analyze", path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "rate 1:   infeasible (conflict {1, 2})"
+    assert lines[1].startswith("rate 1/2: infeasible (internal conflict {1, 2} inside alignment set {1, 2, 3, ")
+    assert lines[2].startswith("rate 1/3: infeasible (type-2 set {1, 2, 3, ")
+    assert lines[2].endswith(", 1024} has restricted internal conflict {1, 2})")
+
+
+def test_gen_above_the_limit_is_usage_error(tmp_path, capsys):
+    # it used to write a file that every other command refuses with exit 3
+    path = tmp_path / "big.json"
+    rc, out, err = run(capsys, "gen", "-n", str(MAX_MESSAGES + 1), "--density", "0", "-o", str(path))
+    assert rc == 2
+    assert out == "" and not path.exists()
+    assert f"argument -n: n = {MAX_MESSAGES + 1} is above the limit of {MAX_MESSAGES} messages" in err
+    rc, _, err = run(capsys, "gen", "-n", "0", "--density", "0", "-o", str(path))
+    assert rc == 3
+    assert err == "error: need n >= 1, got 0\n"
+
+
 def test_out_of_memory_is_one_error_line(tmp_path):
     # n at the limit and two receivers without side information: the JSON
     # report lists about a million triangles, over 500 MB, so a 64 MB

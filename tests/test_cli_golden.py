@@ -2,10 +2,10 @@
 in process.
 
 Each row runs its ``setup`` commands, which must exit 0, then its command,
-in a fresh directory holding ``p5.json``.  The row pins the exit code, the
-SHA-256 of stdout (or of the file the command writes), the lines stderr
-must hold, and, for a code, the problem file it must pass ``verify``
-against.  A row that exits 3 pins stderr exactly: its one ``error:``
+in a fresh directory holding ``p5.json`` and the ``files`` of the row.  The
+row pins the exit code, the SHA-256 of stdout (or of the file the command
+writes), the lines stderr must hold, and, for a code, the problem file it
+must pass ``verify`` against.  A row that exits 3 pins stderr exactly: its one ``error:``
 line.  An empty stdout has the digest ``EMPTY``.
 """
 
@@ -28,6 +28,7 @@ class Row(NamedTuple):
     digested: str = "-"  # "-" for stdout, else the file the command writes
     stderr: tuple[str, ...] = ()
     verify_against: str | None = None
+    files: tuple[tuple[str, str], ...] = ()  # (name, text) written before setup
 
 
 def gen(n, density, seed, out, *extra):
@@ -46,6 +47,10 @@ ROWS = {
     "analyze-n160-text": Row(
         (gen(160, 0.6, 1, "n160.json"),), ("analyze", "n160.json"), 0,
         "0eafcf759bf7c23b449e9cda87aab7f1bba22adf45d712238809c45d74bd0ed4",
+    ),
+    "analyze-cap-text": Row(
+        (gen(1024, 0, 0, "cap.json"),), ("analyze", "cap.json"), 0,
+        "961de14737a935c90a11c0663a26002c9e31701edabf02e3642fde721ccad93f",
     ),
     "analyze-n64-json": Row(
         (gen(64, 0.9, 0, "n64.json"),), ("analyze", "n64.json", "--format", "json"), 0,
@@ -89,9 +94,12 @@ ROWS = {
         "0f6ab820666efc7492a9fe1a6fea402a71a85ac0f54632965b3c3085471ff705", digested="witness.json",
         stderr=("q=3: nodes explored 35", "q=2: nodes explored 45"), verify_against="n10-shortest.json",
     ),
+    # gen refuses an n above the limit, so the file is written directly,
+    # every message demanded, as the workflow's malformed-input step does
     "analyze-n-above-limit": Row(
-        (gen(1025, 0, 1, "n1025.json"),), ("analyze", "n1025.json"), 3, EMPTY,
+        (), ("analyze", "n1025.json"), 3, EMPTY,
         stderr=("error: n = 1025 is above the limit of 1024 messages",),
+        files=(("n1025.json", '{"n": 1025, "receivers": [{"demands": [%s]}]}' % ", ".join(map(str, range(1, 1026)))),),
     ),
 }
 
@@ -100,6 +108,8 @@ ROWS = {
 def test_workflow_output_is_byte_stable(row, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p5.json").write_text(fixture_text("p5"))
+    for name, text in row.files:
+        (tmp_path / name).write_text(text)
     for argv in row.setup:
         assert main(list(argv)) == 0
     capsys.readouterr()

@@ -84,7 +84,7 @@ def test_quadruple_verdict_does_not_predict_feasible():
     # subsumes it), so feed one in: a quadruple and no dirty witness
     p = load_fixture("ex_feas")
     report = dataclasses.replace(
-        structure_report(p), acyclic_quadruple=(1, 2, 3, 4), dirty_witnesses=()
+        structure_report(p), acyclic_quadruple=(1, 2, 3, 4), dirty_witness=None
     )
     verdict = check_rate_third(report)
     assert verdict.status is RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE
@@ -118,7 +118,7 @@ def test_monotonicity_and_dominance(seed):
         assert rep.rate_third.feasible is not False
     # the dirty-type-2 condition subsumes the acyclic-quadruple condition
     if rep.structure.acyclic_quadruple is not None:
-        assert rep.structure.dirty_witnesses
+        assert rep.structure.dirty_witness is not None
         assert rep.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
 
 

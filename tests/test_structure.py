@@ -257,11 +257,14 @@ def test_structure_matches_references_on_corpus():
         report = structure_report(p)
         type2 = type2_alignment_sets(p)
         assert [(i.members, i.has_fork, i.has_cycle, i.kind) for i in report.alignment_sets] == naive_classification(p)
-        assert report.dirty_witnesses == tuple(
-            (t2.messages, pair, comp)
-            for t2 in type2
-            for pair, comp in naive_restricted_internal_conflicts(p, t2.messages)
-        )
+        # the report keeps the first restricted internal conflict in type-2
+        # order; the full listing of every type-2 set is checked here
+        naive_dirty = []
+        for t2 in type2:
+            listed = naive_restricted_internal_conflicts(p, t2.messages)
+            assert restricted_internal_conflicts(p, t2.messages) == listed
+            naive_dirty += [(t2.messages, pair, comp) for pair, comp in listed]
+        assert report.dirty_witness == (naive_dirty[0] if naive_dirty else None)
         seen_kinds |= {info.kind for info in report.alignment_sets}
     assert seen_kinds == set(Kind)
 
