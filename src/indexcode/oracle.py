@@ -71,11 +71,12 @@ the checks at each position depend only on the hypergraph, not on q or
 L, so ``_plan`` derives them once per hypergraph from the (k, mask of I)
 of ``Problem.edge_masks``, built in plain lists, and keeps the most
 recent plans; a sweep over lengths and fields reuses one plan.  It makes
-one pass over the hyperedges, listing k and the members of I and
-counting degrees, then walks the sorted positions of each {k} | I once,
-creating a trie node (below) where it is first read and noting its
-parent and last position as it goes; only an inside list that holds
-more than one check is deduplicated and sorted.  Every
+one pass over the hyperedges, listing k and the members of I, one table
+lookup per byte of the mask of I, and counting degrees, then walks the
+sorted positions of each {k} | I once, creating a trie node (below)
+where it is first read and noting its parent and last position as it
+goes; only an inside list that holds more than one check is
+deduplicated and sorted.  Every
 prefix P = at[:j] of the sorted positions at of an interfering set that
 a check reads is a node of a trie, keyed by its mask of positions, with
 a parent at[:j-1] and a last position at[j-1].  The search keeps the
@@ -90,7 +91,8 @@ mask, a pair check one join with v_s, and the hyperplane test
 ``dim == L - 1``.  The search keeps, per position, the allowed candidates
 not yet tried, the candidates counted and the rank in a list, and backs
 up by index, with no recursion.  The witness is mapped back to the
-original message ids.
+original message ids; it is built without ``ScalarLinearCode``'s checks,
+which its vectors, taken from the field's table, pass by construction.
 
 **Node budget.**  ``nodes explored`` counts every candidate vector tried
 at a search position, including those a forward check rules out; the
@@ -149,7 +151,8 @@ class OracleResult(NamedTuple):
 
 class _Field:
     """Everything a search over GF(q)^length reads, shared by every search
-    over that field and length: ``_field`` keeps one per (q, L).
+    over that field and length: ``_field`` keeps one per (q, L), and one
+    is built only for a (q, L) that passes ``check_caps``.
 
     ``vectors`` is GF(q)^length in index order: digit j of index i in base
     q is coordinate j.  Per rank r, ``candidates[r]`` is the mask of the
@@ -175,6 +178,7 @@ class _Field:
                  "members", "dim", "join", "elements", "ids", "lock", "translation")
 
     def __init__(self, q: int, length: int) -> None:
+        check_caps(q, length)
         self.q = q
         self.vectors = vectors = tuple(tuple(i // q**j % q for j in range(length)) for i in range(q**length))
         points = [i for i, v in enumerate(vectors) if any(v) and next(filter(None, v)) == 1]
@@ -234,7 +238,10 @@ class _Join(dict):
         return b
 
 
-_field = lru_cache(maxsize=None)(_Field)  # the one _Field per (q, L); cache_clear drops all per-field state
+# the one _Field per (q, L), so the caps are checked once per field; typed,
+# as 2.0 and True equal valid values that check_caps refuses.  cache_clear
+# drops all per-field state
+_field = lru_cache(maxsize=None, typed=True)(_Field)
 
 
 def check_caps(q: int, length: int) -> None:
@@ -274,6 +281,10 @@ class _Plan(NamedTuple):
     inside: list[list[tuple[int, int]]]
 
 
+# the set bits of each byte value; bytes hold them in half the memory of tuples
+_BYTE_MEMBERS = tuple(bytes(m for m in range(8) if b >> m & 1) for b in range(256))
+
+
 @lru_cache(maxsize=64)
 def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     """The most-constrained-first order and its checks, from the (k, mask
@@ -281,15 +292,14 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     degree = [0] * (n + 1)
     members = []  # k, then the messages of I, for each hyperedge
     for k, interf in edges:
-        degree[k] += 1
-        ms = [k]
-        while interf:
-            low = interf & -interf
-            m = low.bit_length() - 1
-            ms.append(m)
-            degree[m] += 1
-            interf ^= low
+        ms = [k, *_BYTE_MEMBERS[interf & 255]]  # one lookup per byte of the mask, not one step per member
+        offset = 0
+        while interf := interf >> 8:
+            offset += 8
+            ms += [offset + m for m in _BYTE_MEMBERS[interf & 255]]
         members.append(ms)
+        for m in ms:
+            degree[m] += 1
     # a stable sort keeps ids ascending among equal degrees, also in reverse
     order = sorted(range(1, n + 1), key=degree.__getitem__, reverse=True)
     position = [0] * (n + 1)
@@ -334,7 +344,7 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     for c in inside:  # many hyperedges read one inside check: keep each once, longest prefix first
         if len(c) > 1:
             c[:] = sorted(set(c), reverse=True)
-    return _Plan(position[1:], len(first), extend, avoid, pairs, inside)
+    return tuple.__new__(_Plan, (position[1:], len(first), extend, avoid, pairs, inside))
 
 
 def exists_code(
@@ -349,9 +359,8 @@ def exists_code(
     per-vector scaling and a global change of basis.  Raises
     ``OracleBudgetError`` once more than ``max_nodes`` nodes are explored.
     """
-    check_caps(q, length)
+    f = _field(q, length)  # raises OracleCapError past the caps
     position, trie_nodes, extend, avoid, pairs, inside = _plan(p.n, p.edge_masks)
-    f = _field(q, length)
     members, dim, join, reach = f.members, f.dim, f.join, f.reach
     candidates, count, unit = f.candidates, f.count, f.unit  # per rank
     hyperplane = length - 1  # dimension of a hyperplane
@@ -398,7 +407,7 @@ def exists_code(
         assigned[t] = v
         if t == last:
             witness = tuple(map(f.vectors.__getitem__, map(assigned.__getitem__, position)))
-            return True, ScalarLinearCode(length=length, prime=q, vectors=witness), nodes
+            return True, ScalarLinearCode._known_valid(length, q, witness), nodes
         r += v == unit[r]
         t += 1
 
@@ -432,8 +441,8 @@ def min_length(
             ) from None
         nodes_total += nodes
         if found:
-            return OracleResult(q, length, witness, nodes_total)
-    return OracleResult(q, None, None, nodes_total)
+            return tuple.__new__(OracleResult, (q, length, witness, nodes_total))
+    return tuple.__new__(OracleResult, (q, None, None, nodes_total))
 
 
 class ProbeFinding(NamedTuple):

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
 from typing import NamedTuple
@@ -80,6 +80,14 @@ def _pairs(adj: Sequence[int], comps: Iterable[int]) -> Iterator[tuple[ConflictP
                 high = partners & -partners
                 yield (a, high.bit_length() - 1), c
                 partners ^= high
+
+
+@lru_cache(maxsize=32)
+def _message_ids(n: int) -> tuple[tuple[int, ...], frozenset[int]]:
+    """``1 << m`` for m = 0..n, and the ids 1..n: what every problem over n
+    messages reads to build its masks, kept for the 32 latest values of n
+    (about 0.16 MB each at ``MAX_MESSAGES``)."""
+    return tuple(1 << m for m in range(n + 1)), frozenset(range(1, n + 1))
 
 
 class _cached:
@@ -167,7 +175,7 @@ class Problem:
 
     @_cached
     def messages(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1))
+        return _message_ids(self.n)[1]
 
     @_cached
     def edge_masks(self) -> frozenset[tuple[int, int]]:
@@ -175,13 +183,21 @@ class Problem:
         Interf_k(j)) with a nonempty interfering set.  Every structural
         quantity depends only on it, so it is derived once, straight from
         the receivers, one mask per receiver of the messages outside its side
-        information, each demand k clearing bit k of it.  A frozenset keeps
-        its hash, so a cache keyed by it hashes it once."""
-        bit = [1 << m for m in range(self.n + 1)]
-        get, full = bit.__getitem__, self.messages
+        information, each demand k clearing bit k of it.  That mask is read
+        from the smaller side: the side-information ids when they are fewer
+        than n/2, cleared from the mask ``full`` of all ids, else the ids
+        outside them.  A frozenset keeps its hash, so a cache keyed by it hashes it
+        once."""
+        n = self.n
+        bit, ids = _message_ids(n)
+        get, full = bit.__getitem__, 2 * bit[n] - 2
         pairs = set()
         for demands, side_info in self.receivers:
-            base = sum(map(get, full.difference(side_info)))  # distinct bits: sum is or
+            # distinct bits: sum is or
+            if 2 * len(side_info) < n:
+                base = full ^ sum(map(get, side_info))
+            else:
+                base = sum(map(get, ids.difference(side_info)))
             for k in demands:
                 if interf := base ^ bit[k]:
                     pairs.add((k, interf))
@@ -397,7 +413,7 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
                 s = frozenset(sorted(side_info, key=lambda m: type(m) is int))
         except (KeyError, TypeError) as exc:
             raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
-        receivers.append(Receiver(d, s))
+        receivers.append(tuple.__new__(Receiver, (d, s)))  # a Receiver, without NamedTuple's Python-level __new__
     p = Problem(n=data["n"], receivers=tuple(receivers))  # Problem checks n and that some receiver is listed
     if not allow_undemanded:
         check_groupcast_complete(p)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from corpusgen import hyperedges, oracle_small_base, random_unicast_problem
 from plan_reference import reference_plan
-from indexcode import oracle
+from indexcode import oracle, problem
 from indexcode.codec import ScalarLinearCode, verify
 from indexcode.feasibility import RateThirdStatus, analyze
-from indexcode.fixtures import load_fixture
+from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.oracle import (
     OracleBudgetError,
     OracleCapError,
@@ -134,9 +134,13 @@ def test_caps_enforced():
 def test_caps_require_exact_integers():
     # True equals 1 and 2.0 equals 2: one exact type test rejects both,
     # where a bool length was searched as length 1 and a float ended in a
-    # TypeError
+    # TypeError.  The caps are checked once per field, where it is built,
+    # so the fields of 2 and 1 are built first: their typed cache must
+    # not hand them to 2.0 and True
     p = random_problem(4, 0.5, seed=1)
-    for q, length in [(2, True), (True, 1), (2.0, 2), (2, 2.0), (3, None)]:
+    for q, length in [(2, 1), (2, 2), (3, 1)]:
+        exists_code(p, q, length)
+    for q, length in [(2, True), (True, 1), (2.0, 2), (2, 2.0), (3, None), (3.0, True)]:
         with pytest.raises(OracleCapError, match="must be integers"):
             exists_code(p, q, length)
         with pytest.raises(OracleCapError, match="must be integers"):
@@ -230,10 +234,31 @@ def test_nothing_per_field_survives_a_cache_clear():
     assert (cold.members, cold.dim, cold.elements, cold.ids, cold.join, cold.translation) == (
         [1], [0], [[0]], {1: 0}, [{}], {}
     )
-    # the only other cache the module defines is the plan, which holds no field
-    caches = {name for name, obj in vars(oracle).items() if hasattr(obj, "cache_clear")}
-    assert {name for name in caches if vars(oracle)[name].__module__ == oracle.__name__} == {"_field", "_plan"}
+    # the only other cache the module defines is the plan, which holds no
+    # field; the problem module's one cache is the per-n table of bits and
+    # ids that edge_masks reads.  Both keep a bounded number of entries
+    def caches(module):
+        return {
+            name: obj for name, obj in vars(module).items()
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
+        }
+    assert set(caches(oracle)) == {"_field", "_plan"}
+    assert set(caches(problem)) == {"_message_ids"}
+    assert (_plan.cache_info().maxsize, problem._message_ids.cache_info().maxsize) == (64, 32)
     assert exists_code(p, 2, 4) == result
+
+
+def test_witness_is_the_code_its_checks_accept():
+    # the witness is built without ScalarLinearCode's checks, which it
+    # passes by construction: it equals, field for field, the checked code
+    for p in [load_fixture(name) for name in FIXTURE_NAMES] + _n10_corpus()[20:]:
+        for q in (2, 3):
+            witness = min_length(p, q).witness
+            if witness is not None:
+                checked = ScalarLinearCode(witness.length, witness.prime, witness.vectors)
+                assert type(witness) is ScalarLinearCode and vars(witness) == vars(checked)
+                assert witness == checked and hash(witness) == hash(checked)
+                assert verify(p, witness).ok
 
 
 def _brute_force_exists(p, q, length):

@@ -3,11 +3,11 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusgen import hyperedges
-from indexcode.fixtures import load_fixture
+from indexcode.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from indexcode.problem import (
     Problem,
     ProblemError,
@@ -173,13 +173,18 @@ def test_roundtrip_serialization():
 
 @st.composite
 def arbitrary_problems(draw, max_n=8):
-    """Problems with multi-demand receivers and undemanded messages."""
+    """Problems with multi-demand receivers and undemanded messages; each
+    receiver's side information is a drawn set or all ids outside one, so
+    that above small n it falls on both sides of n/2."""
     n = draw(st.integers(1, max_n))
     ids = st.integers(1, n)
     receivers = []
     for _ in range(draw(st.integers(1, 6))):
         demands = draw(st.frozensets(ids, min_size=1))
-        receivers.append(Receiver(demands, draw(st.frozensets(ids)) - demands))
+        side = draw(st.frozensets(ids))
+        if draw(st.booleans()):
+            side = frozenset(range(1, n + 1)) - side
+        receivers.append(Receiver(demands, side - demands))
     return Problem(n, tuple(receivers))
 
 
@@ -199,11 +204,35 @@ def test_problem_to_json_writes_the_bytes_of_json_dumps(p):
     assert problem_to_json(p) == json.dumps(data, indent=2) + "\n"
 
 
-@given(arbitrary_problems())
+def _half_side(n):
+    """Receivers with side information of n/2 - 1, n/2 and n/2 + 1 ids."""
+    sizes = (n // 2 - 1, n // 2, n // 2 + 1)
+    return Problem(n, tuple(Receiver(frozenset({1, n}), frozenset(range(2, 2 + size))) for size in sizes))
+
+
+# up to n = 96, past the construct-verify sizes, where a receiver's base
+# mask is read from its side information below n/2 ids and from the ids
+# outside it above; the examples sit at that edge
+@given(st.one_of(arbitrary_problems(), arbitrary_problems(max_n=96)))
+@example(_half_side(11))
+@example(_half_side(12))
+@example(_half_side(96))
 @settings(max_examples=200, deadline=None)
 def test_edge_masks_hold_every_hyperedge_and_match_bits(p):
     assert p.edge_masks == {(k, sum(1 << m for m in interf)) for k, interf in hyperedges(p)}
     assert p.edge_masks == {(k, s) for s, ks in zip(p.bits.sets, p.bits.against) for k in _iter_bits(ks)}
+
+
+def test_parse_builds_exact_receivers():
+    # NamedTuple instances built without the Python-level __new__: each is
+    # a Receiver, not a plain tuple, that equals one built the usual way
+    groupcast = problem_to_json(random_problem(12, 0.5, single_unicast=False, seed=3))
+    assert any(len(r.demands) > 1 for r in parse_problem(groupcast).receivers)
+    for text in [*map(fixture_text, FIXTURE_NAMES), groupcast]:
+        for r in parse_problem(text).receivers:
+            assert type(r) is Receiver
+            assert type(r.demands) is frozenset and type(r.side_info) is frozenset
+            assert r == Receiver(r.demands, r.side_info)
 
 
 def test_parser_accepts_any_order():
