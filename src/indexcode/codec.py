@@ -99,9 +99,11 @@ class ScalarLinearCode:
         """The code of values that pass ``__post_init__`` by construction,
         built without running its checks: the oracle's witnesses, whose
         vectors come from its table of GF(prime)^length once ``check_caps``
-        has passed the field.  The checks cost about 6% of an ``oracle`` op
-        on the ``oracle-small`` inputs.  The instance holds what ``__init__``
-        leaves, ``_span`` staying the class default."""
+        has passed the field, and the constructions' draws, whose entries
+        ``randrange(prime)`` gives once ``_first_verified`` has checked the
+        field after the first draw.  The checks cost about 6% of an
+        ``oracle`` op on the ``oracle-small`` inputs.  The instance holds
+        what ``__init__`` leaves, ``_span`` staying the class default."""
         code = object.__new__(cls)
         code.__dict__.update(length=length, prime=prime, vectors=vectors)
         return code
@@ -209,11 +211,18 @@ def _first_verified(
 ) -> tuple[ScalarLinearCode, VerificationResult]:
     """Redraw the whole assignment with ``draw()`` until ``verify`` passes;
     the result records the attempt that passed.  A passing result has no
-    violation and no zero vector, so it is built directly."""
+    violation and no zero vector, so it is built directly.
+
+    Every draw holds ``p.n`` vectors of ``length`` entries in [0, prime),
+    so only the field can fail ``ScalarLinearCode``'s checks.  They run
+    once, on a code with no vector, after the first draw, where a bad
+    prime failed them before, and every drawn code is built without them."""
     if max_attempts < 1:
         raise CodecError(f"max_attempts must be >= 1, got {max_attempts}")
     for attempt in range(1, max_attempts + 1):
-        code = ScalarLinearCode(length=length, prime=prime, vectors=tuple(draw()))
+        code = ScalarLinearCode._known_valid(length, prime, tuple(draw()))
+        if attempt == 1:
+            ScalarLinearCode(length, prime, ())
         if verify(p, code).ok:
             return code, VerificationResult(ok=True, violations=(), zero_vector_messages=(), attempts_used=attempt)
     raise AttemptsExhausted(

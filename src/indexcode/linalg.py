@@ -188,12 +188,19 @@ def random_nonzero_vector(length: int, p: int, rng: random.Random) -> Vector:
 
 
 def random_subspace_basis(length: int, dim: int, p: int, rng: random.Random) -> tuple[Vector, ...]:
-    """Draw ``dim`` random vectors, retrying until they are independent."""
+    """Draw ``dim`` random vectors, retrying until they are independent.
+
+    Over a field, ``dim`` vectors are independent exactly when their
+    annihilator has dimension ``length - dim``, so the test reads the
+    fraction-free ``nullspace``, with no modular inverse.  It accepts the
+    same draws as a rank test, and so the same random stream gives the
+    same basis; a composite ``p`` draws a basis too, for the caller's
+    prime check to refuse."""
     if not 1 <= dim <= length:
         raise LinalgError(f"need 1 <= dim <= length, got dim={dim}, length={length}")
     for _ in range(_MAX_DRAWS):
         candidate = [random_vector(length, p, rng) for _ in range(dim)]
-        if rank(candidate, p) == dim:
+        if len(nullspace(candidate, length, p)) == length - dim:
             return tuple(candidate)
     raise LinalgError(f"no rank-{dim} basis after {_MAX_DRAWS} draws (p={p})")
 

@@ -169,6 +169,15 @@ class Problem:
                 m = min(outside, key=repr)
                 raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]")
 
+    @classmethod
+    def _known_valid(cls, n: int, receivers: tuple[Receiver, ...]) -> Problem:
+        """The problem of values that pass ``__post_init__``, built without
+        running its checks: ``parse_problem``'s, once its own C-level passes
+        have held (``_valid_lists``)."""
+        p = object.__new__(cls)
+        p.__dict__.update(n=n, receivers=receivers)
+        return p
+
     @property
     def t(self) -> int:
         return len(self.receivers)
@@ -374,6 +383,30 @@ _PROBLEM_KEYS = frozenset({"n", "receivers"})
 _RECEIVER_KEYS = frozenset({"demands", "side_info"})
 
 
+def _valid_lists(text: str, n: object, receivers: tuple[Receiver, ...]) -> bool:
+    """Whether ``Problem`` would accept the parsed ``n`` and ``receivers`` of
+    ``text``, in C-level passes with no call per id.
+
+    No key or number of a problem file holds the letter t, so a text
+    without one decoded no ``true``; a ``false`` equals 0 and fails the
+    range test.  The sum of a set of ids is an int exactly when every id
+    is an int or a bool: a float, NaN or Infinity makes it a float, and a
+    string or null raises ``TypeError``.  The parse keeps a non-integer
+    of equal value in each set, so no float hides behind an equal int.
+    False only sends the problem to ``Problem``'s own checks, which name
+    the fault."""
+    if type(n) is not int or not receivers or "t" in text:
+        return False
+    demands, side = zip(*receivers)
+    try:
+        if type(sum(map(sum, chain(demands, side)))) is not int:
+            return False
+    except TypeError:
+        return False
+    ids = frozenset().union(*demands, *side)
+    return all(demands) and all(map(frozenset.isdisjoint, demands, side)) and 1 <= min(ids) and max(ids) <= n
+
+
 def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     """Parse the canonical JSON problem format (see ``problem_to_json``).
 
@@ -414,7 +447,11 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
         except (KeyError, TypeError) as exc:
             raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
         receivers.append(tuple.__new__(Receiver, (d, s)))  # a Receiver, without NamedTuple's Python-level __new__
-    p = Problem(n=data["n"], receivers=tuple(receivers))  # Problem checks n and that some receiver is listed
+    n, receivers = data["n"], tuple(receivers)
+    if _valid_lists(text, n, receivers):
+        p = Problem._known_valid(n, receivers)
+    else:
+        p = Problem(n=n, receivers=receivers)  # Problem names the receiver and id at fault
     if not allow_undemanded:
         check_groupcast_complete(p)
     if p.n > MAX_MESSAGES:

@@ -36,7 +36,7 @@ members, and fork and cycle come from one pass over the degrees in
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -144,18 +144,14 @@ def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     return None
 
 
-def triangular_interfering_sets(p: Problem) -> list[Triangle]:
-    """3-subsets of some interfering set carrying at least one conflict pair.
-
-    Each triangle a < b < c is listed once, from its two smallest members
-    (the bitset form of the listing argument of Chiba & Nishizeki,
-    "Arboricity and subgraph listing algorithms", 1985): c ranges over
-    the members above b of the union of the sets containing both a and
-    b, and must conflict with a or b unless (a, b) is a conflict itself.
-    Ascending a, b and c emit the triples (a, b, c) in sorted order, in time
-    O(n^2 * distinct sets / 8 + triangles).
-    """
-    sets_with, near, conf = p.bits.sets_with, p.bits.near, p.bits.conf
+def _triangle_row(p: Problem) -> Callable[[int, int], int]:
+    """For a pair a < b of ``bits.near``, the mask of every c that makes
+    a < b < c a triangle (the bitset form of the listing argument of Chiba
+    & Nishizeki, "Arboricity and subgraph listing algorithms", 1985): c
+    ranges over the members above b of the union of the sets containing
+    both a and b, and must conflict with a or b unless (a, b) is a
+    conflict itself.  Time O(distinct sets / 8) per pair."""
+    sets_with, conf = p.bits.sets_with, p.bits.conf
     # unions of every subset of each run of 8 sets, one lookup per run; sets
     # of at most two members (sorted last) hold no c above b and are left out
     big = [s for s in p.bits.sets if s.bit_count() > 2]
@@ -165,25 +161,51 @@ def triangular_interfering_sets(p: Problem) -> list[Triangle]:
         for s in big[lo:lo + 8]:
             table += [u | s for u in table]
         tables.append(table)
+    runs = (1 << len(big)) - 1
 
-    def union(picked: int) -> int:
-        u, picked = 0, picked & ((1 << len(big)) - 1)
+    def row(a: int, b: int) -> int:
+        u, picked = 0, sets_with[a] & sets_with[b] & runs
         for table in tables:
             u |= table[picked & 255]
             picked >>= 8
-        return u
-
-    out: list[Triangle] = []
-    append = out.append
-    for (a, b), _ in _pairs(near, [(1 << (p.n + 1)) - 2]):
-        above = (union(sets_with[a] & sets_with[b]) >> (b + 1)) << (b + 1)
+        above = u >> (b + 1) << (b + 1)
         if not conf[a] >> b & 1:
             above &= conf[a] | conf[b]
+        return above
+
+    return row
+
+
+def triangular_interfering_sets(p: Problem) -> list[Triangle]:
+    """3-subsets of some interfering set carrying at least one conflict pair.
+
+    Each triangle a < b < c is listed once, from its two smallest members
+    (``_triangle_row``), so ascending a, b and c emit the triples (a, b, c)
+    in sorted order, in time O(n^2 * distinct sets / 8 + triangles).
+    """
+    row = _triangle_row(p)
+    out: list[Triangle] = []
+    append = out.append
+    for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
+        above = row(a, b)
         while above:  # _iter_bits inlined: this loop runs once per triangle
             low = above & -above
             append((a, b, low.bit_length() - 1))
             above ^= low
     return out
+
+
+def triangles_past(p: Problem, limit: int) -> bool:
+    """Whether ``p`` has more than ``limit`` triangles, counted pair by pair
+    as ``triangular_interfering_sets`` lists them, with no triangle listed,
+    stopping at the first pair that passes the limit."""
+    row = _triangle_row(p)
+    total = 0
+    for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
+        total += row(a, b).bit_count()
+        if total > limit:
+            break
+    return total > limit
 
 
 def type2_alignment_sets(p: Problem) -> list[Type2AlignmentSet]:

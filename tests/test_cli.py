@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from indexcode import linalg, oracle
-from indexcode.cli import main
+from indexcode.cli import JSON_TRIANGLE_LIMIT, main
 from indexcode.fixtures import fixture_text
 from indexcode.problem import MAX_MESSAGES, parse_problem, problem_to_json, random_problem
 
@@ -525,15 +525,32 @@ def test_gen_above_the_limit_is_usage_error(tmp_path, capsys):
 
 
 def test_out_of_memory_is_one_error_line(tmp_path):
-    # n at the limit and two receivers without side information: the JSON
-    # report lists about a million triangles, over 500 MB, so a 64 MB
-    # address space runs out; that is exit 3 and one error line, where it
-    # used to be a MemoryError traceback
+    # two receivers without side information at n = 802: the JSON report
+    # lists 2 * C(800, 2) = 639,600 triangles, just under the CLI's limit,
+    # in about 335 MB, so a 64 MB address space runs out; that is exit 3 and
+    # one error line, where it used to be a MemoryError traceback
     path = tmp_path / "triangles.json"
-    path.write_text('{"n": %d, "receivers": [{"demands": [1]}, {"demands": [2]}]}' % MAX_MESSAGES)
+    path.write_text('{"n": 802, "receivers": [{"demands": [1]}, {"demands": [2]}]}')
     proc = run_capped(1 << 26, "analyze", str(path), "--allow-undemanded", "--format", "json")
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == "error: out of memory: the input is too large for this command\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("receivers", ["all-demands", "two"])
+def test_json_report_past_the_triangle_limit_is_refused_in_64_mb(tmp_path, receivers):
+    # at the message cap, one receiver demanding every message has 178
+    # million triangles and two receivers demanding 1 and 2 have 1,043,462;
+    # the JSON report of the first outgrew 7 GB, and that of the second took
+    # 5-11 s and 540 MB.  The CLI counts them first and refuses both
+    path = tmp_path / "cap.json"
+    demands = {"all-demands": [list(range(1, MAX_MESSAGES + 1))], "two": [[1], [2]]}[receivers]
+    path.write_text(json.dumps({"n": MAX_MESSAGES, "receivers": [{"demands": d} for d in demands]}))
+    proc = run_capped(1 << 26, "analyze", str(path), "--allow-undemanded", "--format", "json")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (
+        f"error: the JSON report would list more than {JSON_TRIANGLE_LIMIT} triangles; the text report lists none\n"
+    )
     assert proc.stdout == ""
 
 

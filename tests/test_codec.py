@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import islice, permutations
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import (
+    _BLOCKS,
     build_from_specs,
     random_constructible_problem,
     random_unicast_problem,
@@ -173,6 +175,91 @@ def test_construct_rate_third_kind2_shared_vector():
 def test_construct_rate_third_refuses_infeasible():
     with pytest.raises(PreconditionError):
         construct_rate_third(load_fixture("ex_inf"), rng=random.Random(0))
+
+
+@pytest.mark.parametrize("prime", [4, 9])
+@pytest.mark.parametrize("seed", range(6))
+def test_construct_refuses_a_composite_prime(prime, seed):
+    # the plane's independence test took a modular inverse per pivot, so
+    # some seeds ended in a bare ValueError from pow before the prime check
+    with pytest.raises(CodecError, match=f"^modulus {prime} is not prime$"):
+        construct_rate_third(load_fixture("p5"), prime=prime, rng=random.Random(seed))
+
+
+def _blocks(*picks):
+    """The indexes ``picks`` into ``corpusgen._BLOCKS``, side by side, as the
+    ``construct-verify`` benchmark workload builds its block problems."""
+    specs, next_id = [], 1
+    for i in picks:
+        size, block = _BLOCKS[i]
+        specs.extend(block(list(range(next_id, next_id + size))))
+        next_id += size
+    return build_from_specs(next_id - 1, specs)
+
+
+# Each row: construction, problem, prime, seed, max_attempts, the attempt
+# that passed, and the SHA-256 of code_to_json.  The block problems hold
+# KIND1, KIND2 and type-2-clean sets; the small primes pin redraws, and
+# with them the drawn planes' retries.  Recorded before the drawn codes
+# skipped ScalarLinearCode's checks and the planes' independence test
+# moved from rank to nullspace.
+_PINNED_CONSTRUCTIONS = {
+    "third-each-block": (
+        construct_rate_third, lambda: _blocks(0, 1, 2, 3, 4), linalg.DEFAULT_PRIME, 0, 8, 1,
+        "644913e7193885e0299bb7bba63a85dc84d37a0aac8795de22f44d241a8b8d78",
+    ),
+    "third-type2-n39": (
+        construct_rate_third, lambda: _blocks(4, 3, 4, 1, 4, 3, 2, 4), linalg.DEFAULT_PRIME, 1, 8, 1,
+        "5e13bc2aa31be31e2afad64e48241a3b8b77cf23bb085b33689d66e688acc9e9",
+    ),
+    "third-n42": (
+        construct_rate_third, lambda: _blocks(0, 0, 4, 2, 2, 2, 0, 2, 4, 3, 3, 1), linalg.DEFAULT_PRIME, 12, 8, 1,
+        "944062244d18e86b3bc1f47b8ca78b72e47efcc1fbbff6bf3e8bf44e8e7bd38d",
+    ),
+    "third-n58": (
+        construct_rate_third, lambda: _blocks(2, 2, 1, 2, 0, 2, 2, 2, 4, 2, 1, 0, 3, 1, 1, 4),
+        linalg.DEFAULT_PRIME, 16, 8, 1,
+        "7d75fceeba65250d91e04ea6ac6bc482555a46a98956ee5e79714f03b99c9fab",
+    ),
+    "third-each-block-gf7": (
+        construct_rate_third, lambda: _blocks(0, 1, 2, 3, 4), 7, 2, 8, 7,
+        "b0d8e13c8246814f0a2dee677336ebdbe851c20ba9c01951f8b23b8eb0fe6eb8",
+    ),
+    "third-type2-n39-gf11": (
+        construct_rate_third, lambda: _blocks(4, 3, 4, 1, 4, 3, 2, 4), 11, 2, 32, 20,
+        "767e47034b61bcc5dac69f8512e55998deaede262a6e65844161b4e7b54c800b",
+    ),
+    "half-n16": (
+        construct_rate_half, lambda: random_problem(16, 0.9, seed=5), linalg.DEFAULT_PRIME, 5, 8, 1,
+        "231b8264b1f238fd899b39f874526e9100eb52aab305bfc55e003f9a11f1422b",
+    ),
+    "half-n32": (
+        construct_rate_half, lambda: random_problem(32, 0.97, seed=1), linalg.DEFAULT_PRIME, 1, 8, 1,
+        "bac7804bc8097a1962c66b302521717b5e56716c35eca7501ab8740d71ae64c6",
+    ),
+    "half-n64": (
+        construct_rate_half, lambda: random_problem(64, 0.98, seed=4), linalg.DEFAULT_PRIME, 4, 8, 1,
+        "aa1bcf47063dd36928bbc11dfbafa7a1e885f0938e9228d2a396623a2356104b",
+    ),
+    "half-n24-gf7": (
+        construct_rate_half, lambda: random_problem(24, 0.95, seed=5), 7, 5, 16, 13,
+        "4116d5d9ce0a072bc722e908ea0df9e81e12ad80c9281385f94e932b4603266f",
+    ),
+    "half-n64-gf11": (
+        construct_rate_half, lambda: random_problem(64, 0.98, seed=4), 11, 4, 32, 21,
+        "2a715008eb40ea5015499f351d903d3a03a18dcc4c1f5ae4648387dcc7d08c2f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _PINNED_CONSTRUCTIONS.values(), ids=_PINNED_CONSTRUCTIONS.keys())
+def test_constructions_are_pinned(case):
+    construct, problem, prime, seed, max_attempts, attempts, digest = case
+    p = problem()
+    code, result = construct(p, prime=prime, rng=random.Random(seed), max_attempts=max_attempts)
+    assert result.attempts_used == attempts
+    assert hashlib.sha256(code_to_json(code).encode()).hexdigest() == digest
+    assert verify(p, code).ok
 
 
 def test_construct_determinism():

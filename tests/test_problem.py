@@ -141,6 +141,78 @@ def test_parse_rejects_a_non_integer_next_to_an_equal_integer():
     assert p.receivers[0] == Receiver(frozenset({1}), frozenset({2}))
 
 
+_TWO = '{"n": %s, "receivers": [{"demands": %s, "side_info": %s}, {"demands": %s}]}'
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (_TWO % (2, "[1, true]", "[]", "[2]"), "receiver 1: message id True is not an integer"),
+        (_TWO % (2, "[1]", "[true]", "[2]"), "receiver 1: message id True is not an integer"),
+        # the union of the sets keeps receiver 1's 1 and would hide the true
+        (_TWO % (2, "[1]", "[]", "[2, true]"), "receiver 2: message id True is not an integer"),
+        (_TWO % (2, "[1]", "[false]", "[2]"), "receiver 1: message id False is not an integer"),
+        (_TWO % (2, "[1.0]", "[]", "[2]"), "receiver 1: message id 1.0 is not an integer"),
+        (_TWO % (2, "[1]", "[2, 2.0]", "[2]"), "receiver 1: message id 2.0 is not an integer"),
+        (_TWO % (2, "[1]", "[]", "[2.0]"), "receiver 2: message id 2.0 is not an integer"),
+        (_TWO % (2, "[1e0]", "[]", "[2]"), "receiver 1: message id 1.0 is not an integer"),
+        (_TWO % (2, "[1]", "[NaN]", "[2]"), "receiver 1: message id nan is not an integer"),
+        (_TWO % (2, "[1, Infinity]", "[]", "[2]"), "receiver 1: message id inf is not an integer"),
+        (_TWO % (2, '[1, "2"]', "[]", "[2]"), "receiver 1: message id '2' is not an integer"),
+        (_TWO % (2, "[1]", "[null]", "[2]"), "receiver 1: message id None is not an integer"),
+        (_TWO % (2, "[[1]]", "[]", "[2]"), "receiver 1: demands and side_info must be lists of integer ids"),
+        (_TWO % (2, "[1, 2]", "[]", "[]"), "receiver 2: empty demand set"),
+        (_TWO % (2, "[1]", "[1, 2]", "[2]"), "receiver 1: demands overlap side info: [1]"),
+        (_TWO % (2, "[0, 1]", "[]", "[2]"), "receiver 1: message id 0 out of range [1..2]"),
+        (_TWO % (2, "[1]", "[-1]", "[2]"), "receiver 1: message id -1 out of range [1..2]"),
+        (_TWO % (2, "[1]", "[]", "[2, 3]"), "receiver 2: message id 3 out of range [1..2]"),
+        (_TWO % ("true", "[1]", "[]", "[2]"), "n must be an integer, got True"),
+        (_TWO % ("1.0", "[1]", "[]", "[2]"), "n must be an integer, got 1.0"),
+        (_TWO % (0, "[1]", "[]", "[2]"), "need at least one message, got n=0"),
+        ('{"n": 2, "receivers": []}', "need at least one receiver"),
+    ],
+)
+def test_parse_errors_are_exact(text, error):
+    # the texts Problem.__post_init__ gave before the parse ran its own
+    # C-level checks; each must still reach it and name the same fault
+    with pytest.raises(ProblemError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == error
+
+
+def _golden_problem_texts():
+    """The problem files of the CLI golden rows: those their setups write
+    with ``gen``, and those they write directly."""
+    from indexcode.cli import build_parser
+    from test_cli_golden import ROWS
+
+    for row in ROWS.values():
+        for argv in row.setup:
+            args = build_parser().parse_args(list(argv))
+            yield problem_to_json(random_problem(args.n, args.density, not args.general, args.seed))
+        for _, text in row.files:
+            yield text
+
+
+def test_valid_files_parse_without_problem_checks(monkeypatch):
+    # the parse checks every listed id in C-level passes, so a valid file
+    # never reaches Problem.__post_init__
+    texts = [*map(fixture_text, FIXTURE_NAMES), *_golden_problem_texts()]
+    assert len(texts) == 16
+    calls = []
+    check = Problem.__post_init__
+    monkeypatch.setattr(Problem, "__post_init__", lambda self: calls.append(1) or check(self))
+    for text in texts:
+        try:
+            parse_problem(text)
+        except ProblemError as exc:  # the n = 1025 row: refused after the checks
+            assert str(exc) == "n = 1025 is above the limit of 1024 messages"
+    assert calls == []
+    with pytest.raises(ProblemError):
+        parse_problem(_TWO % (2, "[1]", "[]", "[2, true]"))
+    assert calls == [1]
+
+
 def test_undemanded_rejected_by_default_allowed_by_flag():
     text = '{"n": 2, "receivers": [{"demands": [1], "side_info": []}]}'
     with pytest.raises(ProblemError, match=r"^messages demanded by no receiver: \[2\]$"):

@@ -29,6 +29,7 @@ from indexcode.structure import (
     restricted_internal_conflicts,
     structure_report,
     to_dot,
+    triangles_past,
     triangular_interfering_sets,
     type2_alignment_sets,
 )
@@ -242,6 +243,8 @@ def test_structure_matches_references_on_corpus():
     )
     for seed, p in enumerate(problems):
         assert triangular_interfering_sets(p) == naive_triangles(p)
+        count = len(naive_triangles(p))
+        assert not triangles_past(p, count) and triangles_past(p, count - 1)
         naive = naive_type2_sets(p)
         # the analysis finds the message sets with no listing; the report
         # lists the triangles and splits them by the sets it found
