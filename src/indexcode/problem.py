@@ -141,17 +141,8 @@ class Problem:
         if not self.receivers:
             raise ProblemError("need at least one receiver")
         demands, side = zip(*self.receivers)
-        ids = frozenset().union(*demands, *side)  # the distinct listed ids, whatever n is
-        # one C-level pass per check over all receivers.  2.0 and True equal
-        # ids, so the exact type test reads every listed id, and min and max
-        # read the distinct ones only once all are ints
-        if (
-            all(demands)
-            and all(map(frozenset.isdisjoint, demands, side))
-            and {int}.issuperset(map(type, chain(*demands, *side)))
-            and 1 <= min(ids)
-            and max(ids) <= self.n
-        ):
+        # 2.0 and True equal ids, so the exact type test reads every listed id
+        if _sets_hold(self.n, demands, side, lambda: {int}.issuperset(map(type, chain(*demands, *side)))):
             return
         for j, r in enumerate(self.receivers, start=1):  # a check failed: name the first receiver at fault
             if not r.demands:
@@ -172,8 +163,8 @@ class Problem:
     @classmethod
     def _known_valid(cls, n: int, receivers: tuple[Receiver, ...]) -> Problem:
         """The problem of values that pass ``__post_init__``, built without
-        running its checks: ``parse_problem``'s, once its own C-level passes
-        have held (``_valid_lists``)."""
+        running its checks: ``parse_problem``'s, once ``_valid_lists`` has
+        run the same rule (``_sets_hold``) with its own id-type test."""
         p = object.__new__(cls)
         p.__dict__.update(n=n, receivers=receivers)
         return p
@@ -383,28 +374,43 @@ _PROBLEM_KEYS = frozenset({"n", "receivers"})
 _RECEIVER_KEYS = frozenset({"demands", "side_info"})
 
 
+def _sets_hold(n: int, demands: Sequence[frozenset], side: Sequence[frozenset], ints: Callable[[], bool]) -> bool:
+    """``Problem``'s rule for the id sets of its receivers, one C-level
+    pass per check over all of them: every demand set nonempty and disjoint
+    from its side set, every id an int (``ints``, the caller's test of the
+    exact type, run after those two), and every id in 1..n.  min and max
+    read the distinct ids only once all are ints."""
+    if not (all(demands) and all(map(frozenset.isdisjoint, demands, side)) and ints()):
+        return False
+    ids = frozenset().union(*demands, *side)
+    return 1 <= min(ids) and max(ids) <= n
+
+
+def _int_sum(sets: Iterable[frozenset]) -> bool:
+    """Whether the sum of the members of ``sets`` is an int: a float, NaN
+    or Infinity makes it a float, or raises ``OverflowError`` next to an
+    int too large for a float, and a string or null raises ``TypeError``."""
+    try:
+        return type(sum(map(sum, sets))) is int
+    except (TypeError, OverflowError):
+        return False
+
+
 def _valid_lists(text: str, n: object, receivers: tuple[Receiver, ...]) -> bool:
     """Whether ``Problem`` would accept the parsed ``n`` and ``receivers`` of
     ``text``, in C-level passes with no call per id.
 
     No key or number of a problem file holds the letter t, so a text
     without one decoded no ``true``; a ``false`` equals 0 and fails the
-    range test.  The sum of a set of ids is an int exactly when every id
-    is an int or a bool: a float, NaN or Infinity makes it a float, and a
-    string or null raises ``TypeError``.  The parse keeps a non-integer
-    of equal value in each set, so no float hides behind an equal int.
-    False only sends the problem to ``Problem``'s own checks, which name
-    the fault."""
+    range test.  The sum of the ids is an int exactly when every id is an
+    int or a bool (``_int_sum``).  The parse keeps a non-integer of equal
+    value in each set, so no float hides behind an equal int.  The other
+    checks are ``Problem``'s own (``_sets_hold``).  False only sends the
+    problem to ``Problem``'s checks, which name the fault."""
     if type(n) is not int or not receivers or "t" in text:
         return False
     demands, side = zip(*receivers)
-    try:
-        if type(sum(map(sum, chain(demands, side)))) is not int:
-            return False
-    except TypeError:
-        return False
-    ids = frozenset().union(*demands, *side)
-    return all(demands) and all(map(frozenset.isdisjoint, demands, side)) and 1 <= min(ids) and max(ids) <= n
+    return _sets_hold(n, demands, side, lambda: _int_sum(chain(demands, side)))
 
 
 def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:

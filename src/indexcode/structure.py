@@ -40,6 +40,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from math import comb
 from operator import or_
 from typing import NamedTuple
 
@@ -198,7 +199,11 @@ def triangular_interfering_sets(p: Problem) -> list[Triangle]:
 def triangles_past(p: Problem, limit: int) -> bool:
     """Whether ``p`` has more than ``limit`` triangles, counted pair by pair
     as ``triangular_interfering_sets`` lists them, with no triangle listed,
-    stopping at the first pair that passes the limit."""
+    stopping at the first pair that passes the limit.  Every triangle is
+    a 3-subset of some interfering set, so when those number no more than
+    ``limit`` there is nothing to count."""
+    if sum(comb(s.bit_count(), 3) for s in p.bits.sets) <= limit:
+        return False
     row = _triangle_row(p)
     total = 0
     for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):

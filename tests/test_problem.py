@@ -142,6 +142,7 @@ def test_parse_rejects_a_non_integer_next_to_an_equal_integer():
 
 
 _TWO = '{"n": %s, "receivers": [{"demands": %s, "side_info": %s}, {"demands": %s}]}'
+_BIG = "1" + "0" * 310  # an int too large for a float, well under the digit limit
 
 
 @pytest.mark.parametrize(
@@ -158,6 +159,10 @@ _TWO = '{"n": %s, "receivers": [{"demands": %s, "side_info": %s}, {"demands": %s
         (_TWO % (2, "[1e0]", "[]", "[2]"), "receiver 1: message id 1.0 is not an integer"),
         (_TWO % (2, "[1]", "[NaN]", "[2]"), "receiver 1: message id nan is not an integer"),
         (_TWO % (2, "[1, Infinity]", "[]", "[2]"), "receiver 1: message id inf is not an integer"),
+        # a float next to an int too large for a float, in one set or in two
+        (_TWO % (2, f"[1.5, {_BIG}]", "[]", "[2]"), "receiver 1: message id 1.5 is not an integer"),
+        (_TWO % (2, "[1.5]", "[]", f"[{_BIG}]"), "receiver 1: message id 1.5 is not an integer"),
+        (_TWO % (2, "[1]", "[NaN]", f"[2, {_BIG}]"), "receiver 1: message id nan is not an integer"),
         (_TWO % (2, '[1, "2"]', "[]", "[2]"), "receiver 1: message id '2' is not an integer"),
         (_TWO % (2, "[1]", "[null]", "[2]"), "receiver 1: message id None is not an integer"),
         (_TWO % (2, "[[1]]", "[]", "[2]"), "receiver 1: demands and side_info must be lists of integer ids"),
