@@ -16,11 +16,13 @@ vector set it holds the rows that span the set's annihilator
 {u : u . v = 0 on the set} (``linalg.nullspace``, fraction-free), and
 for each distinct key either a row r with r . v_k != 0, with that dot,
 or "in span" when there is none.  ``verify`` reads whether the row
-exists; ``decode_all`` scales it by the inverse of the dot into the
-decoding functional, and raises on an unverified code instead of running
-``verify`` first.  The code holds the table of the last problem it was
-checked against, so the code a construction returns decodes with no
-further elimination.
+exists.  ``decode_all`` removes the side information of every receiver
+from the codeword once, applies each row to that one shared residual and
+divides by its dot; its docstring shows why a receiver's own residual
+differs only in its demand's term and the symbols it gives differently.
+It raises on an unverified code instead of running ``verify`` first.
+The code holds the table of the last problem it was checked against, so
+the code a construction returns decodes with no further elimination.
 
 Both constructions draw whole assignments and keep the first that
 ``verify`` passes, within ``max_attempts`` (at least 1) draws; the rate-1/3
@@ -31,11 +33,11 @@ triangle.  ``code_to_json`` formats every entry with one ``%``-format.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from operator import mul, sub
 from typing import NamedTuple
 
 from . import linalg
@@ -57,6 +59,15 @@ class AttemptsExhausted(CodecError):
     """Random redraws kept failing verification; the field is too small."""
 
 
+def _require_ints(values: Collection[object], what: str) -> None:
+    """Refuse any value that is not exactly an ``int``, in one C-level pass:
+    ``True`` and ``1.0`` equal valid values, and a float loses the
+    precision of products past 2**53."""
+    if not {int}.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) is not int)
+        raise CodecError(f"{what} must be integers, got {bad!r}")
+
+
 @lru_cache(maxsize=64)
 def is_prime_modulus(p: int) -> bool:
     """``linalg.is_prime``, run once per modulus: nearly every code shares one,
@@ -74,10 +85,7 @@ class ScalarLinearCode:
 
     def __post_init__(self) -> None:
         entries = [*chain(*self.vectors)]
-        # True and 1.0 equal valid values; one exact type test rejects them
-        if not (type(self.length) is int and type(self.prime) is int and {int}.issuperset(map(type, entries))):
-            bad = next(x for x in chain((self.length, self.prime), entries) if type(x) is not int)
-            raise CodecError(f"code length, prime and vector entries must be integers, got {bad!r}")
+        _require_ints((self.length, self.prime, *entries), "code length, prime and vector entries")
         if self.length < 1:
             raise CodecError(f"code length must be >= 1, got {self.length}")
         if self.prime >= 2**64:
@@ -308,34 +316,23 @@ def construct_rate_third(
     return _first_verified(p, 3, prime, draw, max_attempts)
 
 
+_UNVERIFIED = "decode_all called with a code that fails verification"
+
+
 def encode(code: ScalarLinearCode, payload: list[int] | tuple[int, ...]) -> Vector:
-    """Codeword sum(V_i * w_i) for one field symbol per message."""
+    """Codeword sum(V_i * w_i) for one field symbol per message; every
+    symbol must be exactly an ``int`` and is read mod p."""
     if len(payload) != len(code.vectors):
         raise CodecError(f"payload has {len(payload)} symbols for {len(code.vectors)} messages")
+    _require_ints(payload, "payload symbols")
     if not code.vectors:  # the empty sum: zip would find no column
         return (0,) * code.length
     return tuple([sum(map(mul, column, payload)) % code.prime for column in zip(*code.vectors)])
 
 
-_UNVERIFIED = "decode_all called with a code that fails verification"
-
-
-def _decoding_functionals(p: Problem, code: ScalarLinearCode) -> list[tuple[int, int, Vector]]:
-    """(j, k, u) for every demand edge, u . v_k = 1 and u . v_i = 0 on
-    Interf_k(j): the span table's row for the key, scaled once per distinct
-    key.  Raises ``CodecError`` exactly when ``verify`` would fail."""
-    table = _span_table(p, code)
-    if not all(map(any, code.vectors)):
-        raise CodecError(_UNVERIFIED)
-    prime = code.prime
-    functionals: dict[SpanKey, Vector] = {}
-    for key, entry in table.rows.items():
-        if entry is None:
-            raise CodecError(_UNVERIFIED)
-        row, dot = entry
-        scale = pow(dot, -1, prime)
-        functionals[key] = tuple([x * scale % prime for x in row])
-    return [(j, k, functionals[key]) for j, k, key in table.edges]
+def _residual(code: ScalarLinearCode, codeword: Sequence[int], symbols: list[int]) -> list[int]:
+    """codeword - sum(symbols[i - 1] * v_i) mod p, one C-level sum per coordinate."""
+    return [(c - sum(map(mul, column, symbols))) % code.prime for c, column in zip(codeword, zip(*code.vectors))]
 
 
 def decode_all(
@@ -344,44 +341,65 @@ def decode_all(
     codeword: Vector,
     side_symbols: list[dict[int, int]],
 ) -> list[dict[int, int]]:
-    """Per-receiver decoding of every demanded symbol.
+    """Per-receiver decoding of every demanded symbol, from one shared residual.
 
-    ``side_symbols[j - 1]`` maps each message in S(j) to its symbol.  The
-    receiver subtracts the known side-information contribution, then
-    recovers each demanded symbol through a functional that annihilates
-    the interfering span, read from the span table of (``p``, ``code``).
+    ``side_symbols[j - 1]`` maps each message in S(j) to its symbol.  Every
+    symbol and codeword entry must be exactly an ``int`` and is read mod p.
     Raises ``CodecError`` on every code that ``verify`` refuses (a zero
-    vector, or a demand with no such functional), since uniqueness would
-    be lost, and on a codeword whose length is not the code length.
+    vector, or a demand with no functional that decodes it), since
+    uniqueness would be lost; on a codeword whose length is not the code
+    length; on a receiver count other than ``p.t``; receiver by receiver,
+    on side symbols whose keys are not S(j) or that are not integers; and
+    last on a codeword entry that is not an integer.
+
+    Receiver j decodes demand k as delta^-1 * (r . e_j) mod p, where
+    e_j = c - sum(w_i * v_i over S(j)) is its own residual and r is the
+    span table's row for (j, k), with delta = r . v_k != 0: r annihilates
+    every vector on Interf_k(j), so when c encodes a payload x that agrees
+    with the side symbols, that is x_k.  Let W map each message that some
+    receiver holds to one of the symbols given for it, U be its keys, and
+    d = c - sum(W_i * v_i over U).  Then
+
+        e_j = d + sum(W_i * v_i over U - S(j)) - sum((w_i - W_i) * v_i over S(j)).
+
+    Every i in U - S(j) other than k lies in Interf_k(j), which is every
+    message outside S(j) but k, so r . v_i = 0; and r . v_k = delta.  Hence
+
+        delta^-1 * (r . e_j) = delta^-1 * (r . d_j) + W_k * [k in U],
+        d_j = d - sum((w_i - W_i) * v_i over S(j)),
+
+    and d_j = d unless receiver j gives some symbol other than W's.  So
+    one residual serves every receiver that agrees with W, and a demand
+    edge costs one dot product.
     """
-    functionals = _decoding_functionals(p, code)
+    table = _span_table(p, code)
+    rows = table.rows
+    if not all(map(any, code.vectors)) or not all(rows.values()):
+        raise CodecError(_UNVERIFIED)
     if len(codeword) != code.length:
         raise CodecError(f"codeword has length {len(codeword)} for a length-{code.length} code")
     if len(side_symbols) != p.t:
         raise CodecError(f"need side symbols for {p.t} receivers, got {len(side_symbols)}")
-    prime = code.prime
-    # Each vector packed into one int, a lane of ``width`` bits per
-    # coordinate.  A lane of the side-information sum adds at most n - 1
-    # products of two values in [0, p), so it stays below n * p**2 and no
-    # carry crosses into the next lane.
-    width = 2 * prime.bit_length() + p.n.bit_length()
-    shifts = range(0, width * code.length, width)
-    lane = (1 << width) - 1
-    packed = [0, *(sum(x << s for x, s in zip(v, shifts)) for v in code.vectors)]  # packed[m] for message m
-    residuals = []
+    pairs: set[tuple[int, int]] = set()  # (i, w) over every receiver
     for j, (r, known) in enumerate(zip(p.receivers, side_symbols), start=1):
         if known.keys() != r.side_info:
             raise CodecError(f"receiver {j}: side symbols must cover exactly S(j)")
-        # sum of w_i * v_i over S(j) in one C-level sum; the lane bound needs
-        # each w_i in [0, p), so the symbols are reduced only when one is not
-        symbols = known.values()
-        if symbols and (min(symbols) < 0 or max(symbols) >= prime):
-            symbols = map(prime.__rmod__, symbols)
-        total = sum(map(mul, map(packed.__getitem__, known), symbols))
-        residuals.append([(c - (total >> s & lane)) % prime for c, s in zip(codeword, shifts)])
-    out: list[dict[int, int]] = [{} for _ in p.receivers]
-    for j, k, u in functionals:
-        out[j - 1][k] = sum(map(mul, u, residuals[j - 1])) % prime
+        _require_ints(known.values(), f"receiver {j}: side symbols")
+        pairs.update(known.items())
+    _require_ints(codeword, "codeword entries")
+    shared = dict(pairs)  # W; its keys are U
+    ids = range(1, p.n + 1)
+    held = [*map(shared.get, ids, repeat(0))]  # held[i - 1] = W_i * [i in U]
+    residuals = [_residual(code, codeword, held)] * p.t
+    if len(pairs) > len(shared):  # some receiver differs from W
+        for j, known in enumerate(side_symbols):
+            if not known.items() <= shared.items():
+                residuals[j] = _residual(code, residuals[j], [*map(sub, map(known.get, ids, held), held)])
+    prime = code.prime
+    out: list[dict[int, int]] = [{} for _ in side_symbols]
+    for j, k, key in table.edges:
+        row, dot = rows[key]
+        out[j - 1][k] = (pow(dot, -1, prime) * sum(map(mul, row, residuals[j - 1])) + held[k - 1]) % prime
     return out
 
 

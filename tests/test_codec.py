@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import islice, permutations
 
 import pytest
@@ -450,6 +451,196 @@ def test_decode_all_matches_reference_on_verifying_codes():
     assert count >= 100
 
 
+def beyond_one_payload_codes(rng):
+    """Verifying codes on problems with multi-demand and duplicated
+    receivers and messages no receiver holds, and n = 64 codes at the
+    default prime."""
+    yield from islice(verifying_codes(), 60)
+    found = 0
+    while found < 150:
+        p = random_groupcast_problem(rng)
+        code = random_code(rng, p.n, rng.randint(1, 3), rng.choice((2, 3, 5, 7)))
+        if reference_verify(p, code)[0]:
+            found += 1
+            yield p, code
+    for seed in (4, 47, 50, 98):  # the rate-1/2 feasible ones below 100
+        p = random_problem(64, 0.98, seed=seed)
+        p = Problem(p.n, p.receivers + p.receivers[:3])  # and three duplicated receivers
+        yield p, construct_rate_half(p, rng=rng)[0]
+
+
+def test_decode_all_beyond_one_payload():
+    # every other roundtrip takes all side symbols from one payload, so no
+    # two receivers ever disagree on a symbol; here each receiver draws some
+    # of its own, the codeword encodes no payload at all, and every symbol
+    # ranges over [-2p, 3p)
+    rng = random.Random(30)
+    seen = set()
+    for p, code in beyond_one_payload_codes(rng):
+        prime = code.prime
+        assert verify(p, code).ok
+        for _ in range(3):
+            codeword = tuple(rng.randrange(-2 * prime, 3 * prime) for _ in range(code.length))
+            base = [rng.randrange(-2 * prime, 3 * prime) for _ in range(p.n)]
+            side = [
+                {i: base[i - 1] + prime * rng.randint(-2, 2) if rng.random() < 0.6 else rng.randrange(-2 * prime, 3 * prime)
+                 for i in r.side_info}
+                for r in p.receivers
+            ]
+            assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
+            symbols = [w for known in side for w in known.values()]
+            held = {(i, w % prime) for known in side for i, w in known.items()}
+            rank = linalg.rank(list(code.vectors), prime)
+            seen |= {
+                ("disagree", len(held) > len({i for i, _ in held})),
+                ("below 0", min(symbols, default=0) < 0),
+                ("at or above p", max(symbols, default=0) >= prime),
+                ("no payload", linalg.rank([*code.vectors, tuple(c % prime for c in codeword)], prime) > rank),
+                ("held by none", bool(p.messages - set().union(*(r.side_info for r in p.receivers)))),
+                ("several demands", max(len(r.demands) for r in p.receivers) > 1),
+                ("duplicated", len(set(p.receivers)) < p.t),
+                ("n = 64", p.n == 64 and prime == linalg.DEFAULT_PRIME),
+            }
+    assert {(name, True) for name, _ in seen} <= seen
+
+
+def test_codec_refuses_non_integer_symbols():
+    # True and 1.0 equal valid symbols, but read as numbers a float codeword
+    # decodes to wrong floats: receiver 1 would get {4: 2147483242.0}
+    p = load_fixture("p5")
+    code, _ = construct_rate_third(p, rng=random.Random(1))
+    payload = [1, 2, 3, 4, 5]
+    codeword = encode(code, payload)
+    side = [{i: payload[i - 1] for i in r.side_info} for r in p.receivers]
+    assert decode_all(p, code, codeword, side)[0] == {4: 4}
+    for bad in (1.0, True, "1", None):
+        with pytest.raises(CodecError, match=f"^payload symbols must be integers, got {re.escape(repr(bad))}$"):
+            encode(code, [*payload[:4], bad])
+        with pytest.raises(CodecError, match=f"^codeword entries must be integers, got {re.escape(repr(bad))}$"):
+            decode_all(p, code, (*codeword[:2], bad), side)
+        for j in range(1, p.t + 1):
+            wrong = [dict(known) for known in side]
+            wrong[j - 1][max(wrong[j - 1])] = bad
+            with pytest.raises(CodecError, match=f"^receiver {j}: side symbols must be integers, got {re.escape(repr(bad))}$"):
+                decode_all(p, code, codeword, wrong)
+    with pytest.raises(CodecError, match="^codeword entries must be integers, got 1828416546.0$"):
+        decode_all(p, code, tuple(map(float, codeword)), side)
+
+
+def error_precedence_cases():
+    """Inputs with one or more faults, by name; each gives a thunk."""
+    p = load_fixture("ex_feas")
+    code = explicit_assignment()
+    payload = [5, 6, 7, 8, 9, 10]
+    cw = encode(code, payload)
+    fcw = tuple(map(float, cw))
+
+    def side(count=6, **faults):
+        out = [{i: payload[i - 1] for i in r.side_info} for r in p.receivers]
+        for name, fault in faults.items():
+            known = out[int(name[1:]) - 1]
+            if fault == "drop":
+                del known[min(known)]
+            elif fault == "extra":
+                known[min(p.receivers[int(name[1:]) - 1].demands)] = 0
+            else:
+                known[min(known)] = fault
+        return out[:count]
+
+    zero = ScalarLinearCode(3, EXPLICIT_PRIME, (E1, E3, E1, E2, E2, (0, 0, 0)))
+    unverified = ScalarLinearCode(3, EXPLICIT_PRIME, (E1,) * 6)
+    short = ScalarLinearCode(3, EXPLICIT_PRIME, (E1, E3, E1, E2, E2))
+
+    def dec(c=code, w=cw, s=None):
+        return lambda: decode_all(p, c, w, side() if s is None else s)
+
+    cases = {}
+    for j in range(1, 7):
+        cases[f"drop-key-r{j}"] = dec(s=side(**{f"r{j}": "drop"}))
+        cases[f"extra-key-r{j}"] = dec(s=side(**{f"r{j}": "extra"}))
+    return cases | {
+        "codeword-length": dec(w=cw[:2]),
+        "receiver-count": dec(s=side(5)),
+        "vector-count": dec(c=short),
+        "zero-vector": dec(c=zero),
+        "unverified": dec(c=unverified),
+        "str-r1-drop-key-r2": dec(s=side(r1="a", r2="drop")),
+        "drop-key-r1-str-r2": dec(s=side(r1="drop", r2="a")),
+        "float-r1-drop-key-r2": dec(s=side(r1=5.0, r2="drop")),
+        "true-r1-drop-key-r2": dec(s=side(r1=True, r2="drop")),
+        "float-r3": dec(s=side(r3=2.0)),
+        "str-r3": dec(s=side(r3="2")),
+        "true-r3": dec(s=side(r3=True)),
+        "none-r3": dec(s=side(r3=None)),
+        "float-codeword": dec(w=fcw),
+        "str-codeword": dec(w=(*cw[:2], "1")),
+        "float-codeword-length": dec(w=fcw[:2]),
+        "float-codeword-receiver-count": dec(w=fcw, s=side(5)),
+        "float-codeword-drop-key-r3": dec(w=fcw, s=side(r3="drop")),
+        "float-codeword-str-r2": dec(w=fcw, s=side(r2="a")),
+        "unverified-float-codeword-str-r1": dec(c=unverified, w=fcw, s=side(r1="a")),
+        "zero-vector-true-r1": dec(c=zero, s=side(r1=True)),
+        "codeword-length-str-r1": dec(w=cw[:2], s=side(r1="a")),
+        "receiver-count-str-r1": dec(s=side(5, r1="a")),
+        "vector-count-float-codeword": dec(c=short, w=fcw),
+        "encode-length": lambda: encode(code, payload[:5]),
+        "encode-length-float": lambda: encode(code, [1.0] * 5),
+        "encode-float": lambda: encode(code, [*payload[:5], 10.0]),
+        "encode-str": lambda: encode(code, [*payload[:5], "a"]),
+        "encode-true": lambda: encode(code, [True, *payload[1:]]),
+        "encode-none": lambda: encode(code, [*payload[:5], None]),
+    }
+
+
+_SIDE_KEYS = "receiver {}: side symbols must cover exactly S(j)"
+_UNVERIFIED = "decode_all called with a code that fails verification"
+# The text of the CodecError each input raises: the code first, then the
+# codeword length and the receiver count, then receiver by receiver its
+# keys and its symbols' types, and the codeword's types last.
+ERROR_PRECEDENCE = {
+    **{f"{fault}-key-r{j}": _SIDE_KEYS.format(j) for j in range(1, 7) for fault in ("drop", "extra")},
+    "codeword-length": "codeword has length 2 for a length-3 code",
+    "receiver-count": "need side symbols for 6 receivers, got 5",
+    "vector-count": "code has 5 vectors for 6 messages",
+    "zero-vector": _UNVERIFIED,
+    "unverified": _UNVERIFIED,
+    "str-r1-drop-key-r2": "receiver 1: side symbols must be integers, got 'a'",
+    "drop-key-r1-str-r2": _SIDE_KEYS.format(1),
+    "float-r1-drop-key-r2": "receiver 1: side symbols must be integers, got 5.0",
+    "true-r1-drop-key-r2": "receiver 1: side symbols must be integers, got True",
+    "float-r3": "receiver 3: side symbols must be integers, got 2.0",
+    "str-r3": "receiver 3: side symbols must be integers, got '2'",
+    "true-r3": "receiver 3: side symbols must be integers, got True",
+    "none-r3": "receiver 3: side symbols must be integers, got None",
+    "float-codeword": "codeword entries must be integers, got 12.0",
+    "str-codeword": "codeword entries must be integers, got '1'",
+    "float-codeword-length": "codeword has length 2 for a length-3 code",
+    "float-codeword-receiver-count": "need side symbols for 6 receivers, got 5",
+    "float-codeword-drop-key-r3": _SIDE_KEYS.format(3),
+    "float-codeword-str-r2": "receiver 2: side symbols must be integers, got 'a'",
+    "unverified-float-codeword-str-r1": _UNVERIFIED,
+    "zero-vector-true-r1": _UNVERIFIED,
+    "codeword-length-str-r1": "codeword has length 2 for a length-3 code",
+    "receiver-count-str-r1": "need side symbols for 6 receivers, got 5",
+    "vector-count-float-codeword": "code has 5 vectors for 6 messages",
+    "encode-length": "payload has 5 symbols for 6 messages",
+    "encode-length-float": "payload has 5 symbols for 6 messages",
+    "encode-float": "payload symbols must be integers, got 10.0",
+    "encode-str": "payload symbols must be integers, got 'a'",
+    "encode-true": "payload symbols must be integers, got True",
+    "encode-none": "payload symbols must be integers, got None",
+}
+
+
+def test_codec_error_precedence():
+    cases = error_precedence_cases()
+    assert cases.keys() == ERROR_PRECEDENCE.keys()
+    for name, call in cases.items():
+        with pytest.raises(CodecError) as raised:
+            call()
+        assert type(raised.value) is CodecError and str(raised.value) == ERROR_PRECEDENCE[name], name
+
+
 def test_roundtrip_on_unverified_code_would_be_ambiguous():
     # a conflicting pair sharing one vector: the residual system for the
     # demanded message has no unique solution
@@ -557,9 +748,9 @@ def test_codec_matches_in_span_reference(case):
 
 
 def test_decode_all_side_sums_at_their_largest():
-    # every entry and symbol at p - 1, side symbols given as 3p - 1: each
-    # receiver's side-information sum reaches (n - 1) * (p - 1)**2 in every
-    # coordinate, which a lane of 2 * bitlen(p) bits cannot hold
+    # every entry and symbol at p - 1, side symbols given as 3p - 1: the
+    # shared residual's side-information sum reaches about 3 * n * p**2 in
+    # every coordinate, past 64 bits, before its one reduction mod p
     prime, n = linalg.DEFAULT_PRIME, 64
     p = Problem(n, tuple(Receiver(frozenset({j}), frozenset(range(1, n + 1)) - {j}) for j in range(1, n + 1)))
     code = ScalarLinearCode(3, prime, ((prime - 1,) * 3,) * n)
@@ -569,8 +760,8 @@ def test_decode_all_side_sums_at_their_largest():
 
 
 def test_decode_all_negative_side_symbols():
-    # symbols congruent to the payload but negative must be reduced before
-    # they enter the packed side-information sum, which has no sign lanes
+    # symbols congruent to the payload but negative, some below -p, enter
+    # the side-information sum unreduced; only the residual is reduced mod p
     p = load_fixture("ex_feas")
     code = explicit_assignment()
     payload = [EXPLICIT_PRIME - 1, 0, 1, 500, EXPLICIT_PRIME - 2, 7]
