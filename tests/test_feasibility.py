@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import random_constructible_problem, random_unicast_problem
-from indexcode.codec import construct_rate_third
+from indexcode.codec import construct_rate_third, verify
 from indexcode.feasibility import (
     RateThirdStatus,
     analyze,
@@ -18,9 +18,9 @@ from indexcode.feasibility import (
     report_to_dict,
 )
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
-from indexcode.oracle import conjecture_probe
 from indexcode.problem import parse_problem, random_problem
 from indexcode.structure import structure_report, triangular_interfering_sets, type2_alignment_sets
+from reference import three_colouring, unit_vector_code
 from test_oracle import relabeled_twins
 
 
@@ -162,8 +162,8 @@ def test_analyze_invariant_under_relabeling(twins):
 
 
 def test_only_the_json_report_lists_triangles(monkeypatch):
-    # the verdicts, the text report, the rate-1/3 construction and the
-    # conjecture probe need only the type-2 message sets
+    # the verdicts, the text report and the rate-1/3 construction need
+    # only the type-2 message sets
     def no_listing(p):
         raise AssertionError("triangles listed")
 
@@ -183,7 +183,6 @@ def test_only_the_json_report_lists_triangles(monkeypatch):
     for p in problems:
         rep = analyze(p)
         render_report(rep)
-        conjecture_probe(p, fields=())
         if type2_alignment_sets(p):
             listed += 1
             with pytest.raises(AssertionError, match="triangles listed"):
@@ -191,3 +190,26 @@ def test_only_the_json_report_lists_triangles(monkeypatch):
     for seed in range(30):
         construct_rate_third(random_constructible_problem(seed))
     assert listed > 20
+
+
+def test_no_infeasible_verdict_has_a_three_colourable_conflict_graph():
+    # a proper 3-colouring c of the conflict graph gives a length-3 code over
+    # every field, message m taking the unit vector e_c(m), so it refutes a
+    # rate-1/3 INFEASIBLE verdict with no search over any field; the grid
+    # reaches sizes the oracle cannot, and a colouring search past its
+    # budget fails the test rather than skip the problem
+    grid = [(n, d, unicast, seed) for n in range(4, 25) for d in (0.3, 0.5, 0.7, 0.85)
+            for unicast in (True, False) for seed in range(10)]
+    grid += [(n, d, unicast, seed) for n in (32, 48, 64, 96) for d in (0.5, 0.7, 0.85, 0.9, 0.95)
+             for unicast in (True, False) for seed in range(2)]
+    infeasible = colourable = 0
+    for n, density, unicast, seed in grid:
+        p = random_problem(n, density, unicast, seed)
+        colour = three_colouring(p)
+        if colour is not None:
+            colourable += 1
+            assert verify(p, unit_vector_code(colour)).ok, (n, density, unicast, seed)
+        if analyze(p).rate_third.feasible is False:
+            infeasible += 1
+            assert colour is None, (n, density, unicast, seed)
+    assert infeasible > 1000 and colourable > 200
