@@ -683,6 +683,22 @@ def test_projection_of_type2_plane():
     assert l2.vectors == ((75608415, 595555498), (1783476025, 1963179646), (1607641852, 932507960))
 
 
+@pytest.mark.parametrize(
+    "vectors, rank",
+    [
+        (((1, 2, 0), (2, 4, 0), (3, 6, 0), (0, 0, 1), (1, 0, 0)), 1),
+        (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 0, 0)), 3),
+    ],
+)
+def test_projection_rejects_members_not_spanning_a_plane(vectors, rank):
+    # criterion 9 collapses only planes: a line or the whole space must not
+    # come back as a length-2 code
+    p = load_fixture("p5")
+    code = ScalarLinearCode(length=3, prime=7, vectors=vectors)
+    with pytest.raises(AssertionError, match=f"member vectors span {rank} dimensions"):
+        project_plane(p, code, frozenset({1, 2, 3}))
+
+
 PRIMES = (2, 3, 5, linalg.DEFAULT_PRIME)
 
 
