@@ -75,24 +75,24 @@ one pass over the hyperedges, listing k and the members of I, one table
 lookup per byte of the mask of I, and counting degrees, then walks the
 sorted positions of each {k} | I once, creating a trie node (below)
 where it is first read and noting its parent and last position as it
-goes; only an inside list that holds more than one check is
-deduplicated and sorted.  Every
-prefix P = at[:j] of the sorted positions at of an interfering set that
-a check reads is a node of a trie, keyed by its mask of positions, with
-a parent at[:j-1] and a last position at[j-1].  The search keeps the
-subspace id of each node and sets it at the position t where the node
-is first read, with one join: span(P) = span(parent) + v_last.  This is
-sound because every position of P lies below t, and the parent, the
-part of I below last, is itself read at last, so on the current branch
-it was set at a position no later than last, from positions below last
-that have not changed since; the same argument keeps the node valid at
-every later read on the branch.  An avoid check is then one member
-mask, a pair check one join with v_s, and the hyperplane test
-``dim == L - 1``.  The search keeps, per position, the allowed candidates
-not yet tried, the candidates counted and the rank in a list, and backs
-up by index, with no recursion.  The witness is mapped back to the
-original message ids; it is built without ``ScalarLinearCode``'s checks,
-which its vectors, taken from the field's table, pass by construction.
+goes; only an inside list that holds more than one check is deduplicated
+and sorted.  Every prefix P = at[:j] of the sorted positions at of an
+interfering set that a check reads is a node of a trie, with a parent
+at[:j-1] and a last position at[j-1]; that pair names P, so the trie
+keys P by the int parent * n + last.  The search keeps the subspace id
+of each node and sets it at the position t where the node is first read,
+with one join: span(P) = span(parent) + v_last.  This is sound because
+every position of P lies below t, and the parent, the part of I below
+last, is itself read at last, so on the current branch it was set at a
+position no later than last, from positions below last that have not
+changed since; the same argument keeps the node valid at every later
+read on the branch.  An avoid check is then one member mask, a pair
+check one join with v_s, and the hyperplane test ``dim == L - 1``.  The
+search keeps, per position, the allowed candidates not yet tried, the
+candidates counted and the rank in a list, and backs up by index, with
+no recursion.  The witness is mapped back to the original message ids;
+it is built without ``ScalarLinearCode``'s checks, which its vectors,
+taken from the field's table, pass by construction.
 
 **Node budget.**  ``nodes explored`` counts every candidate vector tried
 at a search position, including those a forward check rules out; the
@@ -108,8 +108,9 @@ budget runs out are unchanged.  A search that would try more than
 ``max_nodes`` (``DEFAULT_NODE_CAP`` by default; ``min_length`` counts its
 whole sweep over lengths) raises ``OracleBudgetError``: an exhausted
 budget leaves the answer unknown and is never reported as "no code".
-The budget is the only bound on the size of the problem; the caps below
-depend on q and L alone.
+The budget bounds the search, not the plan built before it: the root and at
+most a trie node per member of each interfering set, n(n-1)/2 + 1 nodes on n
+messages without side information.  The caps below depend on q and L alone.
 
 Results are always field-relative: "no length-3 code over GF(2) and
 GF(3)" does not by itself rule the rate out over larger fields.  The
@@ -304,7 +305,7 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     for t, m in enumerate(order):
         position[m] = t
     at = position.__getitem__
-    node = {0: 0}  # prefix, as its mask of positions -> node
+    node = {}  # x * n + last -> the node that extends node x by position last
     first = [n]  # position where each node is first read; the root is never set
     links = []  # (node, parent, last) of each node but the root, by node
     avoid: list[list[int]] = [[] for _ in order]
@@ -312,14 +313,13 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     inside: list[list[tuple[int, int]]] = [[] for _ in order]
     for ms in members:
         s = position[ms[0]]
-        x = size = prefix = 0
+        x = size = 0
         last = -1  # the position of I that extends x at the next read, if any
         for t in sorted(map(at, ms)):
             if last >= 0:
-                prefix |= 1 << last
-                y = node.get(prefix)
+                y = node.get(key := x * n + last)
                 if y is None:
-                    y = node[prefix] = len(first)
+                    y = node[key] = len(first)
                     first.append(t)
                     links.append((y, x, last))
                 elif t < first[y]:

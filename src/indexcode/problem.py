@@ -365,9 +365,10 @@ def _unknown_key(obj: dict[str, object], known: frozenset[str]) -> str:
 
 # The largest n a problem file may hold.  Problem.edge_masks, bits.near and
 # bits.conf hold n masks of up to n bits, so a file with few ids still costs
-# O(n^2) bits, and the structure layer more: at n = 1024, indexcode analyze
-# takes about 1.3-2.1 s and 27 MB on one receiver that demands every message
-# (README, on input files).
+# O(n^2) bits, and later layers more.  At n = 1024, indexcode analyze takes
+# 1.0-1.6 s and 27 MB on one receiver that demands every message, and on one
+# receiver per message without side information, indexcode oracle 1.2-1.5 s
+# and 236 MB for a plan of n(n-1)/2 + 1 trie nodes (README, on input files).
 MAX_MESSAGES = 1024
 
 _PROBLEM_KEYS = frozenset({"n", "receivers"})

@@ -8,9 +8,9 @@ construction.  Everything here reads the conflict hypergraph through
 Interf_k(j)) that ``Problem`` builds from its receivers; only
 ``to_dot`` reads those hyperedges, ``Problem.edge_masks``, one by one.
 Every pair listing inside a mask is ``problem._pairs``: the alignment
-graph and the pairs the triangle listing extends on ``bits.near``, the
-dirty witness and the kind-2 test on ``bits.conf``, as the rate-1 and
-rate-1/2 witnesses in ``feasibility``.
+graph, also as ``to_dot`` lists it, and the pairs the triangle listing
+extends on ``bits.near``, the dirty witness and the kind-2 test on
+``bits.conf``, as the rate-1 and rate-1/2 witnesses in ``feasibility``.
 The results are plain values: the alignment graph is a frozenset of
 edges and a triangle an ascending int triple.  Type-2 sets are the
 components of the conflict pairs that lie in triangles, merged per
@@ -413,12 +413,11 @@ def structure_report(p: Problem) -> StructureReport:
 
 
 def to_dot(p: Problem) -> str:
-    """Graphviz rendering: solid alignment edges, dashed conflict hyperedges."""
+    """Graphviz rendering: solid alignment edges, ascending as ``_pairs`` lists them, dashed conflict hyperedges."""
     lines = ["graph index_coding {"]
     for v in range(1, p.n + 1):
         lines.append(f"  m{v} [label=\"W{v}\"];")
-    for a, b in sorted(alignment_graph(p)):
-        lines.append(f"  m{a} -- m{b};")
+    lines += (f"  m{a} -- m{b};" for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]))
     hyperedges = sorted(p.edge_masks, key=lambda e: (e[0], list(_iter_bits(e[1]))))
     for idx, (k, interf) in enumerate(hyperedges):
         hub = f"h{idx}"

@@ -4,6 +4,9 @@ rebuilt in fewer Python steps; ``test_oracle`` requires the two to agree.
 It lists the members of each interfering set, counts degrees, orders the
 messages most constrained first, and walks the sorted positions of each
 hyperedge (k, I), creating a trie node for each prefix of I a check reads.
+It keys each node by the mask of its positions, which the library no
+longer does: ``_plan`` keys a node by its parent node and its last
+position, so the two name the nodes independently.
 """
 
 from __future__ import annotations

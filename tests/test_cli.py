@@ -109,6 +109,25 @@ def test_construct_precondition_exit_code(fixture_file, capsys):
     assert "precondition" in err
 
 
+def test_construct_rate_one(tmp_path, capsys):
+    # every receiver holds every other message, so one coordinate serves all
+    problem_path, code_path = str(tmp_path / "n5.json"), str(tmp_path / "n5.code")
+    rc, _, _ = run(capsys, "gen", "-n", "5", "--density", "1", "--seed", "0", "-o", problem_path)
+    assert rc == 0
+    rc, out, err = run(capsys, "construct", problem_path, "--rate", "1", "-o", code_path)
+    assert (rc, out) == (0, "")
+    assert "attempts_used: 1" in err.splitlines()
+    with open(code_path) as f:
+        assert json.load(f)["length"] == 1
+    rc, out, _ = run(capsys, "verify", problem_path, code_path)
+    assert (rc, out) == (0, "OK (5/5 receivers)\n")
+
+
+def test_construct_rate_one_with_conflicts_exit_code(fixture_file, capsys):
+    rc, out, err = run(capsys, "construct", fixture_file("p5"), "--rate", "1")
+    assert (rc, out, err) == (4, "", "error: rate 1 infeasible: problem has conflicts\n")
+
+
 def test_construct_tests_prime_once(fixture_file, monkeypatch, capsys):
     # the --prime check and the code share one cached test per modulus;
     # 1000003 is used by no other test, so the cache starts cold
@@ -394,16 +413,17 @@ def test_undecodable_json_is_one_error_line(fixture_file, tmp_path, capsys, kind
         ("code", "[1]", "code file must be an object with 'length', 'prime' and 'vectors'"),
         ("problem", '{"n": "2", "receivers": [{"demands": [1, 2]}]}', "n must be an integer, got '2'"),
         ("problem", '{"n": 2, "receivers": []}', "need at least one receiver"),
+        ("code", '{"length": 0, "prime": 2, "vectors": [[], [], [], [], [], []]}', "code length must be >= 1, got 0"),
     ],
     ids=["string-demands", "object-side-info", "object-vectors", "string-vector", "list-code-file",
-         "string-n", "no-receivers"],
+         "string-n", "no-receivers", "zero-length"],
 )
 def test_non_list_value_is_one_error_line(fixture_file, tmp_path, capsys, kind, text, error):
     # a string or object was iterated, so "12" was read as the ids '1' and
     # '2', and an object as its keys, and the error named those values; a
     # code file that is a list read "list indices must be integers".  A
     # string n and an empty receiver list are refused by Problem itself,
-    # the one place that checks them
+    # the one place that checks them, and a zero length by ScalarLinearCode
     path = tmp_path / "not-a-list.json"
     path.write_text(text)
     argv = ["analyze", str(path)] if kind == "problem" else ["verify", fixture_file("ex_feas"), str(path)]
@@ -535,6 +555,13 @@ def test_gen_above_the_limit_is_usage_error(tmp_path, capsys):
     rc, _, err = run(capsys, "gen", "-n", "0", "--density", "0", "-o", str(path))
     assert rc == 3
     assert err == "error: need n >= 1, got 0\n"
+
+
+def test_gen_density_outside_the_unit_interval_exit_code(tmp_path, capsys):
+    path = tmp_path / "dense.json"
+    rc, out, err = run(capsys, "gen", "-n", "4", "--density", "1.5", "-o", str(path))
+    assert (rc, out, err) == (3, "", "error: density must be in [0, 1], got 1.5\n")
+    assert not path.exists()
 
 
 def test_out_of_memory_is_one_error_line(tmp_path):

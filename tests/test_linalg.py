@@ -99,6 +99,21 @@ def test_random_subspace_basis_bad_dim():
         random_subspace_basis(3, 4, 5, random.Random(0))
 
 
+@pytest.mark.parametrize(
+    "draw, error",
+    [
+        (lambda rng: random_nonzero_vector(3, 1, rng), "no nonzero vector"),
+        (lambda rng: random_subspace_basis(3, 1, 1, rng), "no rank-1 basis"),
+        (lambda rng: random_vector_in_span(((1, 0, 0),), 1, rng), "no nonzero span vector"),
+    ],
+    ids=["nonzero-vector", "subspace-basis", "vector-in-span"],
+)
+def test_draws_give_up_after_64_tries(draw, error):
+    # modulo 1 every vector is zero, so no draw can succeed
+    with pytest.raises(linalg.LinalgError, match=rf"^{error} after 64 draws \(p=1\)$"):
+        draw(random.Random(0))
+
+
 def test_random_vector_zero_fraction_tiny():
     rng = random.Random(123)
     zeros = sum(1 for _ in range(10_000) if not any(random_vector(3, 1009, rng)))

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from hashlib import sha256
 from itertools import chain, product
@@ -20,7 +21,7 @@ from indexcode.oracle import (
     exists_code,
     min_length,
 )
-from indexcode.problem import Problem, Receiver, random_problem
+from indexcode.problem import MAX_MESSAGES, Problem, Receiver, random_problem
 from indexcode.structure import structure_report
 
 
@@ -185,16 +186,29 @@ def test_search_is_pinned_on_the_oracle_small_corpus():
 
 def test_plan_matches_the_reference_plan():
     # the oracle-small base problems, then unicast and groupcast problems up
-    # to n = 16 at three densities
+    # to n = 16 at three densities, then with no side information, which
+    # gives the largest tries per message
     larger = [
         random_problem(n, density, single_unicast=unicast, seed=s)
-        for n in range(1, 17)
-        for density in (0.2, 0.5, 0.8)
+        for n, density in chain(product(range(1, 17), (0.2, 0.5, 0.8)), product((24, 32, 48), (0.0,)))
         for unicast in (True, False)
         for s in range(3)
     ]
     for p in oracle_small_base() + larger:
         assert _plan.__wrapped__(p.n, p.edge_masks) == reference_plan(p.n, p.edge_masks), p
+
+
+def test_plan_at_the_message_cap_is_built_in_seconds():
+    # gen -n 1024 --density 0 --seed 0: every pair of messages interferes,
+    # so the trie holds every run of positions with at most one gap.  Keyed
+    # by their masks of positions, the 523,776 nodes shared 3,661 hashes
+    # and the plan took 12-15 s; the search then explores one node
+    p = random_problem(MAX_MESSAGES, 0.0, seed=0)
+    edges = p.edge_masks
+    started = time.perf_counter()
+    plan = _plan.__wrapped__(p.n, edges)
+    assert time.perf_counter() - started < 6
+    assert plan.nodes == MAX_MESSAGES * (MAX_MESSAGES - 1) // 2 + 1 == 523_777
 
 
 def test_subspace_tables_leak_nothing_between_searches():

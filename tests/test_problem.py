@@ -20,6 +20,7 @@ from indexcode.problem import (
     problem_to_json,
     random_problem,
     restrict_problem,
+    restriction_members,
 )
 from indexcode.structure import restricted_internal_conflicts
 
@@ -338,6 +339,13 @@ def test_interfering_set_full_side_info():
     assert conflicts(p) == frozenset()
 
 
+def test_interfering_set_receiver_out_of_range():
+    p = load_fixture("ex_feas")
+    for j in (0, p.t + 1):
+        with pytest.raises(ProblemError, match=rf"^receiver index {j} out of range \[1\.\.{p.t}\]$"):
+            interfering_set(p, j, 1)
+
+
 def test_conflicts_on_fixtures():
     ex_inf = load_fixture("ex_inf")
     pairs = conflicts(ex_inf)
@@ -378,6 +386,22 @@ def test_restrict_full_set_is_identity_up_to_reindexing():
 def test_restrict_empty_rejected():
     with pytest.raises(ProblemError):
         restrict_problem(load_fixture("p5"), set())
+
+
+def test_restriction_ids_out_of_range_rejected():
+    with pytest.raises(ProblemError, match=r"^restriction ids out of range: \[99\]$"):
+        restriction_members(load_fixture("ex_feas"), {1, 99})
+
+
+def test_restriction_onto_undemanded_messages_keeps_no_receiver():
+    p = parse_problem('{"n": 3, "receivers": [{"demands": [1], "side_info": [2]}]}', allow_undemanded=True)
+    with pytest.raises(ProblemError, match="^restriction keeps no receiver$"):
+        restrict_problem(p, {2, 3})
+
+
+def test_unknown_fixture_name_is_a_key_error():
+    with pytest.raises(KeyError, match="unknown fixture 'nope'"):
+        fixture_text("nope")
 
 
 @pytest.mark.parametrize(
