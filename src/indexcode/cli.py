@@ -14,6 +14,7 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Iterable
 
 from . import codec, feasibility, linalg, oracle, problem, structure
 
@@ -38,12 +39,14 @@ def _read_problem(path: str, allow_undemanded: bool) -> problem.Problem:
     return problem.parse_problem(_read_text(path, problem.ProblemError), allow_undemanded=allow_undemanded)
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each string of an iterable as it comes, to ``path`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 # The most triangles ``analyze --format json`` lists.  The JSON report
@@ -73,16 +76,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     p = _read_problem(args.problem, args.allow_undemanded)
-    # the code's checks of its field: the 64-bit bound goes first, since
-    # Miller-Rabin runs for tens of seconds on a prime of thousands of digits
-    codec.ScalarLinearCode(1, args.prime, ())
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2**32)
     rng = random.Random(seed)
-    if args.rate == "1":
+    if args.rate == "1":  # the code checks its field before the precondition, as the constructions do
+        code = codec.ScalarLinearCode(length=1, prime=args.prime, vectors=((1,),) * p.n)
         if not feasibility.check_rate_one(p).feasible:
             raise codec.PreconditionError("rate 1 infeasible: problem has conflicts")
-        vectors = tuple((1,) for _ in range(p.n))
-        code = codec.ScalarLinearCode(length=1, prime=args.prime, vectors=vectors)
         attempts = 1
     elif args.rate == "1/2":
         code, result = codec.construct_rate_half(p, args.prime, rng, args.max_attempts)

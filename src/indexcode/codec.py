@@ -88,7 +88,7 @@ class ScalarLinearCode:
         _require_ints((self.length, self.prime, *entries), "code length, prime and vector entries")
         if self.length < 1:
             raise CodecError(f"code length must be >= 1, got {self.length}")
-        if self.prime >= 2**64:
+        if self.prime >= 2**64:  # before Miller-Rabin, which takes tens of seconds on thousands of digits
             raise CodecError(f"modulus {self.prime} does not fit in 64 bits")
         if not is_prime_modulus(self.prime):
             raise CodecError(f"modulus {self.prime} is not prime")
@@ -108,8 +108,8 @@ class ScalarLinearCode:
         built without running its checks: the oracle's witnesses, whose
         vectors come from its table of GF(prime)^length once ``check_caps``
         has passed the field, and the constructions' draws, whose entries
-        ``randrange(prime)`` gives once ``_first_verified`` has checked the
-        field after the first draw.  The checks cost about 6% of an
+        ``randrange(prime)`` gives once the construction has checked the
+        field, before any other work.  The checks cost about 6% of an
         ``oracle`` op on the ``oracle-small`` inputs.  The instance holds
         what ``__init__`` leaves, ``_span`` staying the class default."""
         code = object.__new__(cls)
@@ -219,18 +219,13 @@ def _first_verified(
 ) -> tuple[ScalarLinearCode, VerificationResult]:
     """Redraw the whole assignment with ``draw()`` until ``verify`` passes;
     the result records the attempt that passed.  A passing result has no
-    violation and no zero vector, so it is built directly.
-
-    Every draw holds ``p.n`` vectors of ``length`` entries in [0, prime),
-    so only the field can fail ``ScalarLinearCode``'s checks.  They run
-    once, on a code with no vector, after the first draw, where a bad
-    prime failed them before, and every drawn code is built without them."""
+    violation and no zero vector, so it is built directly.  Every draw holds
+    ``p.n`` vectors of ``length`` entries in [0, prime), and the caller has
+    checked the field, so every drawn code is built without its checks."""
     if max_attempts < 1:
         raise CodecError(f"max_attempts must be >= 1, got {max_attempts}")
     for attempt in range(1, max_attempts + 1):
         code = ScalarLinearCode._known_valid(length, prime, tuple(draw()))
-        if attempt == 1:
-            ScalarLinearCode(length, prime, ())
         if verify(p, code).ok:
             return code, VerificationResult(ok=True, violations=(), zero_vector_messages=(), attempts_used=attempt)
     raise AttemptsExhausted(
@@ -249,8 +244,10 @@ def construct_rate_half(
 
     Redraws the whole assignment until verification passes, at most
     ``max_attempts`` times, which must be at least 1.  Requires the
-    problem to have no internal conflicts.
+    problem to have no internal conflicts.  The field is checked first,
+    before the precondition and any draw.
     """
+    ScalarLinearCode(2, prime, ())
     verdict = check_rate_half(p)
     if not verdict.feasible:
         raise PreconditionError(
@@ -284,8 +281,10 @@ def construct_rate_third(
     one vector; clean type-2 sets draw a fresh two-dimensional subspace
     and one vector inside it per restricted alignment set.  Redraws the
     whole assignment until verification passes, at most ``max_attempts``
-    times, which must be at least 1.
+    times, which must be at least 1.  The field is checked first, before
+    the precondition and any draw.
     """
+    ScalarLinearCode(3, prime, ())
     report = structure_report(p)
     verdict = check_rate_third(report)
     if verdict.status is not RateThirdStatus.FEASIBLE_MAIN:

@@ -89,11 +89,6 @@ def rref(rows: list[Vector] | list[list[int]], p: int) -> tuple[list[list[int]],
     return mat[: len(pivots)], pivots
 
 
-def rank(vectors: list[Vector] | tuple[Vector, ...], p: int) -> int:
-    """Rank of the span of ``vectors`` over GF(p); the empty list has rank 0."""
-    return len(rref(list(vectors), p)[1])
-
-
 def reduce_against(v: Vector, reduced_rows: list[list[int]], pivots: list[int], p: int) -> list[int]:
     """Residue of ``v`` after elimination against an RREF basis."""
     res = [x % p for x in v]

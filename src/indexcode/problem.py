@@ -368,7 +368,8 @@ def _unknown_key(obj: dict[str, object], known: frozenset[str]) -> str:
 # O(n^2) bits, and later layers more.  At n = 1024, indexcode analyze takes
 # 1.0-1.6 s and 27 MB on one receiver that demands every message, and on one
 # receiver per message without side information, indexcode oracle 1.2-1.5 s
-# and 236 MB for a plan of n(n-1)/2 + 1 trie nodes (README, on input files).
+# and 236 MB for a plan of n(n-1)/2 + 1 trie nodes, and analyze --emit-graph
+# 1.9-3.7 s and 27 MB for a 40.7 MB dot (README, on input files).
 MAX_MESSAGES = 1024
 
 _PROBLEM_KEYS = frozenset({"n", "receivers"})

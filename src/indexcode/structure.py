@@ -36,7 +36,8 @@ members, and fork and cycle come from one pass over the degrees in
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -412,18 +413,19 @@ def structure_report(p: Problem) -> StructureReport:
     )
 
 
-def to_dot(p: Problem) -> str:
-    """Graphviz rendering: solid alignment edges, ascending as ``_pairs`` lists them, dashed conflict hyperedges."""
-    lines = ["graph index_coding {"]
-    for v in range(1, p.n + 1):
-        lines.append(f"  m{v} [label=\"W{v}\"];")
-    lines += (f"  m{a} -- m{b};" for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]))
-    hyperedges = sorted(p.edge_masks, key=lambda e: (e[0], list(_iter_bits(e[1]))))
+def to_dot(p: Problem) -> Iterator[str]:
+    """Graphviz rendering, lazily: the header with the message nodes, one
+    solid alignment edge per string, ascending as ``_pairs`` lists them,
+    then one string per dashed conflict hyperedge (k, I) with its hub,
+    ordered by k and then by the ascending members of I, which are listed
+    only among hyperedges that share a k, and the closing brace."""
+    yield "graph index_coding {\n" + "".join(f"  m{v} [label=\"W{v}\"];\n" for v in range(1, p.n + 1))
+    for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
+        yield f"  m{a} -- m{b};\n"
+    shared = Counter(k for k, _ in p.edge_masks)
+    hyperedges = sorted(p.edge_masks, key=lambda e: (e[0], [*_iter_bits(e[1])] if shared[e[0]] > 1 else []))
     for idx, (k, interf) in enumerate(hyperedges):
-        hub = f"h{idx}"
-        lines.append(f"  {hub} [shape=point, label=\"\"];")
-        lines.append(f"  m{k} -- {hub} [style=dashed];")
-        for i in _iter_bits(interf):
-            lines.append(f"  {hub} -- m{i} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  h{idx} [shape=point, label=\"\"];\n  m{k} -- h{idx} [style=dashed];\n" + "".join(
+            f"  h{idx} -- m{i} [style=dashed];\n" for i in _iter_bits(interf)
+        )
+    yield "}\n"

@@ -1,5 +1,6 @@
 """Reference computations the tests check against, which no command needs.
 
+``rank`` is the rank of a list of vectors over GF(p).
 ``project_plane`` collapses the length-3 assignment of a type-2 set to a
 length-2 code (acceptance criterion 9).  ``three_colouring`` searches for
 a proper 3-colouring of the conflict graph: giving each message the unit
@@ -9,8 +10,13 @@ vector of its colour is a length-3 code over every field.
 from __future__ import annotations
 
 from indexcode.codec import ScalarLinearCode
-from indexcode.linalg import rref
+from indexcode.linalg import Vector, rref
 from indexcode.problem import Problem, conflicts, restrict_problem
+
+
+def rank(vectors: list[Vector] | tuple[Vector, ...], p: int) -> int:
+    """Rank of the span of ``vectors`` over GF(p); the empty list has rank 0."""
+    return len(rref(list(vectors), p)[1])
 
 
 def project_plane(

@@ -22,7 +22,6 @@ from indexcode.codec import (
 )
 from indexcode.feasibility import RateThirdStatus, analyze, check_rate_half
 from indexcode.fixtures import load_fixture
-from indexcode.linalg import rank
 from indexcode.oracle import exists_code, min_length
 from indexcode.problem import Problem, conflicts, problem_to_json, random_problem, restrict_problem
 from indexcode.structure import (
@@ -39,7 +38,7 @@ from corpusgen import (
     random_unicast_problem,
     shared_hypergraph_pair,
 )
-from reference import project_plane
+from reference import project_plane, rank
 from test_linalg import make_chain
 
 
@@ -200,8 +199,6 @@ def test_criterion_07_dimension_chain_equivalence():
         n_sets = rng.randint(2, 6)
         inflate = {i for i in range(n_sets) if rng.random() < 0.3}
         sets = make_chain(rng, k, n_sets, inflate, p=prime)
-        from indexcode.linalg import rank
-
         for i in range(n_sets - 1):
             shared = [v for v in sets[i] if v in set(sets[i + 1])]
             assert rank(shared, prime) == k

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -155,6 +156,9 @@ def test_construct_refuses_a_prime_past_64_bits_before_testing_it(fixture_file, 
     assert rc == 3 and out == ""
     assert err == f"error: modulus {2**11213 - 1} does not fit in 64 bits\n"
     rc, out, err = run(capsys, "construct", fixture_file("p5"), "--rate", "1/2", "--prime", "4")
+    assert (rc, out, err) == (3, "", "error: modulus 4 is not prime\n")
+    # p5 has conflicts, so rate 1 is infeasible too: the field still goes first
+    rc, out, err = run(capsys, "construct", fixture_file("p5"), "--rate", "1", "--prime", "4")
     assert (rc, out, err) == (3, "", "error: modulus 4 is not prime\n")
 
 
@@ -543,6 +547,18 @@ def test_text_report_at_the_limit_fits_in_64_mb(tmp_path):
     assert lines[1].startswith("rate 1/2: infeasible (internal conflict {1, 2} inside alignment set {1, 2, 3, ")
     assert lines[2].startswith("rate 1/3: infeasible (type-2 set {1, 2, 3, ")
     assert lines[2].endswith(", 1024} has restricted internal conflict {1, 2})")
+
+
+def test_dot_export_at_the_limit_fits_in_64_mb(tmp_path):
+    # the same file's dot is 40.7 MB: 523,776 alignment edges and 1,024 hubs
+    # of 1,023 members each; built as one string it ran out of memory under
+    # this limit, and the hub sort listed the members of every hyperedge
+    path, dot = str(tmp_path / "cap.json"), tmp_path / "cap.dot"
+    assert main(["gen", "-n", str(MAX_MESSAGES), "--density", "0", "--seed", "0", "-o", path]) == 0
+    proc = run_capped(1 << 26, "analyze", path, "--emit-graph", str(dot))
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(dot.read_bytes()).hexdigest()
+    assert digest == "7f933cd10b5c82ffb4d821be00fb86929725b6b16f9bb4e912213ba960c51f49"
 
 
 def test_gen_above_the_limit_is_usage_error(tmp_path, capsys):

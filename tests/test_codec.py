@@ -15,7 +15,7 @@ from corpusgen import (
     random_unicast_problem,
     shared_hypergraph_pair,
 )
-from reference import project_plane
+from reference import project_plane, rank
 from indexcode import codec, linalg
 from indexcode.codec import (
     AttemptsExhausted,
@@ -60,7 +60,7 @@ def test_explicit_assignment_resolves_ex_feas():
     code = explicit_assignment()
     assert verify(p, code).ok
     for t2 in type2_alignment_sets(p):
-        assert linalg.rank([code.vector(i) for i in t2.messages], code.prime) <= 2
+        assert rank([code.vector(i) for i in t2.messages], code.prime) <= 2
 
 
 def test_all_equal_vectors_fail_on_any_conflict():
@@ -86,7 +86,7 @@ def test_ex_inf_independent_triple_always_violates():
     for _ in range(20):
         while True:
             triple = [linalg.random_nonzero_vector(3, 1009, rng) for _ in range(3)]
-            if linalg.rank(triple, 1009) == 3:
+            if rank(triple, 1009) == 3:
                 break
         rest = [linalg.random_nonzero_vector(3, 1009, rng) for _ in range(3)]
         code = ScalarLinearCode(length=3, prime=1009, vectors=tuple(triple + rest))
@@ -154,9 +154,9 @@ def test_construct_rate_third_p5():
     assert result.ok
     assert result.attempts_used == 1
     # {1,2,3} lives in a two-dimensional space
-    assert linalg.rank([code.vector(m) for m in (1, 2, 3)], code.prime) == 2
+    assert rank([code.vector(m) for m in (1, 2, 3)], code.prime) == 2
     # {4} and {5} are independent of it
-    assert linalg.rank(list(code.vectors), code.prime) == 3
+    assert rank(list(code.vectors), code.prime) == 3
 
 
 def test_construct_rate_third_kind2_shared_vector():
@@ -178,13 +178,25 @@ def test_construct_rate_third_refuses_infeasible():
         construct_rate_third(load_fixture("ex_inf"), rng=random.Random(0))
 
 
-@pytest.mark.parametrize("prime", [4, 9])
+@pytest.mark.parametrize("prime", [4, 9, 0, -7, 1, True, 5.0])
 @pytest.mark.parametrize("seed", range(6))
 def test_construct_refuses_a_composite_prime(prime, seed):
     # the plane's independence test took a modular inverse per pivot, so
-    # some seeds ended in a bare ValueError from pow before the prime check
-    with pytest.raises(CodecError, match=f"^modulus {prime} is not prime$"):
-        construct_rate_third(load_fixture("p5"), prime=prime, rng=random.Random(seed))
+    # some seeds ended in a bare ValueError from pow before the prime check.
+    # Both constructions check the field first: after the first draw, 0 and
+    # -7 ended in randrange's ValueError, 1 and True in a LinalgError after
+    # 64 draws, and 5.0 in a bare TypeError from Python 3.12; ex_inf, and p5
+    # at rate 1/2, failed their precondition before the field was checked
+    if type(prime) is int:
+        error = f"modulus {prime} is not prime"
+    else:
+        error = f"code length, prime and vector entries must be integers, got {prime!r}"
+    problems = (load_fixture("p5"), load_fixture("ex_inf"), random_problem(8, 0.9, seed=0))
+    for construct in (construct_rate_half, construct_rate_third):
+        for p in problems:
+            with pytest.raises(CodecError, match=f"^{re.escape(error)}$") as caught:
+                construct(p, prime=prime, rng=random.Random(seed))
+            assert type(caught.value) is CodecError
 
 
 def _blocks(*picks):
@@ -490,12 +502,12 @@ def test_decode_all_beyond_one_payload():
             assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
             symbols = [w for known in side for w in known.values()]
             held = {(i, w % prime) for known in side for i, w in known.items()}
-            rank = linalg.rank(list(code.vectors), prime)
+            code_rank = rank(list(code.vectors), prime)
             seen |= {
                 ("disagree", len(held) > len({i for i, _ in held})),
                 ("below 0", min(symbols, default=0) < 0),
                 ("at or above p", max(symbols, default=0) >= prime),
-                ("no payload", linalg.rank([*code.vectors, tuple(c % prime for c in codeword)], prime) > rank),
+                ("no payload", rank([*code.vectors, tuple(c % prime for c in codeword)], prime) > code_rank),
                 ("held by none", bool(p.messages - set().union(*(r.side_info for r in p.receivers)))),
                 ("several demands", max(len(r.demands) for r in p.receivers) > 1),
                 ("duplicated", len(set(p.receivers)) < p.t),

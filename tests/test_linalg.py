@@ -13,8 +13,8 @@ from indexcode.linalg import (
     random_subspace_basis,
     random_vector,
     random_vector_in_span,
-    rank,
 )
+from reference import rank
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
