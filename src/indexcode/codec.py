@@ -379,25 +379,23 @@ def decode_all(
         raise CodecError(f"codeword has length {len(codeword)} for a length-{code.length} code")
     if len(side_symbols) != p.t:
         raise CodecError(f"need side symbols for {p.t} receivers, got {len(side_symbols)}")
-    # 2.0 and True pass the key-set test; the loop names the receiver only if this pass fails
-    exact_keys = {int}.issuperset(map(type, chain.from_iterable(side_symbols)))
-    pairs: set[tuple[int, int]] = set()  # (i, w) over every receiver
+    # 2.0 and True pass the key-set test: one C-level pass types every key and symbol
+    exact = {int}.issuperset(map(type, chain(*side_symbols, *[known.values() for known in side_symbols])))
+    shared: dict[int, int] = {}  # W, the last symbol given for each id; its keys are U
     for j, (r, known) in enumerate(zip(p.receivers, side_symbols), start=1):
         if known.keys() != r.side_info:
             raise CodecError(f"receiver {j}: side symbols must cover exactly S(j)")
-        if not exact_keys:
+        if not exact:
             _require_ints(known.keys(), f"receiver {j}: side-symbol keys")
-        _require_ints(known.values(), f"receiver {j}: side symbols")
-        pairs.update(known.items())
+            _require_ints(known.values(), f"receiver {j}: side symbols")
+        shared.update(known)
     _require_ints(codeword, "codeword entries")
-    shared = dict(pairs)  # W; its keys are U
     ids = range(1, p.n + 1)
     held = [*map(shared.get, ids, repeat(0))]  # held[i - 1] = W_i * [i in U]
     residuals = [_residual(code, codeword, held)] * p.t
-    if len(pairs) > len(shared):  # some receiver differs from W
-        for j, known in enumerate(side_symbols):
-            if not known.items() <= shared.items():
-                residuals[j] = _residual(code, residuals[j], [*map(sub, map(known.get, ids, held), held)])
+    for j, known in enumerate(side_symbols):
+        if not known.items() <= shared.items():  # receiver j gives some symbol other than W's
+            residuals[j] = _residual(code, residuals[j], [*map(sub, map(known.get, ids, held), held)])
     prime = code.prime
     out: list[dict[int, int]] = [{} for _ in side_symbols]
     for j, k, key in table.edges:

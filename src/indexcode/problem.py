@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 ConflictPair = tuple[int, int]  # always stored with a < b
 
@@ -142,7 +142,7 @@ class Problem:
             raise ProblemError("need at least one receiver")
         demands, side = zip(*self.receivers)
         # 2.0 and True equal ids, so the exact type test reads every listed id
-        if _sets_hold(self.n, demands, side, lambda: {int}.issuperset(map(type, chain(*demands, *side)))):
+        if {int}.issuperset(map(type, chain(*demands, *side))) and _sets_hold(self.n, demands, side):
             return
         for j, r in enumerate(self.receivers, start=1):  # a check failed: name the first receiver at fault
             if not r.demands:
@@ -163,8 +163,8 @@ class Problem:
     @classmethod
     def _known_valid(cls, n: int, receivers: tuple[Receiver, ...]) -> Problem:
         """The problem of values that pass ``__post_init__``, built without
-        running its checks: ``parse_problem``'s, once ``_valid_lists`` has
-        run the same rule (``_sets_hold``) with its own id-type test."""
+        running its checks: ``parse_problem``'s, once the same rule
+        (``_sets_hold``) has held on the ints of a plain text."""
         p = object.__new__(cls)
         p.__dict__.update(n=n, receivers=receivers)
         return p
@@ -358,6 +358,34 @@ def _load_json(text: str, kind: str, error: type[ValueError]) -> object:
         raise error(f"malformed {kind} file: {exc}") from exc
 
 
+def _refuse(token: str) -> NoReturn:
+    raise ValueError(f"not an integer: {token}")
+
+
+_PLAIN_DECODER = json.JSONDecoder(parse_float=_refuse, parse_constant=_refuse)  # no Python call per object
+
+
+def _plain_problem(text: str) -> dict | None:
+    """The value of the problem file ``text``, decoded with no Python call
+    per object or id, when its own tokens show that ``_load_json`` gives the
+    same and that every number in it is an int; else None.  No key of the
+    format holds a backslash, t or l, so none of ``true``, ``Infinity``,
+    ``false`` or ``null`` was read, and the decoder refuses floats and
+    ``NaN``.  With no backslash each string has two quotes, so twice as many
+    as the keys of the top and receiver objects leave no other string and
+    no repeated key there."""
+    if "\\" in text or "t" in text or "l" in text:
+        return None
+    try:
+        data = _PLAIN_DECODER.decode(text)
+    except (ValueError, RecursionError):
+        return None
+    entries = data.get("receivers") if type(data) is dict else None
+    if type(entries) is not list or not {dict}.issuperset(map(type, entries)):
+        return None
+    return data if text.count('"') == 2 * (len(data) + sum(map(len, entries))) else None
+
+
 def _unknown_key(obj: dict[str, object], known: frozenset[str]) -> str:
     """The first key of ``obj``, in file order, that is not in ``known``."""
     return next(key for key in obj if key not in known)
@@ -376,43 +404,14 @@ _PROBLEM_KEYS = frozenset({"n", "receivers"})
 _RECEIVER_KEYS = frozenset({"demands", "side_info"})
 
 
-def _sets_hold(n: int, demands: Sequence[frozenset], side: Sequence[frozenset], ints: Callable[[], bool]) -> bool:
-    """``Problem``'s rule for the id sets of its receivers, one C-level
+def _sets_hold(n: int, demands: Sequence[frozenset], side: Sequence[frozenset]) -> bool:
+    """``Problem``'s rule for the int id sets of its receivers, one C-level
     pass per check over all of them: every demand set nonempty and disjoint
-    from its side set, every id an int (``ints``, the caller's test of the
-    exact type, run after those two), and every id in 1..n.  min and max
-    read the distinct ids only once all are ints."""
-    if not (all(demands) and all(map(frozenset.isdisjoint, demands, side)) and ints()):
+    from its side set, and every id in 1..n, read from the distinct ids."""
+    if not (all(demands) and all(map(frozenset.isdisjoint, demands, side))):
         return False
     ids = frozenset().union(*demands, *side)
     return 1 <= min(ids) and max(ids) <= n
-
-
-def _int_sum(sets: Iterable[frozenset]) -> bool:
-    """Whether the sum of the members of ``sets`` is an int: a float, NaN
-    or Infinity makes it a float, or raises ``OverflowError`` next to an
-    int too large for a float, and a string or null raises ``TypeError``."""
-    try:
-        return type(sum(map(sum, sets))) is int
-    except (TypeError, OverflowError):
-        return False
-
-
-def _valid_lists(text: str, n: object, receivers: tuple[Receiver, ...]) -> bool:
-    """Whether ``Problem`` would accept the parsed ``n`` and ``receivers`` of
-    ``text``, in C-level passes with no call per id.
-
-    No key or number of a problem file holds the letter t, so a text
-    without one decoded no ``true``; a ``false`` equals 0 and fails the
-    range test.  The sum of the ids is an int exactly when every id is an
-    int or a bool (``_int_sum``).  The parse keeps a non-integer of equal
-    value in each set, so no float hides behind an equal int.  The other
-    checks are ``Problem``'s own (``_sets_hold``).  False only sends the
-    problem to ``Problem``'s checks, which name the fault."""
-    if type(n) is not int or not receivers or "t" in text:
-        return False
-    demands, side = zip(*receivers)
-    return _sets_hold(n, demands, side, lambda: _int_sum(chain(demands, side)))
 
 
 def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
@@ -422,7 +421,9 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     misspelled ``side_info`` cannot read as no side information.  An ``n``
     above ``MAX_MESSAGES`` is refused after the id and demand checks, which
     cost memory in the listed ids only, before anything of size n exists."""
-    data = _load_json(text, "problem", ProblemError)
+    data = plain = _plain_problem(text)
+    if plain is None:
+        data = _load_json(text, "problem", ProblemError)
     if not isinstance(data, dict) or "n" not in data or "receivers" not in data:
         raise ProblemError("problem file must be an object with 'n' and 'receivers'")
     if not _PROBLEM_KEYS.issuperset(data):
@@ -456,7 +457,8 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
             raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
         receivers.append(tuple.__new__(Receiver, (d, s)))  # a Receiver, without NamedTuple's Python-level __new__
     n, receivers = data["n"], tuple(receivers)
-    if _valid_lists(text, n, receivers):
+    # a plain text's ids are all ints, or failed frozenset above
+    if plain is not None and type(n) is int and receivers and _sets_hold(n, *zip(*receivers)):
         p = Problem._known_valid(n, receivers)
     else:
         p = Problem(n=n, receivers=receivers)  # Problem names the receiver and id at fault

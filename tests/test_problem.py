@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import indexcode.problem as problem_module
 from corpusgen import hyperedges
 from indexcode.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from indexcode.problem import (
@@ -23,6 +24,7 @@ from indexcode.problem import (
     restriction_members,
 )
 from indexcode.structure import restricted_internal_conflicts
+from test_cli import _mutated_file
 
 
 def test_parse_ex_feas():
@@ -217,6 +219,86 @@ def test_valid_files_parse_without_problem_checks(monkeypatch):
     with pytest.raises(ProblemError):
         parse_problem(_TWO % (2, "[1]", "[]", "[2, true]"))
     assert calls == [1]
+
+
+_SIDE = '{"n": 2, "receivers": [{"demands": [1], "side_info": %s}, {"demands": [2]}]}'
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a text is decoded without the repeated-key hook only when it holds no
+        # backslash, t or l, no float or constant, and two quotes per key of the
+        # top and receiver objects; each row names the rule it breaks, or none
+        # where it passes them all with a value of a type no id has
+        ('{"n": 2, "receivers": [{"demands": [1], "demands": [1]}, {"demands": [2]}]}',
+         "malformed problem file: repeated key 'demands'"),  # quotes
+        ('{"n": 2, "receivers": [{"demands": [1], "\\u0064emands": [1]}, {"demands": [2]}]}',
+         "malformed problem file: repeated key 'demands'"),  # backslash, and quotes
+        (_SIDE % "[null]", "receiver 1: message id None is not an integer"),  # l
+        (_SIDE % '["2"]', "receiver 1: message id '2' is not an integer"),  # quotes
+        (_SIDE % "[{}]", "receiver 1: demands and side_info must be lists of integer ids"),  # none
+        (_SIDE % "[[]]", "receiver 1: demands and side_info must be lists of integer ids"),  # none
+        (_SIDE % "[1e0]", "receiver 1: message id 1.0 is not an integer"),  # float
+        (_SIDE % "[NaN]", "receiver 1: message id nan is not an integer"),  # constant
+        ('{"n": {}, "receivers": [{"demands": [1, 2]}]}', "n must be an integer, got {}"),  # none
+        ('{"n": 2, "receivers": [{"demands": [1, 2]}], "receivers": [{"demands": [1, 2]}]}',
+         "malformed problem file: repeated key 'receivers'"),  # quotes
+    ],
+)
+def test_each_token_rule_keeps_the_strict_error(text, error):
+    with pytest.raises(ProblemError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == error
+
+
+def test_an_escaped_key_parses_as_the_plain_one():
+    plain = _SIDE % "[2]"
+    escaped = plain.replace('"side_info"', '"side_\\u0069nfo"')
+    assert escaped != plain and json.loads(escaped) == json.loads(plain)
+    assert parse_problem(escaped) == parse_problem(plain) == Problem(
+        2, (Receiver(frozenset({1}), frozenset({2})), Receiver(frozenset({2}), frozenset()))
+    )
+
+
+def test_canonical_files_decode_without_the_key_hook(monkeypatch):
+    # the repeated-key hook is one Python call per JSON object; a canonical
+    # file's own tokens rule out a repeated key, so it never runs there
+    calls = []
+    monkeypatch.setattr(
+        problem_module, "_DECODER", json.JSONDecoder(object_pairs_hook=lambda pairs: calls.append(1) or dict(pairs))
+    )
+    for text in [*map(fixture_text, FIXTURE_NAMES), *_golden_problem_texts()]:
+        try:
+            parse_problem(text)
+        except ProblemError as exc:  # the n = 1025 row: refused after the checks
+            assert str(exc) == "n = 1025 is above the limit of 1024 messages"
+    assert calls == []
+    # one escape sends the whole text through the hook
+    parse_problem(fixture_text("p5").replace('"demands"', '"\\u0064emands"', 1))
+    assert calls
+
+
+_PROBLEM_BASES = [*map(fixture_text, ("p5", "ex_inf", "ex_feas")), problem_to_json(random_problem(4, 0.4, False, 3))]
+
+
+def _parsed(text: str) -> Problem | str:
+    try:
+        return parse_problem(text)
+    except ProblemError as exc:
+        return f"ProblemError: {exc}"
+
+
+@given(data=st.data(), base=st.sampled_from(_PROBLEM_BASES))
+@settings(max_examples=500, deadline=None)
+def test_both_decode_paths_agree(data, base):
+    # writing the first key with one \u escape gives the same JSON document,
+    # and the backslash sends it through the strict decoder: both texts give
+    # equal problems or the same error
+    text = data.draw(_mutated_file(base))
+    i = text.find('"') + 1  # the root stays an object, so its first string is its first key
+    escaped = text[:i] + "\\u%04x" % ord(text[i]) + text[i + 1 :] if i else text
+    assert _parsed(escaped) == _parsed(text)
 
 
 def test_undemanded_rejected_by_default_allowed_by_flag():
