@@ -12,12 +12,12 @@ it (forward checking, below).
 base-q integer whose j-th digit is its j-th coordinate, so span(e1, ...,
 er) is exactly the indices below q^r.  Every span the search meets is a
 subspace of GF(q)^L, which does not depend on the problem, so one table
-per (q, L), shared by every search over that field and length, gives each
-subspace met so far a small id (id 0 is the zero space) and holds its
-member mask (an int bitmask over vector indices, so an in-span test is a
-bit test), its dimension, and a join map from a vector index v to the id
-of span(S + v).  A join is computed once, on first use, as the union of
-the cosets S + c*v; ``_Field`` states the size bound of the table.
+per (q, L), shared by every search over that field and length, keys each
+subspace S met so far by its member mask (an int bitmask over vector
+indices, so an in-span test is a bit test) and holds one object for it,
+with its dimension and a join map from a vector index v to the object of
+span(S + v).  A join is computed once, on first use, as the union of the
+cosets S + c*v; ``_Field`` states the size bound of the table.
 
 **Basis pinning is sound.**  Whether a conflict is resolved is invariant
 under scaling any single vector by a nonzero constant and under applying
@@ -79,7 +79,7 @@ goes; only an inside list that holds more than one check is deduplicated
 and sorted.  Every prefix P = at[:j] of the sorted positions at of an
 interfering set that a check reads is a node of a trie, with a parent
 at[:j-1] and a last position at[j-1]; that pair names P, so the trie
-keys P by the int parent * n + last.  The search keeps the subspace id
+keys P by the int parent * n + last.  The search keeps the subspace
 of each node and sets it at the position t where the node is first read,
 with one join: span(P) = span(parent) + v_last.  This is sound because
 every position of P lies below t, and the parent, the part of I below
@@ -120,7 +120,6 @@ vectors, which bounds both the tables and the candidates per message.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -163,18 +162,18 @@ class _Field:
     many candidates of any rank come no later, as the candidates of a rank
     are the first points in index order.
 
-    The subspace table gives each subspace met so far an id; id 0 is the
-    zero space.  ``members[a]`` is the bitmask of the vector indices in
-    subspace a, ``elements[a]`` those indices, ``dim[a]`` its dimension
-    and ``join[a][v]`` the id of span(a + v), computed on first use from
-    ``translation[v]``, the index of vector x + vector v for each index x.
-    The search joins only projective points, so the table holds at most
-    (subspaces) x (projective points) joins: 1,120 x 156 for GF(5)^4, the
-    largest space the caps allow.
+    ``spaces`` maps the member mask of each subspace met so far, bit x for
+    each vector index x in it, to its one ``_Space``; mask 1 is the zero
+    space.  A join S[v], the subspace span(S + v), is computed on first
+    use from ``translation[v]``, the index of vector x + vector v for each
+    index x.  Every entry depends on its key alone, so searches that share
+    the table from several threads need no lock: a race computes one value
+    twice and keeps the first.  The search joins only projective points,
+    so the table holds at most (subspaces) x (projective points) joins:
+    1,120 x 156 for GF(5)^4, the largest space the caps allow.
     """
 
-    __slots__ = ("q", "vectors", "candidates", "count", "unit", "reach",
-                 "members", "dim", "join", "elements", "ids", "lock", "translation")
+    __slots__ = ("q", "vectors", "candidates", "count", "unit", "reach", "spaces", "translation")
 
     def __init__(self, q: int, length: int) -> None:
         check_caps(q, length)
@@ -188,20 +187,16 @@ class _Field:
         self.reach = [0] * q**length
         for count, v in enumerate(points, start=1):
             self.reach[v] = count
-        self.members = [1]
-        self.dim = [0]
-        self.join = [_Join(self, 0)]
-        self.elements = [[0]]
-        self.ids = {1: 0}  # member mask -> id
-        self.lock = threading.Lock()  # the table is shared by every search in the process
+        self.spaces = {1: _Space(self, 1, 0)}
         self.translation: dict[int, tuple[int, ...]] = {}
 
-    def extend(self, a: int, v: int) -> int:
-        """Id of span(a + v): a itself if it holds v, else the union of the
-        cosets a + c*v, added to the table if new."""
-        if self.members[a] >> v & 1:
+    def extend(self, a: _Space, v: int) -> _Space:
+        """The subspace span(a + v): a itself if it holds v, else the union
+        of the cosets a + c*v, added to the table if new."""
+        if a.mask >> v & 1:
             return a
-        q, row, coset = self.q, self.translation.get(v), self.elements[a]
+        q, row = self.q, self.translation.get(v)
+        coset = [x for x, bit in enumerate(bin(a.mask)[:1:-1]) if bit == "1"]  # the members, lowest first
         if row is None:
             g = self.vectors[v]
             row = self.translation[v] = tuple(
@@ -212,28 +207,20 @@ class _Field:
             coset = [row[x] for x in coset]
             grown += coset
         mask = sum(1 << x for x in grown)
-        with self.lock:
-            b = self.ids.get(mask)
-            if b is None:
-                b = len(self.members)
-                self.members.append(mask)
-                self.dim.append(self.dim[a] + 1)
-                self.join.append(_Join(self, b))
-                self.elements.append(grown)
-                self.ids[mask] = b
-        return b
+        return self.spaces.setdefault(mask, _Space(self, mask, a.dim + 1))
 
 
-class _Join(dict):
-    """Vector index v -> id of span(S + v), for one subspace S of a field's table."""
+class _Space(dict):
+    """One subspace S of a field's table, with its member ``mask`` and
+    dimension ``dim``: vector index v -> the ``_Space`` of span(S + v)."""
 
-    __slots__ = ("field", "source")
+    __slots__ = ("field", "mask", "dim")
 
-    def __init__(self, field: _Field, source: int) -> None:
-        self.field, self.source = field, source
+    def __init__(self, field: _Field, mask: int, dim: int) -> None:
+        self.field, self.mask, self.dim = field, mask, dim
 
-    def __missing__(self, v: int) -> int:
-        self[v] = b = self.field.extend(self.source, v)
+    def __missing__(self, v: int) -> _Space:
+        self[v] = b = self.field.extend(self, v)
         return b
 
 
@@ -359,7 +346,7 @@ def exists_code(
     """
     f = _field(q, length)  # raises OracleCapError past the caps
     position, trie_nodes, extend, avoid, pairs, inside = _plan(p.n, p.edge_masks)
-    members, dim, join, reach = f.members, f.dim, f.join, f.reach
+    reach = f.reach
     candidates, count, unit = f.candidates, f.count, f.unit  # per rank
     hyperplane = length - 1  # dimension of a hyperplane
     last = p.n - 1
@@ -367,25 +354,25 @@ def exists_code(
     # (allowed candidates not yet tried, candidates counted, rank) at each
     # position, the count including the skipped candidates
     saved: list[tuple[int, int, int]] = [(0, 0, 0)] * p.n
-    sp = [0] * trie_nodes  # subspace id of each trie node
+    sp = [f.spaces[1]] * trie_nodes  # subspace of each trie node; the root's is the zero space
     nodes = t = r = 0
     while True:
         # enter position t at rank r: the forward checks give the allowed candidates
         for x, parent, at in extend[t]:
-            sp[x] = join[sp[parent]][assigned[at]]
+            sp[x] = sp[parent][assigned[at]]
         allowed = candidates[r]
         for x in avoid[t]:
-            allowed &= ~members[sp[x]]
+            allowed &= ~sp[x].mask
         for x, s in pairs[t]:
             a = sp[x]
-            allowed &= members[a] | ~members[join[a][assigned[s]]]
+            allowed &= a.mask | ~a[assigned[s]].mask
         if r >= hyperplane:  # only then can a prefix span a hyperplane
             for size, x in inside[t]:
                 if size < hyperplane:
                     break
                 a = sp[x]
-                if dim[a] == hyperplane:
-                    allowed &= members[a]
+                if a.dim == hyperplane:
+                    allowed &= a.mask
         done = 0  # candidates of t counted so far
         while not allowed:  # t is exhausted: count the rest of its candidates and back up
             nodes += count[r] - done

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
 from typing import NamedTuple, NoReturn
@@ -90,28 +90,6 @@ def _message_ids(n: int) -> tuple[tuple[int, ...], frozenset[int]]:
     return tuple(1 << m for m in range(n + 1)), frozenset(range(1, n + 1))
 
 
-class _cached:
-    """``functools.cached_property`` without its lock: the first access
-    computes the value and stores it in the instance ``__dict__``, where
-    every later access finds it before this descriptor.  Before Python
-    3.12 ``cached_property`` takes a lock on every first access; the views
-    it serves here are pure, so two threads racing on one would at most
-    compute the same value twice."""
-
-    def __init__(self, func: Callable) -> None:
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance: object, owner: type | None = None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
-        return value
-
-
 class HypergraphBits(NamedTuple):
     """Integer view of the conflict hypergraph, bit m for message m."""
 
@@ -173,11 +151,11 @@ class Problem:
     def t(self) -> int:
         return len(self.receivers)
 
-    @_cached
+    @cached_property
     def messages(self) -> frozenset[int]:
         return _message_ids(self.n)[1]
 
-    @_cached
+    @cached_property
     def edge_masks(self) -> frozenset[tuple[int, int]]:
         """The conflict hypergraph as int masks: each distinct (k, mask of
         Interf_k(j)) with a nonempty interfering set.  Every structural
@@ -203,7 +181,7 @@ class Problem:
                     pairs.add((k, interf))
         return frozenset(pairs)
 
-    @_cached
+    @cached_property
     def bits(self) -> HypergraphBits:
         """The conflict hypergraph as int bitmasks, read from ``edge_masks``:
         each distinct interfering set mapped to the mask of the messages
@@ -230,7 +208,7 @@ class Problem:
             sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
         )
 
-    @_cached
+    @cached_property
     def alignment_components(self) -> tuple[int, ...]:
         """Alignment sets as masks, ordered by smallest member, found once.
 

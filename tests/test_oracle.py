@@ -1,5 +1,7 @@
+import sys
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from hashlib import sha256
 from itertools import chain, product
 
@@ -184,6 +186,53 @@ def test_search_is_pinned_on_the_oracle_small_corpus():
     )
 
 
+def test_search_is_pinned_over_gf5_up_to_length_4():
+    # GF(5)^4 is the largest space the caps allow: its masks are 625-bit
+    # ints.  Node count and digest recorded while the table still numbered
+    # its subspaces
+    corpus = [load_fixture(name) for name in FIXTURE_NAMES] + [
+        random_problem(n, d, seed=s) for n in (8, 10, 12) for d in (0.5, 0.7, 0.85) for s in range(3)
+    ]
+    results = [min_length(p, 5, l_max=4, max_nodes=300_000) for p in corpus]
+    assert sum(r.nodes_explored for r in results) == 145_187
+    digest = repr([(r.min_length, r.nodes_explored, r.witness and r.witness.vectors) for r in results])
+    assert sha256(digest.encode()).hexdigest() == (
+        "4c342aaf03c1090535919bce7e51777aac896a9a7b110c8e1a50642c489a04b2"
+    )
+
+
+def test_searches_from_threads_return_the_serial_results():
+    # every thread shares one table per field and fills it as it goes; a
+    # short switch interval lets them interleave inside the table's updates
+    corpus = [load_fixture(name) for name in FIXTURE_NAMES] + [
+        random_problem(10, d, seed=s) for d in (0.3, 0.5, 0.7) for s in range(4)
+    ]
+    searches = [(p, q, length) for p in corpus for q in (2, 3, 5) for length in (1, 2, 3, 4)]
+
+    def search(key):
+        found, witness, nodes = exists_code(*key, max_nodes=200_000)
+        return found, witness and witness.vectors, nodes
+
+    _field.cache_clear()
+    _plan.cache_clear()
+    serial = list(map(search, searches))
+    _field.cache_clear()
+    _plan.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(search, searches))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(searches) == 204 and sum(found for found, _, _ in serial) == 36
+    assert sum(nodes for _, _, nodes in serial) == 187_752
+    assert threaded == serial
+    for q in (2, 3, 5):
+        for length in (1, 2, 3, 4):
+            _check_table(_field(q, length))
+
+
 def test_plan_matches_the_reference_plan():
     # the oracle-small base problems, then unicast and groupcast problems up
     # to n = 16 at three densities, then with no side information, which
@@ -228,26 +277,30 @@ def test_subspace_tables_leak_nothing_between_searches():
     for q in (2, 3):
         for length in (1, 2, 3, 4):
             f = _field(q, length)
-            members, dims, join = f.members, f.dim, f.join
             # at length 1 every check reads only the zero space
-            assert len(members) > 1 or length == 1
-            for a, (mask, dim) in enumerate(zip(members, dims)):
-                assert mask.bit_count() == q**dim and mask & 1
-                for v, b in join[a].items():
-                    assert members[b] >> v & 1 and mask & ~members[b] == 0
+            assert len(f.spaces) > 1 or length == 1
+            _check_table(f)
+
+
+def _check_table(f):
+    """Every subspace of a field's table is a subspace, and the one kept
+    for its mask, and each of its joins holds it and the joined vector."""
+    for s in f.spaces.values():
+        assert s.mask & 1 and s.mask.bit_count() == f.q**s.dim and f.spaces[s.mask] is s
+        for v, b in s.items():
+            assert b.mask >> v & 1 and s.mask & ~b.mask == 0 and f.spaces[b.mask] is b
 
 
 def test_nothing_per_field_survives_a_cache_clear():
     p = load_fixture("ex_inf")
     result = exists_code(p, 2, 4)
     warm = _field(2, 4)
-    assert len(warm.members) > 1 and warm.translation
+    assert len(warm.spaces) > 1 and warm.translation
     _field.cache_clear()
     cold = _field(2, 4)
     assert cold is not warm
-    assert (cold.members, cold.dim, cold.elements, cold.ids, cold.join, cold.translation) == (
-        [1], [0], [[0]], {1: 0}, [{}], {}
-    )
+    zero = cold.spaces[1]
+    assert (list(cold.spaces), zero.mask, zero.dim, zero, cold.translation) == ([1], 1, 0, {}, {})
     # the only other cache the module defines is the plan, which holds no
     # field; the problem module's one cache is the per-n table of bits and
     # ids that edge_masks reads.  Both keep a bounded number of entries

@@ -383,6 +383,26 @@ def test_edge_masks_hold_every_hyperedge_and_match_bits(p):
     assert p.edge_masks == {(k, s) for s, ks in zip(p.bits.sets, p.bits.against) for k in _iter_bits(ks)}
 
 
+def test_views_are_computed_once_and_stored_on_the_problem(monkeypatch):
+    # each view is read on first use and then found in the instance dict,
+    # on a problem built through its checks and on one a plain text builds
+    # without them; a plain property would compute it on every read
+    views = ("messages", "edge_masks", "bits", "alignment_components")
+    calls = []
+    check = Problem.__post_init__
+    monkeypatch.setattr(Problem, "__post_init__", lambda self: calls.append(1) or check(self))
+    built = random_problem(12, 0.5, single_unicast=False, seed=3)
+    assert calls == [1]
+    parsed = parse_problem(problem_to_json(built))
+    assert calls == [1] and parsed == built
+    for p in (built, parsed):
+        assert not set(views) & set(p.__dict__)
+        for name in views:
+            value = getattr(p, name)
+            assert p.__dict__[name] is value and getattr(p, name) is value
+    assert all(getattr(built, name) == getattr(parsed, name) for name in views)
+
+
 def test_parse_builds_exact_receivers():
     # NamedTuple instances built without the Python-level __new__: each is
     # a Receiver, not a plain tuple, that equals one built the usual way
