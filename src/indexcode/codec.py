@@ -43,7 +43,7 @@ from typing import NamedTuple
 from . import linalg
 from .feasibility import RateThirdStatus, check_rate_half, check_rate_third
 from .linalg import Vector
-from .problem import Problem, _load_json, _unknown_key
+from .problem import Problem, _load_json, _shown_ids, _unknown_key
 from .structure import Kind, alignment_sets, structure_report
 
 
@@ -250,9 +250,10 @@ def construct_rate_half(
     ScalarLinearCode(2, prime, ())
     verdict = check_rate_half(p)
     if not verdict.feasible:
+        members = verdict.alignment_set
         raise PreconditionError(
             f"rate 1/2 infeasible: internal conflict {verdict.internal_conflict} "
-            f"inside alignment set {sorted(verdict.alignment_set or [])}"
+            f"inside alignment set {_shown_ids(sorted(members), len(members))}"
         )
     rng = rng or random.Random(0)
     sets = alignment_sets(p)

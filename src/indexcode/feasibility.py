@@ -1,10 +1,12 @@
 """Feasibility ladder for symmetric rates 1, 1/2 and 1/3.
 
 Rate 1 needs no conflicts at all; rate 1/2 needs no internal conflicts;
-rate 1/3 is decided by the necessary conditions (a dirty type-2 set, an
-acyclic quadruple) and the sufficient classification-based condition,
-with everything else reported as Undetermined plus a clearly labeled
-conjecture prediction.
+rate 1/3 is decided by three rules: a dirty type-2 set rules it out, the
+classification-based construction establishes it, and everything else is
+reported as Undetermined plus a clearly labeled conjecture prediction.
+An acyclic quadruple implies a dirty type-2 set (``check_rate_third``),
+so it decides nothing; ``report_to_dict`` searches for one only to write
+it as a witness in the JSON report.
 
 The verdicts and ``render_report`` read only the message sets of the
 type-2 sets, so ``analyze`` lists no triangle.  ``report_to_dict`` is
@@ -24,6 +26,7 @@ from .structure import (
     Kind,
     StructureReport,
     _group_triangles,
+    find_acyclic_quadruple,
     structure_report,
     triangular_interfering_sets,
 )
@@ -43,7 +46,6 @@ class RateHalfVerdict(NamedTuple):
 class RateThirdStatus(Enum):
     FEASIBLE_MAIN = "feasible-main-construction"
     INFEASIBLE_DIRTY_TYPE2 = "infeasible-dirty-type2"
-    INFEASIBLE_ACYCLIC_QUADRUPLE = "infeasible-acyclic-quadruple"
     UNDETERMINED = "undetermined"
 
 
@@ -51,8 +53,6 @@ class RateThirdVerdict(NamedTuple):
     status: RateThirdStatus
     # dirty type-2 witness: (type-2 message union, conflict, restricted set)
     dirty_witness: tuple[frozenset[int], ConflictPair, frozenset[int]] | None
-    quadruple: tuple[int, int, int, int] | None
-    conjecture_predicts_feasible: bool
 
     @property
     def feasible(self) -> bool | None:
@@ -62,6 +62,12 @@ class RateThirdVerdict(NamedTuple):
         if self.status is RateThirdStatus.UNDETERMINED:
             return None
         return False
+
+    @property
+    def conjecture_predicts_feasible(self) -> bool:
+        """The conjecture: clean type-2 sets suffice.  It never overrides
+        the necessary condition, a dirty type-2 set."""
+        return self.dirty_witness is None
 
 
 @dataclass(frozen=True)
@@ -91,25 +97,34 @@ _CONSTRUCTIBLE = {Kind.KIND1, Kind.KIND2, Kind.TYPE2_CLEAN}
 
 
 def check_rate_third(report: StructureReport) -> RateThirdVerdict:
-    quadruple = report.acyclic_quadruple
+    """Three rules: a dirty type-2 set makes rate 1/3 infeasible, an
+    analysis whose every alignment set classifies as constructible makes
+    it feasible, and anything else is undetermined.
+
+    The known necessary condition, an acyclic quadruple (the size-4
+    acyclic induced subgraph bound of Bar-Yossef, Birk, Jayram and Kol,
+    FOCS 2006), needs no rule of its own: it implies a dirty type-2 set.
+    Let (m1, m2, m3, m4) be one, each message demanded by some receiver
+    against an interfering set that holds every earlier one.
+
+    - m2 is demanded against a set holding m1, so (m1, m2) is a conflict.
+    - {m1, m2, m3} lies in an interfering set of m4 and holds the
+      conflict (m1, m2), so it is a triangle.  The type-2 set T of the
+      pair (m1, m2) holds that triangle, so all three messages are in T.
+    - m3 is in T and is demanded against a set I holding m1 and m2.
+      Restricted to T, I leaves I & T, which holds both, so
+      ``structure._components(bits, T)`` puts m1 and m2 in one
+      restricted alignment set.
+    - So (m1, m2) is a restricted internal conflict, T is dirty, and the
+      report has a dirty witness, the first in type-2 order.
+    """
     if report.dirty_witness is not None:
         status = RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
-    # Kept as an independent check: the dirty-type-2 condition should
-    # always subsume this one, and the test suite asserts that dominance.
-    elif quadruple is not None:
-        status = RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE
     elif all(info.kind in _CONSTRUCTIBLE for info in report.alignment_sets):
         status = RateThirdStatus.FEASIBLE_MAIN
     else:
         status = RateThirdStatus.UNDETERMINED
-    # the conjecture (clean type-2 sets suffice) never overrides a
-    # necessary condition that fired
-    return RateThirdVerdict(
-        status=status,
-        dirty_witness=report.dirty_witness,
-        quadruple=quadruple,
-        conjecture_predicts_feasible=report.dirty_witness is None and quadruple is None,
-    )
+    return RateThirdVerdict(status=status, dirty_witness=report.dirty_witness)
 
 
 def analyze(p: Problem) -> FeasibilityReport:
@@ -131,6 +146,8 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
     triangle, orders them."""
     third, structure = rep.rate_third, rep.structure
     listing = triangular_interfering_sets(structure.problem) if structure.type2_sets else []
+    found = find_acyclic_quadruple(structure.problem)
+    quadruple = list(found) if found else None  # a witness only: no verdict reads it
     type2 = sorted(
         ((sorted(t.messages), group) for t, group in zip(structure.type2_sets, _group_triangles(structure, listing))),
         key=lambda entry: (entry[0], entry[1][0]),
@@ -158,7 +175,7 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
             }
             if third.dirty_witness
             else None,
-            "acyclic_quadruple": list(third.quadruple) if third.quadruple else None,
+            "acyclic_quadruple": quadruple,
             "conjecture_predicts_feasible": third.conjecture_predicts_feasible,
         },
         "structure": {
@@ -178,9 +195,7 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
                 }
                 for messages, group in type2
             ],
-            "acyclic_quadruple": list(rep.structure.acyclic_quadruple)
-            if rep.structure.acyclic_quadruple
-            else None,
+            "acyclic_quadruple": quadruple,
         },
     }
 
@@ -212,8 +227,6 @@ def render_report(rep: FeasibilityReport) -> str:
             f"rate 1/3: infeasible (type-2 set {set(sorted(type2_set))} has restricted "
             f"internal conflict {set(conflict)})"
         )
-    elif rt.status is RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE:
-        lines.append(f"rate 1/3: infeasible (acyclic quadruple {rt.quadruple})")
     else:
         prediction = "feasible" if rt.conjecture_predicts_feasible else "infeasible"
         lines.append(

@@ -129,11 +129,8 @@ class Problem:
             if not {int}.issuperset(map(type, listed)):
                 m = min((m for m in listed if type(m) is not int), key=repr)
                 raise ProblemError(f"receiver {j}: message id {m!r} is not an integer")
-            if not r.demands.isdisjoint(r.side_info):
-                raise ProblemError(
-                    f"receiver {j}: demands overlap side info: "
-                    f"{sorted(r.demands & r.side_info)}"
-                )
+            if overlap := sorted(r.demands & r.side_info):
+                raise ProblemError(f"receiver {j}: demands overlap side info: {_shown_ids(overlap, len(overlap))}")
             if outside := [m for m in listed if not 0 < m <= self.n]:
                 m = min(outside, key=repr)
                 raise ProblemError(f"receiver {j}: message id {m!r} out of range [1..{self.n}]")
@@ -221,6 +218,13 @@ class Problem:
 _SHOWN_IDS = 10  # ids an error lists before it gives only the count
 
 
+def _shown_ids(ids: Iterable[int], total: int) -> str:
+    """The ``total`` ids of ``ids`` as an error lists them: the first
+    ``_SHOWN_IDS`` as a list, then only the count of the rest."""
+    more = f" and {total - _SHOWN_IDS} more, {total} in all" if total > _SHOWN_IDS else ""
+    return f"{list(islice(ids, _SHOWN_IDS))}{more}"
+
+
 def check_groupcast_complete(p: Problem) -> None:
     """Refuse a problem with an undemanded message, in memory linear in the
     demands rather than in ``n``: ``Problem`` has checked that every
@@ -229,9 +233,8 @@ def check_groupcast_complete(p: Problem) -> None:
     demanded = frozenset().union(*next(zip(*p.receivers)))  # the demand sets
     total = p.n - len(demanded)
     if total:
-        shown = list(islice(filterfalse(demanded.__contains__, range(1, p.n + 1)), _SHOWN_IDS))
-        more = f" and {total - _SHOWN_IDS} more, {total} in all" if total > _SHOWN_IDS else ""
-        raise ProblemError(f"messages demanded by no receiver: {shown}{more}")
+        undemanded = filterfalse(demanded.__contains__, range(1, p.n + 1))
+        raise ProblemError(f"messages demanded by no receiver: {_shown_ids(undemanded, total)}")
 
 
 def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:

@@ -27,7 +27,10 @@ distinct type-2 message set (``_components``, the one restriction rule),
 for the rate-1/3 construction, and takes only the first pair inside
 them: it decides the kind, and the first in type-2 order is the dirty
 witness.  The acyclic-quadruple search walks masks of set indexes
-(``bits.sets_with``) and reads its candidates from ``bits.against``.
+(``bits.sets_with``) and reads its candidates from ``bits.against``; a
+quadruple implies a dirty type-2 set (``feasibility.check_rate_third``),
+so no verdict reads it, and ``feasibility.report_to_dict`` is its one
+caller, for the JSON report's witness.
 The classification takes each alignment set as its mask: kind 1 is one
 test against ``bits.crowded``, the union of the sets with three or more
 members, and fork and cycle come from one pass over the degrees in
@@ -76,7 +79,6 @@ class AlignmentSetInfo(NamedTuple):
 class StructureReport:
     alignment_sets: tuple[AlignmentSetInfo, ...]
     type2_sets: tuple[Type2AlignmentSet, ...]
-    acyclic_quadruple: tuple[int, int, int, int] | None
     # first restricted internal conflict in type-2 order: (type-2 message union, pair, restricted set)
     dirty_witness: tuple[frozenset[int], ConflictPair, frozenset[int]] | None
     # type-2 message union -> its restricted alignment sets, ordered by smallest member
@@ -406,7 +408,6 @@ def structure_report(p: Problem) -> StructureReport:
     return StructureReport(
         alignment_sets=infos,
         type2_sets=tuple(type2),
-        acyclic_quadruple=find_acyclic_quadruple(p),
         dirty_witness=dirty,
         restricted_sets=restricted,
         problem=p,

@@ -5,7 +5,7 @@ Each row runs its ``setup`` commands, which must exit 0, then its command,
 in a fresh directory holding ``p5.json`` and the ``files`` of the row.  The
 row pins the exit code, the SHA-256 of stdout (or of the file the command
 writes), the lines stderr must hold, and, for a code, the problem file it
-must pass ``verify`` against.  A row that exits 3 pins stderr exactly: its one ``error:``
+must pass ``verify`` against.  A row that exits 3 or 4 pins stderr exactly: its one ``error:``
 line.  An empty stdout has the digest ``EMPTY``.
 """
 
@@ -69,6 +69,13 @@ ROWS = {
         (), ("construct", "p5.json", "--rate", "1/3", "--prime", "2", "--seed", "1"), 5, EMPTY,
         stderr=("error: no verified length-3 code in 8 attempts over GF(2); the field is likely too small",),
     ),
+    # one alignment set of all 1,024 messages, which the error names by its
+    # first ten ids and the count
+    "construct-cap-half-precondition": Row(
+        (gen(1024, 0, 0, "cap.json"),), ("construct", "cap.json", "--rate", "1/2"), 4, EMPTY,
+        stderr=("error: rate 1/2 infeasible: internal conflict (1, 2) inside alignment set "
+                "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1014 more, 1024 in all",),
+    ),
     "construct-n40-half": Row(
         (gen(40, 0.97, 1, "n40.json"),), ("construct", "n40.json", "--rate", "1/2", "--seed", "0"), 0,
         "a5a9230336f3f5a34e12c45686a0c8335825adfe0d78476d3ca83efc50236d3f",
@@ -119,7 +126,7 @@ def test_workflow_output_is_byte_stable(row, tmp_path, monkeypatch, capsys):
     digested = out.encode() if row.digested == "-" else (tmp_path / row.digested).read_bytes()
     assert hashlib.sha256(digested).hexdigest() == row.sha256
     assert set(row.stderr) <= set(err.splitlines()), err
-    if row.exit_code == 3:
+    if row.exit_code in (3, 4):
         assert err.splitlines() == list(row.stderr) and err.startswith("error: "), err
     if row.verify_against is not None:
         code = row.digested

@@ -122,6 +122,19 @@ def test_construct_rate_half_shares_vector_per_alignment_set():
         construct_rate_half(p, rng=random.Random(0))
 
 
+def test_rate_half_precondition_lists_ten_ids_and_the_count():
+    # with no side information at the message cap, all 1,024 messages form
+    # one alignment set, which the error listed in full on one 5 KB line
+    cases = (
+        (load_fixture("p5"), "[1, 2, 3]"),
+        (random_problem(1024, 0.0, seed=0), "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1014 more, 1024 in all"),
+    )
+    for p, shown in cases:
+        with pytest.raises(PreconditionError) as exc:
+            construct_rate_half(p, rng=random.Random(0))
+        assert str(exc.value) == f"rate 1/2 infeasible: internal conflict (1, 2) inside alignment set {shown}"
+
+
 def test_construct_rate_half_pigeonhole_gf2():
     # four pairwise-conflicting singleton alignment sets; GF(2)^2 has only
     # three nonzero directions, so verification can never pass

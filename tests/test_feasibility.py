@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 from collections import Counter
 
@@ -6,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_constructible_problem, random_unicast_problem
+from corpusgen import random_constructible_problem, random_groupcast_problem, random_unicast_problem
 from indexcode.codec import construct_rate_third, verify
 from indexcode.feasibility import (
     RateThirdStatus,
     analyze,
     check_rate_half,
     check_rate_one,
-    check_rate_third,
     render_report,
     report_to_dict,
 )
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import parse_problem, random_problem
-from indexcode.structure import structure_report, triangular_interfering_sets, type2_alignment_sets
+from indexcode.structure import find_acyclic_quadruple, triangular_interfering_sets, type2_alignment_sets
 from reference import three_colouring, unit_vector_code
 from test_oracle import relabeled_twins
 
@@ -79,18 +77,30 @@ def test_rate_third_fixtures():
 
 
 
-def test_quadruple_verdict_does_not_predict_feasible():
-    # no benchmark input reaches this branch (the dirty-type-2 condition
-    # subsumes it), so feed one in: a quadruple and no dirty witness
-    p = load_fixture("ex_feas")
-    report = dataclasses.replace(
-        structure_report(p), acyclic_quadruple=(1, 2, 3, 4), dirty_witness=None
-    )
-    verdict = check_rate_third(report)
-    assert verdict.status is RateThirdStatus.INFEASIBLE_ACYCLIC_QUADRUPLE
-    assert verdict.quadruple == (1, 2, 3, 4)
-    assert verdict.feasible is False
-    assert not verdict.conjecture_predicts_feasible
+def test_acyclic_quadruple_implies_a_dirty_type2_set():
+    # each step of the proof in check_rate_third's docstring, on every
+    # quadruple of a deterministic grid of unicast and groupcast problems
+    densities = (0.1, 0.3, 0.5, 0.7, 0.85, 0.95)
+    grid = [(n, d, unicast, seed) for n in range(4, 25) for d in densities
+            for unicast in (True, False) for seed in range(5)]
+    grid += [(n, d, unicast, 0) for n in (32, 48, 64) for d in densities for unicast in (True, False)]
+    quadruples = 0
+    for n, density, unicast, seed in grid:
+        p = random_problem(n, density, unicast, seed)
+        quad = find_acyclic_quadruple(p)
+        if quad is None:
+            continue
+        quadruples += 1
+        m1, m2, m3, _ = quad
+        rep = analyze(p)
+        # the type-2 set of the conflict pair (m1, m2) holds the triangle {m1, m2, m3}
+        (t2,) = [t for t in rep.structure.type2_sets if any(a == m1 and g >> m2 & 1 for a, g in t.partners)]
+        assert {m1, m2, m3} <= t2.messages, (n, density, unicast, seed)
+        # restricted to it, m1 and m2 share a restricted alignment set
+        assert any({m1, m2} <= c for c in rep.structure.restricted_sets[t2.messages]), (n, density, unicast, seed)
+        assert rep.rate_third.dirty_witness is not None
+        assert rep.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
+    assert quadruples > 900
 
 
 def test_analyze_composition_ex_inf():
@@ -110,16 +120,16 @@ def test_analyze_conflict_free_all_feasible():
 @given(st.integers(0, 600))
 @settings(max_examples=120, deadline=None)
 def test_monotonicity_and_dominance(seed):
-    p = random_unicast_problem(seed)
-    rep = analyze(p)
-    if rep.rate_one.feasible:
-        assert rep.rate_half.feasible
-    if rep.rate_half.feasible:
-        assert rep.rate_third.feasible is not False
-    # the dirty-type-2 condition subsumes the acyclic-quadruple condition
-    if rep.structure.acyclic_quadruple is not None:
-        assert rep.structure.dirty_witness is not None
-        assert rep.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
+    for p in (random_unicast_problem(seed), random_groupcast_problem(seed)):
+        rep = analyze(p)
+        if rep.rate_one.feasible:
+            assert rep.rate_half.feasible
+        if rep.rate_half.feasible:
+            assert rep.rate_third.feasible is not False
+        # the dirty-type-2 condition subsumes the acyclic-quadruple condition
+        if find_acyclic_quadruple(p) is not None:
+            assert rep.structure.dirty_witness is not None
+            assert rep.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
 
 
 def test_report_serialization_stable():
@@ -163,17 +173,20 @@ def test_analyze_invariant_under_relabeling(twins):
 
 def test_only_the_json_report_lists_triangles(monkeypatch):
     # the verdicts, the text report and the rate-1/3 construction need
-    # only the type-2 message sets
+    # only the type-2 message sets, and no acyclic quadruple
     def no_listing(p):
         raise AssertionError("triangles listed")
 
-    patched = []
-    for name, module in list(sys.modules.items()):
-        listing = vars(module).get("triangular_interfering_sets")
-        if name.startswith("indexcode.") and listing is triangular_interfering_sets:
-            monkeypatch.setattr(module, "triangular_interfering_sets", no_listing)
-            patched.append(name)
-    assert "indexcode.structure" in patched and "indexcode.feasibility" in patched
+    def no_search(p):
+        raise AssertionError("quadruple searched")
+
+    for search, stub in ((triangular_interfering_sets, no_listing), (find_acyclic_quadruple, no_search)):
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("indexcode.") and vars(module).get(search.__name__) is search:
+                monkeypatch.setattr(module, search.__name__, stub)
+                patched.append(name)
+        assert "indexcode.structure" in patched and "indexcode.feasibility" in patched
     problems = (
         [load_fixture(f) for f in FIXTURE_NAMES]
         + [random_unicast_problem(seed) for seed in range(100)]
@@ -183,10 +196,11 @@ def test_only_the_json_report_lists_triangles(monkeypatch):
     for p in problems:
         rep = analyze(p)
         render_report(rep)
-        if type2_alignment_sets(p):
-            listed += 1
-            with pytest.raises(AssertionError, match="triangles listed"):
-                report_to_dict(rep)
+        has_type2 = bool(type2_alignment_sets(p))
+        listed += has_type2
+        # report_to_dict lists the triangles, when a type-2 set exists, before it searches
+        with pytest.raises(AssertionError, match="triangles listed" if has_type2 else "quadruple searched"):
+            report_to_dict(rep)
     for seed in range(30):
         construct_rate_third(random_constructible_problem(seed))
     assert listed > 20

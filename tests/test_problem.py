@@ -206,7 +206,7 @@ def test_valid_files_parse_without_problem_checks(monkeypatch):
     # the parse checks every listed id in C-level passes, so a valid file
     # never reaches Problem.__post_init__
     texts = [*map(fixture_text, FIXTURE_NAMES), *_golden_problem_texts()]
-    assert len(texts) == 16
+    assert len(texts) == 17
     calls = []
     check = Problem.__post_init__
     monkeypatch.setattr(Problem, "__post_init__", lambda self: calls.append(1) or check(self))
@@ -316,6 +316,17 @@ def test_undemanded_error_lists_ten_ids_and_the_count():
     message = str(exc.value)
     assert "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 99989 more, 99999 in all" in message
     assert len(message) < 120
+
+
+def test_overlap_error_lists_ten_ids_and_the_count():
+    # a receiver that holds all 1,024 of its demands as side information
+    ids = ", ".join(map(str, range(1, 1025)))
+    text = '{"n": 1024, "receivers": [{"demands": [%s], "side_info": [%s]}]}' % (ids, ids)
+    with pytest.raises(ProblemError) as exc:
+        parse_problem(text)
+    assert str(exc.value) == (
+        "receiver 1: demands overlap side info: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1014 more, 1024 in all"
+    )
 
 
 def test_undemanded_error_lists_only_ids_up_to_n():
