@@ -3,9 +3,9 @@
 Exit codes: 0 command ran (any verdict), 2 usage error, 3 invalid input,
 an oracle cap exceeded (including an exhausted node budget, whose answer
 is unknown), a JSON report past ``JSON_TRIANGLE_LIMIT`` triangles or an
-input too large for the memory available (a huge ``n`` under
-``--allow-undemanded``), 4 construction precondition unmet, 5 random
-attempts exhausted.
+input too large for the memory available (a JSON report just under that
+limit, run under a memory limit), 4 construction precondition unmet,
+5 random attempts exhausted.
 """
 
 from __future__ import annotations

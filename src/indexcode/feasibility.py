@@ -228,10 +228,8 @@ def render_report(rep: FeasibilityReport) -> str:
             f"internal conflict {set(conflict)})"
         )
     else:
-        prediction = "feasible" if rt.conjecture_predicts_feasible else "infeasible"
-        lines.append(
-            f"rate 1/3: undetermined by the known conditions; conjecture predicts {prediction}"
-        )
+        # undetermined only without a dirty witness, so the conjecture predicts feasible
+        lines.append("rate 1/3: undetermined by the known conditions; conjecture predicts feasible")
     for info in rep.structure.alignment_sets:
         flags = [name for name, has in (("fork", info.has_fork), ("cycle", info.has_cycle)) if has]
         flag_text = f" [{', '.join(flags)}]" if flags else ""

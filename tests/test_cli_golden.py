@@ -1,12 +1,14 @@
-"""The byte-stable outputs that `.github/workflows/tests.yml` checks, run
-in process.
+"""The one record of every pinned CLI run; CI checks them through tier-1.
 
-Each row runs its ``setup`` commands, which must exit 0, then its command,
-in a fresh directory holding ``p5.json`` and the ``files`` of the row.  The
-row pins the exit code, the SHA-256 of stdout (or of the file the command
-writes), the lines stderr must hold, and, for a code, the problem file it
-must pass ``verify`` against.  A row that exits 3 or 4 pins stderr exactly: its one ``error:``
-line.  An empty stdout has the digest ``EMPTY``.
+Each row runs its ``setup`` commands in process, which must exit 0, then
+its command as ``python -m indexcode.cli`` in a subprocess, in a fresh
+directory holding ``p5.json`` and the ``files`` of the row.  The
+subprocess is killed past the row's ``timeout_s`` seconds and its address
+space capped at ``memory_mb`` MB, when the row gives them.  The row pins
+the exit code, the SHA-256 of stdout (or of the file the command writes),
+the lines stderr must hold, and, for a code, the problem file it must pass
+``verify`` against.  A row that exits 3 or 4 pins stderr exactly: its one
+``error:`` line.  An empty stdout has the digest ``EMPTY``.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import pytest
 
 from indexcode.cli import main
 from indexcode.fixtures import fixture_text
+from test_cli import run_capped
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -29,32 +32,48 @@ class Row(NamedTuple):
     stderr: tuple[str, ...] = ()
     verify_against: str | None = None
     files: tuple[tuple[str, str], ...] = ()  # (name, text) written before setup
+    timeout_s: float | None = None
+    memory_mb: int | None = None
 
 
 def gen(n, density, seed, out, *extra):
     return ("gen", "-n", str(n), "--density", str(density), "--seed", str(seed), "-o", out, *extra)
 
 
+CAP = gen(1024, 0, 0, "cap.json")  # one receiver per message, no side information
+
 ROWS = {
     "gen-n96": Row(
         (), ("gen", "-n", "96", "--density", "0.5", "--seed", "1"), 0,
         "072fccf2c21395243f3f11fc84a3f700dbae25db8754a189ae99b280f4bbbfa1",
     ),
+    # about 10 MB of JSON from 140,615 triangles
     "analyze-n96-json": Row(
         (gen(96, 0.5, 1, "n96.json"),), ("analyze", "n96.json", "--format", "json"), 0,
-        "2f57d555dc140947f62131d30eaaed5913e1269a57075bca42d121d3fbfcaf7f",
+        "2f57d555dc140947f62131d30eaaed5913e1269a57075bca42d121d3fbfcaf7f", timeout_s=60,
     ),
+    # 638,420 triangles, none of which the text report lists
     "analyze-n160-text": Row(
         (gen(160, 0.6, 1, "n160.json"),), ("analyze", "n160.json"), 0,
-        "0eafcf759bf7c23b449e9cda87aab7f1bba22adf45d712238809c45d74bd0ed4",
+        "0eafcf759bf7c23b449e9cda87aab7f1bba22adf45d712238809c45d74bd0ed4", timeout_s=20,
     ),
+    # every pair is a conflict; the report keeps one restricted internal
+    # conflict, where holding all 523,776 ran out of memory under this limit
     "analyze-cap-text": Row(
-        (gen(1024, 0, 0, "cap.json"),), ("analyze", "cap.json"), 0,
-        "961de14737a935c90a11c0663a26002c9e31701edabf02e3642fde721ccad93f",
+        (CAP,), ("analyze", "cap.json"), 0,
+        "961de14737a935c90a11c0663a26002c9e31701edabf02e3642fde721ccad93f", memory_mb=64,
     ),
+    # the JSON report would list all 178 million triangles; they are counted
+    # first and refused past the limit of 640,000
+    "analyze-cap-json-refused": Row(
+        (CAP,), ("analyze", "cap.json", "--format", "json"), 3, EMPTY,
+        stderr=("error: the JSON report would list more than 640000 triangles; the text report lists none",),
+        memory_mb=64,
+    ),
+    # 37 type-2 sets from 769 triangles
     "analyze-n64-json": Row(
         (gen(64, 0.9, 0, "n64.json"),), ("analyze", "n64.json", "--format", "json"), 0,
-        "f321fbea40f669e42b9b11fa575140c675d644e94cd822bedb08d1afa9848570",
+        "f321fbea40f669e42b9b11fa575140c675d644e94cd822bedb08d1afa9848570", timeout_s=60,
     ),
     "analyze-n9-json-tied": Row(
         (gen(9, 0.7, 7, "n9.json"),), ("analyze", "n9.json", "--format", "json"), 0,
@@ -72,9 +91,10 @@ ROWS = {
     # one alignment set of all 1,024 messages, which the error names by its
     # first ten ids and the count
     "construct-cap-half-precondition": Row(
-        (gen(1024, 0, 0, "cap.json"),), ("construct", "cap.json", "--rate", "1/2"), 4, EMPTY,
+        (CAP,), ("construct", "cap.json", "--rate", "1/2"), 4, EMPTY,
         stderr=("error: rate 1/2 infeasible: internal conflict (1, 2) inside alignment set "
                 "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1014 more, 1024 in all",),
+        memory_mb=64,
     ),
     "construct-n40-half": Row(
         (gen(40, 0.97, 1, "n40.json"),), ("construct", "n40.json", "--rate", "1/2", "--seed", "0"), 0,
@@ -85,21 +105,34 @@ ROWS = {
         (gen(24, 0.5, 3, "n24.json", "--general"),), ("analyze", "n24.json", "--emit-graph", "n24.dot"), 0,
         "7d893fc4fdb64e0b58458499f7c2e4be3af6b85f4ab53b0a351acee6d5fbfa0e", digested="n24.dot",
     ),
+    # 40.7 MB of dot, 523,776 alignment edges and 1,024 hubs of 1,023
+    # members each, written a hub at a time
+    "dot-cap": Row(
+        (CAP,), ("analyze", "cap.json", "--emit-graph", "cap.dot"), 0,
+        "7f933cd10b5c82ffb4d821be00fb86929725b6b16f9bb4e912213ba960c51f49", digested="cap.dot",
+        memory_mb=64,
+    ),
     "oracle-n10-node-counts": Row(
         (gen(10, 0.5, 4, "n10-slowest.json"),), ("oracle", "n10-slowest.json"), 0,
         "5f4757287acfd6cd1f9da793b4ad0869c387b61f805c1d170f4ac6bc0da2e36a",
-        stderr=("q=2: nodes explored 134", "q=3: nodes explored 510"),
+        stderr=("q=2: nodes explored 134", "q=3: nodes explored 510"), timeout_s=60,
     ),
     "oracle-n32-budget": Row(
         (gen(32, 0.85, 4, "n32.json"),), ("oracle", "n32.json", "--q", "3", "--max-len", "3"), 3, EMPTY,
         stderr=("error: the search for the minimum code length over GF(3) exceeded its budget "
-                "of 10000000 nodes at L=3",),
+                "of 10000000 nodes at L=3",), timeout_s=60,
     ),
     "oracle-n10-shortest-witness": Row(
         (gen(10, 0.85, 21, "n10-shortest.json"),),
         ("oracle", "n10-shortest.json", "--q", "3,2", "-o", "witness.json"), 0,
         "0f6ab820666efc7492a9fe1a6fea402a71a85ac0f54632965b3c3085471ff705", digested="witness.json",
         stderr=("q=3: nodes explored 35", "q=2: nodes explored 45"), verify_against="n10-shortest.json",
+    ),
+    # the plan's trie holds n(n-1)/2 + 1 = 523,777 nodes; the search explores one
+    "oracle-cap-plan": Row(
+        (CAP,), ("oracle", "cap.json", "--q", "2", "--max-len", "1"), 0,
+        "122ec1fdda21a171c77b6ba6fbe1f7bc559143c99a845278f944529f7ecaa09c",
+        stderr=("q=2: nodes explored 1",), timeout_s=10,
     ),
     # gen refuses an n above the limit, so the file is written directly,
     # every message demanded, as the workflow's malformed-input step does
@@ -112,17 +145,16 @@ ROWS = {
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
-def test_workflow_output_is_byte_stable(row, tmp_path, monkeypatch, capsys):
+def test_pinned_cli_output(row, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p5.json").write_text(fixture_text("p5"))
     for name, text in row.files:
         (tmp_path / name).write_text(text)
     for argv in row.setup:
         assert main(list(argv)) == 0
-    capsys.readouterr()
-    rc = main(list(row.argv))
-    out, err = capsys.readouterr()
-    assert rc == row.exit_code, err
+    proc = run_capped(*row.argv, memory_mb=row.memory_mb, timeout_s=row.timeout_s, cwd=tmp_path)
+    out, err = proc.stdout, proc.stderr
+    assert proc.returncode == row.exit_code, err
     digested = out.encode() if row.digested == "-" else (tmp_path / row.digested).read_bytes()
     assert hashlib.sha256(digested).hexdigest() == row.sha256
     assert set(row.stderr) <= set(err.splitlines()), err
@@ -133,5 +165,6 @@ def test_workflow_output_is_byte_stable(row, tmp_path, monkeypatch, capsys):
         if code == "-":
             code = "code.json"
             (tmp_path / code).write_text(out)
+        capsys.readouterr()
         assert main(["verify", row.verify_against, code]) == 0
         assert capsys.readouterr().out.startswith("OK ")

@@ -126,6 +126,8 @@ def test_monotonicity_and_dominance(seed):
             assert rep.rate_half.feasible
         if rep.rate_half.feasible:
             assert rep.rate_third.feasible is not False
+        if rep.rate_third.status is RateThirdStatus.UNDETERMINED:
+            assert rep.rate_third.conjecture_predicts_feasible
         # the dirty-type-2 condition subsumes the acyclic-quadruple condition
         if find_acyclic_quadruple(p) is not None:
             assert rep.structure.dirty_witness is not None
