@@ -4,22 +4,32 @@ Each row runs its ``setup`` commands in process, which must exit 0, then
 its command as ``python -m indexcode.cli`` in a subprocess, in a fresh
 directory holding ``p5.json`` and the ``files`` of the row.  The
 subprocess is killed past the row's ``timeout_s`` seconds and its address
-space capped at ``memory_mb`` MB, when the row gives them.  The row pins
-the exit code, the SHA-256 of stdout (or of the file the command writes),
-the lines stderr must hold, and, for a code, the problem file it must pass
+space capped at ``memory_mb`` MB, when the row gives them; every capped
+CLI run of the tests is a row here.  The row pins the exit code,
+the SHA-256 of stdout (or of the file the command writes), the lines
+stderr must hold, and, for a code, the problem file it must pass
 ``verify`` against.  A row that exits 3 or 4 pins stderr exactly: its one
 ``error:`` line.  An empty stdout has the digest ``EMPTY``.
+
+Beyond tier-1, the workflow runs only the acceptance suite for its ten
+``PASS criterion-N`` lines, the two benchmark steps, and the installed
+``indexcode`` script once on ``p5.json``.
 """
 
 import hashlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from indexcode.cli import main
 from indexcode.fixtures import fixture_text
-from test_cli import run_capped
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 
@@ -40,7 +50,13 @@ def gen(n, density, seed, out, *extra):
     return ("gen", "-n", str(n), "--density", str(density), "--seed", str(seed), "-o", out, *extra)
 
 
+def one_demand(n, demand=1):
+    """A problem file of n messages whose one receiver demands ``demand``."""
+    return '{"n": %d, "receivers": [{"demands": [%d], "side_info": []}]}' % (n, demand)
+
+
 CAP = gen(1024, 0, 0, "cap.json")  # one receiver per message, no side information
+JSON_LIMIT_ERROR = "error: the JSON report would list more than 640000 triangles; the text report lists none"
 
 ROWS = {
     "gen-n96": Row(
@@ -67,8 +83,7 @@ ROWS = {
     # first and refused past the limit of 640,000
     "analyze-cap-json-refused": Row(
         (CAP,), ("analyze", "cap.json", "--format", "json"), 3, EMPTY,
-        stderr=("error: the JSON report would list more than 640000 triangles; the text report lists none",),
-        memory_mb=64,
+        stderr=(JSON_LIMIT_ERROR,), memory_mb=64,
     ),
     # 37 type-2 sets from 769 triangles
     "analyze-n64-json": Row(
@@ -135,13 +150,84 @@ ROWS = {
         stderr=("q=2: nodes explored 1",), timeout_s=10,
     ),
     # gen refuses an n above the limit, so the file is written directly,
-    # every message demanded, as the workflow's malformed-input step does
+    # every message demanded
     "analyze-n-above-limit": Row(
         (), ("analyze", "n1025.json"), 3, EMPTY,
         stderr=("error: n = 1025 is above the limit of 1024 messages",),
         files=(("n1025.json", '{"n": 1025, "receivers": [{"demands": [%s]}]}' % ", ".join(map(str, range(1, 1026)))),),
     ),
+    # n = 10**9 and one demand: the file is refused before any set of size n
+    # exists, where under this limit it ended in a MemoryError traceback
+    "analyze-huge-n-undemanded": Row(
+        (), ("analyze", "huge.json"), 3, EMPTY,
+        stderr=("error: messages demanded by no receiver: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] "
+                "and 999999989 more, 999999999 in all",),
+        files=(("huge.json", one_demand(10**9)),), timeout_s=60, memory_mb=1024,
+    ),
+    "analyze-huge-n-out-of-range": Row(
+        (), ("analyze", "huge.json"), 3, EMPTY,
+        stderr=("error: receiver 1: message id 0 out of range [1..1000000000]",),
+        files=(("huge.json", one_demand(10**9, 0)),), timeout_s=60, memory_mb=1024,
+    ),
+    # --allow-undemanded lets a huge n pass the id and demand checks; the
+    # limit refuses it before anything of size n is built
+    "analyze-n1025-undemanded": Row(
+        (), ("analyze", "n1025.json", "--allow-undemanded"), 3, EMPTY,
+        stderr=("error: n = 1025 is above the limit of 1024 messages",),
+        files=(("n1025.json", one_demand(1025)),), timeout_s=60, memory_mb=1024,
+    ),
+    "analyze-huge-n-undemanded-allowed": Row(
+        (), ("analyze", "huge.json", "--allow-undemanded"), 3, EMPTY,
+        stderr=("error: n = 1000000000 is above the limit of 1024 messages",),
+        files=(("huge.json", one_demand(10**9)),), timeout_s=60, memory_mb=1024,
+    ),
+    "analyze-n-at-limit": Row(
+        (), ("analyze", "n1024.json", "--allow-undemanded"), 0,
+        "a58857405176bbece721e1af6c90cf98045e9a69321a8a2959e3954953d1ce73",
+        files=(("n1024.json", one_demand(1024)),), timeout_s=60, memory_mb=1024,
+    ),
+    # two receivers without side information at n = 802: the JSON report
+    # lists 2 * C(800, 2) = 639,600 triangles, just under the limit, in about
+    # 335 MB, so this address space runs out; that is one error line, where
+    # it used to be a MemoryError traceback
+    "analyze-n802-json-out-of-memory": Row(
+        (), ("analyze", "n802.json", "--allow-undemanded", "--format", "json"), 3, EMPTY,
+        stderr=("error: out of memory: the input is too large for this command",),
+        files=(("n802.json", '{"n": 802, "receivers": [{"demands": [1]}, {"demands": [2]}]}'),),
+        timeout_s=60, memory_mb=64,
+    ),
+    # at the message cap, one receiver demanding every message has 178
+    # million triangles and two receivers demanding 1 and 2 have 1,043,462;
+    # the JSON report of the first outgrew 7 GB, and that of the second took
+    # 5-11 s and 540 MB.  The CLI counts them first and refuses both
+    "analyze-all-demands-json-refused": Row(
+        (), ("analyze", "all.json", "--allow-undemanded", "--format", "json"), 3, EMPTY,
+        stderr=(JSON_LIMIT_ERROR,),
+        files=(("all.json", '{"n": 1024, "receivers": [{"demands": [%s]}]}' % ", ".join(map(str, range(1, 1025)))),),
+        timeout_s=60, memory_mb=64,
+    ),
+    "analyze-two-receivers-json-refused": Row(
+        (), ("analyze", "two.json", "--allow-undemanded", "--format", "json"), 3, EMPTY,
+        stderr=(JSON_LIMIT_ERROR,),
+        files=(("two.json", '{"n": 1024, "receivers": [{"demands": [1]}, {"demands": [2]}]}'),),
+        timeout_s=60, memory_mb=64,
+    ),
 }
+
+
+def run_capped(*args, memory_mb, timeout_s, cwd):
+    """The CLI in a subprocess, killed past ``timeout_s`` seconds, whose
+    address space is capped at ``memory_mb`` MB; None lifts either bound."""
+
+    def cap_memory():
+        if memory_mb is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (memory_mb << 20, memory_mb << 20))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "indexcode.cli", *args],
+        capture_output=True, text=True, timeout=timeout_s, env=env, preexec_fn=cap_memory, cwd=cwd,
+    )
 
 
 @pytest.mark.parametrize("row", ROWS.values(), ids=ROWS.keys())
@@ -159,7 +245,7 @@ def test_pinned_cli_output(row, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(digested).hexdigest() == row.sha256
     assert set(row.stderr) <= set(err.splitlines()), err
     if row.exit_code in (3, 4):
-        assert err.splitlines() == list(row.stderr) and err.startswith("error: "), err
+        assert err == "".join(f"{line}\n" for line in row.stderr) and err.startswith("error: "), err
     if row.verify_against is not None:
         code = row.digested
         if code == "-":
