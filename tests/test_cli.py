@@ -29,21 +29,6 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-def test_analyze_ex_inf(fixture_file, capsys):
-    rc, out, _ = run(capsys, "analyze", fixture_file("ex_inf"))
-    assert rc == 0
-    assert "rate 1/3: infeasible" in out
-    assert "type-2 set {1, 2, 3, 4}" in out
-    assert "{1, 3}" in out
-
-
-def test_analyze_ex_feas_undetermined(fixture_file, capsys):
-    rc, out, _ = run(capsys, "analyze", fixture_file("ex_feas"))
-    assert rc == 0
-    assert "undetermined" in out
-    assert "conjecture predicts feasible" in out
-
-
 def test_analyze_conflict_free(tmp_path, capsys):
     path = tmp_path / "free.json"
     path.write_text(
@@ -56,15 +41,6 @@ def test_analyze_conflict_free(tmp_path, capsys):
     assert "rate 1:   feasible" in out
     assert "rate 1/2: feasible" in out
     assert "rate 1/3: feasible" in out
-
-
-def test_analyze_json_deterministic(fixture_file, capsys):
-    path = fixture_file("ex_inf")
-    rc1, out1, _ = run(capsys, "analyze", path, "--format", "json")
-    rc2, out2, _ = run(capsys, "analyze", path, "--format", "json")
-    assert rc1 == rc2 == 0
-    assert out1 == out2
-    assert json.loads(out1)["rate_1_3"]["status"] == "infeasible-dirty-type2"
 
 
 def test_analyze_emit_graph(fixture_file, tmp_path, capsys):

@@ -103,6 +103,12 @@ ROWS = {
         (), ("construct", "p5.json", "--rate", "1/3", "--prime", "2", "--seed", "1"), 5, EMPTY,
         stderr=("error: no verified length-3 code in 8 attempts over GF(2); the field is likely too small",),
     ),
+    # the same command with one attempt more: the default budget binds at 8 of 9
+    "construct-p5-gf2-nine-attempts": Row(
+        (), ("construct", "p5.json", "--rate", "1/3", "--prime", "2", "--seed", "1", "--max-attempts", "9"), 0,
+        "bcab19e3c2b4e0090b307f19afadb57617a703cfb3a54774beabdf3ea5076440",
+        stderr=("seed: 1", "attempts_used: 9"), verify_against="p5.json",
+    ),
     # one alignment set of all 1,024 messages, which the error names by its
     # first ten ids and the count
     "construct-cap-half-precondition": Row(

@@ -359,14 +359,17 @@ def test_decode_checks_codeword_length():
 
 
 def reference_verify(p, code):
-    zeros = tuple(i for i in range(1, p.n + 1) if not any(code.vector(i)))
-    violations = []
-    for j, r in enumerate(p.receivers, start=1):
-        for k in sorted(r.demands):
-            interferers = [code.vector(i) for i in interfering_set(p, j, k)]
-            if not any(code.vector(k)) or linalg.in_span(code.vector(k), interferers, code.prime):
-                violations.append((j, k))
-    return not violations and not zeros, tuple(violations), zeros
+    """(ok, violations, zero-vector messages), one ``linalg.in_span`` per
+    (j, k) on Interf_k(j) read straight from the receiver; a zero v_k is in
+    every span."""
+    zeros = tuple(i for i, v in enumerate(code.vectors, start=1) if not any(v))
+    violations = tuple(
+        (j, k)
+        for j, r in enumerate(p.receivers, start=1)
+        for k in sorted(r.demands)
+        if linalg.in_span(code.vector(k), [code.vector(i) for i in p.messages - r.side_info - {k}], code.prime)
+    )
+    return not violations and not zeros, violations, zeros
 
 
 def reference_decode_all(p, code, codeword, side_symbols):
@@ -760,27 +763,12 @@ def codes_on_problems(draw):
     return p, code, payload, codeword, side
 
 
-def in_span_reference(p, code):
-    """Violations and zero-vector messages, one ``linalg.in_span`` per (j, k)."""
-    zeros = tuple(i for i, v in enumerate(code.vectors, start=1) if not any(v))
-    violations = tuple(
-        (j, k)
-        for j, r in enumerate(p.receivers, start=1)
-        for k in sorted(r.demands)
-        if linalg.in_span(code.vector(k), [code.vector(i) for i in p.messages - r.side_info - {k}], code.prime)
-    )
-    return violations, zeros
-
-
 @given(codes_on_problems())
 @settings(max_examples=250, deadline=None)
 def test_codec_matches_in_span_reference(case):
     p, code, payload, codeword, side = case
-    violations, zeros = in_span_reference(p, code)
     result = verify(p, code)
-    assert (result.ok, result.violations, result.zero_vector_messages) == (
-        not violations and not zeros, violations, zeros
-    )
+    assert (result.ok, result.violations, result.zero_vector_messages) == reference_verify(p, code)
     if result.ok:
         # a verified code decodes every demanded symbol uniquely
         assert decode_all(p, code, codeword, side) == [{k: payload[k - 1] for k in r.demands} for r in p.receivers]

@@ -32,49 +32,8 @@ def test_rate_one_single_message():
     assert check_rate_one(p).feasible
 
 
-def test_rate_one_ex_feas_witness():
-    verdict = check_rate_one(load_fixture("ex_feas"))
-    assert not verdict.feasible
-    assert verdict.conflict_witness is not None
-
-
-def test_rate_half_ex_feas():
-    verdict = check_rate_half(load_fixture("ex_feas"))
-    assert not verdict.feasible
-    assert verdict.alignment_set == frozenset(range(1, 7))
-    a, b = verdict.internal_conflict
-    assert {a, b} <= verdict.alignment_set
-
-
-def test_rate_half_ex1a_internal_conflict():
-    verdict = check_rate_half(load_fixture("ex1a"))
-    assert not verdict.feasible
-    assert verdict.alignment_set == frozenset({1, 2, 3})
-    a, b = verdict.internal_conflict
-    assert {a, b} <= {1, 2, 3}
-
-
 def test_rate_half_conflict_free():
     assert check_rate_half(random_problem(5, 1.0, seed=9)).feasible
-
-
-def test_rate_third_fixtures():
-    ex_inf = analyze(load_fixture("ex_inf"))
-    assert ex_inf.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
-    t2, pair, comp = ex_inf.rate_third.dirty_witness
-    assert t2 == frozenset({1, 2, 3, 4})
-    assert pair == (1, 3)
-
-    p5 = analyze(load_fixture("p5"))
-    assert p5.rate_third.status is RateThirdStatus.FEASIBLE_MAIN
-
-    ex_feas = analyze(load_fixture("ex_feas"))
-    assert ex_feas.rate_third.status is RateThirdStatus.UNDETERMINED
-    assert ex_feas.rate_third.conjecture_predicts_feasible
-
-    ex1b = analyze(load_fixture("ex1b"))
-    assert ex1b.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
-
 
 
 def test_acyclic_quadruple_implies_a_dirty_type2_set():
@@ -103,13 +62,6 @@ def test_acyclic_quadruple_implies_a_dirty_type2_set():
     assert quadruples > 900
 
 
-def test_analyze_composition_ex_inf():
-    rep = analyze(load_fixture("ex_inf"))
-    assert not rep.rate_one.feasible
-    assert not rep.rate_half.feasible
-    assert rep.rate_third.feasible is False
-
-
 def test_analyze_conflict_free_all_feasible():
     rep = analyze(random_problem(3, 1.0, seed=0))
     assert rep.rate_one.feasible
@@ -132,24 +84,6 @@ def test_monotonicity_and_dominance(seed):
         if find_acyclic_quadruple(p) is not None:
             assert rep.structure.dirty_witness is not None
             assert rep.rate_third.status is RateThirdStatus.INFEASIBLE_DIRTY_TYPE2
-
-
-def test_report_serialization_stable():
-    rep = analyze(load_fixture("ex_inf"))
-    d = report_to_dict(rep)
-    assert d["schema_version"] == 1
-    assert d["rate_1_3"]["status"] == "infeasible-dirty-type2"
-    assert d["rate_1_3"]["dirty_witness"]["type2_set"] == [1, 2, 3, 4]
-    assert d["rate_1_3"]["dirty_witness"]["conflict"] == [1, 3]
-    text = render_report(rep)
-    assert "rate 1/3: infeasible" in text
-    assert "type-2 set {1, 2, 3, 4}" in text
-
-
-def test_render_undetermined_mentions_conjecture():
-    text = render_report(analyze(load_fixture("ex_feas")))
-    assert "undetermined" in text
-    assert "conjecture predicts feasible" in text
 
 
 def _label_free_summary(p):

@@ -53,13 +53,6 @@ def test_projective_points_counts():
         assert [f.reach[i] for i in ascending] == list(range(1, len(points) + 1))
 
 
-def test_ex_inf_no_length3_code_over_small_fields():
-    p = load_fixture("ex_inf")
-    for q in (2, 3):
-        found, witness, _ = exists_code(p, q, 3)
-        assert not found and witness is None
-
-
 def test_ex_inf_length4_witness():
     p = load_fixture("ex_inf")
     found, witness, _ = exists_code(p, 2, 4)
@@ -75,16 +68,6 @@ def test_conflict_free_min_length_one():
     p = random_problem(4, 1.0, seed=0)
     for q in (2, 3, 5):
         assert min_length(p, q).min_length == 1
-
-
-def test_min_lengths_on_fixtures():
-    assert min_length(load_fixture("ex_feas"), 2).min_length == 3
-    for q in (2, 3):
-        assert min_length(load_fixture("ex_inf"), q).min_length == 4
-        assert min_length(load_fixture("ex1b"), q).min_length == 4
-    # the first motivating problem admits a length-3 code (its type-2 set
-    # is clean), despite having an internal conflict that forbids length 2
-    assert min_length(load_fixture("ex1a"), 2).min_length == 3
 
 
 def test_every_witness_verifies():

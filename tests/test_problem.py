@@ -27,35 +27,10 @@ from indexcode.structure import restricted_internal_conflicts
 from test_cli import _mutated_file
 
 
-def test_parse_ex_feas():
-    p = load_fixture("ex_feas")
-    assert p.n == 6
-    assert p.t == 6
-    assert interfering_set(p, 6, 6) == frozenset({3, 4, 5})
-
-
 def test_smallest_instance():
     p = parse_problem('{"n": 1, "receivers": [{"demands": [1], "side_info": []}]}')
     assert p.n == 1
     assert interfering_set(p, 1, 1) == frozenset()
-
-
-def test_parse_rejects_overlap():
-    text = '{"n": 2, "receivers": [{"demands": [1], "side_info": [1, 2]}]}'
-    with pytest.raises(ProblemError, match="overlap"):
-        parse_problem(text)
-
-
-def test_parse_rejects_empty_demands():
-    text = '{"n": 2, "receivers": [{"demands": [], "side_info": [2]}, {"demands": [1, 2], "side_info": []}]}'
-    with pytest.raises(ProblemError, match="empty demand"):
-        parse_problem(text)
-
-
-def test_parse_rejects_out_of_range():
-    text = '{"n": 2, "receivers": [{"demands": [3], "side_info": []}]}'
-    with pytest.raises(ProblemError, match="out of range"):
-        parse_problem(text)
 
 
 def test_problem_rejects_a_fractional_message_id():
@@ -108,17 +83,9 @@ def test_ids_past_the_listed_count_are_checked_without_the_message_set():
 
 
 def test_parse_rejects_malformed_json():
-    with pytest.raises(ProblemError, match="malformed"):
+    # the rest of the line is Python's own decoder message, so only its start is pinned
+    with pytest.raises(ProblemError, match="^malformed problem file: "):
         parse_problem("{not json")
-    # ids that only coerce to integers are rejected, not converted
-    for text in (
-        '{"n": true, "receivers": [{"demands": [1], "side_info": []}]}',
-        '{"n": 2, "receivers": [{"demands": [1.7, 2], "side_info": []}]}',
-        '{"n": 2, "receivers": [{"demands": [true, "2"], "side_info": []}]}',
-        '{"n": 2, "receivers": [{"demands": [1, 2], "side_info": "2"}]}',
-    ):
-        with pytest.raises(ProblemError, match="integer"):
-            parse_problem(text)
 
 
 def test_parse_rejects_a_non_integer_next_to_an_equal_integer():
@@ -169,11 +136,29 @@ _BIG = "1" + "0" * 310  # an int too large for a float, well under the digit lim
         (_TWO % (2, '[1, "2"]', "[]", "[2]"), "receiver 1: message id '2' is not an integer"),
         (_TWO % (2, "[1]", "[null]", "[2]"), "receiver 1: message id None is not an integer"),
         (_TWO % (2, "[[1]]", "[]", "[2]"), "receiver 1: demands and side_info must be lists of integer ids"),
+        # ids that only coerce to integers are rejected, not converted
+        (
+            '{"n": 2, "receivers": [{"demands": [1.7, 2], "side_info": []}]}',
+            "receiver 1: message id 1.7 is not an integer",
+        ),
+        (
+            '{"n": 2, "receivers": [{"demands": [true, "2"], "side_info": []}]}',
+            "receiver 1: message id '2' is not an integer",
+        ),
+        (
+            '{"n": 2, "receivers": [{"demands": [1, 2], "side_info": "2"}]}',
+            "receiver 1: demands and side_info must be lists of integer ids",
+        ),
         (_TWO % (2, "[1, 2]", "[]", "[]"), "receiver 2: empty demand set"),
+        (
+            '{"n": 2, "receivers": [{"demands": [], "side_info": [2]}, {"demands": [1, 2], "side_info": []}]}',
+            "receiver 1: empty demand set",
+        ),
         (_TWO % (2, "[1]", "[1, 2]", "[2]"), "receiver 1: demands overlap side info: [1]"),
         (_TWO % (2, "[0, 1]", "[]", "[2]"), "receiver 1: message id 0 out of range [1..2]"),
         (_TWO % (2, "[1]", "[-1]", "[2]"), "receiver 1: message id -1 out of range [1..2]"),
         (_TWO % (2, "[1]", "[]", "[2, 3]"), "receiver 2: message id 3 out of range [1..2]"),
+        ('{"n": 2, "receivers": [{"demands": [3], "side_info": []}]}', "receiver 1: message id 3 out of range [1..2]"),
         (_TWO % ("true", "[1]", "[]", "[2]"), "n must be an integer, got True"),
         (_TWO % ("1.0", "[1]", "[]", "[2]"), "n must be an integer, got 1.0"),
         (_TWO % (0, "[1]", "[]", "[2]"), "need at least one message, got n=0"),
@@ -428,14 +413,6 @@ def test_parser_accepts_any_order():
     assert p.receivers[0].side_info == frozenset({2, 3})
 
 
-def test_interfering_sets_match_listed_values():
-    ex_inf = load_fixture("ex_inf")
-    assert interfering_set(ex_inf, 5, 5) == frozenset({1, 3, 4})
-    assert interfering_set(ex_inf, 6, 6) == frozenset({1, 2, 4})
-    # receiver does not demand the message -> empty by definition
-    assert interfering_set(ex_inf, 5, 1) == frozenset()
-
-
 def test_interfering_set_full_side_info():
     p = parse_problem(
         '{"n": 3, "receivers": ['
@@ -453,15 +430,9 @@ def test_interfering_set_receiver_out_of_range():
     for j in (0, p.t + 1):
         with pytest.raises(ProblemError, match=rf"^receiver index {j} out of range \[1\.\.{p.t}\]$"):
             interfering_set(p, j, 1)
-
-
-def test_conflicts_on_fixtures():
     ex_inf = load_fixture("ex_inf")
-    pairs = conflicts(ex_inf)
-    assert (1, 4) in pairs
-    assert (1, 3) in pairs
-    ex_feas = load_fixture("ex_feas")
-    assert (3, 5) in conflicts(ex_feas)
+    # receiver does not demand the message -> empty by definition
+    assert interfering_set(ex_inf, 5, 1) == frozenset()
 
 
 def test_restrict_ex_inf():
@@ -483,6 +454,7 @@ def test_restrict_ex_feas_triangle():
         j for j, r in enumerate(restricted.receivers, 1) if mapping[5] in r.demands
     )
     assert interfering_set(restricted, j5, mapping[5]) == frozenset({mapping[3]})
+    assert restricted_internal_conflicts(ex_feas, {3}) == []
 
 
 def test_restrict_full_set_is_identity_up_to_reindexing():

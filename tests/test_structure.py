@@ -35,13 +35,6 @@ from indexcode.structure import (
 )
 
 
-def test_alignment_graph_ex_feas():
-    p = load_fixture("ex_feas")
-    g = alignment_graph(p)
-    assert g == frozenset({(4, 6), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)})
-    assert alignment_sets(p) == [frozenset(range(1, 7))]
-
-
 def test_alignment_graph_no_edges_when_interference_small():
     p = parse_problem(
         '{"n": 3, "receivers": ['
@@ -52,29 +45,16 @@ def test_alignment_graph_no_edges_when_interference_small():
     g = alignment_graph(p)
     assert not g
     assert alignment_sets(p) == [frozenset({1}), frozenset({2}), frozenset({3})]
-
-
-def test_alignment_sets_ex_inf():
-    p = load_fixture("ex_inf")
-    assert alignment_sets(p) == [frozenset({1, 2, 3, 4}), frozenset({5}), frozenset({6})]
-
-
-def test_hypergraphs_of_motivating_pair():
-    ex1a, ex1b = load_fixture("ex1a"), load_fixture("ex1b")
-    assert hyperedges(ex1a) == {
-        (1, frozenset({3})),
-        (2, frozenset({1})),
-        (3, frozenset({2})),
-        (4, frozenset({1, 2, 3})),
-    }
-    assert hyperedges(ex1b) == {
-        (2, frozenset({1})),
-        (3, frozenset({1, 2})),
-        (4, frozenset({1, 2, 3})),
-    }
-    assert hyperedges(ex1a) != hyperedges(ex1b)
-    assert conflicts(ex1a) == conflicts(ex1b)
-    assert alignment_graph(ex1a) == alignment_graph(ex1b)
+    small = parse_problem(
+        '{"n": 3, "receivers": ['
+        '{"demands": [1], "side_info": [3]},'
+        '{"demands": [2], "side_info": [1]},'
+        '{"demands": [3], "side_info": [2]}]}'
+    )
+    assert triangular_interfering_sets(small) == []
+    conflict_free = random_problem(4, 1.0, seed=0)
+    assert find_acyclic_quadruple(conflict_free) is None
+    assert type2_alignment_sets(conflict_free) == []
 
 
 def test_hypergraph_ignores_duplicate_receivers():
@@ -93,24 +73,8 @@ def test_hypergraph_ignores_duplicate_receivers():
     assert conflicts(p) == conflicts(doubled)
 
 
-def test_legacy_conflict_graph_ex_feas():
-    p = load_fixture("ex_feas")
-    assert conflicts(p) == frozenset(
-        {(1, 4), (1, 6), (1, 2), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6), (5, 6)}
-    )
-
-
 def mask_of(members):
     return sum(1 << m for m in members)
-
-
-def test_fork_and_cycle_ex_feas():
-    p = load_fixture("ex_feas")
-    g = alignment_graph(p)
-    assert sum(4 in e for e in g) == 4
-    assert fork_and_cycle(p, mask_of(range(1, 7))) == (True, True)
-    # the cycle 3-4-5 lies in g
-    assert {(3, 4), (4, 5), (3, 5)} <= g
 
 
 def test_fork_cycle_trivial_components():
@@ -338,13 +302,6 @@ def naive_acyclic_quadruple(p):
     return None
 
 
-def test_acyclic_quadruple_fixtures():
-    assert find_acyclic_quadruple(load_fixture("ex_inf")) is None
-    assert find_acyclic_quadruple(load_fixture("ex1b")) == (1, 2, 3, 4)
-    conflict_free = random_problem(4, 1.0, seed=0)
-    assert find_acyclic_quadruple(conflict_free) is None
-
-
 @given(st.integers(0, 400), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_acyclic_quadruple_matches_naive_search(seed, unicast):
@@ -354,46 +311,8 @@ def test_acyclic_quadruple_matches_naive_search(seed, unicast):
     assert find_acyclic_quadruple(p) == naive_acyclic_quadruple(p)
 
 
-def test_triangles_fixtures():
-    assert triangular_interfering_sets(load_fixture("ex_inf")) == [(1, 2, 4), (1, 3, 4)]
-    assert triangular_interfering_sets(load_fixture("ex_feas")) == [(3, 4, 5)]
-    small = parse_problem(
-        '{"n": 3, "receivers": ['
-        '{"demands": [1], "side_info": [3]},'
-        '{"demands": [2], "side_info": [1]},'
-        '{"demands": [3], "side_info": [2]}]}'
-    )
-    assert triangular_interfering_sets(small) == []
-
-
-def test_type2_sets_fixtures():
-    (t2,) = type2_alignment_sets(load_fixture("ex_inf"))
-    assert t2.messages == frozenset({1, 2, 3, 4})
-    assert written_type2_sets(load_fixture("ex_inf")) == [(((1, 2, 4), (1, 3, 4)), t2.messages)]
-    (t2,) = type2_alignment_sets(load_fixture("ex_feas"))
-    assert t2.messages == frozenset({3, 4, 5})
-    assert type2_alignment_sets(random_problem(4, 1.0, seed=0)) == []
-
-
-def test_restricted_internal_conflicts_fixtures():
-    ex_inf = load_fixture("ex_inf")
-    found = restricted_internal_conflicts(ex_inf, {1, 2, 3, 4})
-    assert ((1, 3), frozenset({1, 3})) in found
-    ex_feas = load_fixture("ex_feas")
-    assert restricted_internal_conflicts(ex_feas, {3, 4, 5}) == []
-    assert restricted_internal_conflicts(ex_feas, {3}) == []
-
-
 def kinds(p):
     return {info.members: info.kind for info in structure_report(p).alignment_sets}
-
-
-def test_classification_fixtures():
-    ex_inf = kinds(load_fixture("ex_inf"))
-    assert ex_inf[frozenset({1, 2, 3, 4})] is Kind.TYPE2_DIRTY
-    assert ex_inf[frozenset({5})] is Kind.KIND1
-    assert kinds(load_fixture("p5"))[frozenset({1, 2, 3})] is Kind.TYPE2_CLEAN
-    assert kinds(load_fixture("ex_feas"))[frozenset(range(1, 7))] is Kind.OTHER
 
 
 def test_classification_kind2():
@@ -407,29 +326,9 @@ def test_classification_kind2():
     assert kinds(p) == {frozenset({1, 2, 3}): Kind.KIND2, frozenset({4}): Kind.KIND1}
 
 
-def naive_components(p):
-    """Components of ``naive_alignment_graph``, each a frozenset, by smallest member."""
-    parent = {}
-    for a, b in naive_alignment_graph(p):
-        parent[_find(parent, a)] = _find(parent, b)
-    comps = {}
-    for m in range(1, p.n + 1):
-        comps.setdefault(_find(parent, m), set()).add(m)
-    return sorted((frozenset(c) for c in comps.values()), key=min)
-
-
-def naive_interference(p):
-    """(k, Interf_k(j)) for every receiver j and demand k, from ``interfering_set``."""
-    return [(k, interfering_set(p, j, k)) for j, r in enumerate(p.receivers, 1) for k in sorted(r.demands)]
-
-
 def naive_alignment_graph(p):
-    """Pairs a < b that lie together in some Interf_k(j), from ``naive_interference``."""
-    return frozenset(pair for _, interf in naive_interference(p) for pair in combinations(sorted(interf), 2))
-
-
-def naive_pairs(p):
-    return {frozenset((k, i)) for k, interf in naive_interference(p) for i in interf}
+    """Pairs a < b that lie together in some Interf_k(j), from the hyperedges."""
+    return frozenset(pair for _, interf in hyperedges(p) for pair in combinations(sorted(interf), 2))
 
 
 def naive_classification(p):
@@ -437,21 +336,25 @@ def naive_classification(p):
     interfering sets alone: degrees and edges counted on
     ``naive_alignment_graph``, the type-2 unions of ``naive_type2_sets``, and
     restricted conflicts read off ``restrict_problem``."""
-    hyper, pairs, graph = naive_interference(p), naive_pairs(p), naive_alignment_graph(p)
+    hyper, pairs, graph = hyperedges(p), reference_conflict_pairs(p), naive_alignment_graph(p)
     type2 = {messages for _, messages in naive_type2_sets(p)}
 
     def dirty(members):
         q, _ = restrict_problem(p, members)
-        inner = naive_pairs(q)
-        return any(frozenset(pair) in inner for comp in naive_components(q) for pair in combinations(comp, 2))
+        inner = reference_conflict_pairs(q)
+        return any(
+            pair in inner
+            for comp in naive_restricted_alignment_sets(q, q.messages)
+            for pair in combinations(sorted(comp), 2)
+        )
 
     out = []
-    for s in naive_components(p):
+    for s in naive_restricted_alignment_sets(p, p.messages):
         edges = [e for e in graph if set(e) <= s]
         fork = any(sum(v in e for e in edges) >= 3 for v in s)
         if not any(len(interf & s) >= 3 for _, interf in hyper):
             kind = Kind.KIND1
-        elif len(s) == 3 and not any(frozenset(pair) in pairs for pair in combinations(s, 2)):
+        elif len(s) == 3 and not any(pair in pairs for pair in combinations(sorted(s), 2)):
             kind = Kind.KIND2
         elif s in type2:
             kind = Kind.TYPE2_DIRTY if dirty(s) else Kind.TYPE2_CLEAN
