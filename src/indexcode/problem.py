@@ -3,7 +3,7 @@
 Messages are 1-based ids ``1..n``.  A problem is a message count plus an
 ordered list of receivers, each with a nonempty demand set and a disjoint
 side-information set.  All values are immutable; every function here is
-pure.
+pure, and ``parse_problem`` hands a repeated text its latest result.
 """
 
 from __future__ import annotations
@@ -395,13 +395,28 @@ def _sets_hold(n: int, demands: Sequence[frozenset], side: Sequence[frozenset]) 
     return 1 <= min(ids) and max(ids) <= n
 
 
+# The latest successful parse, (text, allow_undemanded, problem): one entry,
+# so the memo holds no more than the caller of that parse already held
+_last_parse: tuple[str, bool, Problem] | None = None
+
+
 def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
     """Parse the canonical JSON problem format (see ``problem_to_json``).
 
     A key the format does not name is refused rather than dropped, so a
     misspelled ``side_info`` cannot read as no side information.  An ``n``
     above ``MAX_MESSAGES`` is refused after the id and demand checks, which
-    cost memory in the listed ids only, before anything of size n exists."""
+    cost memory in the listed ids only, before anything of size n exists.
+
+    A call that repeats the latest successful call, the same text with the
+    same flag, returns the same immutable ``Problem``, so the views it has
+    cached are built once for both callers.  The texts are compared, not
+    hashed: ``==`` is at once true for the same object and false for
+    unequal lengths.  A refusal is never kept, so it is raised again."""
+    global _last_parse
+    last = _last_parse  # one read: a parse in another thread cannot split the entry
+    if last is not None and last[1] == allow_undemanded and last[0] == text:
+        return last[2]
     data = plain = _plain_problem(text)
     if plain is None:
         data = _load_json(text, "problem", ProblemError)
@@ -447,6 +462,7 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
         check_groupcast_complete(p)
     if p.n > MAX_MESSAGES:
         raise ProblemError(f"n = {p.n} is above the limit of {MAX_MESSAGES} messages")
+    _last_parse = (text, allow_undemanded, p)
     return p
 
 

@@ -10,8 +10,6 @@ import random
 import sys
 import time
 
-import pytest
-
 from indexcode.codec import (
     ScalarLinearCode,
     construct_rate_half,
@@ -23,7 +21,7 @@ from indexcode.codec import (
 from indexcode.feasibility import RateThirdStatus, analyze, check_rate_half
 from indexcode.fixtures import load_fixture
 from indexcode.oracle import exists_code, min_length
-from indexcode.problem import Problem, conflicts, problem_to_json, random_problem, restrict_problem
+from indexcode.problem import Problem, conflicts, problem_to_json, random_problem
 from indexcode.structure import (
     Kind,
     alignment_graph,

@@ -5,7 +5,7 @@ import re
 from itertools import islice, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusgen import (
@@ -763,7 +763,16 @@ def codes_on_problems(draw):
     return p, code, payload, codeword, side
 
 
+def _zero_on_an_undemanded_message():
+    """Receiver 1 demands message 1 alone, and message 2, the one interferer,
+    has the zero vector: no violation, so only the zero makes the code fail."""
+    p = Problem(2, (Receiver(frozenset({1}), frozenset()),))
+    code = ScalarLinearCode(1, 2, ((1,), (0,)))
+    return p, code, [1, 1], encode(code, [1, 1]), [{}]
+
+
 @given(codes_on_problems())
+@example(_zero_on_an_undemanded_message())
 @settings(max_examples=250, deadline=None)
 def test_codec_matches_in_span_reference(case):
     p, code, payload, codeword, side = case

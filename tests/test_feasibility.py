@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from hashlib import sha256
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,52 @@ def test_rate_one_single_message():
 
 def test_rate_half_conflict_free():
     assert check_rate_half(random_problem(5, 1.0, seed=9)).feasible
+
+
+# The census grid's undetermined problems, by (density, mode): "n:seeds"
+# lists the seeds 0-9 at each n, one digit a seed
+CENSUS_UNDETERMINED = {
+    (0.3, "groupcast"): "5:2",
+    (0.3, "unicast"): "4:1478",
+    (0.5, "groupcast"): "4:2568 5:02",
+    (0.5, "unicast"): "5:06 6:0",
+    (0.7, "groupcast"): "5:38 6:4",
+    (0.7, "unicast"): "5:4 6:4678 7:12346789 8:134678 9:04578 10:8 11:02 12:1",
+    (0.85, "groupcast"): "5:5 7:2",
+    (0.85, "unicast"): "6:1 7:09 8:67 9:01235679 10:01234569 11:12345678 12:01345679 13:012345678 14:02456789"
+    " 15:013456789 16:12345678 17:15789 18:2457 19:024689 20:789 21:23479 22:56 23:9",
+}
+
+
+def test_rate_third_census():
+    # every rate-1/3 verdict change shows as a diff of this one table: the
+    # 1,680 problems of n = 4-24 at four densities, both modes, seeds 0-9
+    statuses, rate_one, rate_half, undetermined = Counter(), 0, 0, []
+    for n in range(4, 25):
+        for density in (0.3, 0.5, 0.7, 0.85):
+            for mode in ("unicast", "groupcast"):
+                for seed in range(10):
+                    rep = analyze(random_problem(n, density, mode == "unicast", seed))
+                    statuses[rep.rate_third.status] += 1
+                    rate_one += rep.rate_one.feasible
+                    rate_half += rep.rate_half.feasible
+                    if rep.rate_third.status is RateThirdStatus.UNDETERMINED:
+                        undetermined.append((n, density, mode, seed))
+    assert statuses == {
+        RateThirdStatus.INFEASIBLE_DIRTY_TYPE2: 1405,
+        RateThirdStatus.FEASIBLE_MAIN: 131,
+        RateThirdStatus.UNDETERMINED: 144,
+    }
+    assert (rate_one, rate_half) == (3, 77)
+    written = sorted(
+        (int(n), density, mode, int(seed))
+        for (density, mode), runs in CENSUS_UNDETERMINED.items()
+        for n, seeds in (run.split(":") for run in runs.split())
+        for seed in seeds
+    )
+    assert sorted(undetermined) == written
+    digest = sha256(repr(written).encode()).hexdigest()
+    assert digest == "41bd85a725138504158cf16f2890a4da9d6a289f14a8985948d5c90eb999cbba"
 
 
 def test_acyclic_quadruple_implies_a_dirty_type2_set():

@@ -1,3 +1,5 @@
+import dis
+import inspect
 import sys
 import time
 from collections import Counter
@@ -14,7 +16,7 @@ from plan_reference import reference_plan
 from indexcode import oracle, problem
 from indexcode.codec import ScalarLinearCode, verify
 from indexcode.feasibility import RateThirdStatus, analyze
-from indexcode.fixtures import FIXTURE_NAMES, load_fixture
+from indexcode.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from indexcode.oracle import (
     OracleBudgetError,
     OracleCapError,
@@ -285,8 +287,10 @@ def test_nothing_per_field_survives_a_cache_clear():
     zero = cold.spaces[1]
     assert (list(cold.spaces), zero.mask, zero.dim, zero, cold.translation) == ([1], 1, 0, {}, {})
     # the only other cache the module defines is the plan, which holds no
-    # field; the problem module's one cache is the per-n table of bits and
-    # ids that edge_masks reads.  Both keep a bounded number of entries
+    # field; the problem module's caches are the per-n table of bits and
+    # ids that edge_masks reads, and the parse memo, the one global any of
+    # its functions rebinds, which holds the latest parse alone.  All keep
+    # a bounded number of entries
     def caches(module):
         return {
             name: obj for name, obj in vars(module).items()
@@ -295,6 +299,15 @@ def test_nothing_per_field_survives_a_cache_clear():
     assert set(caches(oracle)) == {"_field", "_plan"}
     assert set(caches(problem)) == {"_message_ids"}
     assert (_plan.cache_info().maxsize, problem._message_ids.cache_info().maxsize) == (64, 32)
+    rebound = {
+        ins.argval
+        for f in vars(problem).values()
+        if inspect.isfunction(f) and f.__module__ == problem.__name__
+        for ins in dis.get_instructions(f)
+        if ins.opname == "STORE_GLOBAL"
+    }
+    assert rebound == {"_last_parse"}
+    assert problem._last_parse == (fixture_text("ex_inf"), False, p) and problem._last_parse[2] is p
     assert exists_code(p, 2, 4) == result
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -393,6 +394,56 @@ def test_views_are_computed_once_and_stored_on_the_problem(monkeypatch):
             value = getattr(p, name)
             assert p.__dict__[name] is value and getattr(p, name) is value
     assert all(getattr(built, name) == getattr(parsed, name) for name in views)
+
+
+def test_a_repeated_text_returns_the_same_problem():
+    # an equal text that is another object hits the memo too, and the views
+    # the first caller built are the second caller's
+    text = fixture_text("p5")
+    p = parse_problem(text)
+    edges = p.edge_masks
+    copy = "".join(text)
+    assert copy is not text
+    again = parse_problem(copy)
+    assert again is p and again.edge_masks is edges and parse_problem(text) is p
+
+
+def test_the_memo_keeps_the_undemanded_flag():
+    # a memo keyed on the text alone would hand the loose parse to the strict call
+    text = '{"n": 2, "receivers": [{"demands": [1], "side_info": []}]}'
+    loose = parse_problem(text, allow_undemanded=True)
+    assert loose.n == 2
+    for _ in range(2):
+        with pytest.raises(ProblemError) as exc:
+            parse_problem(text)
+        assert str(exc.value) == "messages demanded by no receiver: [2]"
+    assert parse_problem(text, allow_undemanded=True) is loose
+
+
+def test_a_refusal_is_raised_again_and_kept_from_the_memo():
+    valid, malformed = fixture_text("ex_inf"), '{"n": 2, "receivers": [{"demands": [1]}'
+    p = parse_problem(valid)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ProblemError) as exc:
+            parse_problem(malformed)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] and errors[0].startswith("malformed problem file: ")
+    assert parse_problem(valid) is p
+
+
+def test_the_memo_holds_one_entry():
+    a, b = fixture_text("ex1a"), fixture_text("ex1b")
+    first = parse_problem(a)
+    assert parse_problem(b) != first
+    fresh = parse_problem(a)
+    assert fresh is not first and fresh == first and parse_problem(a) is fresh
+
+
+def test_parse_problem_stays_a_plain_function():
+    # perfbench's tracer wraps only inspect.isfunction objects, so a cache
+    # decorator would hide problem.parse_problem's per-layer metrics
+    assert inspect.isfunction(parse_problem)
 
 
 def test_parse_builds_exact_receivers():

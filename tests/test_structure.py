@@ -425,13 +425,6 @@ def test_structural_invariants_on_corpus(seed):
         assert tuple(sorted(quad[:3])) in triangles
 
 
-def test_dot_export_mentions_structure():
-    dot = "".join(to_dot(load_fixture("ex_feas")))
-    assert dot.startswith("graph")
-    assert "m4 -- m6" in dot
-    assert "style=dashed" in dot
-
-
 def test_dot_export_bytes_are_pinned():
     # alignment edges ascending, then one hub per hyperedge (k, I) ordered by
     # k and then by the ascending members of I
