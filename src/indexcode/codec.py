@@ -23,6 +23,10 @@ differs only in its demand's term and the symbols it gives differently.
 It raises on an unverified code instead of running ``verify`` first.
 The code holds the table of the last problem it was checked against, so
 the code a construction returns decodes with no further elimination.
+The table depends only on the ``Problem`` object and the code's length,
+prime and vectors, and the module keeps the latest table built, so an
+equal code checked against the same problem, such as the construction's
+code read back from its JSON, takes that table instead of building one.
 
 Both constructions draw whole assignments and keep the first that
 ``verify`` passes, within ``max_attempts`` (at least 1) draws; the rate-1/3
@@ -108,8 +112,8 @@ class ScalarLinearCode:
         built without running its checks: the oracle's witnesses, whose
         vectors come from its table of GF(prime)^length once ``check_caps``
         has passed the field, and the constructions' draws, whose entries
-        ``randrange(prime)`` gives once the construction has checked the
-        field, before any other work.  The checks cost about 6% of an
+        ``linalg`` draws below ``prime`` once the construction has checked
+        the field, before any other work.  The checks cost about 6% of an
         ``oracle`` op on the ``oracle-small`` inputs.  The instance holds
         what ``__init__`` leaves, ``_span`` staying the class default."""
         code = object.__new__(cls)
@@ -187,11 +191,36 @@ def _build_span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
     return _SpanTable(p, edges, rows)
 
 
+# The latest table built, (length, prime, vectors, table): one entry, so
+# the memo holds no more than the code of that build already held
+_last_table: tuple[int, int, tuple[Vector, ...], _SpanTable] | None = None
+
+
 def _span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
-    """The table of (``p``, ``code``), built on the first check against ``p``."""
+    """The table of (``p``, ``code``), held by the code once it has one.
+
+    The table depends only on ``p`` and the code's length, prime and
+    vectors, so a code with no table for ``p`` takes the latest one built
+    when that one is for the same ``Problem`` object and an equal code:
+    the code that ``verify`` reads back from ``code_to_json`` of a fresh
+    construction.  The values are compared, not hashed; ``==`` on the
+    vectors stops at the first unequal one.  A build that raises keeps
+    nothing."""
+    global _last_table
     table = code._span
     if table is None or table.problem is not p:
-        table = _build_span_table(p, code)
+        last = _last_table  # one read: a build in another thread cannot split the entry
+        if (
+            last is not None
+            and last[3].problem is p
+            and last[0] == code.length
+            and last[1] == code.prime
+            and last[2] == code.vectors
+        ):
+            table = last[3]
+        else:
+            table = _build_span_table(p, code)
+            _last_table = (code.length, code.prime, code.vectors, table)
         object.__setattr__(code, "_span", table)
     return table
 

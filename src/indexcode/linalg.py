@@ -164,14 +164,35 @@ def nullspace(rows: list[Vector] | tuple[Vector, ...], length: int, p: int) -> l
 _MAX_DRAWS = 64
 
 
+def _below(p: int, count: int, rng: random.Random) -> list[int]:
+    """``count`` values of ``rng.randrange(p)``, in order, drawn as it draws
+    them: ``getrandbits(p.bit_length())`` until the value is below p.  So
+    the values and the state ``rng`` is left in are those of ``randrange``
+    for every generator whose ``randrange`` reads ``getrandbits``, as
+    ``random.Random`` does, without its two Python-level calls per value.
+    A ``p`` below 1 raises ``randrange``'s own ``ValueError`` before any
+    draw, since ``getrandbits(0)`` would return 0 forever."""
+    if p < 1:
+        raise ValueError("empty range for randrange()")
+    k, getrandbits = p.bit_length(), rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= p:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
 def random_vector(length: int, p: int, rng: random.Random) -> Vector:
     """Uniform vector from GF(p)^length.
 
-    Determinism contract: entries are drawn left to right with
-    ``rng.randrange(p)``, so a seeded ``random.Random`` reproduces draws
-    bit for bit.
+    Determinism contract: the entries are those of ``length`` calls of
+    ``rng.randrange(p)``, left to right, drawn with ``getrandbits`` as
+    ``randrange`` draws them (``_below``), so a seeded ``random.Random``
+    reproduces draws bit for bit and leaves the same state.
     """
-    return tuple([rng.randrange(p) for _ in range(length)])
+    return tuple(_below(p, length, rng))
 
 
 def random_nonzero_vector(length: int, p: int, rng: random.Random) -> Vector:
@@ -202,9 +223,10 @@ def random_subspace_basis(length: int, dim: int, p: int, rng: random.Random) -> 
 
 def random_vector_in_span(basis: tuple[Vector, ...], p: int, rng: random.Random) -> Vector:
     """Random nonzero combination of the basis vectors, its coefficients
-    drawn left to right with ``rng.randrange(p)``."""
+    those of one ``rng.randrange(p)`` call per basis vector, left to right
+    (``_below``)."""
     for _ in range(_MAX_DRAWS):
-        coeffs = [rng.randrange(p) for _ in basis]
+        coeffs = _below(p, len(basis), rng)
         v = tuple([sum(map(mul, coeffs, column)) % p for column in zip(*basis)])
         if any(v):
             return v

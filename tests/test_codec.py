@@ -910,7 +910,9 @@ def test_parsed_code_decodes_like_the_verified_original():
         assert decode_all(p, parsed, codeword, side) == decode_all(p, code, codeword, side)
 
 
-def test_one_span_table_per_problem_and_code(monkeypatch):
+@pytest.fixture
+def span_builds(monkeypatch):
+    """The code of every span-table build, in order, from an empty memo."""
     builds = []
     build = codec._build_span_table
 
@@ -919,6 +921,12 @@ def test_one_span_table_per_problem_and_code(monkeypatch):
         return build(p, code)
 
     monkeypatch.setattr(codec, "_build_span_table", counted)
+    monkeypatch.setattr(codec, "_last_table", None)
+    return builds
+
+
+def test_one_span_table_per_problem_and_code(monkeypatch, span_builds):
+    builds = span_builds
     p = load_fixture("p5")
     code, result = construct_rate_third(p, prime=3, rng=random.Random(0))
     assert result.attempts_used == len(builds) == 7  # one table per drawn code
@@ -928,18 +936,119 @@ def test_one_span_table_per_problem_and_code(monkeypatch):
         assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
     assert len(builds) == 7
 
+    # verify of a parsed copy, as an in-process verify after the
+    # construction reads it, takes the construction's table, and the copy
+    # then decodes from that table
+    parsed = code_from_json(code_to_json(code))
+    assert verify(p, parsed).ok and parsed._span is code._span
+    codeword, side = random_roundtrip_inputs(rng, p, code)
+    assert decode_all(p, parsed, codeword, side) == decode_all(p, code, codeword, side)
+    assert len(builds) == 7
+
     def no_inverse(base, exp, mod=None):
         assert exp >= 0, "verify computed a modular inverse"
         return pow(base, exp, mod)
 
-    # verify of a parsed copy, as the CLI runs it, builds its own table
-    # with no modular inverse, and the copy then decodes from that table
-    parsed = code_from_json(code_to_json(code))
+    # against an equal but distinct problem, as the CLI's verify command
+    # reads it in its own process, the copy builds its own table with no
+    # modular inverse, and then decodes from that table
+    fresh = Problem(n=p.n, receivers=p.receivers)
     with monkeypatch.context() as m:
         m.setattr(codec, "pow", no_inverse, raising=False)
         m.setattr(linalg, "pow", no_inverse, raising=False)
-        assert verify(p, parsed).ok
+        assert verify(fresh, parsed).ok
     assert len(builds) == 8 and builds[-1] is parsed
-    codeword, side = random_roundtrip_inputs(rng, p, code)
-    assert decode_all(p, parsed, codeword, side) == decode_all(p, code, codeword, side)
+    codeword, side = random_roundtrip_inputs(rng, fresh, code)
+    assert decode_all(fresh, parsed, codeword, side) == decode_all(p, code, codeword, side)
     assert len(builds) == 8
+
+
+def test_a_parsed_copy_of_a_construction_builds_nothing(span_builds):
+    rng = random.Random(12)
+    rates = []
+    for seed in range(20):
+        p = random_constructible_problem(seed)
+        half = random_problem(16, 0.95, seed=seed)
+        for construct, problem in ((construct_rate_third, p), (construct_rate_half, half)):
+            try:
+                code, result = construct(problem, rng=random.Random(seed))
+            except PreconditionError:
+                continue
+            built = len(span_builds)
+            parsed = code_from_json(code_to_json(code))
+            assert verify(problem, parsed) == result._replace(attempts_used=0)
+            assert parsed._span is code._span and len(span_builds) == built
+            codeword, side = random_roundtrip_inputs(rng, problem, code)
+            assert decode_all(problem, parsed, codeword, side) == decode_all(problem, code, codeword, side)
+            assert len(span_builds) == built
+            rates.append(code.length)
+    assert rates.count(2) >= 5 and rates.count(3) == 20
+
+
+def test_the_table_memo_misses_on_any_other_value(span_builds):
+    p, code = load_fixture("ex_feas"), explicit_assignment()
+    vectors = code.vectors
+    others = (
+        (p, ScalarLinearCode(code.length, 1013, vectors)),  # another prime
+        (p, ScalarLinearCode(code.length + 1, code.prime, tuple(v + (0,) for v in vectors))),  # another length
+        (p, ScalarLinearCode(code.length, code.prime, (vectors[1], *vectors[1:]))),  # one vector changed
+        (Problem(n=p.n, receivers=p.receivers), ScalarLinearCode(code.length, code.prime, vectors)),  # an equal problem
+    )
+    for problem, other in others:
+        verify(p, ScalarLinearCode(code.length, code.prime, vectors))  # the memo now holds this code's table
+        span_builds.clear()
+        assert verify(problem, other)[:3] == reference_verify(problem, other)
+        assert [*map(id, span_builds)] == [id(other)] and other._span.problem is problem
+        assert codec._last_table[3] is other._span
+
+
+def test_the_table_memo_holds_one_entry(span_builds):
+    p, a = load_fixture("ex_feas"), explicit_assignment()
+    b = ScalarLinearCode(a.length, a.prime, (a.vectors[1], *a.vectors[1:]))
+    verify(p, a)
+    verify(p, b)
+    entry = codec._last_table
+    verify(p, a)  # a holds its table, so the memo is neither read nor changed
+    assert codec._last_table is entry and len(span_builds) == 2
+    copy = code_from_json(code_to_json(a))
+    verify(p, copy)
+    assert [*map(id, span_builds)] == [id(a), id(b), id(copy)] and copy._span is not a._span
+
+
+def test_a_refused_build_keeps_the_memo_entry(span_builds):
+    p, code = load_fixture("ex_feas"), explicit_assignment()
+    verify(p, code)
+    entry = codec._last_table
+    short = ScalarLinearCode(code.length, code.prime, code.vectors[:-1])
+    with pytest.raises(CodecError, match="^code has 5 vectors for 6 messages$"):
+        verify(p, short)
+    assert codec._last_table is entry and short._span is None
+    copy = ScalarLinearCode(code.length, code.prime, code.vectors)
+    assert verify(p, copy).ok and copy._span is code._span
+    assert [*map(id, span_builds)] == [id(code), id(short)]
+
+
+def test_a_memo_hit_answers_as_a_build(monkeypatch):
+    # hit and miss give the same verify result, violations and zero vectors
+    # included, and the same decoding
+    rng = random.Random(14)
+    seen = set()
+    cases = [*islice(verifying_codes(), 40)]
+    for _ in range(300):
+        p = random_groupcast_problem(rng)
+        cases.append((p, random_code(rng, p.n, rng.randint(1, 3), rng.choice((2, 3, 5)))))
+    for p, code in cases:
+        monkeypatch.setattr(codec, "_last_table", None)
+        cold = ScalarLinearCode(code.length, code.prime, code.vectors)
+        missed = verify(p, cold)
+        hit_code = ScalarLinearCode(code.length, code.prime, code.vectors)
+        hit = verify(p, hit_code)
+        assert hit_code._span is cold._span and hit == missed == verify(p, code)
+        seen |= {name for name, flag in zip(("ok", "violation", "zero"), hit[:3]) if flag}
+        codeword, side = random_roundtrip_inputs(rng, p, code)
+        if hit.ok:
+            monkeypatch.setattr(codec, "_last_table", None)
+            fresh = ScalarLinearCode(code.length, code.prime, code.vectors)
+            assert decode_all(p, fresh, codeword, side) == decode_all(p, hit_code, codeword, side)
+            assert fresh._span is not hit_code._span
+    assert seen == {"ok", "violation", "zero"}

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,39 @@ def test_random_vector_deterministic():
     basis = ((1, 2, 3), (4, 5, 6))
     a, b = ref.randrange(p), ref.randrange(p)
     assert random_vector_in_span(basis, p, rng) == tuple((a * x + b * y) % p for x, y in zip(*basis))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 1009, 2**31 - 1, 2**61 - 1, True])
+def test_draws_are_randrange_s_stream(p):
+    # entries and coefficients are drawn with getrandbits as randrange draws
+    # them, so the values and the generator's state afterwards are its own
+    basis = ((1, 2, 3), (4, 5, 6))
+    for seed in range(200):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_vector(5, p, rng) == tuple(ref.randrange(p) for _ in range(5))
+        assert rng.getstate() == ref.getstate()
+        for _ in range(linalg._MAX_DRAWS):  # a zero combination is drawn again
+            a, b = ref.randrange(p), ref.randrange(p)
+            expected = tuple((a * x + b * y) % p for x, y in zip(*basis))
+            if any(expected):
+                assert random_vector_in_span(basis, p, rng) == expected
+                break
+        else:  # GF(1) has no nonzero vector
+            with pytest.raises(linalg.LinalgError):
+                random_vector_in_span(basis, p, rng)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("p", [0, -7])
+def test_draws_below_one_raise_randrange_s_error(p):
+    with pytest.raises(ValueError) as theirs:
+        random.Random(0).randrange(p)
+    for draw in (lambda rng: random_vector(3, p, rng), lambda rng: random_vector_in_span(((1, 2),), p, rng)):
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$") as ours:
+            draw(rng)
+        assert type(ours.value) is type(theirs.value)
+        assert rng.getstate() == random.Random(0).getstate()  # no draw was made
 
 
 def test_random_subspace_basis_has_requested_rank():
