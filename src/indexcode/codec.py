@@ -21,12 +21,11 @@ from the codeword once, applies each row to that one shared residual and
 divides by its dot; its docstring shows why a receiver's own residual
 differs only in its demand's term and the symbols it gives differently.
 It raises on an unverified code instead of running ``verify`` first.
-The code holds the table of the last problem it was checked against, so
-the code a construction returns decodes with no further elimination.
 The table depends only on the ``Problem`` object and the code's length,
-prime and vectors, and the module keeps the latest table built, so an
-equal code checked against the same problem, such as the construction's
-code read back from its JSON, takes that table instead of building one.
+prime and vectors, and the module keeps the latest table built, its one
+table cache: a check of the same problem object and an equal code takes
+that table, so the code a construction returns, or that code read back
+from its JSON, decodes with no further elimination.
 
 Both constructions draw whole assignments and keep the first that
 ``verify`` passes, within ``max_attempts`` (at least 1) draws; the rate-1/3
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Collection, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import mul, sub
@@ -60,7 +59,7 @@ class PreconditionError(CodecError):
 
 
 class AttemptsExhausted(CodecError):
-    """Random redraws kept failing verification; the field is too small."""
+    """No draw passed verification within the attempt budget; a code may still exist."""
 
 
 def _require_ints(values: Collection[object], what: str) -> None:
@@ -84,8 +83,6 @@ class ScalarLinearCode:
     length: int
     prime: int
     vectors: tuple[Vector, ...]  # vectors[i - 1] belongs to message i
-    # span table of the last problem the code was checked against
-    _span: _SpanTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = [*chain(*self.vectors)]
@@ -115,7 +112,7 @@ class ScalarLinearCode:
         ``linalg`` draws below ``prime`` once the construction has checked
         the field, before any other work.  The checks cost about 6% of an
         ``oracle`` op on the ``oracle-small`` inputs.  The instance holds
-        what ``__init__`` leaves, ``_span`` staying the class default."""
+        what ``__init__`` leaves."""
         code = object.__new__(cls)
         code.__dict__.update(length=length, prime=prime, vectors=vectors)
         return code
@@ -136,11 +133,13 @@ SpanKey = tuple[int, frozenset[int]]  # (index of v_k, indexes of the vectors of
 
 @dataclass(frozen=True)
 class _SpanTable:
-    """The span work of one (problem, code): every demand edge keyed by
-    ``_span_keys``, and per distinct key an annihilator row r of its vector
-    set with r . v_k != 0 and that dot, or None when v_k is in the span."""
+    """The span work of one (problem, code), with the ``Problem`` object and
+    the code it was built for: every demand edge keyed by ``_span_keys``,
+    and per distinct key an annihilator row r of its vector set with
+    r . v_k != 0 and that dot, or None when v_k is in the span."""
 
     problem: Problem
+    code: ScalarLinearCode
     edges: list[tuple[int, int, SpanKey]]
     rows: dict[SpanKey, tuple[Vector, int] | None]
 
@@ -188,40 +187,25 @@ def _build_span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
                 break
         else:
             rows[key] = None
-    return _SpanTable(p, edges, rows)
+    return _SpanTable(p, code, edges, rows)
 
 
-# The latest table built, (length, prime, vectors, table): one entry, so
-# the memo holds no more than the code of that build already held
-_last_table: tuple[int, int, tuple[Vector, ...], _SpanTable] | None = None
+# The latest table built: one entry, so a process holds at most one table
+_last_table: _SpanTable | None = None
 
 
 def _span_table(p: Problem, code: ScalarLinearCode) -> _SpanTable:
-    """The table of (``p``, ``code``), held by the code once it has one.
-
-    The table depends only on ``p`` and the code's length, prime and
-    vectors, so a code with no table for ``p`` takes the latest one built
-    when that one is for the same ``Problem`` object and an equal code:
-    the code that ``verify`` reads back from ``code_to_json`` of a fresh
-    construction.  The values are compared, not hashed; ``==`` on the
-    vectors stops at the first unequal one.  A build that raises keeps
-    nothing."""
+    """The table of (``p``, ``code``): the latest one built when it is for
+    the same ``Problem`` object and an equal code, otherwise a new one,
+    which replaces it.  The table depends only on ``p`` and the code's
+    length, prime and vectors, so the code that ``verify`` reads back from
+    ``code_to_json`` of a fresh construction takes the construction's
+    table.  The codes are compared, never hashed; ``==`` on the vectors
+    stops at the first unequal one.  A build that raises keeps nothing."""
     global _last_table
-    table = code._span
-    if table is None or table.problem is not p:
-        last = _last_table  # one read: a build in another thread cannot split the entry
-        if (
-            last is not None
-            and last[3].problem is p
-            and last[0] == code.length
-            and last[1] == code.prime
-            and last[2] == code.vectors
-        ):
-            table = last[3]
-        else:
-            table = _build_span_table(p, code)
-            _last_table = (code.length, code.prime, code.vectors, table)
-        object.__setattr__(code, "_span", table)
+    table = _last_table  # one read: a build in another thread cannot split the entry
+    if table is None or table.problem is not p or table.code != code:
+        table = _last_table = _build_span_table(p, code)
     return table
 
 
@@ -259,7 +243,7 @@ def _first_verified(
             return code, VerificationResult(ok=True, violations=(), zero_vector_messages=(), attempts_used=attempt)
     raise AttemptsExhausted(
         f"no verified length-{length} code in {max_attempts} attempts over GF({prime}); "
-        "the field is likely too small"
+        "a larger prime or more attempts may find one"
     )
 
 

@@ -150,7 +150,7 @@ def test_construct_exhausted_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("attempts", ["0", "-2"])
 def test_construct_without_attempts_is_usage_error(tmp_path, attempts, capsys):
     # the problem is rate-1/2 feasible, so a code exists, and no attempt at
-    # all must not be reported as a field that is too small
+    # all must not be reported as attempts exhausted
     path = tmp_path / "half.json"
     path.write_text(problem_to_json(random_problem(8, 0.9, seed=0)))
     for rate in ("1/2", "1/3"):
@@ -158,7 +158,7 @@ def test_construct_without_attempts_is_usage_error(tmp_path, attempts, capsys):
         assert rc == 2
         assert out == ""
         assert "--max-attempts" in err
-        assert "too small" not in err
+        assert "more attempts may find one" not in err
 
 
 def test_verify_reports_violations(fixture_file, tmp_path, capsys):

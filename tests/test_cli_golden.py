@@ -101,7 +101,10 @@ ROWS = {
     ),
     "construct-p5-gf2-exhausted": Row(
         (), ("construct", "p5.json", "--rate", "1/3", "--prime", "2", "--seed", "1"), 5, EMPTY,
-        stderr=("error: no verified length-3 code in 8 attempts over GF(2); the field is likely too small",),
+        stderr=(
+            "error: no verified length-3 code in 8 attempts over GF(2); "
+            "a larger prime or more attempts may find one",
+        ),
     ),
     # the same command with one attempt more: the default budget binds at 8 of 9
     "construct-p5-gf2-nine-attempts": Row(

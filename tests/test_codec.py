@@ -1,4 +1,7 @@
+import dataclasses
+import dis
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -28,6 +31,7 @@ from indexcode.codec import (
     construct_rate_third,
     decode_all,
     encode,
+    is_prime_modulus,
     verify,
 )
 from indexcode.fixtures import load_fixture
@@ -905,7 +909,7 @@ def test_parsed_code_decodes_like_the_verified_original():
     for p, code in islice(verifying_codes(), 40):
         assert verify(p, code).ok
         parsed = code_from_json(code_to_json(code))
-        assert parsed == code and parsed._span is None
+        assert parsed == code
         codeword, side = random_roundtrip_inputs(rng, p, code)
         assert decode_all(p, parsed, codeword, side) == decode_all(p, code, codeword, side)
 
@@ -940,7 +944,7 @@ def test_one_span_table_per_problem_and_code(monkeypatch, span_builds):
     # construction reads it, takes the construction's table, and the copy
     # then decodes from that table
     parsed = code_from_json(code_to_json(code))
-    assert verify(p, parsed).ok and parsed._span is code._span
+    assert verify(p, parsed).ok and codec._last_table.code is code
     codeword, side = random_roundtrip_inputs(rng, p, code)
     assert decode_all(p, parsed, codeword, side) == decode_all(p, code, codeword, side)
     assert len(builds) == 7
@@ -951,7 +955,9 @@ def test_one_span_table_per_problem_and_code(monkeypatch, span_builds):
 
     # against an equal but distinct problem, as the CLI's verify command
     # reads it in its own process, the copy builds its own table with no
-    # modular inverse, and then decodes from that table
+    # modular inverse, and then decodes from that table; that table
+    # replaces the memo's entry, so the original code checked against p
+    # again builds a table once more
     fresh = Problem(n=p.n, receivers=p.receivers)
     with monkeypatch.context() as m:
         m.setattr(codec, "pow", no_inverse, raising=False)
@@ -960,7 +966,7 @@ def test_one_span_table_per_problem_and_code(monkeypatch, span_builds):
     assert len(builds) == 8 and builds[-1] is parsed
     codeword, side = random_roundtrip_inputs(rng, fresh, code)
     assert decode_all(fresh, parsed, codeword, side) == decode_all(p, code, codeword, side)
-    assert len(builds) == 8
+    assert len(builds) == 9 and builds[-1] is code
 
 
 def test_a_parsed_copy_of_a_construction_builds_nothing(span_builds):
@@ -977,7 +983,7 @@ def test_a_parsed_copy_of_a_construction_builds_nothing(span_builds):
             built = len(span_builds)
             parsed = code_from_json(code_to_json(code))
             assert verify(problem, parsed) == result._replace(attempts_used=0)
-            assert parsed._span is code._span and len(span_builds) == built
+            assert len(span_builds) == built and codec._last_table.code is code
             codeword, side = random_roundtrip_inputs(rng, problem, code)
             assert decode_all(problem, parsed, codeword, side) == decode_all(problem, code, codeword, side)
             assert len(span_builds) == built
@@ -998,8 +1004,8 @@ def test_the_table_memo_misses_on_any_other_value(span_builds):
         verify(p, ScalarLinearCode(code.length, code.prime, vectors))  # the memo now holds this code's table
         span_builds.clear()
         assert verify(problem, other)[:3] == reference_verify(problem, other)
-        assert [*map(id, span_builds)] == [id(other)] and other._span.problem is problem
-        assert codec._last_table[3] is other._span
+        assert [*map(id, span_builds)] == [id(other)]
+        assert codec._last_table.problem is problem and codec._last_table.code is other
 
 
 def test_the_table_memo_holds_one_entry(span_builds):
@@ -1007,12 +1013,16 @@ def test_the_table_memo_holds_one_entry(span_builds):
     b = ScalarLinearCode(a.length, a.prime, (a.vectors[1], *a.vectors[1:]))
     verify(p, a)
     verify(p, b)
+    assert codec._last_table.code is b
+    # b's table replaced a's, so a builds its table again, and that one
+    # serves a's decoding and an equal copy of a
+    assert verify(p, a).ok and len(span_builds) == 3
     entry = codec._last_table
-    verify(p, a)  # a holds its table, so the memo is neither read nor changed
-    assert codec._last_table is entry and len(span_builds) == 2
+    codeword, side = random_roundtrip_inputs(random.Random(5), p, a)
+    assert decode_all(p, a, codeword, side) == reference_decode_all(p, a, codeword, side)
     copy = code_from_json(code_to_json(a))
-    verify(p, copy)
-    assert [*map(id, span_builds)] == [id(a), id(b), id(copy)] and copy._span is not a._span
+    assert verify(p, copy).ok and codec._last_table is entry
+    assert [*map(id, span_builds)] == [id(a), id(b), id(a)] and entry.code is a
 
 
 def test_a_refused_build_keeps_the_memo_entry(span_builds):
@@ -1022,15 +1032,15 @@ def test_a_refused_build_keeps_the_memo_entry(span_builds):
     short = ScalarLinearCode(code.length, code.prime, code.vectors[:-1])
     with pytest.raises(CodecError, match="^code has 5 vectors for 6 messages$"):
         verify(p, short)
-    assert codec._last_table is entry and short._span is None
+    assert codec._last_table is entry
     copy = ScalarLinearCode(code.length, code.prime, code.vectors)
-    assert verify(p, copy).ok and copy._span is code._span
+    assert verify(p, copy).ok and codec._last_table is entry
     assert [*map(id, span_builds)] == [id(code), id(short)]
 
 
-def test_a_memo_hit_answers_as_a_build(monkeypatch):
-    # hit and miss give the same verify result, violations and zero vectors
-    # included, and the same decoding
+def test_a_memo_hit_answers_as_a_build(monkeypatch, span_builds):
+    # hit and miss give the reference verify result, violations and zero
+    # vectors included, and the reference decoding
     rng = random.Random(14)
     seen = set()
     cases = [*islice(verifying_codes(), 40)]
@@ -1038,17 +1048,44 @@ def test_a_memo_hit_answers_as_a_build(monkeypatch):
         p = random_groupcast_problem(rng)
         cases.append((p, random_code(rng, p.n, rng.randint(1, 3), rng.choice((2, 3, 5)))))
     for p, code in cases:
-        monkeypatch.setattr(codec, "_last_table", None)
-        cold = ScalarLinearCode(code.length, code.prime, code.vectors)
-        missed = verify(p, cold)
-        hit_code = ScalarLinearCode(code.length, code.prime, code.vectors)
-        hit = verify(p, hit_code)
-        assert hit_code._span is cold._span and hit == missed == verify(p, code)
-        seen |= {name for name, flag in zip(("ok", "violation", "zero"), hit[:3]) if flag}
+        expected = reference_verify(p, code)
         codeword, side = random_roundtrip_inputs(rng, p, code)
-        if hit.ok:
+        checks = [(lambda c: verify(p, c)[:3], expected)]
+        if expected[0]:
+            checks.append((lambda c: decode_all(p, c, codeword, side), reference_decode_all(p, code, codeword, side)))
+        for check, answer in checks:
             monkeypatch.setattr(codec, "_last_table", None)
-            fresh = ScalarLinearCode(code.length, code.prime, code.vectors)
-            assert decode_all(p, fresh, codeword, side) == decode_all(p, hit_code, codeword, side)
-            assert fresh._span is not hit_code._span
+            span_builds.clear()
+            cold, warm = (ScalarLinearCode(code.length, code.prime, code.vectors) for _ in range(2))
+            assert check(cold) == check(warm) == answer
+            assert [*map(id, span_builds)] == [id(cold)] and codec._last_table.code is cold
+        seen |= {name for name, flag in zip(("ok", "violation", "zero"), expected) if flag}
     assert seen == {"ok", "violation", "zero"}
+
+
+def test_the_codec_keeps_one_table_and_one_prime_cache():
+    # a code is its three values: checking and decoding leave nothing on it
+    assert [f.name for f in dataclasses.fields(ScalarLinearCode)] == ["length", "prime", "vectors"]
+    p = load_fixture("p5")
+    built, _ = construct_rate_third(p, prime=3, rng=random.Random(0))
+    for code in (built, code_from_json(code_to_json(built))):
+        assert verify(p, code).ok
+        codeword, side = random_roundtrip_inputs(random.Random(1), p, code)
+        assert decode_all(p, code, codeword, side) == reference_decode_all(p, code, codeword, side)
+        assert vars(code).keys() == {"length", "prime", "vectors"}
+    # the module's caches: the prime test per modulus, and the latest span
+    # table, the one global any codec function rebinds
+    caches = [
+        name for name, obj in vars(codec).items()
+        if hasattr(obj, "cache_clear") and obj.__module__ == codec.__name__
+    ]
+    assert caches == ["is_prime_modulus"] and is_prime_modulus.cache_info().maxsize == 64
+    functions = [f for f in vars(codec).values() if inspect.isfunction(f) and f.__module__ == codec.__name__]
+    for cls in (ScalarLinearCode, codec._SpanTable):
+        functions += [getattr(f, "__func__", f) for f in vars(cls).values()]
+    codes = [f.__code__ for f in functions if inspect.isfunction(f)]
+    for co in codes:  # and every function nested in one
+        codes += [c for c in co.co_consts if inspect.iscode(c)]
+    rebound = {ins.argval for co in codes for ins in dis.get_instructions(co) if ins.opname == "STORE_GLOBAL"}
+    assert rebound == {"_last_table"}
+    assert codec._last_table.problem is p and codec._last_table.code is built
