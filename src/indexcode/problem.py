@@ -469,8 +469,8 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
 _RECEIVER_JSON = '    {\n      "demands": %s,\n      "side_info": %s\n    }'
 
 
-def _ids_json(ids: frozenset[int]) -> str:
-    return "[\n        " + ",\n        ".join(map(str, sorted(ids))) + "\n      ]" if ids else "[]"
+def _ids_json(ids: frozenset[int], texts: list[str]) -> str:
+    return "[\n        " + ",\n        ".join(map(texts.__getitem__, sorted(ids))) + "\n      ]" if ids else "[]"
 
 
 def problem_to_json(p: Problem) -> str:
@@ -480,5 +480,8 @@ def problem_to_json(p: Problem) -> str:
     ``{"n": n, "receivers": [{"demands": [...], "side_info": [...]}, ...]}``,
     formatted directly, since ``indent`` selects the pure-Python encoder.
     """
-    receivers = ",\n".join(_RECEIVER_JSON % (_ids_json(r.demands), _ids_json(r.side_info)) for r in p.receivers)
+    texts = [*map(str, range(p.n + 1))]  # each id's text once, not once per listing
+    receivers = ",\n".join(
+        _RECEIVER_JSON % (_ids_json(r.demands, texts), _ids_json(r.side_info, texts)) for r in p.receivers
+    )
     return '{\n  "n": %d,\n  "receivers": [\n%s\n  ]\n}\n' % (p.n, receivers)

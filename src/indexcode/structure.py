@@ -420,13 +420,15 @@ def to_dot(p: Problem) -> Iterator[str]:
     then one string per dashed conflict hyperedge (k, I) with its hub,
     ordered by k and then by the ascending members of I, which are listed
     only among hyperedges that share a k, and the closing brace."""
+    node = [f"m{v}" for v in range(p.n + 1)]  # each node's name once, not once per listing
     yield "graph index_coding {\n" + "".join(f"  m{v} [label=\"W{v}\"];\n" for v in range(1, p.n + 1))
     for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
-        yield f"  m{a} -- m{b};\n"
+        yield f"  {node[a]} -- {node[b]};\n"
     shared = Counter(k for k, _ in p.edge_masks)
     hyperedges = sorted(p.edge_masks, key=lambda e: (e[0], [*_iter_bits(e[1])] if shared[e[0]] > 1 else []))
     for idx, (k, interf) in enumerate(hyperedges):
-        yield f"  h{idx} [shape=point, label=\"\"];\n  m{k} -- h{idx} [style=dashed];\n" + "".join(
-            f"  h{idx} -- m{i} [style=dashed];\n" for i in _iter_bits(interf)
-        )
+        spoke = f" [style=dashed];\n  h{idx} -- "  # ends each member's line and starts the next
+        yield f"  h{idx} [shape=point, label=\"\"];\n  {node[k]} -- h{idx}{spoke}" + spoke.join(
+            map(node.__getitem__, _iter_bits(interf))
+        ) + " [style=dashed];\n"
     yield "}\n"

@@ -534,3 +534,17 @@ def test_conjecture_probe_candidate_n16():
         assert result.min_length == 4 and verify(p, result.witness).ok
     for q in (5, 7):
         assert min_length(p, q, l_max=3).min_length is None
+
+
+def test_conjecture_counterexample_n6():
+    # undetermined with clean type-2 sets, so the conjecture predicts rate
+    # 1/3, yet the shortest code is 4 long over GF(2) and GF(3) and longer
+    # than 3 over GF(5); that no field has a length-3 code is for a rank-3
+    # matroid check, which the library does not have yet
+    p = random_problem(6, 0.5, seed=230)
+    verdict = analyze(p).rate_third
+    assert verdict.status is RateThirdStatus.UNDETERMINED and verdict.conjecture_predicts_feasible
+    for q, l_max, length, nodes in [(2, 4, 4, 79), (3, 4, 4, 190), (5, 3, None, 858)]:
+        result = min_length(p, q, l_max=l_max)
+        assert (result.min_length, result.nodes_explored) == (length, nodes)
+        assert result.witness is None or verify(p, result.witness).ok

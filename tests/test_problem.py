@@ -347,7 +347,16 @@ def test_roundtrip_serialization_property(p):
     assert parse_problem(problem_to_json(p), allow_undemanded=True) == p
 
 
+# examples the strategy does not draw, which fail a writer that reads an
+# id's text by its position in the list rather than by the id: three-digit
+# ids, lists of equal sizes and different ids, and an empty list beside one
+# of all n - 1 other ids
 @given(arbitrary_problems(max_n=40))
+@example(Problem(150, (Receiver(frozenset({1}), frozenset(range(2, 151))),)))
+@example(
+    Problem(9, (Receiver(frozenset({1, 2}), frozenset({3, 4, 5})), Receiver(frozenset({6, 9}), frozenset({2, 7, 8}))))
+)
+@example(Problem(7, (Receiver(frozenset({1}), frozenset()), Receiver(frozenset({7}), frozenset(range(1, 7))))))
 @settings(max_examples=200, deadline=None)
 def test_problem_to_json_writes_the_bytes_of_json_dumps(p):
     data = {
