@@ -61,7 +61,14 @@ JSON_LIMIT_ERROR = "error: the JSON report would list more than 640000 triangles
 ROWS = {
     "gen-n96": Row(
         (), ("gen", "-n", "96", "--density", "0.5", "--seed", "1"), 0,
-        "072fccf2c21395243f3f11fc84a3f700dbae25db8754a189ae99b280f4bbbfa1",
+        "c96809db077cc52494c62b37b1b54b7240345548b2602b75da177470fdf510f0",
+    ),
+    # 5.2 MB, one receiver per line, from sets that share one int object per
+    # id; one id per line, or sets holding their own int objects, ran out of
+    # memory under this limit
+    "gen-cap-dense": Row(
+        (), ("gen", "-n", "1024", "--density", "1", "--seed", "0"), 0,
+        "d21785216c03218451e41acef825437c6af0f9535c7bbd099201fecd701d53f9", memory_mb=64,
     ),
     # about 10 MB of JSON from 140,615 triangles
     "analyze-n96-json": Row(

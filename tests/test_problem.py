@@ -319,9 +319,10 @@ def test_undemanded_error_lists_only_ids_up_to_n():
 
 
 def test_roundtrip_serialization():
-    for name in ("ex1a", "ex1b", "ex_inf", "ex_feas", "p5"):
-        p = load_fixture(name)
-        assert parse_problem(problem_to_json(p)) == p
+    # the writer keeps the fixtures' layout, one receiver per line, byte for byte
+    for name in FIXTURE_NAMES:
+        text = fixture_text(name)
+        assert problem_to_json(parse_problem(text)) == text
 
 
 @st.composite
@@ -341,10 +342,20 @@ def arbitrary_problems(draw, max_n=8):
     return Problem(n, tuple(receivers))
 
 
+def _plain_data(p):
+    """The JSON value of ``p``'s file: its ids ascending, keys in order."""
+    return {
+        "n": p.n,
+        "receivers": [{"demands": sorted(r.demands), "side_info": sorted(r.side_info)} for r in p.receivers],
+    }
+
+
 @given(arbitrary_problems())
 @settings(max_examples=200, deadline=None)
 def test_roundtrip_serialization_property(p):
     assert parse_problem(problem_to_json(p), allow_undemanded=True) == p
+    # a file written with json.dumps(indent=2), one id per line, reads back alike
+    assert parse_problem(json.dumps(_plain_data(p), indent=2) + "\n", allow_undemanded=True) == p
 
 
 # examples the strategy does not draw, which fail a writer that reads an
@@ -359,11 +370,12 @@ def test_roundtrip_serialization_property(p):
 @example(Problem(7, (Receiver(frozenset({1}), frozenset()), Receiver(frozenset({7}), frozenset(range(1, 7))))))
 @settings(max_examples=200, deadline=None)
 def test_problem_to_json_writes_the_bytes_of_json_dumps(p):
-    data = {
-        "n": p.n,
-        "receivers": [{"demands": sorted(r.demands), "side_info": sorted(r.side_info)} for r in p.receivers],
-    }
-    assert problem_to_json(p) == json.dumps(data, indent=2) + "\n"
+    # the frame of json.dumps(indent=2), and each receiver json.dumps'd on its own line
+    data = _plain_data(p)
+    receivers = ",\n".join("    " + json.dumps(r) for r in data["receivers"])
+    text = problem_to_json(p)
+    assert text == '{\n  "n": %d,\n  "receivers": [\n%s\n  ]\n}\n' % (p.n, receivers)
+    assert json.loads(text) == data
 
 
 def _half_side(n):
