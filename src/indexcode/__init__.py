@@ -4,12 +4,9 @@ from .problem import (
     Problem,
     ProblemError,
     Receiver,
-    conflicts,
-    interfering_set,
     parse_problem,
     problem_to_json,
     random_problem,
-    restrict_problem,
 )
 from .feasibility import FeasibilityReport, analyze
 from .codec import ScalarLinearCode, construct_rate_half, construct_rate_third, verify
@@ -22,16 +19,13 @@ __all__ = [
     "FeasibilityReport",
     "ScalarLinearCode",
     "analyze",
-    "conflicts",
     "construct_rate_half",
     "construct_rate_third",
     "exists_code",
-    "interfering_set",
     "min_length",
     "parse_problem",
     "problem_to_json",
     "random_problem",
-    "restrict_problem",
     "verify",
 ]
 

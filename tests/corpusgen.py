@@ -9,6 +9,7 @@ exactly as written and blocks cannot interfere with each other.
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 from indexcode.problem import Problem, Receiver, interfering_set, random_problem
 
@@ -112,6 +113,19 @@ def random_groupcast_problem(seed: int, max_n: int = 6) -> Problem:
     n = rng.randint(1, max_n)
     density = rng.choice([0.1, 0.25, 0.4, 0.55, 0.7, 0.85])
     return random_problem(n, density, single_unicast=False, seed=seed)
+
+
+def every_unicast_problem(n: int) -> list[Problem]:
+    """Every labelled unicast problem on n messages, 2^(n(n-1)) in all:
+    receiver j demands message j and holds any subset of the others."""
+    sides = [
+        [frozenset(c) for size in range(n) for c in combinations(range(1, n + 1), size) if j not in c]
+        for j in range(1, n + 1)
+    ]
+    return [
+        Problem(n, tuple(Receiver(frozenset({j}), side) for j, side in enumerate(pick, start=1)))
+        for pick in product(*sides)
+    ]
 
 
 def oracle_small_base() -> list[Problem]:

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from hashlib import sha256
@@ -6,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_constructible_problem, random_groupcast_problem, random_unicast_problem
-from indexcode.codec import construct_rate_third, verify
+from corpusgen import (
+    every_unicast_problem,
+    random_constructible_problem,
+    random_groupcast_problem,
+    random_unicast_problem,
+)
+from indexcode.codec import construct_rate_half, construct_rate_third, verify
 from indexcode.feasibility import (
     RateThirdStatus,
     analyze,
@@ -17,10 +23,11 @@ from indexcode.feasibility import (
     report_to_dict,
 )
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
+from indexcode.oracle import min_length
 from indexcode.problem import parse_problem, random_problem
 from indexcode.structure import find_acyclic_quadruple, triangular_interfering_sets, type2_alignment_sets
 from reference import three_colouring, unit_vector_code
-from test_oracle import relabeled_twins
+from test_oracle import _contradictions, relabeled_twins
 
 
 def test_rate_one_full_side_info():
@@ -81,6 +88,50 @@ def test_rate_third_census():
     assert sorted(undetermined) == written
     digest = sha256(repr(written).encode()).hexdigest()
     assert digest == "41bd85a725138504158cf16f2890a4da9d6a289f14a8985948d5c90eb999cbba"
+
+
+def test_every_unicast_problem_up_to_n4():
+    # every labelled unicast problem at n = 1-4, 1 + 4 + 64 + 4,096 in all:
+    # the counts of each verdict, and no verdict the oracle over GF(2) and
+    # GF(3) up to length 4 refutes, with the nodes that oracle explores.
+    # Every undetermined problem has a GF(2) code of length 3 or less
+    table = {}
+    for n in range(1, 5):
+        statuses, rate_one, rate_half, nodes = Counter(), 0, 0, 0
+        for p in every_unicast_problem(n):
+            rep = analyze(p)
+            results = [min_length(p, q, l_max=4) for q in (2, 3)]
+            lengths = [r.min_length for r in results]
+            assert not _contradictions(rep, lengths), (p, lengths)
+            if rep.rate_third.status is RateThirdStatus.UNDETERMINED:
+                assert lengths[0] is not None and lengths[0] <= 3, p
+            statuses[rep.rate_third.status.name] += 1
+            rate_one += rep.rate_one.feasible
+            rate_half += rep.rate_half.feasible
+            nodes += sum(r.nodes_explored for r in results)
+        table[n] = dict(statuses), rate_one, rate_half, nodes
+    assert table == {
+        1: ({"FEASIBLE_MAIN": 1}, 1, 1, 2),
+        2: ({"FEASIBLE_MAIN": 4}, 1, 4, 30),
+        3: ({"FEASIBLE_MAIN": 64}, 1, 39, 1049),
+        4: ({"FEASIBLE_MAIN": 2765, "INFEASIBLE_DIRTY_TYPE2": 543, "UNDETERMINED": 788}, 1, 921, 125_846),
+    }
+
+
+def test_every_feasible_unicast_problem_at_n4_is_constructed():
+    # at the default prime, seeded, no construction exhausts its attempts
+    built = Counter()
+    for p in every_unicast_problem(4):
+        rep = analyze(p)
+        for rate, feasible, construct in (
+            ("1/3", rep.rate_third.status is RateThirdStatus.FEASIBLE_MAIN, construct_rate_third),
+            ("1/2", rep.rate_half.feasible, construct_rate_half),
+        ):
+            if feasible:
+                code, result = construct(p, rng=random.Random(0))
+                assert result.ok and verify(p, code).ok, (p, rate)
+                built[rate] += 1
+    assert built == {"1/3": 2765, "1/2": 921}
 
 
 def test_acyclic_quadruple_implies_a_dirty_type2_set():
