@@ -91,6 +91,9 @@ class HypergraphBits(NamedTuple):
     sets_with: tuple[int, ...]  # [m], m = 1..n: mask of the indexes into ``sets`` that contain m
     near: tuple[int, ...]  # [m]: union of the sets that contain m, its alignment-graph neighbours
     conf: tuple[int, ...]  # [m]: mask of m's conflict partners
+    # (O, D) per distinct outside mask O with two or more demands D against
+    # it and 24 or more members in its sets O less each k of D, read whole
+    blocks: tuple[tuple[int, int], ...]
 
 
 class Receiver(NamedTuple):
@@ -147,43 +150,88 @@ class Problem:
     @cached_property
     def edge_masks(self) -> frozenset[tuple[int, int]]:
         """The conflict hypergraph as int masks: each distinct (k, mask of
-        Interf_k(j)) with a nonempty interfering set.  Every structural
-        quantity depends only on it, so it is derived once, straight from
-        the receivers, one mask per receiver of the messages outside its side
-        information, each demand k clearing bit k of it.  That mask is read
-        from the smaller side: the side-information ids when they are fewer
-        than n/2, cleared from the mask ``full`` of all ids, else the ids
-        outside them: reading every receiver from its side information took
-        each construct-verify problem about 75 µs longer.  A frozenset keeps
-        its hash, so a cache keyed by it hashes it once."""
-        n = self.n
-        bit, full = (1).__lshift__, (1 << (n + 1)) - 2
-        pairs = set()
-        for demands, side_info in self.receivers:
-            # distinct bits: sum is or
-            if 2 * len(side_info) < n:
-                base = full ^ sum(map(bit, side_info))
-            else:
-                base = sum(map(bit, self.messages.difference(side_info)))
-            for k in demands:
-                if interf := base ^ 1 << k:
-                    pairs.add((k, interf))
-        return frozenset(pairs)
+        Interf_k(j)) with a nonempty interfering set.  ``bits`` records it
+        as it reads the receivers, for the oracle's plan and ``to_dot``; the
+        analyzer reads only ``bits``.  A frozenset keeps its hash, so a
+        cache keyed by it hashes it once."""
+        self.bits  # records edge_masks on the instance
+        return self.__dict__["edge_masks"]
 
     @cached_property
     def bits(self) -> HypergraphBits:
-        """The conflict hypergraph as int bitmasks, read from ``edge_masks``:
-        each distinct interfering set mapped to the mask of the messages
-        demanded against it (``against``, in the order of ``sets``).
-        ``conf`` is that map together with its transpose.  Every value is
-        an OR over the edges, so their order does not matter."""
-        sets_with, near, conf = [0] * (self.n + 1), [0] * (self.n + 1), [0] * (self.n + 1)
+        """The conflict hypergraph as int bitmasks, read from the receivers,
+        one pass over them that also records ``edge_masks``.
+
+        A receiver's interfering sets are its outside mask O, the messages
+        outside its side information, less each demand k.  O is read from
+        the smaller side: the side-information ids when they are fewer than
+        n/2, cleared from the mask ``full`` of all ids, else the ids outside
+        them: reading every receiver from its side information took each
+        construct-verify problem about 75 µs longer.  Each distinct set maps
+        to the mask of the messages demanded against it (``against``, in the
+        order of ``sets``), and ``conf`` is that map together with its
+        transpose.  Every value is an OR over the edges, so their order does
+        not matter.
+
+        Receivers with the same O are grouped, with the mask D of all their
+        demands.  A group of d >= 2 demands whose d sets hold 24 or more
+        members in all is a block (``blocks``), and takes one update per
+        member m of O, not one per set: the sets that hold m are those of the demands other than m,
+        whose union is O when two or more demands are not m and O less the
+        one other demand otherwise, and m conflicts with the demands other
+        than m, and with all of O when it is one.  Every other set is walked
+        member by member."""
+        n = self.n
+        bit, full = (1).__lshift__, (1 << (n + 1)) - 2
+        sets_with, near, conf = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
         against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
-        for k, s in self.edge_masks:
-            against[s] = against.get(s, 0) | 1 << k
-            conf[k] |= s
-        sets = tuple(sorted(against, key=lambda s: (-s.bit_count(), s)))
-        for idx, s in enumerate(sets):
+        grouped: dict[int, int] = {}  # outside mask O -> mask D of the messages demanded against it
+        shared: dict[int, None] = {}  # the O with two or more demands, in order
+        edges = []
+        for demands, side_info in self.receivers:
+            # distinct bits: sum is or
+            if 2 * len(side_info) < n:
+                o = full ^ sum(map(bit, side_info))
+            else:
+                o = sum(map(bit, self.messages.difference(side_info)))
+            if len(demands) == 1:  # most receivers: no loop, and no sum(map(...))
+                (k,) = demands
+                d = 1 << k
+                if not (s := o ^ d):
+                    continue  # O is its one demand: no interfering set
+                against[s] = against.get(s, 0) | d
+                conf[k] |= s
+                edges.append((k, s))
+            else:
+                d = rest = sum(map(bit, demands))
+                shared[o] = None
+                while rest:
+                    low = rest & -rest
+                    k, s = low.bit_length() - 1, o ^ low
+                    against[s] = against.get(s, 0) | low
+                    conf[k] |= s
+                    edges.append((k, s))
+                    rest ^= low
+            if o in grouped:
+                d |= grouped[o]
+                if d & (d - 1):  # not when a one-demand receiver repeats
+                    shared[o] = None
+            grouped[o] = d
+        self.__dict__["edge_masks"] = frozenset(edges)
+        blocks, small = [], []
+        for o in shared:
+            # the d sets of a group that hold fewer than 24 members in all cost
+            # less walked one by one: as blocks, they took bits of the n <= 6
+            # groupcast problems of oracle-small 30% longer
+            d = grouped[o]
+            (blocks if d.bit_count() * (o.bit_count() - 1) >= 24 else small).append((o, d))
+        sets = tuple(sorted(sorted(against), key=int.bit_count, reverse=True))  # largest first, then ascending
+        walk = enumerate(sets)
+        if blocks:  # the sets of the other groups; those of the blocks alone are updated per block below
+            lone = {o ^ d for o, d in grouped.items() if not d & (d - 1)}
+            lone.update(o ^ 1 << k for o, d in small for k in _iter_bits(d))
+            walk = [(idx, s) for idx, s in walk if s in lone]
+        for idx, s in walk:
             ks, here, rest = against[s], 1 << idx, s
             while rest:  # _iter_bits inlined: this loop runs once per member of each set
                 low = rest & -rest
@@ -192,9 +240,39 @@ class Problem:
                 near[m] |= s
                 conf[m] |= ks
                 rest ^= low
+        if blocks:
+            index = {s: idx for idx, s in enumerate(sets)}
+            for o, d in blocks:
+                ids, rest, two = 0, d, d.bit_count() == 2
+                while rest:
+                    low = rest & -rest
+                    ids |= 1 << index[o ^ low]
+                    rest ^= low
+                rest = d
+                while rest:  # the demands: all sets but their own, and conflicts with all of O
+                    low = rest & -rest
+                    m = low.bit_length() - 1
+                    sets_with[m] |= ids ^ 1 << index[o ^ low]
+                    near[m] |= o ^ d ^ low if two else o
+                    conf[m] |= d ^ low
+                    rest ^= low
+                rest = o ^ d
+                while rest:  # the other members: every set, and conflicts with the demands
+                    low = rest & -rest
+                    m = low.bit_length() - 1
+                    sets_with[m] |= ids
+                    near[m] |= o
+                    conf[m] |= d
+                    rest ^= low
         crowded = reduce(or_, (s for s in sets if s.bit_count() > 2), 0)
         return HypergraphBits(
-            sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
+            sets,
+            tuple(map(against.__getitem__, sets)),
+            crowded,
+            tuple(sets_with),
+            tuple(near),
+            tuple(conf),
+            tuple(blocks),
         )
 
     @cached_property
@@ -365,14 +443,14 @@ def _unknown_key(obj: dict[str, object], known: frozenset[str]) -> str:
     return next(key for key in obj if key not in known)
 
 
-# The largest n a problem file may hold.  Problem.edge_masks, bits.near and
-# bits.conf hold n masks of up to n bits, so a file with few ids still costs
-# O(n^2) bits, and later layers more.  At n = 1024, indexcode analyze takes
-# 1.0-1.6 s and 27 MB on one receiver that demands every message, and on one
-# receiver per message without side information, indexcode oracle 1.2-1.5 s
-# and 236 MB for a plan of n(n-1)/2 + 1 trie nodes, and analyze --emit-graph
-# 1.25-1.31 s and 27 MB for a 40.7 MB dot (README, on input files).  gen -n
-# 1024 --density 1 writes its 5.2 MB file in 0.26-0.29 s at a 59 MB peak.
+# The largest n a problem file may hold.  bits.near and bits.conf hold n
+# masks of up to n bits, so a file with few ids still costs O(n^2) bits, and
+# later layers more.  At n = 1024, indexcode analyze takes 0.08-0.11 s and
+# 18 MB on one receiver that demands every message, and on one receiver per
+# message without side information, indexcode oracle 0.86-0.92 s and 236 MB
+# for a plan of n(n-1)/2 + 1 trie nodes, and analyze --emit-graph 0.53-0.59 s
+# and 18 MB for a 40.7 MB dot (README, on input files).  gen -n 1024
+# --density 1 writes its 5.2 MB file in 0.26-0.29 s at a 59 MB peak.
 MAX_MESSAGES = 1024
 
 _PROBLEM_KEYS = frozenset({"n", "receivers"})

@@ -7,6 +7,11 @@ construction.  Everything here reads the conflict hypergraph through
 ``Problem.bits``, the integer view of the distinct (k, mask of
 Interf_k(j)) that ``Problem`` builds from its receivers; only
 ``to_dot`` reads those hyperedges, ``Problem.edge_masks``, one by one.
+A receiver that demands d messages has d interfering sets, its outside
+mask O less each demand, so the type-2 star scan and the triangle rows
+read a block of ``bits.blocks`` (one O with its demands) whole, through
+closed forms for the unions of its sets, and walk every other set one by
+one.
 Every pair listing inside a mask is ``problem._pairs``: the alignment
 graph, also as ``to_dot`` lists it, and the pairs the triangle listing
 extends on ``bits.near``, the dirty witness and the kind-2 test on
@@ -154,11 +159,26 @@ def _triangle_row(p: Problem) -> Callable[[int, int], int]:
     & Nishizeki, "Arboricity and subgraph listing algorithms", 1985): c
     ranges over the members above b of the union of the sets containing
     both a and b, and must conflict with a or b unless (a, b) is a
-    conflict itself.  Time O(distinct sets / 8) per pair."""
-    sets_with, conf = p.bits.sets_with, p.bits.conf
-    # unions of every subset of each run of 8 sets, one lookup per run; sets
+    conflict itself.  A block of d >= 4 demands holds each pair a, b of its
+    outside mask O in at least two of its sets O - {k}, whose union is O,
+    so it enters the union as the one mask O in place of its d sets.  Time
+    O(distinct masks / 8) per pair."""
+    bits = p.bits
+    holds, conf = bits.sets_with, bits.conf
+    # unions of every subset of each run of 8 masks, one lookup per run; sets
     # of at most two members (sorted last) hold no c above b and are left out
-    big = [s for s in p.bits.sets if s.bit_count() > 2]
+    big = [s for s in bits.sets if s.bit_count() > 2]
+    wide = [(o, d) for o, d in bits.blocks if d.bit_count() > 3]
+    if wide:
+        covered = {o ^ 1 << k for o, d in wide for k in _iter_bits(d)}
+        big = [s for s in big if s not in covered] + [o for o, _ in wide]
+        holds = [0] * (p.n + 1)  # [m]: mask of the indexes into ``big`` that contain m
+        for idx, s in enumerate(big):
+            here, rest = 1 << idx, s
+            while rest:
+                low = rest & -rest
+                holds[low.bit_length() - 1] |= here
+                rest ^= low
     tables = []
     for lo in range(0, len(big), 8):
         table = [0]
@@ -168,7 +188,7 @@ def _triangle_row(p: Problem) -> Callable[[int, int], int]:
     runs = (1 << len(big)) - 1
 
     def row(a: int, b: int) -> int:
-        u, picked = 0, sets_with[a] & sets_with[b] & runs
+        u, picked = 0, holds[a] & holds[b] & runs
         for table in tables:
             u |= table[picked & 255]
             picked >>= 8
@@ -256,12 +276,24 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
     triangle of the component lies in such a set with one of its conflict
     pairs.  So the messages cost no work per triangle.
 
+    A block (``bits.blocks``), whose sets all have three or more members,
+    is read whole.  Member a of its outside mask O lies in the sets
+    O - {k} of the demands k other than a, and when O holds three or more
+    partners of a, any two of those stars meet, as O - {k, k'} still holds
+    one.  They then join one group of a, so the block adds their union, O
+    or O less the one other demand, in place of them; otherwise it adds
+    each set whose star is not empty.
+
     Returns, per component, the mask of its messages and its (message,
     partner group) pairs.
     """
-    conf = p.bits.conf
+    conf, blocks = p.bits.conf, p.bits.blocks
     held: dict[int, list[int]] = {}  # message a -> the sets of three or more members where a has a star
-    for s in p.bits.sets:
+    sets = p.bits.sets
+    if blocks:  # the sets of a block are read with their block below
+        covered = {o ^ 1 << k for o, d in blocks for k in _iter_bits(d)}
+        sets = [s for s in sets if s not in covered]
+    for s in sets:
         if s.bit_count() < 3:
             break  # the sets are sorted largest first
         rest = s
@@ -270,6 +302,19 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
             a = low.bit_length() - 1
             if s & conf[a]:
                 held.setdefault(a, []).append(s)
+            rest ^= low
+    for o, d in blocks:
+        rest = o
+        while rest:
+            low = rest & -rest
+            a = low.bit_length() - 1
+            others = d & ~low  # a lies in the sets O - {k} of these k
+            if (o & conf[a]).bit_count() > 2:
+                held.setdefault(a, []).append(o if others & (others - 1) else o ^ others)
+            else:
+                for k in _iter_bits(others):
+                    if (s := o ^ 1 << k) & conf[a]:
+                        held.setdefault(a, []).append(s)
             rest ^= low
     single, extra = 0, p.n  # messages with one group; the last id given above n
     nodes: dict[int, list[tuple[int, int]]] = {}  # message -> its (partner group, node) pairs

@@ -56,6 +56,7 @@ def one_demand(n, demand=1):
 
 
 CAP = gen(1024, 0, 0, "cap.json")  # one receiver per message, no side information
+ALL_DEMANDS = '{"n": 1024, "receivers": [{"demands": [%s]}]}' % ", ".join(map(str, range(1, 1025)))
 JSON_LIMIT_ERROR = "error: the JSON report would list more than 640000 triangles; the text report lists none"
 
 ROWS = {
@@ -212,6 +213,14 @@ ROWS = {
         files=(("n802.json", '{"n": 802, "receivers": [{"demands": [1]}, {"demands": [2]}]}'),),
         timeout_s=60, memory_mb=64,
     ),
+    # one receiver demanding every message at the cap: one outside set with
+    # 1,024 demands against it, read as one receiver block; the same report
+    # as cap.json, whose receivers form the same block
+    "analyze-all-demands-text": Row(
+        (), ("analyze", "all.json"), 0,
+        "961de14737a935c90a11c0663a26002c9e31701edabf02e3642fde721ccad93f",
+        files=(("all.json", ALL_DEMANDS),), memory_mb=64,
+    ),
     # at the message cap, one receiver demanding every message has 178
     # million triangles and two receivers demanding 1 and 2 have 1,043,462;
     # the JSON report of the first outgrew 7 GB, and that of the second took
@@ -219,8 +228,7 @@ ROWS = {
     "analyze-all-demands-json-refused": Row(
         (), ("analyze", "all.json", "--allow-undemanded", "--format", "json"), 3, EMPTY,
         stderr=(JSON_LIMIT_ERROR,),
-        files=(("all.json", '{"n": 1024, "receivers": [{"demands": [%s]}]}' % ", ".join(map(str, range(1, 1025)))),),
-        timeout_s=60, memory_mb=64,
+        files=(("all.json", ALL_DEMANDS),), timeout_s=60, memory_mb=64,
     ),
     "analyze-two-receivers-json-refused": Row(
         (), ("analyze", "two.json", "--allow-undemanded", "--format", "json"), 3, EMPTY,

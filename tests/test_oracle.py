@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import hyperedges, oracle_small_base, random_unicast_problem
+from corpusgen import every_unicast_problem, hyperedges, oracle_small_base, random_unicast_problem
 from plan_reference import reference_plan
+from reference import linear_spaces, rank3_matroid, set_partitions
 from indexcode import oracle, problem
 from indexcode.codec import ScalarLinearCode, verify
-from indexcode.feasibility import RateThirdStatus, analyze
+from indexcode.feasibility import RateThirdStatus, analyze, render_report
 from indexcode.fixtures import FIXTURE_NAMES, fixture_text, load_fixture
 from indexcode.oracle import (
     OracleBudgetError,
@@ -243,6 +244,21 @@ def test_plan_at_the_message_cap_is_built_in_seconds():
     plan = _plan.__wrapped__(p.n, edges)
     assert time.perf_counter() - started < 6
     assert plan.nodes == MAX_MESSAGES * (MAX_MESSAGES - 1) // 2 + 1 == 523_777
+
+
+@pytest.mark.parametrize("shape", ["one receiver per message", "one receiver demanding every message"])
+def test_text_report_at_the_message_cap_is_built_in_a_fraction_of_a_second(shape):
+    # one outside set of all 1,024 messages with 1,024 demands against it:
+    # walked set by set, Problem.bits and the type-2 star scan took 1.0-1.5 s
+    # in all; read as one receiver block, about 15 ms
+    if shape == "one receiver per message":
+        p = random_problem(MAX_MESSAGES, 0.0, seed=0)
+    else:
+        p = Problem(MAX_MESSAGES, (Receiver(frozenset(range(1, MAX_MESSAGES + 1)), frozenset()),))
+    started = time.perf_counter()
+    text = render_report(analyze(p))
+    assert time.perf_counter() - started < 0.25
+    assert text and p.bits.blocks == (((1 << MAX_MESSAGES + 1) - 2,) * 2,)
 
 
 def test_subspace_tables_leak_nothing_between_searches():
@@ -538,8 +554,8 @@ def test_conjecture_probe_candidate_n16():
 def test_conjecture_counterexample_n6():
     # undetermined with clean type-2 sets, so the conjecture predicts rate
     # 1/3, yet the shortest code is 4 long over GF(2) and GF(3) and longer
-    # than 3 over GF(5); that no field has a length-3 code is for a rank-3
-    # matroid check, which the library does not have yet
+    # than 3 over GF(5); that no field has a length-3 code is the rank-3
+    # matroid check's (test_no_rank3_matroid_refutes_length_three)
     p = random_problem(6, 0.5, seed=230)
     verdict = analyze(p).rate_third
     assert verdict.status is RateThirdStatus.UNDETERMINED and verdict.conjecture_predicts_feasible
@@ -547,3 +563,25 @@ def test_conjecture_counterexample_n6():
         result = min_length(p, q, l_max=l_max)
         assert (result.min_length, result.nodes_explored) == (length, nodes)
         assert result.witness is None or verify(p, result.witness).ok
+
+
+def test_no_rank3_matroid_refutes_length_three():
+    # reference.rank3_matroid's lemma: with no loopless matroid of rank at
+    # most 3 that keeps each k outside cl(I), no field has a length-3 code.
+    # It tries every candidate: 1,435 at n = 6 and 23,049 at n = 7
+    assert [sum(len(linear_spaces(max(c) + 1)) for c in set_partitions(n)) for n in (6, 7)] == [1435, 23049]
+    # the conjecture predicts rate 1/3 for all three, and no field has it
+    for n, density, seed in [(6, 0.5, 230), (7, 0.5, 337), (7, 0.65, 412)]:
+        p = random_problem(n, density, seed=seed)
+        verdict = analyze(p).rate_third
+        assert verdict.status is RateThirdStatus.UNDETERMINED and verdict.conjecture_predicts_feasible
+        assert rank3_matroid(p) is None, (n, density, seed)
+    # every unicast problem up to n = 4 with a GF(2) code of length 3 or less
+    # has such a matroid, as the lemma requires; at n <= 4 the converse holds too
+    table = Counter()
+    for n in range(1, 5):
+        for p in every_unicast_problem(n):
+            table[n, min_length(p, 2, l_max=3).min_length is not None, rank3_matroid(p) is not None] += 1
+    assert table == {
+        (1, True, True): 1, (2, True, True): 4, (3, True, True): 64, (4, True, True): 3553, (4, False, False): 543
+    }

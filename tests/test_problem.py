@@ -194,7 +194,7 @@ def test_valid_files_parse_without_problem_checks(monkeypatch):
     # the parse checks every listed id in C-level passes, so a valid file
     # never reaches Problem.__post_init__
     texts = [*map(fixture_text, FIXTURE_NAMES), *_golden_problem_texts()]
-    assert len(texts) == 20
+    assert len(texts) == 21
     calls = []
     check = Problem.__post_init__
     monkeypatch.setattr(Problem, "__post_init__", lambda self: calls.append(1) or check(self))

@@ -1,3 +1,4 @@
+import json
 import random
 from functools import reduce
 from itertools import combinations, permutations, product
@@ -6,11 +7,12 @@ from operator import or_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from corpusgen import hyperedges, random_constructible_problem, random_unicast_problem
-from indexcode.feasibility import analyze, check_rate_half, check_rate_one, report_to_dict
+from indexcode import structure
+from indexcode.feasibility import analyze, check_rate_half, check_rate_one, render_report, report_to_dict
 from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import (
-    HypergraphBits,
     Problem,
     Receiver,
     conflicts,
@@ -111,11 +113,12 @@ def reference_conflict_pairs(p):
 
 
 def reference_bits(p):
-    """``Problem.bits`` built from the hyperedges and their conflict pairs."""
+    """The fields of ``Problem.bits`` but ``blocks``, built from the
+    hyperedges and their conflict pairs."""
     pairs, ids = reference_conflict_pairs(p), range(p.n + 1)
     edges = {(k, sum(1 << i for i in interf)) for k, interf in hyperedges(p)}
     sets = tuple(sorted({s for _, s in edges}, key=lambda s: (-s.bit_count(), s)))
-    return HypergraphBits(
+    return (
         sets,
         tuple(sum({1 << k for k, interf in edges if interf == s}) for s in sets),
         reduce(or_, (s for s in sets if s.bit_count() >= 3), 0),
@@ -263,11 +266,67 @@ def test_bits_match_hyperedge_reference():
     )
     assert empty.edge_masks == {(2, 0b1010), (3, 0b0110)}  # receiver 1 adds no edge
     for p in problems:
-        assert p.bits == reference_bits(p)
+        assert p.bits[:-1] == reference_bits(p)
         pairs = reference_conflict_pairs(p)
         assert conflicts(p) == pairs
         assert check_rate_one(p).conflict_witness == (min(pairs) if pairs else None)
         assert alignment_graph(p) == naive_alignment_graph(p)
+
+
+def dense_groupcast_problem(seed):
+    """Seeded groupcast problem with n <= 30 whose receivers demand 1 to n
+    messages, most often one to four, and hold side information at density
+    0-0.8; every fourth one repeats its receivers, and every fifth gives one
+    outside set to several receivers, which then form one block."""
+    rng = random.Random(f"dense-groupcast:{seed}")
+    n = rng.randint(1, 30)
+    density = rng.choice([0.0, 0.2, 0.4, 0.6, 0.8])
+    receivers = []
+    for _ in range(rng.randint(1, n)):
+        demands = frozenset(rng.sample(range(1, n + 1), min(n, rng.choice([1, 2, 3, 4, rng.randint(1, n)]))))
+        side = frozenset(m for m in range(1, n + 1) if m not in demands and rng.random() < density)
+        receivers.append(Receiver(demands, side))
+    if seed % 4 == 0:
+        receivers += receivers
+    if seed % 5 == 0:
+        side = frozenset(m for m in range(1, n + 1) if rng.random() < density)
+        receivers += [Receiver(frozenset({m}), side) for m in range(1, n + 1) if m not in side]
+    return Problem(n, tuple(receivers))
+
+
+def _scans(p):
+    """What the per-set scans feed: the type-2 components with their partner
+    groups as sets, the triangles, ``triangles_past`` at a few limits and
+    both reports."""
+    rep = analyze(p)
+    limits = (0, 1, 5, 100, 10_000)
+    return (
+        sorted((messages, sorted(pairs)) for messages, pairs in structure._pair_components(p)),
+        triangular_interfering_sets(p),
+        [triangles_past(p, limit) for limit in limits],
+        json.dumps(report_to_dict(rep), sort_keys=True, indent=2),
+        render_report(rep),
+    )
+
+
+def test_block_scans_match_the_per_set_reference(monkeypatch):
+    # the receiver blocks of Problem.bits, the type-2 star scan and the
+    # triangle rows against the per-set walks they replace (tests/reference.py)
+    problems = (
+        [dense_groupcast_problem(seed) for seed in range(120)]
+        + [load_fixture(f) for f in FIXTURE_NAMES]
+        + [Problem(n, (Receiver(frozenset(range(1, n + 1)), frozenset()),)) for n in (1, 2, 3, 4, 5, 8, 13, 30, 64)]
+        + [Problem(30, (Receiver(frozenset({1}), frozenset()),) * 2)]  # a repeated receiver is no block
+    )
+    assert sum(bool(p.bits.blocks) for p in problems) > len(problems) // 2
+    found = []
+    for p in problems:
+        assert p.bits[:-1] == reference.bits(p)
+        assert p.edge_masks == reference.edge_masks(p)
+        found.append(_scans(p))
+    monkeypatch.setattr(structure, "_pair_components", reference.pair_components)
+    monkeypatch.setattr(structure, "_triangle_row", reference.triangle_row)
+    assert [_scans(Problem(p.n, p.receivers)) for p in problems] == found
 
 
 @given(st.integers(0, 400))
