@@ -88,7 +88,7 @@ def check_rate_one(p: Problem) -> RateOneVerdict:
 def check_rate_half(p: Problem) -> RateHalfVerdict:
     """An internal conflict lies inside an alignment set; the first, by set
     and then by pair, is the witness, the first of ``problem._pairs``."""
-    for pair, comp in _pairs(p.bits.conf, p.alignment_components):
+    for pair, comp in _pairs(p.bits.conf, p.bits.components):
         return RateHalfVerdict(feasible=False, internal_conflict=pair, alignment_set=frozenset(_iter_bits(comp)))
     return RateHalfVerdict(feasible=True, internal_conflict=None, alignment_set=None)
 

@@ -69,7 +69,7 @@ then by id, so the dense part of the hypergraph is fixed early and a
 refuted constraint prunes a small subtree.  The order, the positions and
 the checks at each position depend only on the hypergraph, not on q or
 L, so ``_plan`` derives them once per hypergraph from the (k, mask of I)
-of ``Problem.edge_masks``, built in plain lists, and keeps the most
+of ``Problem.bits.hyperedges``, built in plain lists, and keeps the most
 recent plans; a sweep over lengths and fields reuses one plan.  It makes
 one pass over the hyperedges, listing k and the members of I, one table
 lookup per byte of the mask of I, and counting degrees, then walks the
@@ -273,7 +273,7 @@ _BYTE_MEMBERS = tuple(bytes(m for m in range(8) if b >> m & 1) for b in range(25
 @lru_cache(maxsize=64)
 def _plan(n: int, edges: frozenset[tuple[int, int]]) -> _Plan:
     """The most-constrained-first order and its checks, from the (k, mask
-    of I) of ``Problem.edge_masks``; independent of q and L."""
+    of I) of ``Problem.bits.hyperedges``; independent of q and L."""
     degree = [0] * (n + 1)
     members = []  # k, then the messages of I, for each hyperedge
     for k, interf in edges:
@@ -344,7 +344,7 @@ def exists_code(
     ``OracleBudgetError`` once more than ``max_nodes`` nodes are explored.
     """
     f = _field(q, length)  # raises OracleCapError past the caps
-    position, trie_nodes, extend, avoid, pairs, inside = _plan(p.n, p.edge_masks)
+    position, trie_nodes, extend, avoid, pairs, inside = _plan(p.n, p.bits.hyperedges)
     reach = f.reach
     candidates, count, unit = f.candidates, f.count, f.unit  # per rank
     hyperplane = length - 1  # dimension of a hyperplane

@@ -94,6 +94,13 @@ class HypergraphBits(NamedTuple):
     # (O, D) per distinct outside mask O with two or more demands D against
     # it and 24 or more members in its sets O less each k of D, read whole
     blocks: tuple[tuple[int, int], ...]
+    # each distinct (k, mask of I), I nonempty: the oracle's plan and to_dot
+    # read it; a frozenset keeps its hash, so a cache keyed by it hashes it once
+    hyperedges: frozenset[tuple[int, int]]
+    components: tuple[int, ...]  # the alignment sets, the reaches of ``near``, ordered by smallest member
+    # the sets of the receivers outside the blocks, walked one by one, in
+    # the order of ``sets``; ``sets`` itself when there is no block
+    loose: tuple[int, ...]
 
 
 class Receiver(NamedTuple):
@@ -148,19 +155,10 @@ class Problem:
         return frozenset(range(1, self.n + 1))
 
     @cached_property
-    def edge_masks(self) -> frozenset[tuple[int, int]]:
-        """The conflict hypergraph as int masks: each distinct (k, mask of
-        Interf_k(j)) with a nonempty interfering set.  ``bits`` records it
-        as it reads the receivers, for the oracle's plan and ``to_dot``; the
-        analyzer reads only ``bits``.  A frozenset keeps its hash, so a
-        cache keyed by it hashes it once."""
-        self.bits  # records edge_masks on the instance
-        return self.__dict__["edge_masks"]
-
-    @cached_property
     def bits(self) -> HypergraphBits:
-        """The conflict hypergraph as int bitmasks, read from the receivers,
-        one pass over them that also records ``edge_masks``.
+        """The conflict hypergraph as int bitmasks, read from the receivers
+        in one pass, with its hyperedges and alignment sets: the one view
+        of it that a ``Problem`` caches.
 
         A receiver's interfering sets are its outside mask O, the messages
         outside its side information, less each demand k.  O is read from
@@ -179,8 +177,10 @@ class Problem:
         member m of O, not one per set: the sets that hold m are those of the demands other than m,
         whose union is O when two or more demands are not m and O less the
         one other demand otherwise, and m conflicts with the demands other
-        than m, and with all of O when it is one.  Every other set is walked
-        member by member."""
+        than m, and with all of O when it is one.  Every other set
+        (``loose``) is walked member by member, as is a block's set that a
+        receiver outside the blocks has too, for the messages that receiver
+        demands against it."""
         n = self.n
         bit, full = (1).__lshift__, (1 << (n + 1)) - 2
         sets_with, near, conf = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
@@ -217,7 +217,6 @@ class Problem:
                 if d & (d - 1):  # not when a one-demand receiver repeats
                     shared[o] = None
             grouped[o] = d
-        self.__dict__["edge_masks"] = frozenset(edges)
         blocks, small = [], []
         for o in shared:
             # the d sets of a group that hold fewer than 24 members in all cost
@@ -226,11 +225,12 @@ class Problem:
             d = grouped[o]
             (blocks if d.bit_count() * (o.bit_count() - 1) >= 24 else small).append((o, d))
         sets = tuple(sorted(sorted(against), key=int.bit_count, reverse=True))  # largest first, then ascending
-        walk = enumerate(sets)
+        walk, loose = enumerate(sets), sets
         if blocks:  # the sets of the other groups; those of the blocks alone are updated per block below
             lone = {o ^ d for o, d in grouped.items() if not d & (d - 1)}
             lone.update(o ^ 1 << k for o, d in small for k in _iter_bits(d))
             walk = [(idx, s) for idx, s in walk if s in lone]
+            loose = tuple(s for _, s in walk)
         for idx, s in walk:
             ks, here, rest = against[s], 1 << idx, s
             while rest:  # _iter_bits inlined: this loop runs once per member of each set
@@ -273,16 +273,10 @@ class Problem:
             tuple(near),
             tuple(conf),
             tuple(blocks),
+            frozenset(edges),
+            tuple(_reaches(near, full)),
+            loose,
         )
-
-    @cached_property
-    def alignment_components(self) -> tuple[int, ...]:
-        """Alignment sets as masks, ordered by smallest member, found once.
-
-        Each is a reach of ``bits.near``, the alignment-graph neighbours;
-        a message in no interfering set is a set alone.
-        """
-        return tuple(_reaches(self.bits.near, (1 << (self.n + 1)) - 2))
 
 
 _SHOWN_IDS = 10  # ids an error lists before it gives only the count
@@ -312,7 +306,7 @@ def interfering_set(p: Problem, j: int, k: int) -> frozenset[int]:
 
     Empty when receiver ``j`` does not demand ``k``; otherwise every
     message other than ``k`` that is not in ``j``'s side information.
-    ``Problem.edge_masks`` holds every nonempty such set, as a mask.
+    ``Problem.bits.hyperedges`` holds every nonempty such set, as a mask.
     """
     if not 1 <= j <= p.t:
         raise ProblemError(f"receiver index {j} out of range [1..{p.t}]")

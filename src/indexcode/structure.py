@@ -5,13 +5,14 @@ interfering sets, type-2 alignment sets, restricted internal conflicts,
 and the classification of alignment sets used by the rate-1/3
 construction.  Everything here reads the conflict hypergraph through
 ``Problem.bits``, the integer view of the distinct (k, mask of
-Interf_k(j)) that ``Problem`` builds from its receivers; only
-``to_dot`` reads those hyperedges, ``Problem.edge_masks``, one by one.
-A receiver that demands d messages has d interfering sets, its outside
-mask O less each demand, so the type-2 star scan and the triangle rows
-read a block of ``bits.blocks`` (one O with its demands) whole, through
-closed forms for the unions of its sets, and walk every other set one by
-one.
+Interf_k(j)) that ``Problem`` builds from its receivers; ``to_dot`` and
+the oracle's plan read those hyperedges, ``bits.hyperedges``, one by
+one.  A receiver that demands d messages has d interfering sets, its
+outside mask O less each demand, so the type-2 star scan and the
+triangle rows read a block of ``bits.blocks`` (one O with its demands)
+whole, through closed forms for the unions of its sets, and walk every
+other set one by one: the star scan walks the sets ``bits`` walked,
+``bits.loose``.
 Every pair listing inside a mask is ``problem._pairs``: the alignment
 graph, also as ``to_dot`` lists it, and the pairs the triangle listing
 extends on ``bits.near``, the dirty witness and the kind-2 test on
@@ -24,18 +25,18 @@ stars joined them, so the analysis does no work per triangle and lists
 none.  Only ``feasibility.report_to_dict`` lists the triangles, which it
 writes, and ``_group_triangles`` places each in its type-2 set with one
 lookup when there are several.  The full alignment sets are the reaches
-of ``bits.near``, found once per problem as
-``Problem.alignment_components`` by ``problem._reaches``, the same
-search that joins the partner groups of the type-2 sets, and
-``structure_report`` merges the restricted alignment sets once per
-distinct type-2 message set (``_components``, the one restriction rule),
-for the rate-1/3 construction, and takes only the first pair inside
-them: it decides the kind, and the first in type-2 order is the dirty
-witness.  The acyclic-quadruple search walks masks of set indexes
-(``bits.sets_with``) and reads its candidates from ``bits.against``; a
-quadruple implies a dirty type-2 set (``feasibility.check_rate_third``),
-so no verdict reads it, and ``feasibility.report_to_dict`` is its one
-caller, for the JSON report's witness.
+of ``bits.near``, found once per problem as ``bits.components`` by
+``problem._reaches``, the same search that joins the partner groups of
+the type-2 sets, and ``structure_report`` merges the restricted
+alignment sets once per distinct type-2 message set (``_components``,
+the one restriction rule), for the rate-1/3 construction, and takes
+only the first pair inside them: it decides the kind, and the first in
+type-2 order is the dirty witness.  The acyclic-quadruple search walks
+masks of set indexes (``bits.sets_with``) and reads its candidates from
+``bits.against``; a quadruple implies a dirty type-2 set
+(``feasibility.check_rate_third``), so no verdict reads it, and
+``feasibility.report_to_dict`` is its one caller, for the JSON report's
+witness.
 The classification takes each alignment set as its mask: kind 1 is one
 test against ``bits.crowded``, the union of the sets with three or more
 members, and fork and cycle come from one pass over the degrees in
@@ -98,7 +99,7 @@ def alignment_graph(p: Problem) -> frozenset[Edge]:
 
 def alignment_sets(p: Problem) -> list[frozenset[int]]:
     """Connected components of the alignment graph; a partition of [1..n]."""
-    return [frozenset(_iter_bits(c)) for c in p.alignment_components]
+    return [frozenset(_iter_bits(c)) for c in p.bits.components]
 
 
 def fork_and_cycle(p: Problem, mask: int) -> tuple[bool, bool]:
@@ -276,24 +277,22 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
     triangle of the component lies in such a set with one of its conflict
     pairs.  So the messages cost no work per triangle.
 
-    A block (``bits.blocks``), whose sets all have three or more members,
-    is read whole.  Member a of its outside mask O lies in the sets
+    The scan walks the sets ``bits`` walked one by one, ``bits.loose``,
+    and reads a block (``bits.blocks``), whose sets all have three or more
+    members, whole.  Member a of its outside mask O lies in the sets
     O - {k} of the demands k other than a, and when O holds three or more
     partners of a, any two of those stars meet, as O - {k, k'} still holds
     one.  They then join one group of a, so the block adds their union, O
     or O less the one other demand, in place of them; otherwise it adds
-    each set whose star is not empty.
+    each set whose star is not empty.  A block's set that is also loose is
+    read twice, and its star joins the group it already joined.
 
     Returns, per component, the mask of its messages and its (message,
     partner group) pairs.
     """
-    conf, blocks = p.bits.conf, p.bits.blocks
+    conf = p.bits.conf
     held: dict[int, list[int]] = {}  # message a -> the sets of three or more members where a has a star
-    sets = p.bits.sets
-    if blocks:  # the sets of a block are read with their block below
-        covered = {o ^ 1 << k for o, d in blocks for k in _iter_bits(d)}
-        sets = [s for s in sets if s not in covered]
-    for s in sets:
+    for s in p.bits.loose:
         if s.bit_count() < 3:
             break  # the sets are sorted largest first
         rest = s
@@ -303,7 +302,7 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
             if s & conf[a]:
                 held.setdefault(a, []).append(s)
             rest ^= low
-    for o, d in blocks:
+    for o, d in p.bits.blocks:
         rest = o
         while rest:
             low = rest & -rest
@@ -394,7 +393,7 @@ def _components(bits: HypergraphBits, keep: int) -> tuple[int, ...]:
     """Alignment components of the problem restricted to ``keep``, as masks
     ordered by smallest member: each interfering set I of ``bits.sets``
     with a kept message demanded against it (``bits.against``) merges
-    I & keep.  The full sets need no merge (``Problem.alignment_components``)."""
+    I & keep.  The full sets need no merge (``bits.components``)."""
     comps = _merge([s & keep for s, ks in zip(bits.sets, bits.against) if ks & keep])
     comps += [1 << m for m in _iter_bits(keep & ~reduce(or_, comps, 0))]
     return tuple(sorted(comps, key=lambda c: c & -c))
@@ -449,7 +448,7 @@ def structure_report(p: Problem) -> StructureReport:
             dirty = messages, found[0], frozenset(_iter_bits(found[1]))
     infos = tuple(
         AlignmentSetInfo(s, *fork_and_cycle(p, c), classify_alignment_set(p, c, type2_dirty))
-        for s, c in zip(alignment_sets(p), p.alignment_components)
+        for s, c in zip(alignment_sets(p), p.bits.components)
     )
     return StructureReport(
         alignment_sets=infos,
@@ -470,8 +469,8 @@ def to_dot(p: Problem) -> Iterator[str]:
     yield "graph index_coding {\n" + "".join(f"  m{v} [label=\"W{v}\"];\n" for v in range(1, p.n + 1))
     for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
         yield f"  {node[a]} -- {node[b]};\n"
-    shared = Counter(k for k, _ in p.edge_masks)  # members only order the hyperedges that share a k
-    hyperedges = sorted(p.edge_masks, key=lambda e: (e[0], [*_iter_bits(e[1])] if shared[e[0]] > 1 else []))
+    shared = Counter(k for k, _ in p.bits.hyperedges)  # members only order the hyperedges that share a k
+    hyperedges = sorted(p.bits.hyperedges, key=lambda e: (e[0], [*_iter_bits(e[1])] if shared[e[0]] > 1 else []))
     for idx, (k, interf) in enumerate(hyperedges):
         spoke = f" [style=dashed];\n  h{idx} -- "  # ends each member's line and starts the next
         yield f"  h{idx} [shape=point, label=\"\"];\n  {node[k]} -- h{idx}{spoke}" + spoke.join(

@@ -9,9 +9,10 @@ vector of its colour is a length-3 code over every field.
 field, so finding none refutes length 3 over all of them.
 
 ``edge_masks``, ``bits``, ``pair_components`` and ``triangle_row`` are
-``Problem.edge_masks``, ``Problem.bits``, ``structure._pair_components`` and
-``structure._triangle_row`` as they were before the library read the
-receivers in blocks: they walk every interfering set member by member.
+``Problem.bits.hyperedges``, the first six fields of ``Problem.bits``,
+``structure._pair_components`` and ``structure._triangle_row`` as they
+were before the library read the receivers in blocks: they walk every
+interfering set member by member.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def rank3_matroid(p: Problem) -> tuple[list[int], tuple[int, ...]] | None:
     cl(I) is read off the points of I: none or one point, or two points on
     no line, gives those points; all of them on one line gives that line;
     anything else gives every point.  Every candidate is tried."""
-    edges = list(p.edge_masks)
+    edges = list(p.bits.hyperedges)
     for classes in set_partitions(p.n):
         points = max(classes) + 1
         edge_points = []
@@ -190,9 +191,9 @@ def edge_masks(p: Problem) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-def bits(p: Problem) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The fields of ``Problem.bits`` but ``blocks``, read from ``edge_masks``,
-    one update per member of each distinct interfering set."""
+def bits(p: Problem) -> dict[str, object]:
+    """The first six fields of ``Problem.bits`` by name, read from
+    ``edge_masks``, one update per member of each distinct interfering set."""
     sets_with, near, conf = [0] * (p.n + 1), [0] * (p.n + 1), [0] * (p.n + 1)
     against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
     for k, s in edge_masks(p):
@@ -209,7 +210,14 @@ def bits(p: Problem) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, 
             conf[m] |= ks
             rest ^= low
     crowded = reduce(or_, (s for s in sets if s.bit_count() > 2), 0)
-    return sets, tuple(map(against.__getitem__, sets)), crowded, tuple(sets_with), tuple(near), tuple(conf)
+    return dict(
+        sets=sets,
+        against=tuple(map(against.__getitem__, sets)),
+        crowded=crowded,
+        sets_with=tuple(sets_with),
+        near=tuple(near),
+        conf=tuple(conf),
+    )
 
 
 def triangle_row(p: Problem) -> Callable[[int, int], int]:

@@ -230,7 +230,7 @@ def test_plan_matches_the_reference_plan():
         for s in range(3)
     ]
     for p in oracle_small_base() + larger:
-        assert _plan.__wrapped__(p.n, p.edge_masks) == reference_plan(p.n, p.edge_masks), p
+        assert _plan.__wrapped__(p.n, p.bits.hyperedges) == reference_plan(p.n, p.bits.hyperedges), p
 
 
 def test_plan_at_the_message_cap_is_built_in_seconds():
@@ -239,7 +239,7 @@ def test_plan_at_the_message_cap_is_built_in_seconds():
     # by their masks of positions, the 523,776 nodes shared 3,661 hashes
     # and the plan took 12-15 s; the search then explores one node
     p = random_problem(MAX_MESSAGES, 0.0, seed=0)
-    edges = p.edge_masks
+    edges = p.bits.hyperedges
     started = time.perf_counter()
     plan = _plan.__wrapped__(p.n, edges)
     assert time.perf_counter() - started < 6

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -392,16 +393,18 @@ def _half_side(n):
 @example(_half_side(12))
 @example(_half_side(96))
 @settings(max_examples=200, deadline=None)
-def test_edge_masks_hold_every_hyperedge_and_match_bits(p):
-    assert p.edge_masks == {(k, sum(1 << m for m in interf)) for k, interf in hyperedges(p)}
-    assert p.edge_masks == {(k, s) for s, ks in zip(p.bits.sets, p.bits.against) for k in _iter_bits(ks)}
+def test_bits_hyperedges_hold_every_hyperedge_and_match_the_sets(p):
+    assert p.bits.hyperedges == {(k, sum(1 << m for m in interf)) for k, interf in hyperedges(p)}
+    assert p.bits.hyperedges == {(k, s) for s, ks in zip(p.bits.sets, p.bits.against) for k in _iter_bits(ks)}
 
 
 def test_views_are_computed_once_and_stored_on_the_problem(monkeypatch):
     # each view is read on first use and then found in the instance dict,
     # on a problem built through its checks and on one a plain text builds
-    # without them; a plain property would compute it on every read
-    views = ("messages", "edge_masks", "bits", "alignment_components")
+    # without them; a plain property would compute it on every read.  The
+    # hypergraph has one view, bits, and reading it stores nothing else
+    views = ("messages", "bits")
+    assert {name for name, value in vars(Problem).items() if isinstance(value, cached_property)} == set(views)
     calls = []
     check = Problem.__post_init__
     monkeypatch.setattr(Problem, "__post_init__", lambda self: calls.append(1) or check(self))
@@ -412,8 +415,10 @@ def test_views_are_computed_once_and_stored_on_the_problem(monkeypatch):
     for p in (built, parsed):
         assert not set(views) & set(p.__dict__)
         for name in views:
+            before = set(p.__dict__)
             value = getattr(p, name)
             assert p.__dict__[name] is value and getattr(p, name) is value
+            assert set(p.__dict__) == before | {name}
     assert all(getattr(built, name) == getattr(parsed, name) for name in views)
 
 
@@ -422,11 +427,11 @@ def test_a_repeated_text_returns_the_same_problem():
     # the first caller built are the second caller's
     text = fixture_text("p5")
     p = parse_problem(text)
-    edges = p.edge_masks
+    bits = p.bits
     copy = "".join(text)
     assert copy is not text
     again = parse_problem(copy)
-    assert again is p and again.edge_masks is edges and parse_problem(text) is p
+    assert again is p and again.bits is bits and parse_problem(text) is p
 
 
 def test_the_memo_keeps_the_undemanded_flag():

@@ -113,19 +113,24 @@ def reference_conflict_pairs(p):
 
 
 def reference_bits(p):
-    """The fields of ``Problem.bits`` but ``blocks``, built from the
+    """The first six fields of ``Problem.bits`` by name, built from the
     hyperedges and their conflict pairs."""
     pairs, ids = reference_conflict_pairs(p), range(p.n + 1)
     edges = {(k, sum(1 << i for i in interf)) for k, interf in hyperedges(p)}
     sets = tuple(sorted({s for _, s in edges}, key=lambda s: (-s.bit_count(), s)))
-    return (
-        sets,
-        tuple(sum({1 << k for k, interf in edges if interf == s}) for s in sets),
-        reduce(or_, (s for s in sets if s.bit_count() >= 3), 0),
-        tuple(sum(1 << idx for idx, s in enumerate(sets) if s >> m & 1) for m in ids),
-        tuple(reduce(or_, (s for s in sets if s >> m & 1), 0) for m in ids),
-        tuple(sum(1 << b for b in ids if (min(m, b), max(m, b)) in pairs) for m in ids),
+    return dict(
+        sets=sets,
+        against=tuple(sum({1 << k for k, interf in edges if interf == s}) for s in sets),
+        crowded=reduce(or_, (s for s in sets if s.bit_count() >= 3), 0),
+        sets_with=tuple(sum(1 << idx for idx, s in enumerate(sets) if s >> m & 1) for m in ids),
+        near=tuple(reduce(or_, (s for s in sets if s >> m & 1), 0) for m in ids),
+        conf=tuple(sum(1 << b for b in ids if (min(m, b), max(m, b)) in pairs) for m in ids),
     )
+
+
+def bits_fields(p, names):
+    """The fields ``names`` of ``p.bits``, by name."""
+    return {name: getattr(p.bits, name) for name in names}
 
 
 def naive_triangles(p):
@@ -264,9 +269,10 @@ def test_bits_match_hyperedge_reference():
         + doubled
         + [empty, Problem(2, (Receiver(frozenset({1}), frozenset({2})),))]
     )
-    assert empty.edge_masks == {(2, 0b1010), (3, 0b0110)}  # receiver 1 adds no edge
+    assert empty.bits.hyperedges == {(2, 0b1010), (3, 0b0110)}  # receiver 1 adds no edge
     for p in problems:
-        assert p.bits[:-1] == reference_bits(p)
+        want = reference_bits(p)
+        assert bits_fields(p, want) == want
         pairs = reference_conflict_pairs(p)
         assert conflicts(p) == pairs
         assert check_rate_one(p).conflict_witness == (min(pairs) if pairs else None)
@@ -294,6 +300,17 @@ def dense_groupcast_problem(seed):
     return Problem(n, tuple(receivers))
 
 
+def sets_by_blocks(p):
+    """The interfering sets, each O less a demand, of the receivers whose
+    outside mask O is a block's, and of the other receivers."""
+    full, blocks = (1 << (p.n + 1)) - 2, {o for o, _ in p.bits.blocks}
+    found = set(), set()
+    for r in p.receivers:
+        o = full ^ sum(1 << m for m in r.side_info)
+        found[o not in blocks].update(o ^ 1 << k for k in r.demands)
+    return found
+
+
 def _scans(p):
     """What the per-set scans feed: the type-2 components with their partner
     groups as sets, the triangles, ``triangles_past`` at a few limits and
@@ -317,13 +334,27 @@ def test_block_scans_match_the_per_set_reference(monkeypatch):
         + [load_fixture(f) for f in FIXTURE_NAMES]
         + [Problem(n, (Receiver(frozenset(range(1, n + 1)), frozenset()),)) for n in (1, 2, 3, 4, 5, 8, 13, 30, 64)]
         + [Problem(30, (Receiver(frozenset({1}), frozenset()),) * 2)]  # a repeated receiver is no block
+        # the block O = {1..7} with demands 1-4 has the set O - 1 = {2..7},
+        # and so does the receiver with O = {2..8} that demands 8 alone
+        + [Problem(8, (Receiver(frozenset({1, 2, 3, 4}), frozenset({8})), Receiver(frozenset({8}), frozenset({1}))))]
     )
     assert sum(bool(p.bits.blocks) for p in problems) > len(problems) // 2
+    shared = 0  # problems with a set that a block and a receiver outside the blocks both have
     found = []
     for p in problems:
-        assert p.bits[:-1] == reference.bits(p)
-        assert p.edge_masks == reference.edge_masks(p)
+        want = reference.bits(p)
+        assert bits_fields(p, want) == want
+        assert p.bits.hyperedges == reference.edge_masks(p)
+        # loose: in the order of sets, every set no block has, and a block's
+        # set only when a receiver outside the blocks has it too
+        in_blocks, outside_blocks = sets_by_blocks(p)
+        assert p.bits.loose == tuple(s for s in p.bits.sets if s in outside_blocks)
+        assert {s for s in p.bits.sets if s not in in_blocks} <= set(p.bits.loose)
+        if not p.bits.blocks:
+            assert p.bits.loose is p.bits.sets
+        shared += bool(in_blocks & outside_blocks)
         found.append(_scans(p))
+    assert shared
     monkeypatch.setattr(structure, "_pair_components", reference.pair_components)
     monkeypatch.setattr(structure, "_triangle_row", reference.triangle_row)
     assert [_scans(Problem(p.n, p.receivers)) for p in problems] == found
