@@ -122,7 +122,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     results = []  # every search ends before any output on stdout
     for q in args.q:
         try:
-            results.append(oracle.min_length(p, q, l_max=args.max_len, max_nodes=oracle.DEFAULT_NODE_CAP))
+            results.append(oracle.min_length(p, q, l_max=args.max_len))
         except oracle.OracleBudgetError:
             # the budget is per field: keep the answers of the fields that finished
             for done in results:
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", choices=["1", "1/2", "1/3"], required=True)
     sp.add_argument("--prime", type=int, default=linalg.DEFAULT_PRIME)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--max-attempts", type=_attempts, default=8)
+    sp.add_argument("--max-attempts", type=_attempts, default=codec.DEFAULT_ATTEMPTS)
     sp.add_argument("-o", "--output", default="-")
     common(sp)
     sp.set_defaults(func=cmd_construct)

@@ -50,6 +50,9 @@ from .problem import Problem, _load_json, _shown_ids, _unknown_key
 from .structure import Kind, alignment_sets, structure_report
 
 
+DEFAULT_ATTEMPTS = 8  # whole assignments a construction draws before it gives up
+
+
 class CodecError(ValueError):
     pass
 
@@ -251,7 +254,7 @@ def construct_rate_half(
     p: Problem,
     prime: int = linalg.DEFAULT_PRIME,
     rng: random.Random | None = None,
-    max_attempts: int = 8,
+    max_attempts: int = DEFAULT_ATTEMPTS,
 ) -> tuple[ScalarLinearCode, VerificationResult]:
     """Length-2 code: one shared random vector per alignment set.
 
@@ -286,7 +289,7 @@ def construct_rate_third(
     p: Problem,
     prime: int = linalg.DEFAULT_PRIME,
     rng: random.Random | None = None,
-    max_attempts: int = 8,
+    max_attempts: int = DEFAULT_ATTEMPTS,
 ) -> tuple[ScalarLinearCode, VerificationResult]:
     """Length-3 code assembled per alignment-set classification.
 

@@ -92,7 +92,8 @@ class HypergraphBits(NamedTuple):
     near: tuple[int, ...]  # [m]: union of the sets that contain m, its alignment-graph neighbours
     conf: tuple[int, ...]  # [m]: mask of m's conflict partners
     # (O, D) per distinct outside mask O with two or more demands D against
-    # it and 24 or more members in its sets O less each k of D, read whole
+    # it and 24 or more members in its sets O less each k of D, read whole,
+    # in the order of the first receiver of each O
     blocks: tuple[tuple[int, int], ...]
     # each distinct (k, mask of I), I nonempty: the oracle's plan and to_dot
     # read it; a frozenset keeps its hash, so a cache keyed by it hashes it once
@@ -171,22 +172,23 @@ class Problem:
         transpose.  Every value is an OR over the edges, so their order does
         not matter.
 
-        Receivers with the same O are grouped, with the mask D of all their
-        demands.  A group of d >= 2 demands whose d sets hold 24 or more
-        members in all is a block (``blocks``), and takes one update per
-        member m of O, not one per set: the sets that hold m are those of the demands other than m,
-        whose union is O when two or more demands are not m and O less the
-        one other demand otherwise, and m conflicts with the demands other
-        than m, and with all of O when it is one.  Every other set
-        (``loose``) is walked member by member, as is a block's set that a
-        receiver outside the blocks has too, for the messages that receiver
+        Receivers with the same O are grouped in one map, O to the mask D of
+        all their demands, and the blocks are picked from it: a group of
+        d >= 2 demands whose d sets hold 24 or more members in all is a
+        block (``blocks``, in the order of each O's first receiver), and
+        takes one update per member m of O, not one per set: the sets that
+        hold m are those of the demands other than m, whose union is O when
+        two or more demands are not m and O less the one other demand
+        otherwise, and m conflicts with the demands other than m, and with
+        all of O when it is one.  The sets of every other group (``loose``)
+        are walked member by member, as is a block's set that a receiver
+        outside the blocks has too, for the messages that receiver
         demands against it."""
         n = self.n
         bit, full = (1).__lshift__, (1 << (n + 1)) - 2
         sets_with, near, conf = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
         against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
         grouped: dict[int, int] = {}  # outside mask O -> mask D of the messages demanded against it
-        shared: dict[int, None] = {}  # the O with two or more demands, in order
         edges = []
         for demands, side_info in self.receivers:
             # distinct bits: sum is or
@@ -204,7 +206,6 @@ class Problem:
                 edges.append((k, s))
             else:
                 d = rest = sum(map(bit, demands))
-                shared[o] = None
                 while rest:
                     low = rest & -rest
                     k, s = low.bit_length() - 1, o ^ low
@@ -212,23 +213,15 @@ class Problem:
                     conf[k] |= s
                     edges.append((k, s))
                     rest ^= low
-            if o in grouped:
-                d |= grouped[o]
-                if d & (d - 1):  # not when a one-demand receiver repeats
-                    shared[o] = None
-            grouped[o] = d
-        blocks, small = [], []
-        for o in shared:
-            # the d sets of a group that hold fewer than 24 members in all cost
-            # less walked one by one: as blocks, they took bits of the n <= 6
-            # groupcast problems of oracle-small 30% longer
-            d = grouped[o]
-            (blocks if d.bit_count() * (o.bit_count() - 1) >= 24 else small).append((o, d))
+            grouped[o] = grouped.get(o, 0) | d
+        # the d sets of a group that hold fewer than 24 members in all cost
+        # less walked one by one: as blocks, they took bits of the n <= 6
+        # groupcast problems of oracle-small 30% longer
+        blocks = tuple((o, d) for o, d in grouped.items() if d & (d - 1) and d.bit_count() * (o.bit_count() - 1) >= 24)
         sets = tuple(sorted(sorted(against), key=int.bit_count, reverse=True))  # largest first, then ascending
         walk, loose = enumerate(sets), sets
         if blocks:  # the sets of the other groups; those of the blocks alone are updated per block below
-            lone = {o ^ d for o, d in grouped.items() if not d & (d - 1)}
-            lone.update(o ^ 1 << k for o, d in small for k in _iter_bits(d))
+            lone = {o ^ 1 << k for o, d in grouped.items() - blocks for k in _iter_bits(d)}
             walk = [(idx, s) for idx, s in walk if s in lone]
             loose = tuple(s for _, s in walk)
         for idx, s in walk:
@@ -272,7 +265,7 @@ class Problem:
             tuple(sets_with),
             tuple(near),
             tuple(conf),
-            tuple(blocks),
+            blocks,
             frozenset(edges),
             tuple(_reaches(near, full)),
             loose,

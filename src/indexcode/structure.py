@@ -46,7 +46,7 @@ members, and fork and cycle come from one pass over the degrees in
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
@@ -154,16 +154,16 @@ def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _triangle_row(p: Problem) -> Callable[[int, int], int]:
-    """For a pair a < b of ``bits.near``, the mask of every c that makes
-    a < b < c a triangle (the bitset form of the listing argument of Chiba
-    & Nishizeki, "Arboricity and subgraph listing algorithms", 1985): c
-    ranges over the members above b of the union of the sets containing
-    both a and b, and must conflict with a or b unless (a, b) is a
-    conflict itself.  A block of d >= 4 demands holds each pair a, b of its
-    outside mask O in at least two of its sets O - {k}, whose union is O,
-    so it enters the union as the one mask O in place of its d sets.  Time
-    O(distinct masks / 8) per pair."""
+def _triangle_rows(p: Problem) -> Iterator[tuple[int, int, int]]:
+    """For each pair a < b of ``bits.near``, in ``_pairs`` order, lazily:
+    (a, b, mask of every c that makes a < b < c a triangle), the bitset
+    form of the listing argument of Chiba & Nishizeki, "Arboricity and
+    subgraph listing algorithms", 1985.  c ranges over the members above b
+    of the union of the sets containing both a and b, and must conflict
+    with a or b unless (a, b) is a conflict itself.  A block of d >= 4
+    demands holds each pair a, b of its outside mask O in at least two of
+    its sets O - {k}, whose union is O, so it enters the union as the one
+    mask O in place of its d sets.  Time O(distinct masks / 8) per pair."""
     bits = p.bits
     holds, conf = bits.sets_with, bits.conf
     # unions of every subset of each run of 8 masks, one lookup per run; sets
@@ -187,8 +187,7 @@ def _triangle_row(p: Problem) -> Callable[[int, int], int]:
             table += [u | s for u in table]
         tables.append(table)
     runs = (1 << len(big)) - 1
-
-    def row(a: int, b: int) -> int:
+    for (a, b), _ in _pairs(bits.near, [(1 << (p.n + 1)) - 2]):
         u, picked = 0, holds[a] & holds[b] & runs
         for table in tables:
             u |= table[picked & 255]
@@ -196,23 +195,19 @@ def _triangle_row(p: Problem) -> Callable[[int, int], int]:
         above = u >> (b + 1) << (b + 1)
         if not conf[a] >> b & 1:
             above &= conf[a] | conf[b]
-        return above
-
-    return row
+        yield a, b, above
 
 
 def triangular_interfering_sets(p: Problem) -> list[Triangle]:
     """3-subsets of some interfering set carrying at least one conflict pair.
 
     Each triangle a < b < c is listed once, from its two smallest members
-    (``_triangle_row``), so ascending a, b and c emit the triples (a, b, c)
+    (``_triangle_rows``), so ascending a, b and c emit the triples (a, b, c)
     in sorted order, in time O(n^2 * distinct sets / 8 + triangles).
     """
-    row = _triangle_row(p)
     out: list[Triangle] = []
     append = out.append
-    for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
-        above = row(a, b)
+    for a, b, above in _triangle_rows(p):
         while above:  # _iter_bits inlined: this loop runs once per triangle
             low = above & -above
             append((a, b, low.bit_length() - 1))
@@ -228,10 +223,9 @@ def triangles_past(p: Problem, limit: int) -> bool:
     ``limit`` there is nothing to count."""
     if sum(comb(s.bit_count(), 3) for s in p.bits.sets) <= limit:
         return False
-    row = _triangle_row(p)
     total = 0
-    for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
-        total += row(a, b).bit_count()
+    for _, _, above in _triangle_rows(p):
+        total += above.bit_count()
         if total > limit:
             break
     return total > limit

@@ -8,23 +8,23 @@ vector of its colour is a length-3 code over every field.
 ``rank3_matroid`` looks for the matroid every length-3 code has, over any
 field, so finding none refutes length 3 over all of them.
 
-``edge_masks``, ``bits``, ``pair_components`` and ``triangle_row`` are
+``edge_masks``, ``bits``, ``pair_components`` and ``triangle_rows`` are
 ``Problem.bits.hyperedges``, the first six fields of ``Problem.bits``,
-``structure._pair_components`` and ``structure._triangle_row`` as they
+``structure._pair_components`` and ``structure._triangle_rows`` as they
 were before the library read the receivers in blocks: they walk every
 interfering set member by member.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterator
 from functools import cache, reduce
 from itertools import combinations
 from operator import or_
 
 from indexcode.codec import ScalarLinearCode
 from indexcode.linalg import Vector, rref
-from indexcode.problem import Problem, _iter_bits, _reaches, _to_mask, conflicts, restrict_problem
+from indexcode.problem import Problem, _iter_bits, _pairs, _reaches, _to_mask, conflicts, restrict_problem
 from indexcode.structure import _merge
 
 
@@ -220,10 +220,10 @@ def bits(p: Problem) -> dict[str, object]:
     )
 
 
-def triangle_row(p: Problem) -> Callable[[int, int], int]:
-    """For a pair a < b of ``bits.near``, the mask of every c that makes
-    a < b < c a triangle, from OR tables over every interfering set of
-    three or more members."""
+def triangle_rows(p: Problem) -> Iterator[tuple[int, int, int]]:
+    """For each pair a < b of ``bits.near``, (a, b, mask of every c that
+    makes a < b < c a triangle), from OR tables over every interfering set
+    of three or more members."""
     sets_with, conf = p.bits.sets_with, p.bits.conf
     big = [s for s in p.bits.sets if s.bit_count() > 2]
     tables = []
@@ -233,8 +233,7 @@ def triangle_row(p: Problem) -> Callable[[int, int], int]:
             table += [u | s for u in table]
         tables.append(table)
     runs = (1 << len(big)) - 1
-
-    def row(a: int, b: int) -> int:
+    for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
         u, picked = 0, sets_with[a] & sets_with[b] & runs
         for table in tables:
             u |= table[picked & 255]
@@ -242,9 +241,7 @@ def triangle_row(p: Problem) -> Callable[[int, int], int]:
         above = u >> (b + 1) << (b + 1)
         if not conf[a] >> b & 1:
             above &= conf[a] | conf[b]
-        return above
-
-    return row
+        yield a, b, above
 
 
 def pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:

@@ -1,6 +1,7 @@
 import json
 import sys
 import time
+from functools import partial
 from typing import NamedTuple
 
 import pytest
@@ -239,7 +240,7 @@ def test_oracle_checks_every_field_before_searching(fixture_file, capsys):
 
 
 def test_oracle_node_budget_exit_code(fixture_file, monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "DEFAULT_NODE_CAP", 50)
+    monkeypatch.setattr(oracle, "min_length", partial(oracle.min_length, max_nodes=50))
     rc, out, err = run(capsys, "oracle", fixture_file("ex_inf"), "--q", "2,3")
     assert rc == 3
     assert out == ""
@@ -249,7 +250,7 @@ def test_oracle_node_budget_exit_code(fixture_file, monkeypatch, capsys):
 def test_oracle_budget_error_keeps_finished_fields(fixture_file, monkeypatch, capsys):
     # on ex_inf GF(2) settles length 4 in 40 nodes and GF(3) needs 56: a
     # budget of 50 per field lets the first finish and stops the second
-    monkeypatch.setattr(oracle, "DEFAULT_NODE_CAP", 50)
+    monkeypatch.setattr(oracle, "min_length", partial(oracle.min_length, max_nodes=50))
     rc, out, err = run(capsys, "oracle", fixture_file("ex_inf"), "--q", "2,3")
     assert rc == 3
     assert out == ""

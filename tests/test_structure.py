@@ -15,6 +15,7 @@ from indexcode.fixtures import FIXTURE_NAMES, load_fixture
 from indexcode.problem import (
     Problem,
     Receiver,
+    _iter_bits,
     conflicts,
     interfering_set,
     parse_problem,
@@ -300,6 +301,18 @@ def dense_groupcast_problem(seed):
     return Problem(n, tuple(receivers))
 
 
+def block_groups(p):
+    """The groups the block rule passes, read straight from the receivers:
+    O, the messages outside a receiver's side information, to the OR D of
+    the demands of the receivers with that O, kept when D holds two or more
+    demands whose sets O less each of them hold 24 or more members in all."""
+    full, grouped = (1 << (p.n + 1)) - 2, {}
+    for r in p.receivers:
+        o = full ^ sum(1 << m for m in r.side_info)
+        grouped[o] = grouped.get(o, 0) | sum(1 << k for k in r.demands)
+    return {(o, d) for o, d in grouped.items() if d.bit_count() >= 2 and d.bit_count() * (o.bit_count() - 1) >= 24}
+
+
 def sets_by_blocks(p):
     """The interfering sets, each O less a demand, of the receivers whose
     outside mask O is a block's, and of the other receivers."""
@@ -345,6 +358,11 @@ def test_block_scans_match_the_per_set_reference(monkeypatch):
         want = reference.bits(p)
         assert bits_fields(p, want) == want
         assert p.bits.hyperedges == reference.edge_masks(p)
+        # the blocks are exactly the groups the rule passes, and each of
+        # their sets O - {k} holds three or more members, so _pair_components
+        # may read a block whole
+        assert set(p.bits.blocks) == block_groups(p)
+        assert all((o ^ 1 << k).bit_count() >= 3 for o, d in p.bits.blocks for k in _iter_bits(d))
         # loose: in the order of sets, every set no block has, and a block's
         # set only when a receiver outside the blocks has it too
         in_blocks, outside_blocks = sets_by_blocks(p)
@@ -356,7 +374,7 @@ def test_block_scans_match_the_per_set_reference(monkeypatch):
         found.append(_scans(p))
     assert shared
     monkeypatch.setattr(structure, "_pair_components", reference.pair_components)
-    monkeypatch.setattr(structure, "_triangle_row", reference.triangle_row)
+    monkeypatch.setattr(structure, "_triangle_rows", reference.triangle_rows)
     assert [_scans(Problem(p.n, p.receivers)) for p in problems] == found
 
 
