@@ -91,17 +91,17 @@ class HypergraphBits(NamedTuple):
     sets_with: tuple[int, ...]  # [m], m = 1..n: mask of the indexes into ``sets`` that contain m
     near: tuple[int, ...]  # [m]: union of the sets that contain m, its alignment-graph neighbours
     conf: tuple[int, ...]  # [m]: mask of m's conflict partners
-    # (O, D) per distinct outside mask O with two or more demands D against
-    # it and 24 or more members in its sets O less each k of D, read whole,
-    # in the order of the first receiver of each O
+    # (O, D) per distinct outside mask O with four or more demands D against
+    # it, read whole, in the order of the first receiver of each O
     blocks: tuple[tuple[int, int], ...]
     # each distinct (k, mask of I), I nonempty: the oracle's plan and to_dot
     # read it; a frozenset keeps its hash, so a cache keyed by it hashes it once
     hyperedges: frozenset[tuple[int, int]]
     components: tuple[int, ...]  # the alignment sets, the reaches of ``near``, ordered by smallest member
-    # the sets of the receivers outside the blocks, walked one by one, in
-    # the order of ``sets``; ``sets`` itself when there is no block
-    loose: tuple[int, ...]
+    # what the star scan and the triangle rows read: the sets of three or
+    # more members that no block has, in the order of ``sets``, then each
+    # block's O, which stands for its sets
+    scan: tuple[int, ...]
 
 
 class Receiver(NamedTuple):
@@ -173,17 +173,16 @@ class Problem:
         not matter.
 
         Receivers with the same O are grouped in one map, O to the mask D of
-        all their demands, and the blocks are picked from it: a group of
-        d >= 2 demands whose d sets hold 24 or more members in all is a
-        block (``blocks``, in the order of each O's first receiver), and
-        takes one update per member m of O, not one per set: the sets that
-        hold m are those of the demands other than m, whose union is O when
-        two or more demands are not m and O less the one other demand
-        otherwise, and m conflicts with the demands other than m, and with
-        all of O when it is one.  The sets of every other group (``loose``)
-        are walked member by member, as is a block's set that a receiver
-        outside the blocks has too, for the messages that receiver
-        demands against it."""
+        all their demands, and a group of four or more demands is a block
+        (``blocks``, in the order of each O's first receiver).  A block takes
+        one update per member m of O, not one per set: m lies in every set
+        O less a demand but its own, whose union is O as three or more of
+        them hold m, and m conflicts with the demands other than m.  The
+        sets of every other group are walked member by member, as is a
+        block's set that a receiver outside the blocks has too, for the
+        messages that receiver demands against it.  ``scan`` lists each
+        block's O in place of its sets (see ``structure._pair_components``
+        for why four)."""
         n = self.n
         bit, full = (1).__lshift__, (1 << (n + 1)) - 2
         sets_with, near, conf = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
@@ -214,16 +213,14 @@ class Problem:
                     edges.append((k, s))
                     rest ^= low
             grouped[o] = grouped.get(o, 0) | d
-        # the d sets of a group that hold fewer than 24 members in all cost
-        # less walked one by one: as blocks, they took bits of the n <= 6
-        # groupcast problems of oracle-small 30% longer
-        blocks = tuple((o, d) for o, d in grouped.items() if d & (d - 1) and d.bit_count() * (o.bit_count() - 1) >= 24)
+        blocks = tuple((o, d) for o, d in grouped.items() if d.bit_count() > 3)
         sets = tuple(sorted(sorted(against), key=int.bit_count, reverse=True))  # largest first, then ascending
-        walk, loose = enumerate(sets), sets
+        walk, scan = enumerate(sets), [s for s in sets if s.bit_count() > 2]
         if blocks:  # the sets of the other groups; those of the blocks alone are updated per block below
             lone = {o ^ 1 << k for o, d in grouped.items() - blocks for k in _iter_bits(d)}
+            made = {o ^ 1 << k for o, d in blocks for k in _iter_bits(d)}
             walk = [(idx, s) for idx, s in walk if s in lone]
-            loose = tuple(s for _, s in walk)
+            scan = [s for s in scan if s not in made] + [o for o, _ in blocks]
         for idx, s in walk:
             ks, here, rest = against[s], 1 << idx, s
             while rest:  # _iter_bits inlined: this loop runs once per member of each set
@@ -236,17 +233,17 @@ class Problem:
         if blocks:
             index = {s: idx for idx, s in enumerate(sets)}
             for o, d in blocks:
-                ids, rest, two = 0, d, d.bit_count() == 2
+                ids, rest = 0, d
                 while rest:
                     low = rest & -rest
                     ids |= 1 << index[o ^ low]
                     rest ^= low
                 rest = d
-                while rest:  # the demands: all sets but their own, and conflicts with all of O
+                while rest:  # the demands: all sets but their own, and conflicts with the other demands
                     low = rest & -rest
                     m = low.bit_length() - 1
                     sets_with[m] |= ids ^ 1 << index[o ^ low]
-                    near[m] |= o ^ d ^ low if two else o
+                    near[m] |= o
                     conf[m] |= d ^ low
                     rest ^= low
                 rest = o ^ d
@@ -257,7 +254,7 @@ class Problem:
                     near[m] |= o
                     conf[m] |= d
                     rest ^= low
-        crowded = reduce(or_, (s for s in sets if s.bit_count() > 2), 0)
+        crowded = reduce(or_, scan, 0)  # each block's O is the union of its sets
         return HypergraphBits(
             sets,
             tuple(map(against.__getitem__, sets)),
@@ -268,7 +265,7 @@ class Problem:
             blocks,
             frozenset(edges),
             tuple(_reaches(near, full)),
-            loose,
+            tuple(scan),
         )
 
 

@@ -8,11 +8,10 @@ construction.  Everything here reads the conflict hypergraph through
 Interf_k(j)) that ``Problem`` builds from its receivers; ``to_dot`` and
 the oracle's plan read those hyperedges, ``bits.hyperedges``, one by
 one.  A receiver that demands d messages has d interfering sets, its
-outside mask O less each demand, so the type-2 star scan and the
-triangle rows read a block of ``bits.blocks`` (one O with its demands)
-whole, through closed forms for the unions of its sets, and walk every
-other set one by one: the star scan walks the sets ``bits`` walked,
-``bits.loose``.
+outside mask O less each demand, and the type-2 star scan and the
+triangle rows both read ``bits.scan``: each block of ``bits.blocks``
+(one O with four or more demands) as its one mask O, and every other
+set of three or more members as itself.
 Every pair listing inside a mask is ``problem._pairs``: the alignment
 graph, also as ``to_dot`` lists it, and the pairs the triangle listing
 extends on ``bits.near``, the dirty witness and the kind-2 test on
@@ -160,19 +159,13 @@ def _triangle_rows(p: Problem) -> Iterator[tuple[int, int, int]]:
     form of the listing argument of Chiba & Nishizeki, "Arboricity and
     subgraph listing algorithms", 1985.  c ranges over the members above b
     of the union of the sets containing both a and b, and must conflict
-    with a or b unless (a, b) is a conflict itself.  A block of d >= 4
-    demands holds each pair a, b of its outside mask O in at least two of
-    its sets O - {k}, whose union is O, so it enters the union as the one
-    mask O in place of its d sets.  Time O(distinct masks / 8) per pair."""
+    with a or b unless (a, b) is a conflict itself.  The sets are those of
+    ``bits.scan``, where a block's O stands for its sets (see
+    ``_pair_components``); sets of at most two members hold no c above b.
+    Time O(distinct masks / 8) per pair."""
     bits = p.bits
-    holds, conf = bits.sets_with, bits.conf
-    # unions of every subset of each run of 8 masks, one lookup per run; sets
-    # of at most two members (sorted last) hold no c above b and are left out
-    big = [s for s in bits.sets if s.bit_count() > 2]
-    wide = [(o, d) for o, d in bits.blocks if d.bit_count() > 3]
-    if wide:
-        covered = {o ^ 1 << k for o, d in wide for k in _iter_bits(d)}
-        big = [s for s in big if s not in covered] + [o for o, _ in wide]
+    holds, conf, big = bits.sets_with, bits.conf, bits.scan
+    if bits.blocks:  # without them ``scan`` is the head of ``sets``, which ``sets_with`` indexes
         holds = [0] * (p.n + 1)  # [m]: mask of the indexes into ``big`` that contain m
         for idx, s in enumerate(big):
             here, rest = 1 << idx, s
@@ -180,7 +173,7 @@ def _triangle_rows(p: Problem) -> Iterator[tuple[int, int, int]]:
                 low = rest & -rest
                 holds[low.bit_length() - 1] |= here
                 rest ^= low
-    tables = []
+    tables = []  # unions of every subset of each run of 8 masks, one lookup per run
     for lo in range(0, len(big), 8):
         table = [0]
         for s in big[lo:lo + 8]:
@@ -219,9 +212,10 @@ def triangles_past(p: Problem, limit: int) -> bool:
     """Whether ``p`` has more than ``limit`` triangles, counted pair by pair
     as ``triangular_interfering_sets`` lists them, with no triangle listed,
     stopping at the first pair that passes the limit.  Every triangle is
-    a 3-subset of some interfering set, so when those number no more than
-    ``limit`` there is nothing to count."""
-    if sum(comb(s.bit_count(), 3) for s in p.bits.sets) <= limit:
+    a 3-subset of some mask of ``bits.scan``, so when those number no more
+    than ``limit`` there is nothing to count.  A block's O holds no more
+    3-subsets than its d >= 4 sets: C(|O|, 3) <= d * C(|O| - 1, 3)."""
+    if sum(comb(s.bit_count(), 3) for s in p.bits.scan) <= limit:
         return False
     total = 0
     for _, _, above in _triangle_rows(p):
@@ -271,43 +265,36 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
     triangle of the component lies in such a set with one of its conflict
     pairs.  So the messages cost no work per triangle.
 
-    The scan walks the sets ``bits`` walked one by one, ``bits.loose``,
-    and reads a block (``bits.blocks``), whose sets all have three or more
-    members, whole.  Member a of its outside mask O lies in the sets
-    O - {k} of the demands k other than a, and when O holds three or more
-    partners of a, any two of those stars meet, as O - {k, k'} still holds
-    one.  They then join one group of a, so the block adds their union, O
-    or O less the one other demand, in place of them; otherwise it adds
-    each set whose star is not empty.  A block's set that is also loose is
-    read twice, and its star joins the group it already joined.
+    The scan reads ``bits.scan``, where a block (``bits.blocks``) of
+    outside mask O and d >= 4 demands stands as O for its sets O - {k}.
+    That gives the same groups.  Let a be in O with C = O & conf[a] not
+    empty.  The stars of a in the block are C - {k}, over the three or
+    more sets O - {k} that hold a, one per demand k other than a:
+    - each x in C is missed by at most one of those stars;
+    - if |C| >= 3, any two stars meet;
+    - if |C| = 2, some k outside C gives the star C, which meets both of
+      the others;
+    - if |C| = 1, C = {x}, the two or more sets with k != x all share x.
+    In every case the sets with a star form one group, with union O and
+    star C, which O itself gives.  Likewise a pair a < b of O lies in the
+    two or more sets O - {k} with k not a or b, whose union is O, so the
+    triangle rows read O too.  A block's set that a receiver outside the
+    blocks also has lies inside O, so leaving it out of ``scan`` changes
+    neither scan.  With three demands, two of them, a and b, share the one
+    set O - {k}, so reading O would list the three demands as a triangle.
 
     Returns, per component, the mask of its messages and its (message,
     partner group) pairs.
     """
     conf = p.bits.conf
-    held: dict[int, list[int]] = {}  # message a -> the sets of three or more members where a has a star
-    for s in p.bits.loose:
-        if s.bit_count() < 3:
-            break  # the sets are sorted largest first
+    held: dict[int, list[int]] = {}  # message a -> the masks of ``bits.scan`` where a has a star
+    for s in p.bits.scan:
         rest = s
         while rest:
             low = rest & -rest
             a = low.bit_length() - 1
             if s & conf[a]:
                 held.setdefault(a, []).append(s)
-            rest ^= low
-    for o, d in p.bits.blocks:
-        rest = o
-        while rest:
-            low = rest & -rest
-            a = low.bit_length() - 1
-            others = d & ~low  # a lies in the sets O - {k} of these k
-            if (o & conf[a]).bit_count() > 2:
-                held.setdefault(a, []).append(o if others & (others - 1) else o ^ others)
-            else:
-                for k in _iter_bits(others):
-                    if (s := o ^ 1 << k) & conf[a]:
-                        held.setdefault(a, []).append(s)
             rest ^= low
     single, extra = 0, p.n  # messages with one group; the last id given above n
     nodes: dict[int, list[tuple[int, int]]] = {}  # message -> its (partner group, node) pairs

@@ -57,6 +57,7 @@ def one_demand(n, demand=1):
 
 CAP = gen(1024, 0, 0, "cap.json")  # one receiver per message, no side information
 ALL_DEMANDS = '{"n": 1024, "receivers": [{"demands": [%s]}]}' % ", ".join(map(str, range(1, 1025)))
+TWO = '{"n": 1024, "receivers": [{"demands": [1]}, {"demands": [2]}]}'  # receivers demanding 1 and 2
 JSON_LIMIT_ERROR = "error: the JSON report would list more than 640000 triangles; the text report lists none"
 
 ROWS = {
@@ -233,8 +234,20 @@ ROWS = {
     "analyze-two-receivers-json-refused": Row(
         (), ("analyze", "two.json", "--allow-undemanded", "--format", "json"), 3, EMPTY,
         stderr=(JSON_LIMIT_ERROR,),
-        files=(("two.json", '{"n": 1024, "receivers": [{"demands": [1]}, {"demands": [2]}]}'),),
+        files=(("two.json", TWO),),
         timeout_s=60, memory_mb=64,
+    ),
+    # groups of two and three demands at the cap, which are no receiver
+    # blocks: their sets are walked one by one
+    "analyze-two-receivers-text": Row(
+        (), ("analyze", "two.json", "--allow-undemanded"), 0,
+        "e61a5e3a3d8da9f9cbad6dc6cab8a46046e432e9fc01363c882ad6a94432613a",
+        files=(("two.json", TWO),), memory_mb=64,
+    ),
+    "analyze-three-demands-text": Row(
+        (), ("analyze", "three.json", "--allow-undemanded"), 0,
+        "961de14737a935c90a11c0663a26002c9e31701edabf02e3642fde721ccad93f",
+        files=(("three.json", '{"n": 1024, "receivers": [{"demands": [1, 2, 3]}]}'),), memory_mb=64,
     ),
 }
 

@@ -177,8 +177,8 @@ def test_parse_errors_are_exact(text, error):
 
 def _golden_problem_texts():
     """The valid problem files of the CLI golden rows: those their setups
-    write with ``gen``, and those the rows that exit 0 write directly, one
-    of which leaves messages undemanded."""
+    write with ``gen``, and those the rows that exit 0 write directly,
+    three of which leave messages undemanded."""
     from indexcode.cli import build_parser
     from test_cli_golden import ROWS
 
@@ -195,7 +195,7 @@ def test_valid_files_parse_without_problem_checks(monkeypatch):
     # the parse checks every listed id in C-level passes, so a valid file
     # never reaches Problem.__post_init__
     texts = [*map(fixture_text, FIXTURE_NAMES), *_golden_problem_texts()]
-    assert len(texts) == 21
+    assert len(texts) == 23
     calls = []
     check = Problem.__post_init__
     monkeypatch.setattr(Problem, "__post_init__", lambda self: calls.append(1) or check(self))

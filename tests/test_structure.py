@@ -284,7 +284,8 @@ def dense_groupcast_problem(seed):
     """Seeded groupcast problem with n <= 30 whose receivers demand 1 to n
     messages, most often one to four, and hold side information at density
     0-0.8; every fourth one repeats its receivers, and every fifth gives one
-    outside set to several receivers, which then form one block."""
+    outside set to several receivers, which form one block when they are
+    four or more."""
     rng = random.Random(f"dense-groupcast:{seed}")
     n = rng.randint(1, 30)
     density = rng.choice([0.0, 0.2, 0.4, 0.6, 0.8])
@@ -304,13 +305,13 @@ def dense_groupcast_problem(seed):
 def block_groups(p):
     """The groups the block rule passes, read straight from the receivers:
     O, the messages outside a receiver's side information, to the OR D of
-    the demands of the receivers with that O, kept when D holds two or more
-    demands whose sets O less each of them hold 24 or more members in all."""
+    the demands of the receivers with that O, kept when D holds four or
+    more demands."""
     full, grouped = (1 << (p.n + 1)) - 2, {}
     for r in p.receivers:
         o = full ^ sum(1 << m for m in r.side_info)
         grouped[o] = grouped.get(o, 0) | sum(1 << k for k in r.demands)
-    return {(o, d) for o, d in grouped.items() if d.bit_count() >= 2 and d.bit_count() * (o.bit_count() - 1) >= 24}
+    return {(o, d) for o, d in grouped.items() if d.bit_count() >= 4}
 
 
 def sets_by_blocks(p):
@@ -350,6 +351,13 @@ def test_block_scans_match_the_per_set_reference(monkeypatch):
         # the block O = {1..7} with demands 1-4 has the set O - 1 = {2..7},
         # and so does the receiver with O = {2..8} that demands 8 alone
         + [Problem(8, (Receiver(frozenset({1, 2, 3, 4}), frozenset({8})), Receiver(frozenset({8}), frozenset({1}))))]
+        # as above, but the receiver with O = {2..8} demands 5, 6 and 8, a
+        # group of three demands, which is no block
+        + [
+            Problem(
+                8, (Receiver(frozenset({1, 2, 3, 4}), frozenset({8})), Receiver(frozenset({5, 6, 8}), frozenset({1})))
+            )
+        ]
     )
     assert sum(bool(p.bits.blocks) for p in problems) > len(problems) // 2
     shared = 0  # problems with a set that a block and a receiver outside the blocks both have
@@ -359,17 +367,15 @@ def test_block_scans_match_the_per_set_reference(monkeypatch):
         assert bits_fields(p, want) == want
         assert p.bits.hyperedges == reference.edge_masks(p)
         # the blocks are exactly the groups the rule passes, and each of
-        # their sets O - {k} holds three or more members, so _pair_components
-        # may read a block whole
+        # their sets O - {k} holds three or more members
         assert set(p.bits.blocks) == block_groups(p)
         assert all((o ^ 1 << k).bit_count() >= 3 for o, d in p.bits.blocks for k in _iter_bits(d))
-        # loose: in the order of sets, every set no block has, and a block's
-        # set only when a receiver outside the blocks has it too
+        # scan: in the order of sets, every set of three or more members no
+        # block has, then each block's O
         in_blocks, outside_blocks = sets_by_blocks(p)
-        assert p.bits.loose == tuple(s for s in p.bits.sets if s in outside_blocks)
-        assert {s for s in p.bits.sets if s not in in_blocks} <= set(p.bits.loose)
-        if not p.bits.blocks:
-            assert p.bits.loose is p.bits.sets
+        assert p.bits.scan == tuple(s for s in p.bits.sets if s.bit_count() > 2 and s not in in_blocks) + tuple(
+            o for o, _ in p.bits.blocks
+        )
         shared += bool(in_blocks & outside_blocks)
         found.append(_scans(p))
     assert shared
