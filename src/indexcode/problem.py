@@ -88,19 +88,16 @@ class HypergraphBits(NamedTuple):
     sets: tuple[int, ...]  # the distinct interfering sets, largest first
     against: tuple[int, ...]  # [i]: mask of the messages demanded against ``sets[i]``
     crowded: int  # union of the sets with three or more members
-    sets_with: tuple[int, ...]  # [m], m = 1..n: mask of the indexes into ``sets`` that contain m
-    near: tuple[int, ...]  # [m]: union of the sets that contain m, its alignment-graph neighbours
+    near: tuple[int, ...]  # [m], m = 1..n: union of the sets that contain m, its alignment-graph neighbours
     conf: tuple[int, ...]  # [m]: mask of m's conflict partners
-    # (O, D) per distinct outside mask O with four or more demands D against
-    # it, read whole, in the order of the first receiver of each O
-    blocks: tuple[tuple[int, int], ...]
     # each distinct (k, mask of I), I nonempty: the oracle's plan and to_dot
     # read it; a frozenset keeps its hash, so a cache keyed by it hashes it once
     hyperedges: frozenset[tuple[int, int]]
     components: tuple[int, ...]  # the alignment sets, the reaches of ``near``, ordered by smallest member
     # what the star scan and the triangle rows read: the sets of three or
-    # more members that no block has, in the order of ``sets``, then each
-    # block's O, which stands for its sets
+    # more members that no O with four or more demands has, in the order of
+    # ``sets``, then each such O, which stands for its sets, in the order of
+    # its first receiver
     scan: tuple[int, ...]
 
 
@@ -173,19 +170,18 @@ class Problem:
         not matter.
 
         Receivers with the same O are grouped in one map, O to the mask D of
-        all their demands, and a group of four or more demands is a block
-        (``blocks``, in the order of each O's first receiver).  A block takes
-        one update per member m of O, not one per set: m lies in every set
-        O less a demand but its own, whose union is O as three or more of
-        them hold m, and m conflicts with the demands other than m.  The
-        sets of every other group are walked member by member, as is a
+        all their demands, and an O with four or more demands is a block.  A
+        block takes one update per member m of O, not one per set: m lies in
+        every set O less a demand but its own, whose union is O as three or
+        more of them hold m, and m conflicts with the demands other than m.
+        The sets of every other group are walked member by member, as is a
         block's set that a receiver outside the blocks has too, for the
         messages that receiver demands against it.  ``scan`` lists each
         block's O in place of its sets (see ``structure._pair_components``
         for why four)."""
         n = self.n
         bit, full = (1).__lshift__, (1 << (n + 1)) - 2
-        sets_with, near, conf = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+        near, conf = [0] * (n + 1), [0] * (n + 1)
         against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
         grouped: dict[int, int] = {}  # outside mask O -> mask D of the messages demanded against it
         edges = []
@@ -215,54 +211,35 @@ class Problem:
             grouped[o] = grouped.get(o, 0) | d
         blocks = tuple((o, d) for o, d in grouped.items() if d.bit_count() > 3)
         sets = tuple(sorted(sorted(against), key=int.bit_count, reverse=True))  # largest first, then ascending
-        walk, scan = enumerate(sets), [s for s in sets if s.bit_count() > 2]
+        walk, scan = sets, [s for s in sets if s.bit_count() > 2]
         if blocks:  # the sets of the other groups; those of the blocks alone are updated per block below
             lone = {o ^ 1 << k for o, d in grouped.items() - blocks for k in _iter_bits(d)}
             made = {o ^ 1 << k for o, d in blocks for k in _iter_bits(d)}
-            walk = [(idx, s) for idx, s in walk if s in lone]
+            walk = [s for s in sets if s in lone]
             scan = [s for s in scan if s not in made] + [o for o, _ in blocks]
-        for idx, s in walk:
-            ks, here, rest = against[s], 1 << idx, s
+        for s in walk:
+            ks, rest = against[s], s
             while rest:  # _iter_bits inlined: this loop runs once per member of each set
                 low = rest & -rest
                 m = low.bit_length() - 1
-                sets_with[m] |= here
                 near[m] |= s
                 conf[m] |= ks
                 rest ^= low
-        if blocks:
-            index = {s: idx for idx, s in enumerate(sets)}
-            for o, d in blocks:
-                ids, rest = 0, d
-                while rest:
-                    low = rest & -rest
-                    ids |= 1 << index[o ^ low]
-                    rest ^= low
-                rest = d
-                while rest:  # the demands: all sets but their own, and conflicts with the other demands
-                    low = rest & -rest
-                    m = low.bit_length() - 1
-                    sets_with[m] |= ids ^ 1 << index[o ^ low]
-                    near[m] |= o
-                    conf[m] |= d ^ low
-                    rest ^= low
-                rest = o ^ d
-                while rest:  # the other members: every set, and conflicts with the demands
-                    low = rest & -rest
-                    m = low.bit_length() - 1
-                    sets_with[m] |= ids
-                    near[m] |= o
-                    conf[m] |= d
-                    rest ^= low
+        for o, d in blocks:
+            rest = o
+            while rest:  # each member: O is the union of its sets, and it conflicts with the other demands
+                low = rest & -rest
+                m = low.bit_length() - 1
+                near[m] |= o
+                conf[m] |= d & ~low
+                rest ^= low
         crowded = reduce(or_, scan, 0)  # each block's O is the union of its sets
         return HypergraphBits(
             sets,
             tuple(map(against.__getitem__, sets)),
             crowded,
-            tuple(sets_with),
             tuple(near),
             tuple(conf),
-            blocks,
             frozenset(edges),
             tuple(_reaches(near, full)),
             tuple(scan),

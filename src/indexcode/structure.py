@@ -9,9 +9,9 @@ Interf_k(j)) that ``Problem`` builds from its receivers; ``to_dot`` and
 the oracle's plan read those hyperedges, ``bits.hyperedges``, one by
 one.  A receiver that demands d messages has d interfering sets, its
 outside mask O less each demand, and the type-2 star scan and the
-triangle rows both read ``bits.scan``: each block of ``bits.blocks``
-(one O with four or more demands) as its one mask O, and every other
-set of three or more members as itself.
+triangle rows both read ``bits.scan``: each block, an O with four or
+more demands, as its one mask O, and every other set of three or more
+members as itself.
 Every pair listing inside a mask is ``problem._pairs``: the alignment
 graph, also as ``to_dot`` lists it, and the pairs the triangle listing
 extends on ``bits.near``, the dirty witness and the kind-2 test on
@@ -30,9 +30,9 @@ the type-2 sets, and ``structure_report`` merges the restricted
 alignment sets once per distinct type-2 message set (``_components``,
 the one restriction rule), for the rate-1/3 construction, and takes
 only the first pair inside them: it decides the kind, and the first in
-type-2 order is the dirty witness.  The acyclic-quadruple search walks
-masks of set indexes (``bits.sets_with``) and reads its candidates from
-``bits.against``; a quadruple implies a dirty type-2 set
+type-2 order is the dirty witness.  The acyclic-quadruple search keeps
+the sets of ``bits.sets`` that hold its picks and reads its candidates
+from ``bits.against``; a quadruple implies a dirty type-2 set
 (``feasibility.check_rate_third``), so no verdict reads it, and
 ``feasibility.report_to_dict`` is its one caller, for the JSON report's
 witness.
@@ -124,32 +124,30 @@ def find_acyclic_quadruple(p: Problem) -> tuple[int, int, int, int] | None:
     Exhaustive search over ordered tuples, smallest ids first, so the
     witness is the lexicographically first.  Position k needs an
     interfering set of the k-th message that holds all earlier picks, so
-    the search carries the indexes of the sets holding the prefix, as the
-    mask ``sets_with[m1] & sets_with[m2] & ...``, and the next candidates
-    are the messages demanded against those sets (``bits.against``).  The
-    fourth position takes the lowest such message outright.
+    the search keeps the sets of ``bits.sets`` that hold the prefix, each
+    with the messages demanded against it (``bits.against``), and the next
+    candidates are the messages demanded against those sets.
+
+    The last two positions take one mask.  Every set in ``sets`` has a
+    demand against it.  So an m3 demanded against one set that holds m1
+    and m2 has an m4 exactly when another such set holds m3, and m4 is
+    any message demanded against that one; neither m1 nor m2 is demanded
+    against a set that holds it.  Hence m3 is the lowest message demanded
+    against the sets holding m1 and m2 that lies in one of them, and m4
+    the lowest demanded against those of them that hold m3.
     """
-    sets_with, against = p.bits.sets_with, p.bits.against
-
-    def demanded(held: int) -> int:
-        """Messages demanded against the sets whose indexes ``held`` has."""
-        out = 0
-        while held:
-            low = held & -held
-            out |= against[low.bit_length() - 1]
-            held ^= low
-        return out
-
+    bits = p.bits
     # Only a demanded message can take a position, even the first one, and
     # the fourth needs a set of three or more members that holds the first three.
-    crowded = p.bits.crowded
+    crowded = bits.crowded
     for m1 in _iter_bits(_to_mask(k for r in p.receivers for k in r.demands) & crowded):
-        held1 = sets_with[m1]
-        for m2 in _iter_bits(demanded(held1) & crowded):
-            held2 = held1 & sets_with[m2]
-            for m3 in _iter_bits(demanded(held2) & crowded):
-                if last := demanded(held2 & sets_with[m3]):
-                    return m1, m2, m3, (last & -last).bit_length() - 1
+        held1 = [(s, ks) for s, ks in zip(bits.sets, bits.against) if s & 1 << m1]
+        for m2 in _iter_bits(reduce(or_, (ks for _, ks in held1), 0) & crowded):
+            held2 = [(s, ks) for s, ks in held1 if s & 1 << m2]
+            if third := reduce(or_, (ks for _, ks in held2), 0) & reduce(or_, (s for s, _ in held2), 0):
+                m3 = (third & -third).bit_length() - 1
+                last = reduce(or_, (ks for s, ks in held2 if s & 1 << m3))
+                return m1, m2, m3, (last & -last).bit_length() - 1
     return None
 
 
@@ -164,24 +162,22 @@ def _triangle_rows(p: Problem) -> Iterator[tuple[int, int, int]]:
     ``_pair_components``); sets of at most two members hold no c above b.
     Time O(distinct masks / 8) per pair."""
     bits = p.bits
-    holds, conf, big = bits.sets_with, bits.conf, bits.scan
-    if bits.blocks:  # without them ``scan`` is the head of ``sets``, which ``sets_with`` indexes
-        holds = [0] * (p.n + 1)  # [m]: mask of the indexes into ``big`` that contain m
-        for idx, s in enumerate(big):
-            here, rest = 1 << idx, s
-            while rest:
-                low = rest & -rest
-                holds[low.bit_length() - 1] |= here
-                rest ^= low
+    conf, big = bits.conf, bits.scan
+    holds = [0] * (p.n + 1)  # [m]: mask of the indexes into ``big`` that contain m
+    for idx, s in enumerate(big):
+        here, rest = 1 << idx, s
+        while rest:
+            low = rest & -rest
+            holds[low.bit_length() - 1] |= here
+            rest ^= low
     tables = []  # unions of every subset of each run of 8 masks, one lookup per run
     for lo in range(0, len(big), 8):
         table = [0]
         for s in big[lo:lo + 8]:
             table += [u | s for u in table]
         tables.append(table)
-    runs = (1 << len(big)) - 1
     for (a, b), _ in _pairs(bits.near, [(1 << (p.n + 1)) - 2]):
-        u, picked = 0, holds[a] & holds[b] & runs
+        u, picked = 0, holds[a] & holds[b]
         for table in tables:
             u |= table[picked & 255]
             picked >>= 8
@@ -265,8 +261,8 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
     triangle of the component lies in such a set with one of its conflict
     pairs.  So the messages cost no work per triangle.
 
-    The scan reads ``bits.scan``, where a block (``bits.blocks``) of
-    outside mask O and d >= 4 demands stands as O for its sets O - {k}.
+    The scan reads ``bits.scan``, where a block, an outside mask O with
+    d >= 4 demands, stands as O for its sets O - {k}.
     That gives the same groups.  Let a be in O with C = O & conf[a] not
     empty.  The stars of a in the block are C - {k}, over the three or
     more sets O - {k} that hold a, one per demand k other than a:

@@ -9,10 +9,11 @@ vector of its colour is a length-3 code over every field.
 field, so finding none refutes length 3 over all of them.
 
 ``edge_masks``, ``bits``, ``pair_components`` and ``triangle_rows`` are
-``Problem.bits.hyperedges``, the first six fields of ``Problem.bits``,
+``Problem.bits.hyperedges``, the first five fields of ``Problem.bits``,
 ``structure._pair_components`` and ``structure._triangle_rows`` as they
 were before the library read the receivers in blocks: they walk every
-interfering set member by member.
+interfering set member by member.  ``acyclic_quadruple`` is
+``structure.find_acyclic_quadruple`` by brute force over ``edge_masks``.
 """
 
 from __future__ import annotations
@@ -192,20 +193,19 @@ def edge_masks(p: Problem) -> frozenset[tuple[int, int]]:
 
 
 def bits(p: Problem) -> dict[str, object]:
-    """The first six fields of ``Problem.bits`` by name, read from
+    """The first five fields of ``Problem.bits`` by name, read from
     ``edge_masks``, one update per member of each distinct interfering set."""
-    sets_with, near, conf = [0] * (p.n + 1), [0] * (p.n + 1), [0] * (p.n + 1)
+    near, conf = [0] * (p.n + 1), [0] * (p.n + 1)
     against: dict[int, int] = {}  # interfering set -> mask of the messages demanded against it
     for k, s in edge_masks(p):
         against[s] = against.get(s, 0) | 1 << k
         conf[k] |= s
     sets = tuple(sorted(against, key=lambda s: (-s.bit_count(), s)))
-    for idx, s in enumerate(sets):
-        ks, here, rest = against[s], 1 << idx, s
+    for s in sets:
+        ks, rest = against[s], s
         while rest:
             low = rest & -rest
             m = low.bit_length() - 1
-            sets_with[m] |= here
             near[m] |= s
             conf[m] |= ks
             rest ^= low
@@ -214,7 +214,6 @@ def bits(p: Problem) -> dict[str, object]:
         sets=sets,
         against=tuple(map(against.__getitem__, sets)),
         crowded=crowded,
-        sets_with=tuple(sets_with),
         near=tuple(near),
         conf=tuple(conf),
     )
@@ -224,17 +223,17 @@ def triangle_rows(p: Problem) -> Iterator[tuple[int, int, int]]:
     """For each pair a < b of ``bits.near``, (a, b, mask of every c that
     makes a < b < c a triangle), from OR tables over every interfering set
     of three or more members."""
-    sets_with, conf = p.bits.sets_with, p.bits.conf
+    conf = p.bits.conf
     big = [s for s in p.bits.sets if s.bit_count() > 2]
+    holds = [sum(1 << idx for idx, s in enumerate(big) if s >> m & 1) for m in range(p.n + 1)]
     tables = []
     for lo in range(0, len(big), 8):
         table = [0]
         for s in big[lo:lo + 8]:
             table += [u | s for u in table]
         tables.append(table)
-    runs = (1 << len(big)) - 1
     for (a, b), _ in _pairs(p.bits.near, [(1 << (p.n + 1)) - 2]):
-        u, picked = 0, sets_with[a] & sets_with[b] & runs
+        u, picked = 0, holds[a] & holds[b]
         for table in tables:
             u |= table[picked & 255]
             picked >>= 8
@@ -290,3 +289,25 @@ def pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
             messages |= cover
         comps.append((messages, pairs))
     return comps
+
+
+def acyclic_quadruple(p: Problem) -> tuple[int, ...] | None:
+    """The lexicographically first ordered 4-tuple (m1, m2, m3, m4) of
+    demanded messages in which each of m2, m3 and m4 is demanded against
+    an interfering set that holds every earlier one, or None.  The tuples
+    are tried in ascending order against ``edge_masks``, and a prefix that
+    fails cuts off its extensions."""
+    edges = edge_masks(p)
+    demanded = sorted(frozenset().union(*(r.demands for r in p.receivers)))
+
+    def extend(prefix: tuple[int, ...]) -> tuple[int, ...] | None:
+        if len(prefix) == 4:
+            return prefix
+        held = sum(1 << m for m in prefix)
+        for m in demanded:
+            if not prefix or any(k == m and s & held == held for k, s in edges):
+                if found := extend((*prefix, m)):
+                    return found
+        return None
+
+    return extend(())

@@ -1,4 +1,5 @@
-"""README.md names library functions and constants as `module.name`; each
+"""README.md names library functions and constants as `module.name`, and
+it and the sources name fields of ``Problem.bits`` as `bits.name`; each
 must exist, so a rename cannot leave the README pointing at nothing."""
 
 import importlib
@@ -7,8 +8,10 @@ import re
 from pathlib import Path
 
 import indexcode
+from indexcode.problem import HypergraphBits
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SOURCES = Path(indexcode.__file__).resolve().parent
 
 
 def readme_code_names():
@@ -26,3 +29,14 @@ def test_readme_code_names_exist():
         importlib.import_module(f"indexcode.{module}")  # cli is not imported by the package itself
     missing = [f"{module}.{name}" for module, name in names if not hasattr(getattr(indexcode, module), name)]
     assert not missing, f"README.md names what indexcode does not have: {missing}"
+
+
+def test_backticked_bits_names_are_fields():
+    # README.md writes `bits.name` and the sources ``bits.name``, either
+    # maybe as `Problem.bits.name`: a removed field must leave no mention
+    found = {("README.md", name) for name in re.findall(r"`(?:\w+\.)?bits\.(\w+)", README.read_text("utf-8"))}
+    for path in sorted(SOURCES.glob("*.py")):
+        found |= {(path.name, name) for name in re.findall(r"``(?:\w+\.)?bits\.(\w+)", path.read_text("utf-8"))}
+    assert len(found) >= 12  # e.g. README.md and structure.py both name bits.scan
+    missing = sorted(f"{where}: bits.{name}" for where, name in found if name not in HypergraphBits._fields)
+    assert not missing, f"bits has no such field: {missing}"

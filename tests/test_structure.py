@@ -1,7 +1,7 @@
 import json
 import random
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from operator import or_
 
 from hypothesis import given, settings
@@ -114,7 +114,7 @@ def reference_conflict_pairs(p):
 
 
 def reference_bits(p):
-    """The first six fields of ``Problem.bits`` by name, built from the
+    """The first five fields of ``Problem.bits`` by name, built from the
     hyperedges and their conflict pairs."""
     pairs, ids = reference_conflict_pairs(p), range(p.n + 1)
     edges = {(k, sum(1 << i for i in interf)) for k, interf in hyperedges(p)}
@@ -123,7 +123,6 @@ def reference_bits(p):
         sets=sets,
         against=tuple(sum({1 << k for k, interf in edges if interf == s}) for s in sets),
         crowded=reduce(or_, (s for s in sets if s.bit_count() >= 3), 0),
-        sets_with=tuple(sum(1 << idx for idx, s in enumerate(sets) if s >> m & 1) for m in ids),
         near=tuple(reduce(or_, (s for s in sets if s >> m & 1), 0) for m in ids),
         conf=tuple(sum(1 << b for b in ids if (min(m, b), max(m, b)) in pairs) for m in ids),
     )
@@ -306,18 +305,18 @@ def block_groups(p):
     """The groups the block rule passes, read straight from the receivers:
     O, the messages outside a receiver's side information, to the OR D of
     the demands of the receivers with that O, kept when D holds four or
-    more demands."""
+    more demands, as (O, D) in the order of each O's first receiver."""
     full, grouped = (1 << (p.n + 1)) - 2, {}
     for r in p.receivers:
         o = full ^ sum(1 << m for m in r.side_info)
         grouped[o] = grouped.get(o, 0) | sum(1 << k for k in r.demands)
-    return {(o, d) for o, d in grouped.items() if d.bit_count() >= 4}
+    return [(o, d) for o, d in grouped.items() if d.bit_count() >= 4]
 
 
-def sets_by_blocks(p):
+def sets_by_blocks(p, groups):
     """The interfering sets, each O less a demand, of the receivers whose
-    outside mask O is a block's, and of the other receivers."""
-    full, blocks = (1 << (p.n + 1)) - 2, {o for o, _ in p.bits.blocks}
+    outside mask O is one of ``groups``, and of the other receivers."""
+    full, blocks = (1 << (p.n + 1)) - 2, {o for o, _ in groups}
     found = set(), set()
     for r in p.receivers:
         o = full ^ sum(1 << m for m in r.side_info)
@@ -340,10 +339,10 @@ def _scans(p):
     )
 
 
-def test_block_scans_match_the_per_set_reference(monkeypatch):
-    # the receiver blocks of Problem.bits, the type-2 star scan and the
-    # triangle rows against the per-set walks they replace (tests/reference.py)
-    problems = (
+def block_problems():
+    """Dense groupcast problems, the fixtures, single receivers demanding
+    every message, and blocks that share a set with another receiver."""
+    return (
         [dense_groupcast_problem(seed) for seed in range(120)]
         + [load_fixture(f) for f in FIXTURE_NAMES]
         + [Problem(n, (Receiver(frozenset(range(1, n + 1)), frozenset()),)) for n in (1, 2, 3, 4, 5, 8, 13, 30, 64)]
@@ -359,22 +358,27 @@ def test_block_scans_match_the_per_set_reference(monkeypatch):
             )
         ]
     )
-    assert sum(bool(p.bits.blocks) for p in problems) > len(problems) // 2
+
+
+def test_block_scans_match_the_per_set_reference(monkeypatch):
+    # the receiver blocks of Problem.bits, the type-2 star scan and the
+    # triangle rows against the per-set walks they replace (tests/reference.py)
+    problems = block_problems()
+    assert sum(bool(block_groups(p)) for p in problems) > len(problems) // 2
     shared = 0  # problems with a set that a block and a receiver outside the blocks both have
     found = []
     for p in problems:
         want = reference.bits(p)
         assert bits_fields(p, want) == want
         assert p.bits.hyperedges == reference.edge_masks(p)
-        # the blocks are exactly the groups the rule passes, and each of
-        # their sets O - {k} holds three or more members
-        assert set(p.bits.blocks) == block_groups(p)
-        assert all((o ^ 1 << k).bit_count() >= 3 for o, d in p.bits.blocks for k in _iter_bits(d))
-        # scan: in the order of sets, every set of three or more members no
-        # block has, then each block's O
-        in_blocks, outside_blocks = sets_by_blocks(p)
+        # each set O - {k} of a block holds three or more members, and scan
+        # is, in the order of sets, every set of three or more members no
+        # block has, then each block's O in the order of its first receiver
+        blocks = block_groups(p)
+        assert all((o ^ 1 << k).bit_count() >= 3 for o, d in blocks for k in _iter_bits(d))
+        in_blocks, outside_blocks = sets_by_blocks(p, blocks)
         assert p.bits.scan == tuple(s for s in p.bits.sets if s.bit_count() > 2 and s not in in_blocks) + tuple(
-            o for o, _ in p.bits.blocks
+            o for o, _ in blocks
         )
         shared += bool(in_blocks & outside_blocks)
         found.append(_scans(p))
@@ -400,29 +404,28 @@ def test_components_merged_once_match_references(seed):
     }
 
 
-def naive_acyclic_quadruple(p):
-    """Direct enumeration over all ordered quadruples and receivers."""
-    demanded = {k for r in p.receivers for k in r.demands}
-    interf_sets = {
-        k: [interfering_set(p, j, k) for j, r in enumerate(p.receivers, 1) if k in r.demands]
-        for k in demanded
-    }
-    for quad in permutations(sorted(demanded), 4):
-        if all(
-            any(set(quad[:idx]) <= s for s in interf_sets[quad[idx]])
-            for idx in range(4)
-        ):
-            return quad
-    return None
-
-
 @given(st.integers(0, 400), st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_acyclic_quadruple_matches_naive_search(seed, unicast):
     # the report carries the exact tuple, so the lexicographically first
     # witness must come back, not just some witness
     p = random_unicast_problem(seed) if unicast else reference_problem(seed, max_n=8)
-    assert find_acyclic_quadruple(p) == naive_acyclic_quadruple(p)
+    assert find_acyclic_quadruple(p) == reference.acyclic_quadruple(p)
+
+
+def test_acyclic_quadruple_is_the_first_witness_on_blocks_and_a_grid():
+    # the exact tuple the JSON report writes, on the fixtures, the block
+    # problems with n <= 8 and a seeded grid of small problems in both modes
+    problems = [p for p in block_problems() if p.n <= 8] + [
+        random_problem(n, density, single_unicast=unicast, seed=seed)
+        for n in range(3, 9)
+        for density in (0.1, 0.3, 0.5, 0.7, 0.85, 0.95)
+        for unicast in (True, False)
+        for seed in range(6)
+    ]
+    found = [find_acyclic_quadruple(p) for p in problems]
+    assert found == [reference.acyclic_quadruple(p) for p in problems]
+    assert None in found and any(found)
 
 
 def kinds(p):
