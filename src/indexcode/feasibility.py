@@ -6,7 +6,7 @@ classification-based construction establishes it, and everything else is
 reported as Undetermined plus a clearly labeled conjecture prediction.
 An acyclic quadruple implies a dirty type-2 set (``check_rate_third``),
 so it decides nothing; ``report_to_dict`` searches for one only to write
-it as a witness in the JSON report.
+the JSON report's witness, and only when a type-2 set is dirty.
 
 The verdicts and ``render_report`` read only the message sets of the
 type-2 sets, so ``analyze`` lists no triangle.  ``report_to_dict`` is
@@ -147,7 +147,7 @@ def report_to_dict(rep: FeasibilityReport) -> dict:
     third, structure = rep.rate_third, rep.structure
     # most oracle-small problems have no type-2 set, and skipping their empty listing saves 3.5% of the analyze op
     listing = triangular_interfering_sets(structure.problem) if structure.type2_sets else []
-    found = find_acyclic_quadruple(structure.problem)
+    found = find_acyclic_quadruple(structure.problem) if third.dirty_witness else None  # none without one
     quadruple = list(found) if found else None  # a witness only: no verdict reads it
     type2 = sorted(
         ((sorted(t.messages), group) for t, group in zip(structure.type2_sets, _group_triangles(structure, listing))),

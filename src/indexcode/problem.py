@@ -95,9 +95,8 @@ class HypergraphBits(NamedTuple):
     hyperedges: frozenset[tuple[int, int]]
     components: tuple[int, ...]  # the alignment sets, the reaches of ``near``, ordered by smallest member
     # what the star scan and the triangle rows read: the sets of three or
-    # more members that no O with four or more demands has, in the order of
-    # ``sets``, then each such O, which stands for its sets, in the order of
-    # its first receiver
+    # more members that a receiver outside the blocks has, in the order of
+    # ``sets``, then each block's O, in the order of its first receiver
     scan: tuple[int, ...]
 
 
@@ -176,9 +175,9 @@ class Problem:
         more of them hold m, and m conflicts with the demands other than m.
         The sets of every other group are walked member by member, as is a
         block's set that a receiver outside the blocks has too, for the
-        messages that receiver demands against it.  ``scan`` lists each
-        block's O in place of its sets (see ``structure._pair_components``
-        for why four)."""
+        messages that receiver demands against it.  ``scan`` lists the walked
+        sets of three or more members, then each block's O in place of its
+        sets (``structure._pair_components`` proves both, and why four)."""
         n = self.n
         bit, full = (1).__lshift__, (1 << (n + 1)) - 2
         near, conf = [0] * (n + 1), [0] * (n + 1)
@@ -211,12 +210,11 @@ class Problem:
             grouped[o] = grouped.get(o, 0) | d
         blocks = tuple((o, d) for o, d in grouped.items() if d.bit_count() > 3)
         sets = tuple(sorted(sorted(against), key=int.bit_count, reverse=True))  # largest first, then ascending
-        walk, scan = sets, [s for s in sets if s.bit_count() > 2]
+        walk = sets
         if blocks:  # the sets of the other groups; those of the blocks alone are updated per block below
             lone = {o ^ 1 << k for o, d in grouped.items() - blocks for k in _iter_bits(d)}
-            made = {o ^ 1 << k for o, d in blocks for k in _iter_bits(d)}
             walk = [s for s in sets if s in lone]
-            scan = [s for s in scan if s not in made] + [o for o, _ in blocks]
+        scan = [s for s in walk if s.bit_count() > 2] + [o for o, _ in blocks]
         for s in walk:
             ks, rest = against[s], s
             while rest:  # _iter_bits inlined: this loop runs once per member of each set

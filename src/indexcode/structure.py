@@ -10,8 +10,8 @@ the oracle's plan read those hyperedges, ``bits.hyperedges``, one by
 one.  A receiver that demands d messages has d interfering sets, its
 outside mask O less each demand, and the type-2 star scan and the
 triangle rows both read ``bits.scan``: each block, an O with four or
-more demands, as its one mask O, and every other set of three or more
-members as itself.
+more demands, as its one mask O, and every set of three or more members
+that a receiver outside the blocks has as itself.
 Every pair listing inside a mask is ``problem._pairs``: the alignment
 graph, also as ``to_dot`` lists it, and the pairs the triangle listing
 extends on ``bits.near``, the dirty witness and the kind-2 test on
@@ -35,7 +35,7 @@ the sets of ``bits.sets`` that hold its picks and reads its candidates
 from ``bits.against``; a quadruple implies a dirty type-2 set
 (``feasibility.check_rate_third``), so no verdict reads it, and
 ``feasibility.report_to_dict`` is its one caller, for the JSON report's
-witness.
+witness when a type-2 set is dirty.
 The classification takes each alignment set as its mask: kind 1 is one
 test against ``bits.crowded``, the union of the sets with three or more
 members, and fork and cycle come from one pass over the degrees in
@@ -274,10 +274,11 @@ def _pair_components(p: Problem) -> list[tuple[int, list[tuple[int, int]]]]:
     In every case the sets with a star form one group, with union O and
     star C, which O itself gives.  Likewise a pair a < b of O lies in the
     two or more sets O - {k} with k not a or b, whose union is O, so the
-    triangle rows read O too.  A block's set that a receiver outside the
-    blocks also has lies inside O, so leaving it out of ``scan`` changes
-    neither scan.  With three demands, two of them, a and b, share the one
-    set O - {k}, so reading O would list the three demands as a triangle.
+    triangle rows read O too.  A block's set S that a receiver outside the
+    blocks also has stays in ``scan``, inside O: a star of S is inside C,
+    so it joins that group, and a pair of S lies in O, so S changes neither
+    scan.  With three demands, two of them, a and b, share the one set
+    O - {k}, so reading O would list the three demands as a triangle.
 
     Returns, per component, the mask of its messages and its (message,
     partner group) pairs.

@@ -94,6 +94,20 @@ ROWS = {
         (CAP,), ("analyze", "cap.json", "--format", "json"), 3, EMPTY,
         stderr=(JSON_LIMIT_ERROR,), memory_mb=64,
     ),
+    # 158,058 demands on 1,024 receiver blocks: the text report of its four
+    # lines takes 1.2-1.5 s at a 192 MB peak and runs in about 187 MB of
+    # address space (2-core x86-64 VM, Python 3.11.7)
+    "analyze-general-cap-text": Row(
+        (gen(1024, 0.99, 1, "g1024.json", "--general"),), ("analyze", "g1024.json"), 0,
+        "961de14737a935c90a11c0663a26002c9e31701edabf02e3642fde721ccad93f", timeout_s=20, memory_mb=320,
+    ),
+    # 1,057,610 bytes of JSON; its type-2 sets are dirty, and the
+    # acyclic-quadruple search finds none after trying every candidate:
+    # 1.3-1.5 s at a 96 MB peak, in about 94 MB of address space
+    "analyze-unicast-cap-json": Row(
+        (gen(1024, 0.99, 1, "u1024.json"),), ("analyze", "u1024.json", "--format", "json"), 0,
+        "da5fd9a34c28fb87833dafadd4b74b3ea3cfd722aef70561327d1938894bf6f0", timeout_s=20, memory_mb=192,
+    ),
     # 37 type-2 sets from 769 triangles
     "analyze-n64-json": Row(
         (gen(64, 0.9, 0, "n64.json"),), ("analyze", "n64.json", "--format", "json"), 0,

@@ -195,7 +195,7 @@ def test_valid_files_parse_without_problem_checks(monkeypatch):
     # the parse checks every listed id in C-level passes, so a valid file
     # never reaches Problem.__post_init__
     texts = [*map(fixture_text, FIXTURE_NAMES), *_golden_problem_texts()]
-    assert len(texts) == 23
+    assert len(texts) == 25
     calls = []
     check = Problem.__post_init__
     monkeypatch.setattr(Problem, "__post_init__", lambda self: calls.append(1) or check(self))

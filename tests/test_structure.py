@@ -372,12 +372,13 @@ def test_block_scans_match_the_per_set_reference(monkeypatch):
         assert bits_fields(p, want) == want
         assert p.bits.hyperedges == reference.edge_masks(p)
         # each set O - {k} of a block holds three or more members, and scan
-        # is, in the order of sets, every set of three or more members no
-        # block has, then each block's O in the order of its first receiver
+        # is, in the order of sets, every set of three or more members that
+        # a receiver outside the blocks has, then each block's O in the
+        # order of its first receiver
         blocks = block_groups(p)
         assert all((o ^ 1 << k).bit_count() >= 3 for o, d in blocks for k in _iter_bits(d))
         in_blocks, outside_blocks = sets_by_blocks(p, blocks)
-        assert p.bits.scan == tuple(s for s in p.bits.sets if s.bit_count() > 2 and s not in in_blocks) + tuple(
+        assert p.bits.scan == tuple(s for s in p.bits.sets if s.bit_count() > 2 and s in outside_blocks) + tuple(
             o for o, _ in blocks
         )
         shared += bool(in_blocks & outside_blocks)
